@@ -15,6 +15,7 @@ from fractions import Fraction
 from typing import Optional, Sequence
 
 from .dualdata import (
+    LanglandsDualData,
     decompose_quotient,
     epsilon_of,
     extend_datum,
@@ -158,6 +159,12 @@ def check_height(vectors: Sequence[Sequence[int]], cap: int):
                 f"coweight {tuple(v)} exceeds the height cap {cap}; raise --max-height")
 
 
+def dual_data(args, d: RootDatum) -> LanglandsDualData:
+    """Dual data of d, refused like `weyl` when |W| exceeds --max-weyl."""
+    weyl_group(d, args.max_weyl)
+    return langlands_dual_data(d)
+
+
 # ---------------------------------------------------------------------------
 # commands
 
@@ -239,7 +246,7 @@ def cmd_epsilon(args) -> dict:
 
 def cmd_dualdata(args) -> dict:
     d = load_datum(args.datum)
-    dd = langlands_dual_data(d)
+    dd = dual_data(args, d)
     quotient = decompose_quotient(dd)
     out = {
         "command": "dualdata",
@@ -274,7 +281,7 @@ def cmd_satake(args) -> dict:
     d = load_datum(args.datum)
     lam = parse_vector(args.coweight)
     check_height([lam], args.max_height)
-    dd = langlands_dual_data(d)
+    dd = dual_data(args, d)
     image = satake_image(dd, lam)
     return {
         "command": "satake",
@@ -291,7 +298,7 @@ def cmd_mult(args) -> dict:
     lam = parse_vector(args.lhs)
     mu = parse_vector(args.rhs)
     check_height([lam, mu], args.max_height)
-    dd = langlands_dual_data(d)
+    dd = dual_data(args, d)
     expansion = structure_polynomials(dd, lam, mu)
     return {
         "command": "mult",
@@ -333,7 +340,7 @@ def _build_parameter(args, dd):
 
 def cmd_rfactor(args) -> dict:
     d = load_datum(args.datum)
-    dd = langlands_dual_data(d)
+    dd = dual_data(args, d)
     parameter = _build_parameter(args, dd)
     weights = parse_vectors(args.weights)
     tau = DualRepresentation(dd, weights)
@@ -360,7 +367,7 @@ def cmd_euler(args) -> dict:
         d = load_datum(args.datum)
     else:
         raise UsageError("euler needs a datum or --trivial")
-    dd = langlands_dual_data(d)
+    dd = dual_data(args, d)
     if args.weights:
         tau = DualRepresentation(dd, parse_vectors(args.weights))
     else:
@@ -388,7 +395,7 @@ def cmd_euler(args) -> dict:
 
 def cmd_split(args) -> dict:
     d = load_datum(args.datum)
-    dd = langlands_dual_data(d)
+    dd = dual_data(args, d)
     parameter = _build_parameter(args, dd)
     root = parse_fraction(args.sqrt) if args.sqrt else sqrt_of(parameter.q)
     if args.sqrt_sign == "minus":

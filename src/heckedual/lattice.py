@@ -26,6 +26,7 @@ the sign phenomena downstream are statements about exact q-exponents.
 from __future__ import annotations
 
 import math
+import operator
 from fractions import Fraction
 from typing import Mapping, Optional, Sequence
 
@@ -43,15 +44,15 @@ def dot(x: Sequence[int], y: Sequence[int]) -> int:
     """Standard pairing of a lattice vector with a dual-lattice vector."""
     if len(x) != len(y):
         raise RankMismatchError(f"pairing of vectors of ranks {len(x)} and {len(y)}")
-    return sum(a * b for a, b in zip(x, y))
+    return sum(map(operator.mul, x, y))
 
 
 def vec_add(x: Vec, y: Vec) -> Vec:
-    return tuple(a + b for a, b in zip(x, y))
+    return tuple(map(operator.add, x, y))
 
 
 def vec_sub(x: Vec, y: Vec) -> Vec:
-    return tuple(a - b for a, b in zip(x, y))
+    return tuple(map(operator.sub, x, y))
 
 
 def vec_neg(x: Vec) -> Vec:
@@ -327,11 +328,11 @@ class Laurent:
 
     @classmethod
     def zero(cls) -> "Laurent":
-        return cls()
+        return cls._make({})
 
     @classmethod
     def one(cls) -> "Laurent":
-        return cls({0: 1})
+        return cls._make({0: 1})
 
     @classmethod
     def term(cls, coeff: int, exp: int = 0) -> "Laurent":
@@ -405,9 +406,16 @@ class Laurent:
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
+        a, b = self._coeffs, other._coeffs
+        if len(a) < len(b):
+            a, b = b, a
+        if len(b) == 1:
+            # one term c*q^k: a shift and a scale, nothing cancels
+            (k2, v2), = b.items()
+            return Laurent._make({k1 + k2: v1 * v2 for k1, v1 in a.items()})
         out: dict[int, int] = {}
-        for k1, v1 in self._coeffs.items():
-            for k2, v2 in other._coeffs.items():
+        for k1, v1 in a.items():
+            for k2, v2 in b.items():
                 k = k1 + k2
                 out[k] = out.get(k, 0) + v1 * v2
         return Laurent._make({k: v for k, v in out.items() if v})
@@ -810,6 +818,32 @@ class GroupAlgebraElement:
         if isinstance(other, (int, Laurent)):
             return self.scale(other)
         return NotImplemented
+
+    def product_coefficients(self, other: "GroupAlgebraElement",
+                             points: Sequence[Vec]) -> dict[Vec, Laurent]:
+        """Coefficients of self * other at the given points only.
+
+        Each point costs one lookup per term of the smaller factor, instead
+        of forming the whole product.  Points where it vanishes are omitted.
+        """
+        self._check_rank(other)
+        small, large = self._terms, other._terms
+        if len(small) > len(large):
+            small, large = large, small
+        small_items = list(small.items())
+        out: dict[Vec, Laurent] = {}
+        for v in points:
+            acc: dict[int, int] = {}
+            for y, c in small_items:
+                d = large.get(tuple(map(operator.sub, v, y)))
+                if d is not None:
+                    for k1, v1 in c._coeffs.items():
+                        for k2, v2 in d._coeffs.items():
+                            acc[k1 + k2] = acc.get(k1 + k2, 0) + v1 * v2
+            acc = {k: x for k, x in acc.items() if x}
+            if acc:
+                out[v] = Laurent._make(acc)
+        return out
 
     def scale(self, c: Laurent | int) -> "GroupAlgebraElement":
         c = c if isinstance(c, Laurent) else Laurent.term(int(c))

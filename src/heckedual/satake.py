@@ -15,10 +15,19 @@ symmetrization over the Weyl group with parameter q^-1:
         sum_w w( e^(lambda,0) * prod_{betavee > 0}
                  (1 - q^-1 e^-betavee) / (1 - e^-betavee) )
 
-evaluated exactly over the common denominator prod (1 - e^-betavee), with
-a zero-remainder assertion that doubles as a correctness tripwire.  The
-products of two images expand back into images of dominant coweights with
-coefficients in Z[q, q^-1] by triangular peeling.
+evaluated exactly over the common denominator Delta = prod (1 - e^-betavee),
+with a zero-remainder assertion that doubles as a correctness tripwire.
+Moving each term over it needs no division: Delta / w(Delta) is the
+monomial (-1)^l(w) e^(sum w(betavee)), summed over the positive coroots
+that w makes negative.  Each image is checked once, when it is built: it
+is dot-invariant, and its dominant support lies below its coweight.
+
+The products of two images expand back into images of dominant coweights
+with coefficients in Z[q, q^-1] by triangular peeling.  Peeling reads only
+the dominant coweights below lambda+mu, so the product is computed at
+those points alone and never formed whole.  The two image checks make a
+remainder that vanishes there vanish everywhere: it is dot-invariant,
+with dominant support below lambda+mu.
 
 An independent combinatorial check is provided for the rank-one adjoint
 datum: structure counts of distance spheres on the (q+1)-regular tree,
@@ -30,8 +39,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
-from typing import Iterable, Sequence
+from functools import cached_property, lru_cache
+from typing import Sequence
 
 from .dualdata import LanglandsDualData, langlands_dual_data
 from .errors import CapExceededError, ValidationError
@@ -41,7 +50,9 @@ from .lattice import (
     RationalFunction,
     Vec,
     dot,
+    mat_apply,
     vec_add,
+    vec_scale,
     vec_sub,
 )
 from .rootdatum import (
@@ -144,13 +155,42 @@ class SphericalFunction:
     datum: RootDatum
 
     def is_dot_invariant(self) -> bool:
-        for w in weyl_group(self.datum):
-            if w.length == 1 and dot_act_poly(self.datum, w, self.poly) != self.poly:
-                return False
+        """Invariance under every simple reflection, checked by lookups: the
+        coefficient at y - <alpha, y> alphavee must be q^-<alpha, y> times
+        the one at y."""
+        poly = self.poly
+        for alpha, alphavee in zip(self.datum.simple_roots, self.datum.simple_coroots):
+            for y, c in poly.items():
+                pairing = dot(alpha, y)
+                if pairing and poly.coefficient(
+                        vec_sub(y, vec_scale(pairing, alphavee))) != c.shift(-pairing):
+                    return False
         return True
+
+    @cached_property
+    def dominant_terms(self) -> tuple[tuple[Vec, Laurent], ...]:
+        """The terms at dominant coweights, which fix a dot-invariant element."""
+        return tuple((y, c) for y, c in self.poly.items() if is_dominant_coweight(self.datum, y))
 
     def __str__(self):
         return str(self.poly)
+
+
+def denominator_ratio(d: RootDatum, w: WeylElement) -> GroupAlgebraElement:
+    """Delta / w(Delta) for Delta = prod_{betavee > 0} (1 - e^-betavee).
+
+    Each positive coroot that w makes negative turns its factor into
+    -e^-w(betavee) times a factor of Delta, so the ratio is the monomial
+    (-1)^l(w) e^(sum w(betavee)) over those coroots.
+    """
+    _, coroots = positive_roots(d)
+    positive = set(coroots)
+    exponent = (0,) * d.rank
+    for betavee in coroots:
+        moved = mat_apply(w.mat_y, betavee)
+        if moved not in positive:
+            exponent = vec_add(exponent, moved)
+    return GroupAlgebraElement.monomial(exponent, (-1) ** w.length)
 
 
 @lru_cache(maxsize=None)
@@ -176,9 +216,7 @@ def satake_image_extended(dd: LanglandsDualData, lam: Vec) -> GroupAlgebraElemen
         numerator = numerator * (one - GroupAlgebraElement.monomial(inv, qinv))
     total = GroupAlgebraElement.zero(rank)
     for w in weyl_group(ext):
-        moved_num = numerator.apply_map(w.mat_y)
-        moved_den = denominator.apply_map(w.mat_y)
-        total = total + moved_num * denominator.exact_div(moved_den)
+        total = total + numerator.apply_map(w.mat_y) * denominator_ratio(ext, w)
     symmetrized = total.exact_div(denominator)
     normalizer = stabilizer_poincare(dd.base, lam).substitute_inverse()
     image = symmetrized.laurent_div(normalizer)
@@ -190,7 +228,16 @@ def satake_image_extended(dd: LanglandsDualData, lam: Vec) -> GroupAlgebraElemen
 @lru_cache(maxsize=None)
 def _satake_image_cached(dd: LanglandsDualData, lam: Vec) -> SphericalFunction:
     extended = satake_image_extended(dd, lam)
-    return SphericalFunction(extended.specialize_delta(dd.delta_index), dd.base)
+    image = SphericalFunction(extended.specialize_delta(dd.delta_index), dd.base)
+    # with these two, a peel that is exact at the dominant points below
+    # lambda+mu leaves a zero remainder everywhere (see structure_polynomials)
+    if not image.is_dot_invariant():
+        raise RuntimeError(f"internal: image of {lam} is not dot-invariant")
+    below = set(dominant_below(dd.base, lam))
+    for y, _ in image.dominant_terms:
+        if y not in below:
+            raise RuntimeError(f"internal: image of {lam} has dominant support {y} not below it")
+    return image
 
 
 def satake_image(dd: LanglandsDualData, lam: Sequence[int]) -> SphericalFunction:
@@ -230,24 +277,36 @@ class HeckeExpansion:
 def structure_polynomials(dd: LanglandsDualData, lam: Sequence[int], mu: Sequence[int]) -> HeckeExpansion:
     """Expand the product of two basis images in the basis again.
 
-    The product is strictly triangular: peeling dominant coweights below
-    lambda+mu in decreasing dominance order must exhaust it exactly, with
-    unit coefficient at the top.  A nonzero final remainder means the
-    triangularity was violated and is reported as an internal error.
+    The product is strictly triangular, and peeling reads it only at the
+    dominant coweights nu <= lambda+mu.  So its coefficients are computed
+    at those points alone, and peeled there in decreasing dominance order
+    from a residual map, with unit coefficient at the top.  The residual
+    must end at zero on every one of those points.  Each image is checked
+    once, when built, to be dot-invariant with dominant support below its
+    coweight; the dot action is a ring automorphism, so the whole remainder
+    is then dot-invariant with dominant support below lambda+mu, and it is
+    zero exactly when the residual is.  A violation is reported as an
+    internal error.
     """
     lam = tuple(int(x) for x in lam)
     mu = tuple(int(x) for x in mu)
-    product = satake_image(dd, lam).poly * satake_image(dd, mu).poly
     top = vec_add(lam, mu)
+    points = dominant_below(dd.base, top)
+    residual = satake_image(dd, lam).poly.product_coefficients(satake_image(dd, mu).poly, points)
     coeffs: dict[Vec, Laurent] = {}
-    for nu in dominant_below(dd.base, top):
-        c = product.coefficient(nu)
-        if c.is_zero():
+    for nu in points:
+        c = residual.get(nu)
+        if c is None:
             continue
         coeffs[nu] = c
-        product = product - satake_image(dd, nu).poly.scale(c)
-    if not product.is_zero():
-        raise RuntimeError("internal: nonzero remainder after triangular peeling")
+        for kappa, d in satake_image(dd, nu).dominant_terms:
+            left = residual.get(kappa, Laurent.zero()) - c * d
+            if left:
+                residual[kappa] = left
+            else:
+                del residual[kappa]
+    if residual:
+        raise RuntimeError("internal: nonzero residual at a dominant point after peeling")
     if coeffs.get(top) != Laurent.one():
         raise RuntimeError("internal: top coefficient is not 1")
     return HeckeExpansion(dd.base, coeffs)

@@ -159,3 +159,38 @@ class TestDeterminismAndExitCodes:
         code, _, _ = run_cli(capsys, "rfactor", "PGL2", "--weights", "0,0",
                              "--values", "2", "--q", "1")
         assert code == 2
+
+    @pytest.mark.parametrize("argv", [
+        ("satake", "GL3", "--coweight", "1,0,0"),
+        ("mult", "GL3", "--lhs", "1,0,0", "--rhs", "0,0,-1"),
+    ])
+    @pytest.mark.parametrize("via", ["flag", "env"])
+    def test_weyl_cap_on_dual_data_commands(self, capsys, monkeypatch, argv, via):
+        # |W(GL3)| = 6; a cap of 5 must refuse, a cap of 6 must not change a byte
+        if via == "flag":
+            code, out, err = run_cli(capsys, "--max-weyl", "5", *argv)
+        else:
+            monkeypatch.setenv("HECKEDUAL_MAX_WEYL", "5")
+            code, out, err = run_cli(capsys, *argv)
+        assert code == 3
+        assert out == ""
+        assert "cap of 5" in err
+        if via == "flag":
+            at_cap = run_cli(capsys, "--format", "json", "--max-weyl", "6", *argv)
+        else:
+            monkeypatch.setenv("HECKEDUAL_MAX_WEYL", "6")
+            at_cap = run_cli(capsys, "--format", "json", *argv)
+            monkeypatch.delenv("HECKEDUAL_MAX_WEYL")
+        assert at_cap == run_cli(capsys, "--format", "json", *argv)
+        assert at_cap[0] == 0
+
+    @pytest.mark.parametrize("argv", [
+        ("dualdata", "GL3"),
+        ("rfactor", "GL3", "--weights", "1,0,0,0", "--q", "3"),
+        ("euler", "GL3", "--places", "2", "--s", "2"),
+        ("split", "GL3", "--q", "9"),
+    ])
+    def test_weyl_cap_on_other_dual_data_commands(self, capsys, argv):
+        code, _, err = run_cli(capsys, "--max-weyl", "5", *argv)
+        assert code == 3
+        assert "cap of 5" in err
