@@ -34,6 +34,7 @@ from .rootdatum import (
     DEFAULT_WEYL_CAP,
     RootDatum,
     datum_isomorphic,
+    dual_datum,
     longest_element,
     lookup_datum,
     positive_roots,
@@ -51,10 +52,14 @@ from .rfunc import (
     split_by_sqrt,
     sqrt_of,
 )
-from .satake import compare_rank1_oracle, satake_image, structure_polynomials
+from .satake import (
+    DEFAULT_TREE_DEPTH_CAP,
+    compare_rank1_oracle,
+    satake_image,
+    structure_polynomials,
+)
 
 DEFAULT_HEIGHT_CAP = 6
-DEFAULT_TREE_DEPTH_CAP = 12
 WEYL_CAP_ENV = "HECKEDUAL_MAX_WEYL"
 
 
@@ -171,8 +176,6 @@ def dual_data(args, d: RootDatum) -> LanglandsDualData:
 
 def cmd_dual(args) -> dict:
     d = load_datum(args.datum)
-    from .rootdatum import dual_datum
-
     return {"command": "dual", "input": emit_datum(d), "dual": emit_datum(dual_datum(d))}
 
 
@@ -310,10 +313,7 @@ def cmd_mult(args) -> dict:
 
 
 def cmd_oracle(args) -> dict:
-    if args.max_height > args.max_tree_depth:
-        raise CapExceededError(
-            f"oracle height {args.max_height} exceeds the tree depth cap {args.max_tree_depth}")
-    report = compare_rank1_oracle(args.q, args.max_height)
+    report = compare_rank1_oracle(args.q, args.max_height, args.max_tree_depth)
     return {
         "command": "oracle",
         "q": report.q,
@@ -535,7 +535,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        if getattr(args, "max_weyl", 1) <= 0 or getattr(args, "max_height", 1) <= 0:
+        if any(getattr(args, cap, 1) <= 0 for cap in ("max_weyl", "max_height", "max_tree_depth")):
             raise UsageError("resource caps must be positive")
         result = args.fn(args)
     except UsageError as exc:

@@ -15,8 +15,12 @@ Three kinds of values live here:
   and characters of dual-group representations.
 
 Integer matrices are plain tuples of row tuples.  The module also provides
-the exact linear algebra used elsewhere: Fraction Gaussian elimination,
-Smith normal form with unimodular transforms, and integer linear solving.
+the exact linear algebra used elsewhere.  Determinants, unimodular
+inverses, rational solving and ranks all run on one fraction-free
+Gauss-Jordan routine (``_row_reduce``), and the univariate divisions behind
+``Laurent.exact_div`` and the gcd of ``RationalFunction`` on one long
+division (``_poly_divmod``).  Smith normal form with unimodular transforms
+and integer linear solving stay in integer arithmetic.
 
 Everything is immutable after construction and every operation is pure,
 so all of this is safe to use concurrently.  No floating point enters:
@@ -55,10 +59,6 @@ def vec_sub(x: Vec, y: Vec) -> Vec:
     return tuple(map(operator.sub, x, y))
 
 
-def vec_neg(x: Vec) -> Vec:
-    return tuple(-a for a in x)
-
-
 def vec_scale(c: int, x: Vec) -> Vec:
     return tuple(c * a for a in x)
 
@@ -84,47 +84,54 @@ def mat_transpose(m: IntMatrix) -> IntMatrix:
     return tuple(zip(*m))
 
 
+def _row_reduce(rows: list[list[int]], ncols: int) -> tuple[list[int], int]:
+    """Gauss-Jordan elimination of integer rows on their first ncols columns,
+    in place and fraction-free (Bareiss).
+
+    Any further columns ride along as an augmented block.  Returns the pivot
+    columns and the determinant of the first ncols columns when they are
+    square (zero when a column has no pivot).  Afterwards every row is d
+    times the row that Gauss-Jordan over Q leaves, d being the common value
+    at the pivots.  Each entry stays a minor of the input, so every
+    division is exact.
+    """
+    pivots: list[int] = []
+    prev, sign = 1, 1
+    for c in range(ncols):
+        r = len(pivots)
+        for p in range(r, len(rows)):
+            if rows[p][c]:
+                break
+        else:
+            continue
+        if p != r:
+            rows[r], rows[p] = rows[p], rows[r]
+            sign = -sign
+        top = rows[r]
+        pivot = top[c]
+        for i, row in enumerate(rows):
+            if i != r:
+                f = row[c]
+                rows[i] = [(pivot * x - f * y) // prev for x, y in zip(row, top)]
+        prev = pivot
+        pivots.append(c)
+    return pivots, sign * prev if len(pivots) == ncols else 0
+
+
 def mat_det(m: IntMatrix) -> int:
     """Determinant of a square integer matrix, exactly."""
-    n = len(m)
-    a = [[Fraction(x) for x in row] for row in m]
-    det = Fraction(1)
-    for col in range(n):
-        pivot = next((r for r in range(col, n) if a[r][col]), None)
-        if pivot is None:
-            return 0
-        if pivot != col:
-            a[col], a[pivot] = a[pivot], a[col]
-            det = -det
-        det *= a[col][col]
-        inv = 1 / a[col][col]
-        for r in range(col + 1, n):
-            if a[r][col]:
-                f = a[r][col] * inv
-                a[r] = [x - f * y for x, y in zip(a[r], a[col])]
-    assert det.denominator == 1
-    return int(det)
+    return _row_reduce([list(row) for row in m], len(m))[1]
 
 
 def mat_inverse_unimodular(m: IntMatrix) -> IntMatrix:
     """Inverse of an integer matrix with determinant +-1."""
     n = len(m)
-    aug = [[Fraction(x) for x in row] + [Fraction(int(i == j)) for j in range(n)]
-           for i, row in enumerate(m)]
-    for col in range(n):
-        pivot = next(r for r in range(col, n) if aug[r][col])
-        aug[col], aug[pivot] = aug[pivot], aug[col]
-        inv = 1 / aug[col][col]
-        aug[col] = [x * inv for x in aug[col]]
-        for r in range(n):
-            if r != col and aug[r][col]:
-                f = aug[r][col]
-                aug[r] = [x - f * y for x, y in zip(aug[r], aug[col])]
-    out = []
-    for row in aug:
-        assert all(x.denominator == 1 for x in row[n:])
-        out.append(tuple(int(x) for x in row[n:]))
-    return tuple(out)
+    aug = [list(row) + [int(i == j) for j in range(n)] for i, row in enumerate(m)]
+    _, det = _row_reduce(aug, n)
+    if det not in (1, -1):
+        raise ValueError(f"matrix of determinant {det} is not unimodular")
+    # the left block is now d * I with d = +-1, and 1/d = d
+    return tuple(tuple(row[i] * x for x in row[n:]) for i, row in enumerate(aug))
 
 
 def solve_rational(columns: Sequence[Sequence[int]], target: Sequence[int]) -> Optional[tuple[Fraction, ...]]:
@@ -134,30 +141,13 @@ def solve_rational(columns: Sequence[Sequence[int]], target: Sequence[int]) -> O
     columns are linearly independent the solution is unique.
     """
     k = len(columns)
-    n = len(target)
-    rows = [[Fraction(columns[j][i]) for j in range(k)] + [Fraction(target[i])]
-            for i in range(n)]
-    pivots: list[int] = []
-    r = 0
-    for c in range(k):
-        pivot = next((i for i in range(r, n) if rows[i][c]), None)
-        if pivot is None:
-            continue
-        rows[r], rows[pivot] = rows[pivot], rows[r]
-        inv = 1 / rows[r][c]
-        rows[r] = [x * inv for x in rows[r]]
-        for i in range(n):
-            if i != r and rows[i][c]:
-                f = rows[i][c]
-                rows[i] = [x - f * y for x, y in zip(rows[i], rows[r])]
-        pivots.append(c)
-        r += 1
-    for i in range(r, n):
-        if rows[i][k]:
-            return None
+    rows = [[col[i] for col in columns] + [x] for i, x in enumerate(target)]
+    pivots, _ = _row_reduce(rows, k)
+    if any(row[k] for row in rows[len(pivots):]):
+        return None
     sol = [Fraction(0)] * k
-    for i, c in enumerate(pivots):
-        sol[c] = rows[i][k]
+    for row, c in zip(rows, pivots):
+        sol[c] = Fraction(row[k], row[c])
     return tuple(sol)
 
 
@@ -165,22 +155,7 @@ def int_rank(vectors: Sequence[Sequence[int]]) -> int:
     """Rank of the span of the given vectors."""
     if not vectors:
         return 0
-    rows = [[Fraction(x) for x in v] for v in vectors]
-    n = len(rows[0])
-    r = 0
-    for c in range(n):
-        pivot = next((i for i in range(r, len(rows)) if rows[i][c]), None)
-        if pivot is None:
-            continue
-        rows[r], rows[pivot] = rows[pivot], rows[r]
-        inv = 1 / rows[r][c]
-        rows[r] = [x * inv for x in rows[r]]
-        for i in range(len(rows)):
-            if i != r and rows[i][c]:
-                f = rows[i][c]
-                rows[i] = [x - f * y for x, y in zip(rows[i], rows[r])]
-        r += 1
-    return r
+    return len(_row_reduce([list(v) for v in vectors], len(vectors[0]))[0])
 
 
 # ---------------------------------------------------------------------------
@@ -464,30 +439,14 @@ class Laurent:
                     raise NotDivisibleError("not divisible")
                 out[e - k] = quotient
             return Laurent._make(out)
-        a0, b0 = self.min_exp(), other.min_exp()
-        da = self.max_exp() - a0
-        db = other.max_exp() - b0
-        if da < db:
+        a0, num = _laurent_dense(self)
+        b0, den = _laurent_dense(other)
+        quot, rem = _poly_divmod(num, den)
+        if rem:
             raise NotDivisibleError("not divisible")
-        num = [Fraction(self.coefficient(a0 + i)) for i in range(da + 1)]
-        den = [other.coefficient(b0 + i) for i in range(db + 1)]
-        lead = Fraction(den[-1])
-        quot = [Fraction(0)] * (da - db + 1)
-        for i in range(da - db, -1, -1):
-            qc = num[i + db] / lead
-            quot[i] = qc
-            if qc:
-                for j, bc in enumerate(den):
-                    num[i + j] -= qc * bc
-        if any(num):
-            raise NotDivisibleError("not divisible")
-        out = {}
-        for i, c in enumerate(quot):
-            if c:
-                if c.denominator != 1:
-                    raise NotDivisibleError("quotient is not integral")
-                out[i + a0 - b0] = int(c)
-        return Laurent(out)
+        if any(c.denominator != 1 for c in quot):
+            raise NotDivisibleError("quotient is not integral")
+        return Laurent({a0 - b0 + i: c for i, c in enumerate(quot)})
 
     def to_str(self, var: str = "q") -> str:
         if not self._coeffs:
@@ -533,27 +492,29 @@ def _primitive_int_poly(coeffs: list[Fraction]) -> list[int]:
     return ints
 
 
+def _poly_divmod(num: Sequence[int], den: Sequence[int]) -> tuple[list[Fraction], list[Fraction]]:
+    """Quotient and remainder over Q of dense coefficient lists, constant
+    term first.  den must end in a nonzero coefficient; the remainder comes
+    back without trailing zeros, so it is empty exactly when den divides num."""
+    rem = [Fraction(c) for c in num]
+    quot = [Fraction(0)] * max(len(rem) - len(den) + 1, 0)
+    for i in reversed(range(len(quot))):
+        qc = rem[i + len(den) - 1] / den[-1]
+        if qc:
+            quot[i] = qc
+            for j, bc in enumerate(den):
+                rem[i + j] -= qc * bc
+    while rem and not rem[-1]:
+        rem.pop()
+    return quot, rem
+
+
 def _poly_gcd(a: list[int], b: list[int]) -> list[int]:
-    """Gcd of integer polynomials (primitive, positive leading coefficient)."""
-
-    def trim(p: list[Fraction]) -> list[Fraction]:
-        while p and not p[-1]:
-            p.pop()
-        return p
-
-    fa = trim([Fraction(c) for c in a])
-    fb = trim([Fraction(c) for c in b])
-    while fb:
-        while len(fa) >= len(fb):
-            f = fa[-1] / fb[-1]
-            shift = len(fa) - len(fb)
-            for i in range(len(fb)):
-                fa[shift + i] -= f * fb[i]
-            trim(fa)
-            if not fa:
-                break
-        fa, fb = fb, fa
-    return _primitive_int_poly(fa)
+    """Gcd of integer polynomials (primitive, positive leading coefficient),
+    given without trailing zeros."""
+    while b:
+        a, b = b, _poly_divmod(a, b)[1]
+    return _primitive_int_poly([Fraction(c) for c in a])
 
 
 def _laurent_dense(l: Laurent) -> tuple[int, list[int]]:

@@ -19,6 +19,7 @@ by the square-root choice is pinned down exactly.
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Sequence, Union
@@ -260,8 +261,6 @@ class DualRepresentation:
             raise ValidationError("weight multiset is not Weyl stable")
 
     def _is_stable(self) -> bool:
-        from collections import Counter
-
         counter = Counter(self.weights)
         for w in weyl_group(self.dd.ext):
             if w.length != 1:
@@ -314,6 +313,9 @@ def contragredient_rep(dd: LanglandsDualData, tau: DualRepresentation) -> DualRe
 # local factors and partial products
 
 
+_POLE_TOLERANCE = 1e-9
+
+
 @dataclass(frozen=True)
 class RFactor:
     """A local factor prod (1 - c_i u)^-1 in u = q^-s, by its inverse
@@ -333,12 +335,22 @@ class RFactor:
         return RFactor(self.q, tuple(c * scale for c in self.inverse_roots))
 
     def evaluate(self, s: float) -> float:
+        """The value at s, in floats; a pole raises PoleError.
+
+        Whether 1 - c*q^-s vanishes is decided exactly, and only where its
+        float is within a relative tolerance of zero (both terms are then
+        near 1).  With s = a/b in lowest terms, c*q^-s = 1 forces c^b = q^a,
+        tested in the exact field of c; a real c close to q^s > 0 with
+        c^b = q^a is q^s.  Past b = 64 the tolerance alone decides.
+        """
         value = 1.0
         u = float(self.q) ** (-s)
         for c in self.inverse_roots:
             denom = 1.0 - float(c) * u
-            if denom == 0.0:
-                raise PoleError(f"local factor has a pole at s = {s} (root {c}, q = {self.q})")
+            if abs(denom) <= _POLE_TOLERANCE:
+                a, b = Fraction(s).as_integer_ratio()
+                if b > 64 or c ** b == Fraction(self.q) ** a:
+                    raise PoleError(f"local factor has a pole at s = {s} (root {c}, q = {self.q})")
             value /= denom
         return value
 

@@ -26,7 +26,6 @@ from .lattice import (
     mat_det,
     mat_identity,
     mat_mul,
-    mat_transpose,
     solve_integer_linear,
     solve_rational,
     vec_add,
@@ -81,9 +80,6 @@ class WeylElement:
     def length(self) -> int:
         return len(self.word)
 
-    def is_identity(self) -> bool:
-        return not self.word
-
 
 # ---------------------------------------------------------------------------
 # validation
@@ -97,44 +93,11 @@ def cartan_matrix(d: RootDatum) -> IntMatrix:
 
 
 def _is_finite_type_cartan(c: IntMatrix) -> bool:
-    """Finite type test: the matrix must be symmetrizable with positive
-    definite symmetrization."""
+    """Finite type test for a generalized Cartan matrix: every principal
+    minor is positive (Kac, Infinite-dimensional Lie Algebras, 4.3)."""
     k = len(c)
-    if k == 0:
-        return True
-    # assign symmetrizing weights along the Coxeter graph
-    weights: list[Optional[Fraction]] = [None] * k
-    for start in range(k):
-        if weights[start] is not None:
-            continue
-        weights[start] = Fraction(1)
-        stack = [start]
-        while stack:
-            i = stack.pop()
-            for j in range(k):
-                if i == j or c[i][j] == 0:
-                    continue
-                w = weights[i] * Fraction(c[i][j], c[j][i])
-                if weights[j] is None:
-                    weights[j] = w
-                    stack.append(j)
-                elif weights[j] != w:
-                    return False
-    sym = [[weights[i] * c[i][j] for j in range(k)] for i in range(k)]
-    for i in range(k):
-        for j in range(k):
-            if sym[i][j] != sym[j][i]:
-                return False
-    # Sylvester: all leading principal minors positive
-    a = [row[:] for row in sym]
-    for p in range(k):
-        pivot = a[p][p]
-        if pivot <= 0:
-            return False
-        for r in range(p + 1, k):
-            f = a[r][p] / pivot
-            a[r] = [x - f * y for x, y in zip(a[r], a[p])]
-    return True
+    return all(mat_det(tuple(tuple(c[i][j] for j in idx) for i in idx)) > 0
+               for size in range(1, k + 1) for idx in itertools.combinations(range(k), size))
 
 
 def validate_datum(d: RootDatum) -> list[str]:
@@ -358,9 +321,7 @@ def dominant_below(d: RootDatum, lam: Vec) -> tuple[Vec, ...]:
     if k == 0:
         return (lam,)
     pairings = [dot(alpha, lam) for alpha in d.simple_roots]
-    m = tuple(tuple(dot(d.simple_roots[i], d.simple_coroots[j]) for j in range(k))
-              for i in range(k))
-    coords = solve_rational(mat_transpose(m), pairings)
+    coords = solve_rational(cartan_matrix(d), pairings)
     assert coords is not None and all(b >= 0 for b in coords)
     bounds = [b.numerator // b.denominator for b in coords]
     found = []

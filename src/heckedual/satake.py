@@ -37,6 +37,7 @@ expansion coefficients after an explicit monomial rescaling.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
@@ -69,6 +70,7 @@ from .rootdatum import (
 )
 
 DEFAULT_TREE_NODE_CAP = 2_000_000
+DEFAULT_TREE_DEPTH_CAP = 12
 
 
 # ---------------------------------------------------------------------------
@@ -138,7 +140,7 @@ def dot_act_poly(d: RootDatum, w: WeylElement, elem: GroupAlgebraElement) -> Gro
     return elem
 
 
-def lift_exponent(dd: LanglandsDualData, y: Sequence[int], n: int) -> Vec:
+def lift_exponent(y: Sequence[int], n: int) -> Vec:
     """Embed a coweight at delta-height n in the extended lattice."""
     return tuple(y) + (n,)
 
@@ -209,7 +211,7 @@ def satake_image_extended(dd: LanglandsDualData, lam: Vec) -> GroupAlgebraElemen
     one = GroupAlgebraElement.one(rank)
     qinv = Laurent.q_power(-1)
     denominator = one
-    numerator = GroupAlgebraElement.monomial(lift_exponent(dd, lam, 0))
+    numerator = GroupAlgebraElement.monomial(lift_exponent(lam, 0))
     for betavee in coroots:
         inv = tuple(-x for x in betavee)
         denominator = denominator * (one - GroupAlgebraElement.monomial(inv))
@@ -220,7 +222,7 @@ def satake_image_extended(dd: LanglandsDualData, lam: Vec) -> GroupAlgebraElemen
     symmetrized = total.exact_div(denominator)
     normalizer = stabilizer_poincare(dd.base, lam).substitute_inverse()
     image = symmetrized.laurent_div(normalizer)
-    if image.coefficient(lift_exponent(dd, lam, 0)) != Laurent.one():
+    if image.coefficient(lift_exponent(lam, 0)) != Laurent.one():
         raise RuntimeError(f"internal: leading coefficient at {lam} is not 1")
     return image
 
@@ -318,7 +320,7 @@ def structure_polynomials(dd: LanglandsDualData, lam: Sequence[int], mu: Sequenc
 
 def tree_structure_constants(m: int, n: int, q: int,
                              node_cap: int = DEFAULT_TREE_NODE_CAP,
-                             depth_cap: int = 12) -> dict[int, int]:
+                             depth_cap: int = DEFAULT_TREE_DEPTH_CAP) -> dict[int, int]:
     """Counts on the (q+1)-regular tree, by explicit construction.
 
     For vertices u, v at distance d, counts the w with dist(u, w) = m and
@@ -412,21 +414,25 @@ class OracleReport:
         return "Z[q, q^-1]"
 
 
-def compare_rank1_oracle(q0: int, max_height: int) -> OracleReport:
+def compare_rank1_oracle(q0: int, max_height: int,
+                         depth_cap: int = DEFAULT_TREE_DEPTH_CAP) -> OracleReport:
     """Cross-check the rank-one expansion against the regular tree.
 
     For lambda = m*mu and mu' = n*mu with m + n <= max_height, each
     expansion coefficient rescaled by q^dot(t, lambda + mu' - nu) and
     evaluated at q = q0 must equal the tree count at the matching
-    distance; mismatches are collected, not raised.
+    distance; mismatches are collected, not raised.  The deepest tree is
+    max_height, refused up front when it exceeds depth_cap.
     """
+    if max_height > depth_cap:
+        raise CapExceededError(f"tree depth {max_height} exceeds the cap of {depth_cap}")
     dd = langlands_dual_data(BUILTINS["PGL2"])
     t = positive_root_sum(dd.base)
     entries = []
     for m in range(max_height + 1):
         for n in range(max_height + 1 - m):
             expansion = structure_polynomials(dd, (m,), (n,))
-            counts = tree_structure_constants(m, n, q0)
+            counts = tree_structure_constants(m, n, q0, depth_cap=depth_cap)
             seen = set(expansion.coeffs)
             for d, count in sorted(counts.items()):
                 nu = (d,)
@@ -451,8 +457,6 @@ def compare_rank1_oracle(q0: int, max_height: int) -> OracleReport:
 def enumerate_dominant(d: RootDatum, height: int) -> tuple[Vec, ...]:
     """All dominant coweights with every coordinate bounded by height in
     absolute value, in decreasing dominance-compatible order."""
-    import itertools
-
     found = [v for v in itertools.product(range(-height, height + 1), repeat=d.rank)
              if is_dominant_coweight(d, v)]
     found.sort(key=lambda v: coweight_order_key(d, v))

@@ -188,7 +188,7 @@ def test_criterion_08_dot_linear_intertwining():
         for w_ext, w_base in zip(weyl_group(dd.ext), weyl_group(d)):
             assert w_ext.word == w_base.word
             for y in monomials:
-                lifted = GroupAlgebraElement.monomial(lift_exponent(dd, y, 0))
+                lifted = GroupAlgebraElement.monomial(lift_exponent(y, 0))
                 upstairs = lifted.apply_map(w_ext.mat_y).specialize_delta(dd.delta_index)
                 downstairs = dot_act_poly(d, w_base, GroupAlgebraElement.monomial(y))
                 if upstairs != downstairs:

@@ -155,6 +155,36 @@ class TestDeterminismAndExitCodes:
         code, _, _ = run_cli(capsys, "euler", "--trivial", "--places", "2", "--s", "0")
         assert code == 4
 
+    def test_true_pole_that_floats_miss_exit_code(self, capsys):
+        # 49 * 7^-2 = 1 exactly, but the float denominator is 1.1e-16, not 0.0
+        code, out, err = run_cli(capsys, "--format", "json", "rfactor", "PGL2",
+                                 "--weights", "0,2", "--values", "1", "--q", "7", "--s", "2")
+        assert code == 4
+        assert out == ""
+        assert "pole" in err
+
+    def test_tree_depth_flag_raises_oracle_cap(self, capsys):
+        code, _, err = run_cli(capsys, "oracle", "--q", "2", "--max-height", "13")
+        assert code == 3
+        assert "cap of 12" in err
+        result = run_json(capsys, "--max-tree-depth", "13", "oracle", "--q", "2",
+                          "--max-height", "13")
+        assert result["failures"] == 0
+
+    def test_tree_depth_flag_lowers_oracle_cap(self, capsys):
+        code, out, err = run_cli(capsys, "--max-tree-depth", "3", "oracle", "--q", "2",
+                                 "--max-height", "4")
+        assert code == 3
+        assert out == ""
+        assert "cap of 3" in err
+
+    @pytest.mark.parametrize("cap", ["0", "-5"])
+    def test_nonpositive_tree_depth_is_usage_error(self, capsys, cap):
+        code, _, err = run_cli(capsys, "--max-tree-depth", cap, "oracle", "--q", "2",
+                               "--max-height", "2")
+        assert code == 1
+        assert "caps must be positive" in err
+
     def test_omega_violation_is_validation(self, capsys):
         code, _, _ = run_cli(capsys, "rfactor", "PGL2", "--weights", "0,0",
                              "--values", "2", "--q", "1")

@@ -97,7 +97,7 @@ def corrupt_extended(monkeypatch, extra):
 def test_image_not_dot_invariant_raises(monkeypatch, fresh_images):
     # the image of 1 is e[1] + q^-1 e[-1]; change the coefficient at -1 only
     corrupt_extended(monkeypatch,
-                     lambda dd, lam: GroupAlgebraElement.monomial(lift_exponent(dd, (-1,), 0)))
+                     lambda dd, lam: GroupAlgebraElement.monomial(lift_exponent((-1,), 0)))
     with pytest.raises(RuntimeError, match="not dot-invariant"):
         satake_image(DD_PGL2, (1,))
 

@@ -12,6 +12,7 @@ from heckedual.rootdatum import BUILTINS, TRIVIAL
 from heckedual.rfunc import (
     DualRepresentation,
     QuadExt,
+    RFactor,
     UnramifiedParameter,
     contragredient_rep,
     epsilon_twist,
@@ -137,6 +138,30 @@ class TestLocalFactors:
         factor = local_rfactor(p, DualRepresentation.trivial(DD_TRIVIAL))
         with pytest.raises(PoleError):
             factor.evaluate(0.0)
+
+    def test_pole_missed_by_floats(self):
+        # (2*sqrt 2) * 2^-1.5 = 1 exactly; in floats 1 - c*u is -2.2e-16
+        factor = RFactor(Fraction(2), (2 * sqrt_of(Fraction(2)),))
+        with pytest.raises(PoleError):
+            factor.evaluate(1.5)
+        p = make_parameter(DD_PGL2, 7, (Fraction(1),))
+        factor = local_rfactor(p, DualRepresentation(DD_PGL2, ((0, 2),)))
+        with pytest.raises(PoleError):
+            factor.evaluate(2.0)
+
+    def test_near_pole_is_not_a_pole(self):
+        # within the float tolerance of a pole, but exactly not one
+        c = 1 + Fraction(1, 10 ** 12)
+        assert RFactor(Fraction(2), (c,)).evaluate(0.0) == pytest.approx(-1e12, rel=1e-3)
+        sqrt2 = sqrt_of(Fraction(2))
+        near = 2 * sqrt2 + Fraction(1, 10 ** 12)
+        assert abs(RFactor(Fraction(2), (near,)).evaluate(1.5)) > 1e11
+
+    def test_pole_tolerance_decides_for_long_exponents(self):
+        # s = 0.1 is a/b with b = 5 * 2^55; the float tolerance decides
+        c = Fraction(2 ** 0.1)
+        with pytest.raises(PoleError):
+            RFactor(Fraction(2), (c,)).evaluate(0.1)
 
     def test_degree_matches_dimension(self):
         rng = random.Random(2)
