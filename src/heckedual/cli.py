@@ -60,6 +60,7 @@ from .satake import (
 )
 
 DEFAULT_HEIGHT_CAP = 6
+ORACLE_HEIGHT = 4  # the oracle's trees grow like q^height
 WEYL_CAP_ENV = "HECKEDUAL_MAX_WEYL"
 
 
@@ -449,21 +450,21 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
-def _global_options(parser, suppress: bool, skip: tuple[str, ...] = ()):
+def _global_options(parser, suppress: bool):
     default = (lambda value: argparse.SUPPRESS) if suppress else (lambda value: value)
     specs = {
         "--format": dict(choices=("text", "json"), default=default("text")),
         "--max-weyl": dict(type=int,
                            default=default(int(os.environ.get(WEYL_CAP_ENV, DEFAULT_WEYL_CAP))),
                            help="cap on the Weyl group size"),
-        "--max-height": dict(type=int, default=default(DEFAULT_HEIGHT_CAP),
-                             help="cap on coweight coordinates"),
+        "--max-height": dict(type=int, default=default(None),
+                             help=f"cap on coweight coordinates (default {DEFAULT_HEIGHT_CAP}; "
+                                  f"for oracle, the height compared, default {ORACLE_HEIGHT})"),
         "--max-tree-depth": dict(type=int, default=default(DEFAULT_TREE_DEPTH_CAP),
                                  help="cap on the oracle tree depth"),
     }
     for flag, kwargs in specs.items():
-        if flag not in skip:
-            parser.add_argument(flag, **kwargs)
+        parser.add_argument(flag, **kwargs)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -472,11 +473,11 @@ def build_parser() -> argparse.ArgumentParser:
     _global_options(parser, suppress=False)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def with_datum(name, help_text, skip=()):
+    def with_datum(name, help_text):
         p = sub.add_parser(name, help=help_text)
         # the global flags are accepted after the subcommand as well; they
         # only override the top-level values when given there explicitly
-        _global_options(p, suppress=True, skip=skip)
+        _global_options(p, suppress=True)
         p.add_argument("datum", help="builtin name, 'trivial', a JSON file path, or -")
         return p
 
@@ -498,9 +499,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=cmd_mult)
 
     p = sub.add_parser("oracle", help="rank-one comparison against the regular tree")
-    _global_options(p, suppress=True, skip=("--max-height",))
+    _global_options(p, suppress=True)
     p.add_argument("--q", type=int, required=True, choices=(2, 3, 4))
-    p.add_argument("--max-height", dest="max_height", type=int, default=4)
     p.set_defaults(fn=cmd_oracle)
 
     p = with_datum("rfactor", "local factor of a weight multiset")
@@ -535,6 +535,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
+        if args.max_height is None:
+            args.max_height = ORACLE_HEIGHT if args.fn is cmd_oracle else DEFAULT_HEIGHT_CAP
         if any(getattr(args, cap, 1) <= 0 for cap in ("max_weyl", "max_height", "max_tree_depth")):
             raise UsageError("resource caps must be positive")
         result = args.fn(args)

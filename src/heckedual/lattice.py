@@ -670,12 +670,7 @@ class RationalFunction:
 
 
 class GroupAlgebraElement:
-    """Element of Z[q,q^-1][Z^rank]: a finite sum of terms coeff * e^v.
-
-    The monomial order used for exact division is lexicographic on exponent
-    vectors; any total order works for division with a remainder check, and
-    fixing one makes results reproducible.
-    """
+    """Element of Z[q,q^-1][Z^rank]: a finite sum of terms coeff * e^v."""
 
     __slots__ = ("rank", "_terms")
 
@@ -850,51 +845,6 @@ class GroupAlgebraElement:
                 out[w] = add
         return GroupAlgebraElement._make(
             self.rank - 1, {v: c for v, c in out.items() if not c.is_zero()})
-
-    def exact_div(self, other: "GroupAlgebraElement") -> "GroupAlgebraElement":
-        """Return c with c * other == self, exactly.
-
-        Raises NotDivisibleError when no such element exists.  Used with a
-        zero-remainder assertion as a correctness tripwire in symmetrization.
-        """
-        if not isinstance(other, GroupAlgebraElement):
-            raise TypeError("exact_div expects a GroupAlgebraElement")
-        self._check_rank(other)
-        if other.is_zero():
-            raise ZeroDivisionError("division by the zero element")
-        if self.is_zero():
-            return GroupAlgebraElement.zero(self.rank)
-        n = self.rank
-        num_base = tuple(min(v[i] for v in self._terms) for i in range(n))
-        den_base = tuple(min(v[i] for v in other._terms) for i in range(n))
-        rem = {vec_sub(v, num_base): c for v, c in self._terms.items()}
-        den = {vec_sub(v, den_base): c for v, c in other._terms.items()}
-        lead = max(den)
-        lead_c = den[lead]
-        quot: dict[Vec, Laurent] = {}
-        while rem:
-            v = max(rem)
-            step = vec_sub(v, lead)
-            if any(x < 0 for x in step):
-                raise NotDivisibleError("not divisible")
-            qc = rem[v].exact_div(lead_c)
-            quot[step] = quot.get(step, Laurent.zero()) + qc
-            for w, cw in den.items():
-                u = vec_add(step, w)
-                nc = (rem[u] - qc * cw) if u in rem else -(qc * cw)
-                if nc.is_zero():
-                    rem.pop(u, None)
-                else:
-                    rem[u] = nc
-        shift = vec_sub(num_base, den_base)
-        return GroupAlgebraElement._make(
-            self.rank,
-            {vec_add(v, shift): c for v, c in quot.items() if not c.is_zero()})
-
-    def laurent_div(self, scalar: Laurent) -> "GroupAlgebraElement":
-        """Divide every coefficient exactly by a Laurent scalar."""
-        return GroupAlgebraElement._make(
-            self.rank, {v: c.exact_div(scalar) for v, c in self._terms.items()})
 
     def to_str(self, var: str = "q") -> str:
         if not self._terms:

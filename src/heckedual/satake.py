@@ -8,25 +8,28 @@ the twisted action below.  All spherical computations therefore happen
 upstairs, where only integer delta-exponents ever occur, and are pushed
 down at the end.
 
-The image of a dominant coweight lambda is computed by Hall-Littlewood
-symmetrization over the Weyl group with parameter q^-1:
+The image of a dominant coweight lambda is its Hall-Littlewood
+symmetrization with parameter q^-1, summed over the Weyl orbit of
+(lambda, 0) instead of over W (Macdonald, Symmetric Functions and Hall
+Polynomials, III; Nelsen-Ram):
 
-    S(e_lambda) = W_lambda(q^-1)^-1 *
-        sum_w w( e^(lambda,0) * prod_{betavee > 0}
-                 (1 - q^-1 e^-betavee) / (1 - e^-betavee) )
+    S(e_lambda) = W_lambda(q^-1)^-1 * sum_{w in W} T_w e^(lambda,0)
+                = sum_{u in W^lambda} T_u e^(lambda,0),
 
-evaluated exactly over the common denominator Delta = prod (1 - e^-betavee),
-with a zero-remainder assertion that doubles as a correctness tripwire.
-Moving each term over it needs no division: Delta / w(Delta) is the
-monomial (-1)^l(w) e^(sum w(betavee)), summed over the positive coroots
-that w makes negative.  Each image is checked once, when it is built: it
-is dot-invariant, and its dominant support lies below its coweight.
+with Demazure-Lusztig operators T_i and W^lambda the minimal coset
+representatives of W / W_lambda.  The walk starts at e^(lambda,0); each
+orbit point mu with k = <alpha_i, mu> > 0 hands T_i of its term to s_i mu.
+The Hecke braid relations make a term independent of the path that
+reached it, and on a monomial T_i is a finite geometric sum, so nothing
+is divided.  Each image is checked once, when it is built: its top
+coefficient is 1, it is dot-invariant, and its dominant support lies
+below its coweight.
 
 The products of two images expand back into images of dominant coweights
 with coefficients in Z[q, q^-1] by triangular peeling.  Peeling reads only
 the dominant coweights below lambda+mu, so the product is computed at
-those points alone and never formed whole.  The two image checks make a
-remainder that vanishes there vanish everywhere: it is dot-invariant,
+those points alone and never formed whole.  The last two image checks
+make a remainder that vanishes there vanish everywhere: it is dot-invariant,
 with dominant support below lambda+mu.
 
 An independent combinatorial check is provided for the rank-one adjoint
@@ -51,7 +54,6 @@ from .lattice import (
     RationalFunction,
     Vec,
     dot,
-    mat_apply,
     vec_add,
     vec_scale,
     vec_sub,
@@ -64,9 +66,6 @@ from .rootdatum import (
     dominant_below,
     is_dominant_coweight,
     positive_root_sum,
-    positive_roots,
-    stabilizer_poincare,
-    weyl_group,
 )
 
 DEFAULT_TREE_NODE_CAP = 2_000_000
@@ -178,26 +177,33 @@ class SphericalFunction:
         return str(self.poly)
 
 
-def denominator_ratio(d: RootDatum, w: WeylElement) -> GroupAlgebraElement:
-    """Delta / w(Delta) for Delta = prod_{betavee > 0} (1 - e^-betavee).
+def _demazure_lusztig(elem: GroupAlgebraElement, alpha: Vec, alphavee: Vec) -> GroupAlgebraElement:
+    """The Demazure-Lusztig operator with parameter q^-1,
 
-    Each positive coroot that w makes negative turns its factor into
-    -e^-w(betavee) times a factor of Delta, so the ratio is the monomial
-    (-1)^l(w) e^(sum w(betavee)) over those coroots.
+        T f = q^-1 s(f) + (1 - q^-1) (f - s(f)) / (e^alphavee - 1),
+
+    for the reflection s(e^y) = e^(y - k alphavee), k = <alpha, y>.  The
+    quotient is a finite geometric sum: e^(y - j alphavee) for j = 1..k
+    when k > 0, minus the same for j = k+1..0 when k < 0, none when k = 0.
     """
-    _, coroots = positive_roots(d)
-    positive = set(coroots)
-    exponent = (0,) * d.rank
-    for betavee in coroots:
-        moved = mat_apply(w.mat_y, betavee)
-        if moved not in positive:
-            exponent = vec_add(exponent, moved)
-    return GroupAlgebraElement.monomial(exponent, (-1) ** w.length)
+    out: dict[Vec, Laurent] = {}
+
+    def add(y: Vec, c: Laurent):
+        out[y] = out[y] + c if y in out else c
+
+    for y, c in elem.items():
+        k = dot(alpha, y)
+        lowered = c.shift(-1)
+        add(vec_sub(y, vec_scale(k, alphavee)), lowered)
+        rest = c - lowered if k > 0 else lowered - c
+        for j in range(min(1, k + 1), max(1, k + 1)):
+            add(vec_sub(y, vec_scale(j, alphavee)), rest)
+    return GroupAlgebraElement(elem.rank, out)
 
 
-@lru_cache(maxsize=None)
 def satake_image_extended(dd: LanglandsDualData, lam: Vec) -> GroupAlgebraElement:
-    """The symmetrized image on the extended lattice, before restriction.
+    """The symmetrized image on the extended lattice, before restriction,
+    summed over the orbit of (lambda, 0) as the module docstring describes.
 
     Every delta-exponent in the support is an integer by construction; the
     coefficient of e^(lambda, 0) is exactly 1.
@@ -206,23 +212,20 @@ def satake_image_extended(dd: LanglandsDualData, lam: Vec) -> GroupAlgebraElemen
     if not is_dominant_coweight(dd.base, lam):
         raise ValidationError(f"coweight {lam} is not dominant")
     ext = dd.ext
-    rank = ext.rank
-    _, coroots = positive_roots(ext)
-    one = GroupAlgebraElement.one(rank)
-    qinv = Laurent.q_power(-1)
-    denominator = one
-    numerator = GroupAlgebraElement.monomial(lift_exponent(lam, 0))
-    for betavee in coroots:
-        inv = tuple(-x for x in betavee)
-        denominator = denominator * (one - GroupAlgebraElement.monomial(inv))
-        numerator = numerator * (one - GroupAlgebraElement.monomial(inv, qinv))
-    total = GroupAlgebraElement.zero(rank)
-    for w in weyl_group(ext):
-        total = total + numerator.apply_map(w.mat_y) * denominator_ratio(ext, w)
-    symmetrized = total.exact_div(denominator)
-    normalizer = stabilizer_poincare(dd.base, lam).substitute_inverse()
-    image = symmetrized.laurent_div(normalizer)
-    if image.coefficient(lift_exponent(lam, 0)) != Laurent.one():
+    simple = tuple(zip(ext.simple_roots, ext.simple_coroots))
+    start = lift_exponent(lam, 0)
+    terms = {start: GroupAlgebraElement.monomial(start)}
+    frontier = [start]
+    while frontier:
+        mu = frontier.pop()
+        for alpha, alphavee in simple:
+            k = dot(alpha, mu)
+            nu = vec_sub(mu, vec_scale(k, alphavee))
+            if k > 0 and nu not in terms:
+                terms[nu] = _demazure_lusztig(terms[mu], alpha, alphavee)
+                frontier.append(nu)
+    image = sum(terms.values(), GroupAlgebraElement.zero(ext.rank))
+    if image.coefficient(start) != Laurent.one():
         raise RuntimeError(f"internal: leading coefficient at {lam} is not 1")
     return image
 

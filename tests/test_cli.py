@@ -185,6 +185,22 @@ class TestDeterminismAndExitCodes:
         assert code == 1
         assert "caps must be positive" in err
 
+    def test_max_height_before_oracle_is_kept(self, capsys):
+        before = run_json(capsys, "--max-height", "5", "oracle", "--q", "2")
+        assert before == run_json(capsys, "oracle", "--q", "2", "--max-height", "5")
+        assert before["max_height"] == 5
+        assert run_json(capsys, "oracle", "--q", "2")["max_height"] == 4
+
+    @pytest.mark.parametrize("argv", [
+        ("--max-height", "0", "oracle", "--q", "2"),
+        ("oracle", "--q", "2", "--max-height", "0"),
+    ], ids=["before", "after"])
+    def test_zero_max_height_is_usage_error_for_oracle(self, capsys, argv):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 1
+        assert out == ""
+        assert "caps must be positive" in err
+
     def test_omega_violation_is_validation(self, capsys):
         code, _, _ = run_cli(capsys, "rfactor", "PGL2", "--weights", "0,0",
                              "--values", "2", "--q", "1")

@@ -119,27 +119,6 @@ class TestGroupAlgebra:
         with pytest.raises(RankMismatchError):
             GroupAlgebraElement.one(1) * GroupAlgebraElement.one(2)
 
-    def test_exact_divide_geometric_factor(self):
-        one = GroupAlgebraElement.one(1)
-        lhs = one - GroupAlgebraElement.monomial((2,))
-        rhs = one - GroupAlgebraElement.monomial((1,))
-        assert lhs.exact_div(rhs) == one + GroupAlgebraElement.monomial((1,))
-
-    def test_exact_divide_identity(self):
-        rng = random.Random(11)
-        for _ in range(20):
-            x = random_element(rng, 2)
-            if x.is_zero():
-                continue
-            assert x.exact_div(x) == GroupAlgebraElement.one(2)
-
-    def test_exact_divide_reverse_fails(self):
-        one = GroupAlgebraElement.one(1)
-        num = one - GroupAlgebraElement.monomial((1,))
-        den = one - GroupAlgebraElement.monomial((2,))
-        with pytest.raises(NotDivisibleError):
-            num.exact_div(den)
-
     def test_apply_map_identity_and_negation(self):
         rng = random.Random(3)
         x = random_element(rng, 2)
@@ -175,15 +154,6 @@ class TestGroupAlgebra:
             assert a * b == b * a
             assert (a * b) * c == a * (b * c)
             assert a * (b + c) == a * b + a * c
-
-    def test_division_round_trip(self):
-        rng = random.Random(9)
-        for _ in range(25):
-            a = random_element(rng, 2)
-            b = random_element(rng, 2)
-            if b.is_zero():
-                continue
-            assert (a * b).exact_div(b) == a
 
     def test_apply_map_composition(self):
         rng = random.Random(13)

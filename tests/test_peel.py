@@ -1,17 +1,27 @@
-"""The chamber-only peel and the closed-form Weyl denominator ratio against
-the whole-product computations they replace, and the tripwires that make
-the chamber-only remainder check as strong as the whole one."""
+"""The chamber-only peel and the orbit-walk symmetrizer against the
+whole-product computations they replace, the Hecke relations the orbit
+walk relies on, pinned images, and the tripwires that make the
+chamber-only remainder check as strong as the whole one."""
+
+import hashlib
+import random
 
 import pytest
 
 from heckedual import satake
 from heckedual.dualdata import langlands_dual_data
-from heckedual.lattice import GroupAlgebraElement, Laurent, vec_add
-from heckedual.rootdatum import BUILTINS, dominant_below, positive_roots, weyl_group
+from heckedual.lattice import GroupAlgebraElement, Laurent, mat_apply, vec_add
+from heckedual.rootdatum import (
+    BUILTINS,
+    cartan_matrix,
+    dominant_below,
+    positive_roots,
+    stabilizer_poincare,
+    weyl_group,
+)
 from heckedual.satake import (
     HeckeExpansion,
     SphericalFunction,
-    denominator_ratio,
     dot_act_poly,
     enumerate_dominant,
     lift_exponent,
@@ -51,15 +61,88 @@ def test_chamber_peel_matches_full_product(name):
             assert structure_polynomials(dd, lam, mu) == full_product_peel(dd, lam, mu), (lam, mu)
 
 
-@pytest.mark.parametrize("name", sorted(BUILTINS))
-def test_denominator_ratio_closed_form(name):
-    ext = langlands_dual_data(BUILTINS[name]).ext
+def hall_littlewood_sides(dd, lam):
+    """Both sides of S(lambda) * Delta * W_lambda(q^-1) = sum_w Delta/w(Delta)
+    * w(e^(lambda,0) N), with Delta = prod (1 - e^-betavee) and N = prod
+    (1 - q^-1 e^-betavee) over the positive extended coroots, and the
+    closed form Delta/w(Delta) = (-1)^l(w) e^(sum of the w(betavee) that
+    are negative).  Products only: no division and no Hecke operator."""
+    ext = dd.ext
+    coroots = positive_roots(ext)[1]
     one = GroupAlgebraElement.one(ext.rank)
     delta = one
-    for betavee in positive_roots(ext)[1]:
-        delta = delta * (one - GroupAlgebraElement.monomial(tuple(-x for x in betavee)))
+    numerator = GroupAlgebraElement.monomial(lift_exponent(lam, 0))
+    for betavee in coroots:
+        inv = tuple(-x for x in betavee)
+        delta = delta * (one - GroupAlgebraElement.monomial(inv))
+        numerator = numerator * (one - GroupAlgebraElement.monomial(inv, Laurent.q_power(-1)))
+    rhs = GroupAlgebraElement.zero(ext.rank)
     for w in weyl_group(ext):
-        assert delta.exact_div(delta.apply_map(w.mat_y)) == denominator_ratio(ext, w), w.word
+        exponent = (0,) * ext.rank
+        for betavee in coroots:
+            moved = mat_apply(w.mat_y, betavee)
+            if moved not in coroots:
+                exponent = vec_add(exponent, moved)
+        ratio = GroupAlgebraElement.monomial(exponent, (-1) ** w.length)
+        rhs = rhs + numerator.apply_map(w.mat_y) * ratio
+    normalizer = stabilizer_poincare(dd.base, lam).substitute_inverse()
+    return satake_image_extended(dd, lam) * delta * normalizer, rhs
+
+
+@pytest.mark.parametrize("name", sorted(BUILTINS))
+def test_image_satisfies_hall_littlewood_definition(name):
+    dd = langlands_dual_data(BUILTINS[name])
+    for lam in enumerate_dominant(dd.base, 3):
+        lhs, rhs = hall_littlewood_sides(dd, lam)
+        assert lhs == rhs, lam
+
+
+def random_element(rng, rank):
+    terms = {}
+    for _ in range(rng.randint(1, 4)):
+        v = tuple(rng.randint(-3, 3) for _ in range(rank))
+        terms[v] = Laurent({rng.randint(-2, 2): rng.choice((-2, -1, 1, 3))})
+    return GroupAlgebraElement(rank, terms)
+
+
+BRAID_LENGTH = {0: 2, 1: 3, 2: 4, 3: 6}  # by a_ij * a_ji
+
+
+@pytest.mark.parametrize("name", sorted(BUILTINS))
+def test_demazure_lusztig_hecke_relations(name):
+    ext = langlands_dual_data(BUILTINS[name]).ext
+    ops = [lambda f, a=alpha, av=alphavee: satake._demazure_lusztig(f, a, av)
+           for alpha, alphavee in zip(ext.simple_roots, ext.simple_coroots)]
+    cartan = cartan_matrix(ext)
+    rng = random.Random(4242)
+    qinv = Laurent.q_power(-1)
+    for _ in range(10):
+        f = random_element(rng, ext.rank)
+        for t in ops:
+            # quadratic relation (T - q^-1)(T + 1) = 0
+            assert t(t(f)) == t(f) * (qinv - Laurent.one()) + f * qinv
+        for i in range(len(ops)):
+            for j in range(i + 1, len(ops)):
+                left, right = f, f
+                for step in range(BRAID_LENGTH[cartan[i][j] * cartan[j][i]]):
+                    left = ops[(i, j)[step % 2]](left)
+                    right = ops[(j, i)[step % 2]](right)
+                assert left == right, (i, j)
+
+
+# sha256 of the images below, recorded with the Weyl-group symmetrizer
+# (sum over W, division by the Weyl denominator and by W_lambda(q^-1))
+PINNED_IMAGES = "50e83918ec7558b4b2411b9d7eb87fd5a2bd6e06ec71914e00ad1113a7d13d59"
+
+
+def test_images_pinned():
+    digest = hashlib.sha256()
+    for name in sorted(BUILTINS):
+        dd = langlands_dual_data(BUILTINS[name])
+        for lam in enumerate_dominant(dd.base, 4):
+            digest.update(repr((name, lam, satake_image_extended(dd, lam).items(),
+                                satake_image(dd, lam).poly.items())).encode())
+    assert digest.hexdigest() == PINNED_IMAGES
 
 
 @pytest.mark.parametrize("name", ["PGL2", "GL3", "Sp4"])
