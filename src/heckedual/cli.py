@@ -471,13 +471,16 @@ def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="heckedual",
                      description="root data, extended dual data, spherical expansions, R-factors")
     _global_options(parser, suppress=False)
+    # the global flags are accepted after the subcommand as well; they only
+    # override the top-level values when given there explicitly.  Every
+    # subparser shares these suppressed actions by reference, so the top
+    # level keeps its own: a default set on shared actions reaches them all.
+    flags = _Parser(add_help=False)
+    _global_options(flags, suppress=True)
     sub = parser.add_subparsers(dest="command", required=True)
 
     def with_datum(name, help_text):
-        p = sub.add_parser(name, help=help_text)
-        # the global flags are accepted after the subcommand as well; they
-        # only override the top-level values when given there explicitly
-        _global_options(p, suppress=True)
+        p = sub.add_parser(name, help=help_text, parents=[flags])
         p.add_argument("datum", help="builtin name, 'trivial', a JSON file path, or -")
         return p
 
@@ -498,8 +501,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--rhs", required=True)
     p.set_defaults(fn=cmd_mult)
 
-    p = sub.add_parser("oracle", help="rank-one comparison against the regular tree")
-    _global_options(p, suppress=True)
+    p = sub.add_parser("oracle", help="rank-one comparison against the regular tree", parents=[flags])
     p.add_argument("--q", type=int, required=True, choices=(2, 3, 4))
     p.set_defaults(fn=cmd_oracle)
 
@@ -510,8 +512,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--s", type=float, default=None)
     p.set_defaults(fn=cmd_rfactor)
 
-    p = sub.add_parser("euler", help="partial Euler product over unramified places")
-    _global_options(p, suppress=True)
+    p = sub.add_parser("euler", help="partial Euler product over unramified places", parents=[flags])
     p.add_argument("datum", nargs="?", default=None)
     p.add_argument("--trivial", action="store_true")
     p.add_argument("--primes-below", type=int, default=None)
@@ -549,7 +550,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except CapExceededError as exc:
         print(f"resource cap: {exc}", file=sys.stderr)
         return 3
-    except (PoleError, ZeroDivisionError) as exc:
+    except (PoleError, ArithmeticError) as exc:
         print(f"numeric error: {exc}", file=sys.stderr)
         return 4
     if args.format == "json":

@@ -25,7 +25,7 @@ class PoleError(HeckedualError):
     """Numeric evaluation hit a pole of a local factor."""
 
 
-class RankMismatchError(HeckedualError):
+class RankMismatchError(ValidationError):
     """Operands live over lattices of different ranks."""
 
 

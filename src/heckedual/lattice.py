@@ -429,16 +429,6 @@ class Laurent:
             raise ZeroDivisionError("division by the zero Laurent polynomial")
         if self.is_zero():
             return Laurent.zero()
-        if len(other._coeffs) == 1:
-            # dividing by a single term c*q^k stays in the integers
-            (k, c), = other._coeffs.items()
-            out = {}
-            for e, v in self._coeffs.items():
-                quotient, remainder = divmod(v, c)
-                if remainder:
-                    raise NotDivisibleError("not divisible")
-                out[e - k] = quotient
-            return Laurent._make(out)
         a0, num = _laurent_dense(self)
         b0, den = _laurent_dense(other)
         quot, rem = _poly_divmod(num, den)

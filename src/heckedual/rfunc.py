@@ -341,8 +341,11 @@ class RFactor:
         float is within a relative tolerance of zero (both terms are then
         near 1).  With s = a/b in lowest terms, c*q^-s = 1 forces c^b = q^a,
         tested in the exact field of c; a real c close to q^s > 0 with
-        c^b = q^a is q^s.  Past b = 64 the tolerance alone decides.
+        c^b = q^a is q^s.  Past b = 64 the tolerance alone decides.  A
+        non-finite s raises ValidationError.
         """
+        if not math.isfinite(s):
+            raise ValidationError(f"s must be finite, got {s}")
         value = 1.0
         u = float(self.q) ** (-s)
         for c in self.inverse_roots:

@@ -35,6 +35,7 @@ from .lattice import (
 
 DEFAULT_WEYL_CAP = 10 ** 6
 _ROOT_CAP = 20000
+_ISO_SEARCH_BOUND = 6  # kernel coefficients tried per direction by datum_isomorphic
 
 
 @dataclass(frozen=True)
@@ -379,8 +380,7 @@ def _unflatten(flat: Sequence[int], n: int) -> IntMatrix:
     return tuple(tuple(flat[r * n + c] for c in range(n)) for r in range(n))
 
 
-def datum_isomorphic(d1: RootDatum, d2: RootDatum,
-                     search_bound: int = 6) -> Optional[IntMatrix]:
+def datum_isomorphic(d1: RootDatum, d2: RootDatum) -> Optional[IntMatrix]:
     """A lattice isomorphism X2 -> X1 matching simple roots up to a diagram
     permutation, with adjoint matching coroots, or None.
 
@@ -405,7 +405,7 @@ def datum_isomorphic(d1: RootDatum, d2: RootDatum,
         if solution is None:
             continue
         particular, kernel = solution
-        for combo in itertools.product(range(-search_bound, search_bound + 1),
+        for combo in itertools.product(range(-_ISO_SEARCH_BOUND, _ISO_SEARCH_BOUND + 1),
                                        repeat=len(kernel)):
             flat = list(particular)
             for coeff, kv in zip(combo, kernel):

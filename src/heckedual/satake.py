@@ -34,13 +34,14 @@ with dominant support below lambda+mu.
 
 An independent combinatorial check is provided for the rank-one adjoint
 datum: structure counts of distance spheres on the (q+1)-regular tree,
-obtained by explicit breadth-first construction, must match the algebraic
+obtained by enumerating the paths from a vertex, must match the algebraic
 expansion coefficients after an explicit monomial rescaling.
 """
 
 from __future__ import annotations
 
 import itertools
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
@@ -322,13 +323,18 @@ def structure_polynomials(dd: LanglandsDualData, lam: Sequence[int], mu: Sequenc
 
 
 def tree_structure_constants(m: int, n: int, q: int,
-                             node_cap: int = DEFAULT_TREE_NODE_CAP,
                              depth_cap: int = DEFAULT_TREE_DEPTH_CAP) -> dict[int, int]:
-    """Counts on the (q+1)-regular tree, by explicit construction.
+    """Counts on the (q+1)-regular tree, by enumerating paths.
 
     For vertices u, v at distance d, counts the w with dist(u, w) = m and
     dist(w, v) = n.  Returns one count per admissible distance d, i.e.
     |m - n| <= d <= m + n with d = m + n (mod 2).
+
+    A vertex w of the sphere of radius m about u is its non-backtracking
+    path from u: q + 1 choices for the first step, q for each later one.
+    Taking v to be the all-zero path of length d, the paths to w and to v
+    share their first min(z, d) steps, z the number of leading zeros of
+    w's path, so dist(w, v) = m + d - 2 min(z, d).
     """
     if q < 2:
         raise ValidationError("tree oracle needs q >= 2")
@@ -342,43 +348,13 @@ def tree_structure_constants(m: int, n: int, q: int,
     for _ in range(depth):
         level = level * q if level > 1 else q + 1
         total += level
-        if total > node_cap:
+        if total > DEFAULT_TREE_NODE_CAP:
             raise CapExceededError("tree size exceeds the node cap")
-    parent = [-1]
-    node_depth = [0]
-    frontier = [0]
-    for _ in range(depth):
-        next_frontier = []
-        for node in frontier:
-            children = q + 1 if node == 0 else q
-            for _ in range(children):
-                parent.append(node)
-                node_depth.append(node_depth[node] + 1)
-                next_frontier.append(len(parent) - 1)
-        frontier = next_frontier
-
-    def distance(a: int, b: int) -> int:
-        steps = 0
-        while node_depth[a] > node_depth[b]:
-            a = parent[a]
-            steps += 1
-        while node_depth[b] > node_depth[a]:
-            b = parent[b]
-            steps += 1
-        while a != b:
-            a = parent[a]
-            b = parent[b]
-            steps += 2
-        return steps
-
-    sphere_m = [idx for idx in range(len(parent)) if node_depth[idx] == m]
-    counts: dict[int, int] = {}
-    for d in range(abs(m - n), m + n + 1, 2):
-        v = 0
-        while node_depth[v] < d:
-            v = next(idx for idx in range(len(parent)) if parent[idx] == v)
-        counts[d] = sum(1 for w in sphere_m if distance(w, v) == n)
-    return counts
+    steps = [range(q + 1)] + [range(q)] * (m - 1) if m else []
+    zeros = Counter(next((z for z, step in enumerate(path) if step), m)
+                    for path in itertools.product(*steps))
+    return {d: sum(count for z, count in zeros.items() if m + d - 2 * min(z, d) == n)
+            for d in range(abs(m - n), m + n + 1, 2)}
 
 
 @dataclass(frozen=True)

@@ -163,6 +163,36 @@ class TestDeterminismAndExitCodes:
         assert out == ""
         assert "pole" in err
 
+    @pytest.mark.parametrize("argv", [
+        ("satake", "GL3", "--coweight", "1,0"),
+        ("mult", "GL3", "--lhs", "1,0", "--rhs", "1,0,0"),
+    ], ids=["satake", "mult"])
+    def test_wrong_rank_coweight_is_validation(self, capsys, argv):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 2
+        assert out == ""
+        assert "ranks 3 and 2" in err
+
+    @pytest.mark.parametrize("argv", [
+        ("rfactor", "PGL2", "--weights", "1,1;-1,0", "--values", "2", "--q", "3", "--s", "nan"),
+        ("euler", "--trivial", "--places", "2", "--s", "inf"),
+    ], ids=["nan", "inf"])
+    def test_non_finite_s_is_validation(self, capsys, argv):
+        code, out, err = run_cli(capsys, "--format", "json", *argv)
+        assert code == 2
+        assert out == ""
+        assert "s must be finite" in err
+
+    @pytest.mark.parametrize("argv", [
+        ("rfactor", "PGL2", "--weights", "1,1;-1,0", "--values", "2", "--q", "3", "--s=-800"),
+        ("rfactor", "PGL2", "--weights", "1,1;-1,0", "--values", "2", "--q", "1e400", "--s", "2"),
+    ], ids=["negative-s", "huge-q"])
+    def test_float_overflow_is_numeric_error(self, capsys, argv):
+        code, out, err = run_cli(capsys, "--format", "json", *argv)
+        assert code == 4
+        assert out == ""
+        assert "numeric error" in err
+
     def test_tree_depth_flag_raises_oracle_cap(self, capsys):
         code, _, err = run_cli(capsys, "oracle", "--q", "2", "--max-height", "13")
         assert code == 3
@@ -170,6 +200,12 @@ class TestDeterminismAndExitCodes:
         result = run_json(capsys, "--max-tree-depth", "13", "oracle", "--q", "2",
                           "--max-height", "13")
         assert result["failures"] == 0
+
+    def test_oracle_node_cap(self, capsys):
+        code, out, err = run_cli(capsys, "oracle", "--q", "4", "--max-height", "11")
+        assert code == 3
+        assert out == ""
+        assert "tree size exceeds the node cap" in err
 
     def test_tree_depth_flag_lowers_oracle_cap(self, capsys):
         code, out, err = run_cli(capsys, "--max-tree-depth", "3", "oracle", "--q", "2",

@@ -262,3 +262,19 @@ def test_exact_div_refuses_non_divisible():
                 (a * b).exact_div(b * 2)
     with pytest.raises(NotDivisibleError):
         Laurent({0: 1, 1: 1}).exact_div(Laurent({0: 1, 1: 1, 2: 1}))  # lower degree
+
+
+def test_exact_div_by_single_term_shifts_and_scales():
+    rng = random.Random(20242)
+    for _ in range(300):
+        a = random_laurent(rng, rng.randint(2, 5))
+        c = rng.choice((-3, -2, -1, 1, 2, 3))
+        k = rng.randint(-4, 4)
+        term = Laurent.term(c, k)
+        assert (a * c).shift(k).exact_div(term) == a
+        assert (a * term).exact_div(term) == a
+        # a coefficient not divisible by c leaves a non-integral quotient
+        if abs(c) > 1 and any(v % c for _, v in a.items()):
+            with pytest.raises(NotDivisibleError, match="not integral"):
+                a.exact_div(term)
+    assert Laurent.zero().exact_div(Laurent.term(5, 3)) == Laurent.zero()

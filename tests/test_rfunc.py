@@ -163,6 +163,16 @@ class TestLocalFactors:
         with pytest.raises(PoleError):
             RFactor(Fraction(2), (c,)).evaluate(0.1)
 
+    @pytest.mark.parametrize("s", [float("nan"), float("inf"), float("-inf")])
+    def test_non_finite_s_is_refused(self, s):
+        p = make_parameter(DD_TRIVIAL, 2, ())
+        factor = local_rfactor(p, DualRepresentation.trivial(DD_TRIVIAL))
+        with pytest.raises(ValidationError, match="must be finite"):
+            factor.evaluate(s)
+        # the check does not depend on there being an inverse root
+        with pytest.raises(ValidationError, match="must be finite"):
+            RFactor(Fraction(2), ()).evaluate(s)
+
     def test_degree_matches_dimension(self):
         rng = random.Random(2)
         dd = langlands_dual_data(BUILTINS["GL2"])

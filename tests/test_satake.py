@@ -6,7 +6,7 @@ from fractions import Fraction
 import pytest
 
 from heckedual.dualdata import langlands_dual_data
-from heckedual.errors import ValidationError
+from heckedual.errors import CapExceededError, ValidationError
 from heckedual.lattice import GroupAlgebraElement, Laurent, RationalFunction, dot
 from heckedual.rootdatum import BUILTINS, weyl_compose, weyl_group
 from heckedual.satake import (
@@ -210,7 +210,76 @@ class TestStructurePolynomials:
                         assert coeff.shift(exponent).min_exp() >= 0
 
 
+def breadth_first_tree_counts(m, n, q):
+    """Reference: build the tree of depth m + n around u breadth first, as
+    parent and depth arrays, and count the w by walking parent pointers."""
+    depth = m + n
+    parent = [-1]
+    node_depth = [0]
+    frontier = [0]
+    for _ in range(depth):
+        next_frontier = []
+        for node in frontier:
+            children = q + 1 if node == 0 else q
+            for _ in range(children):
+                parent.append(node)
+                node_depth.append(node_depth[node] + 1)
+                next_frontier.append(len(parent) - 1)
+        frontier = next_frontier
+
+    def distance(a, b):
+        steps = 0
+        while node_depth[a] > node_depth[b]:
+            a = parent[a]
+            steps += 1
+        while node_depth[b] > node_depth[a]:
+            b = parent[b]
+            steps += 1
+        while a != b:
+            a = parent[a]
+            b = parent[b]
+            steps += 2
+        return steps
+
+    sphere_m = [idx for idx in range(len(parent)) if node_depth[idx] == m]
+    counts = {}
+    for d in range(abs(m - n), m + n + 1, 2):
+        v = 0
+        while node_depth[v] < d:
+            v = next(idx for idx in range(len(parent)) if parent[idx] == v)
+        counts[d] = sum(1 for w in sphere_m if distance(w, v) == n)
+    return counts
+
+
 class TestTreeOracle:
+    @pytest.mark.parametrize("q", [2, 3, 4])
+    def test_paths_match_breadth_first_tree(self, q):
+        for m in range(9):
+            for n in range(9 - m):
+                assert tree_structure_constants(m, n, q) == breadth_first_tree_counts(m, n, q)
+
+    def test_node_cap(self):
+        # the q = 4 tree of depth 10 has 1747626 vertices, of depth 11 6990506
+        counts = tree_structure_constants(5, 5, 4)
+        assert counts[0] == 5 * 4 ** 4 and counts[10] == 1
+        for m, n in ((6, 5), (11, 0), (0, 11)):
+            with pytest.raises(CapExceededError, match="tree size exceeds the node cap"):
+                tree_structure_constants(m, n, 4, depth_cap=20)
+
+    def test_depth_cap(self):
+        with pytest.raises(CapExceededError, match="tree depth 13 exceeds the cap of 12"):
+            tree_structure_constants(7, 6, 2)
+        with pytest.raises(CapExceededError, match="tree depth 4 exceeds the cap of 3"):
+            tree_structure_constants(2, 2, 2, depth_cap=3)
+        assert tree_structure_constants(7, 6, 2, depth_cap=13) == \
+            breadth_first_tree_counts(7, 6, 2)
+
+    def test_invalid_inputs(self):
+        with pytest.raises(ValidationError, match="q >= 2"):
+            tree_structure_constants(1, 1, 1)
+        with pytest.raises(ValidationError, match="nonnegative"):
+            tree_structure_constants(-1, 1, 2)
+
     def test_adjacent_spheres(self):
         assert tree_structure_constants(1, 1, 2) == {0: 3, 2: 1}
 
