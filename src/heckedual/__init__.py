@@ -13,14 +13,13 @@ from .dualdata import (
 from .errors import (
     CapExceededError,
     HeckedualError,
-    NotDivisibleError,
     OmegaViolationError,
     PoleError,
     RankMismatchError,
     UsageError,
     ValidationError,
 )
-from .lattice import GroupAlgebraElement, Laurent, RationalFunction
+from .lattice import GroupAlgebraElement, Laurent
 from .rootdatum import (
     BUILTINS,
     TRIVIAL,

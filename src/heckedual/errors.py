@@ -27,7 +27,3 @@ class PoleError(HeckedualError):
 
 class RankMismatchError(ValidationError):
     """Operands live over lattices of different ranks."""
-
-
-class NotDivisibleError(HeckedualError):
-    """Exact division was requested but the quotient does not exist."""

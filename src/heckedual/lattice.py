@@ -4,12 +4,10 @@ Lattices are always presented as Z^n with the standard dot product as the
 pairing between a lattice and its dual, so duality is literally "swap the
 two vector lists" and no separate pairing type is needed.
 
-Three kinds of values live here:
+Two kinds of values live here:
 
 * ``Laurent``: integer Laurent polynomials in one variable q, stored as a
   sparse map from q-exponent to integer coefficient.
-* ``RationalFunction``: exact quotients of Laurent polynomials, i.e. the
-  field Q(q).  Used as a coefficient field for unramified characters.
 * ``GroupAlgebraElement``: finitely supported Z[q,q^-1]-combinations of
   lattice monomials e^v with v in Z^n; the carrier for spherical functions
   and characters of dual-group representations.
@@ -17,10 +15,8 @@ Three kinds of values live here:
 Integer matrices are plain tuples of row tuples.  The module also provides
 the exact linear algebra used elsewhere.  Determinants, unimodular
 inverses, rational solving and ranks all run on one fraction-free
-Gauss-Jordan routine (``_row_reduce``), and the univariate divisions behind
-``Laurent.exact_div`` and the gcd of ``RationalFunction`` on one long
-division (``_poly_divmod``).  Smith normal form with unimodular transforms
-and integer linear solving stay in integer arithmetic.
+Gauss-Jordan routine (``_row_reduce``).  Smith normal form with unimodular
+transforms and integer linear solving stay in integer arithmetic.
 
 Everything is immutable after construction and every operation is pure,
 so all of this is safe to use concurrently.  No floating point enters:
@@ -29,12 +25,11 @@ the sign phenomena downstream are statements about exact q-exponents.
 
 from __future__ import annotations
 
-import math
 import operator
 from fractions import Fraction
 from typing import Mapping, Optional, Sequence
 
-from .errors import NotDivisibleError, RankMismatchError
+from .errors import RankMismatchError
 
 Vec = tuple[int, ...]
 IntMatrix = tuple[Vec, ...]
@@ -331,11 +326,6 @@ class Laurent:
             raise ValueError("zero polynomial has no exponents")
         return min(self._coeffs)
 
-    def max_exp(self) -> int:
-        if not self._coeffs:
-            raise ValueError("zero polynomial has no exponents")
-        return max(self._coeffs)
-
     def _coerce(self, other):
         if isinstance(other, Laurent):
             return other
@@ -423,21 +413,6 @@ class Laurent:
         return sum((Fraction(v) * Fraction(x) ** k for k, v in self._coeffs.items()),
                    Fraction(0))
 
-    def exact_div(self, other: "Laurent") -> "Laurent":
-        """Exact division in Z[q, q^-1]; raises NotDivisibleError otherwise."""
-        if other.is_zero():
-            raise ZeroDivisionError("division by the zero Laurent polynomial")
-        if self.is_zero():
-            return Laurent.zero()
-        a0, num = _laurent_dense(self)
-        b0, den = _laurent_dense(other)
-        quot, rem = _poly_divmod(num, den)
-        if rem:
-            raise NotDivisibleError("not divisible")
-        if any(c.denominator != 1 for c in quot):
-            raise NotDivisibleError("quotient is not integral")
-        return Laurent({a0 - b0 + i: c for i, c in enumerate(quot)})
-
     def to_str(self, var: str = "q") -> str:
         if not self._coeffs:
             return "0"
@@ -460,199 +435,6 @@ class Laurent:
 
     def __repr__(self):
         return f"Laurent({self.to_str()})"
-
-
-# ---------------------------------------------------------------------------
-# the fraction field Q(q)
-
-
-def _primitive_int_poly(coeffs: list[Fraction]) -> list[int]:
-    """Scale a rational coefficient list to a primitive integer list with
-    positive leading coefficient."""
-    while coeffs and not coeffs[-1]:
-        coeffs.pop()
-    if not coeffs:
-        return []
-    denom = math.lcm(*(c.denominator for c in coeffs))
-    ints = [int(c * denom) for c in coeffs]
-    g = math.gcd(*ints)
-    ints = [c // g for c in ints]
-    if ints[-1] < 0:
-        ints = [-c for c in ints]
-    return ints
-
-
-def _poly_divmod(num: Sequence[int], den: Sequence[int]) -> tuple[list[Fraction], list[Fraction]]:
-    """Quotient and remainder over Q of dense coefficient lists, constant
-    term first.  den must end in a nonzero coefficient; the remainder comes
-    back without trailing zeros, so it is empty exactly when den divides num."""
-    rem = [Fraction(c) for c in num]
-    quot = [Fraction(0)] * max(len(rem) - len(den) + 1, 0)
-    for i in reversed(range(len(quot))):
-        qc = rem[i + len(den) - 1] / den[-1]
-        if qc:
-            quot[i] = qc
-            for j, bc in enumerate(den):
-                rem[i + j] -= qc * bc
-    while rem and not rem[-1]:
-        rem.pop()
-    return quot, rem
-
-
-def _poly_gcd(a: list[int], b: list[int]) -> list[int]:
-    """Gcd of integer polynomials (primitive, positive leading coefficient),
-    given without trailing zeros."""
-    while b:
-        a, b = b, _poly_divmod(a, b)[1]
-    return _primitive_int_poly([Fraction(c) for c in a])
-
-
-def _laurent_dense(l: Laurent) -> tuple[int, list[int]]:
-    base = l.min_exp()
-    return base, [l.coefficient(base + i) for i in range(l.max_exp() - base + 1)]
-
-
-class RationalFunction:
-    """An exact rational function in q: a reduced quotient of Laurents.
-
-    Canonical form: numerator and denominator share no polynomial factor,
-    the denominator has no negative q-powers, nonzero constant term, and
-    positive constant coefficient.  Equality is then structural.
-    """
-
-    __slots__ = ("num", "den")
-
-    def __init__(self, num: Laurent, den: Laurent | None = None):
-        den = Laurent.one() if den is None else den
-        if den.is_zero():
-            raise ZeroDivisionError("rational function with zero denominator")
-        if num.is_zero():
-            self.num = Laurent.zero()
-            self.den = Laurent.one()
-            return
-        nb, ncoeffs = _laurent_dense(num)
-        db, dcoeffs = _laurent_dense(den)
-        g = _poly_gcd(ncoeffs, dcoeffs)
-        gl = Laurent({i: c for i, c in enumerate(g)})
-        num = num.exact_div(gl)
-        den = den.exact_div(gl)
-        shift = den.min_exp()
-        num = num.shift(-shift)
-        den = den.shift(-shift)
-        content = math.gcd(*(c for _, c in num.items()), *(c for _, c in den.items()))
-        if content > 1:
-            num = Laurent({k: v // content for k, v in num.items()})
-            den = Laurent({k: v // content for k, v in den.items()})
-        if den.coefficient(0) < 0:
-            num = -num
-            den = -den
-        self.num = num
-        self.den = den
-
-    @classmethod
-    def zero(cls) -> "RationalFunction":
-        return cls(Laurent.zero())
-
-    @classmethod
-    def one(cls) -> "RationalFunction":
-        return cls(Laurent.one())
-
-    @classmethod
-    def from_fraction(cls, x: Fraction | int) -> "RationalFunction":
-        x = Fraction(x)
-        return cls(Laurent.term(x.numerator), Laurent.term(x.denominator))
-
-    @classmethod
-    def q_power(cls, exp: int) -> "RationalFunction":
-        return cls(Laurent.q_power(exp))
-
-    def is_zero(self) -> bool:
-        return self.num.is_zero()
-
-    def _coerce(self, other):
-        if isinstance(other, RationalFunction):
-            return other
-        if isinstance(other, (int, Fraction)):
-            return RationalFunction.from_fraction(other)
-        if isinstance(other, Laurent):
-            return RationalFunction(other)
-        return NotImplemented
-
-    def __add__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return RationalFunction(self.num * other.den + other.num * self.den,
-                                self.den * other.den)
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return RationalFunction(self.num * other.den - other.num * self.den,
-                                self.den * other.den)
-
-    def __rsub__(self, other):
-        return (-self).__add__(other)
-
-    def __neg__(self):
-        return RationalFunction(-self.num, self.den)
-
-    def __mul__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return RationalFunction(self.num * other.num, self.den * other.den)
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return self * other.inverse()
-
-    def inverse(self) -> "RationalFunction":
-        if self.is_zero():
-            raise ZeroDivisionError("inverse of zero rational function")
-        return RationalFunction(self.den, self.num)
-
-    def __pow__(self, exp: int) -> "RationalFunction":
-        if exp < 0:
-            return self.inverse() ** (-exp)
-        out = RationalFunction.one()
-        base = self
-        while exp:
-            if exp & 1:
-                out = out * base
-            base = base * base
-            exp >>= 1
-        return out
-
-    def __eq__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return self.num == other.num and self.den == other.den
-
-    def __hash__(self):
-        return hash((self.num, self.den))
-
-    def evaluate(self, x: Fraction) -> Fraction:
-        d = self.den.evaluate(x)
-        if d == 0:
-            raise ZeroDivisionError("rational function evaluated at a pole")
-        return self.num.evaluate(x) / d
-
-    def __str__(self):
-        if self.den == Laurent.one():
-            return self.num.to_str()
-        return f"({self.num.to_str()})/({self.den.to_str()})"
-
-    def __repr__(self):
-        return f"RationalFunction({self})"
 
 
 # ---------------------------------------------------------------------------

@@ -268,15 +268,6 @@ def longest_element(d: RootDatum) -> WeylElement:
     return max(weyl_group(d), key=lambda w: w.length)
 
 
-def weyl_compose(d: RootDatum, w1: WeylElement, w2: WeylElement) -> WeylElement:
-    """The group element with matrix action w1 then ... w1*w2 as maps."""
-    target = mat_mul(w1.mat_y, w2.mat_y)
-    for w in weyl_group(d):
-        if w.mat_y == target:
-            return w
-    raise ValidationError("product leaves the generated Weyl group; invalid input")
-
-
 def inversion_count(d: RootDatum, w: WeylElement) -> int:
     """Number of positive roots sent to negative roots; equals the length."""
     roots, _ = positive_roots(d)

@@ -52,7 +52,6 @@ from .errors import CapExceededError, ValidationError
 from .lattice import (
     GroupAlgebraElement,
     Laurent,
-    RationalFunction,
     Vec,
     dot,
     vec_add,
@@ -80,23 +79,25 @@ DEFAULT_TREE_DEPTH_CAP = 12
 @dataclass(frozen=True)
 class UnramifiedCharacter:
     """A character of the split torus given by its values on the coweight
-    basis, in the exact field Q(q).  Values extend multiplicatively."""
+    basis.  The dot action only multiplies values by powers of q, so each
+    value is a pair (c, k) meaning c*q^k with c a nonzero Fraction.  Values
+    extend multiplicatively."""
 
     datum: RootDatum
-    values: tuple[RationalFunction, ...]
+    values: tuple[tuple[Fraction, int], ...]
 
     def __post_init__(self):
         if len(self.values) != self.datum.rank:
             raise ValidationError("character needs one value per coweight basis vector")
-        if any(v.is_zero() for v in self.values):
+        if any(c == 0 for c, _ in self.values):
             raise ValidationError("character values must be nonzero")
 
-    def value_at(self, y: Sequence[int]) -> RationalFunction:
-        out = RationalFunction.one()
-        for v, e in zip(self.values, y):
-            if e:
-                out = out * v ** e
-        return out
+    def value_at(self, y: Sequence[int]) -> tuple[Fraction, int]:
+        c, k = Fraction(1), 0
+        for (vc, vk), e in zip(self.values, y):
+            c *= Fraction(vc) ** e
+            k += vk * e
+        return c, k
 
 
 def _dot_act_simple(d: RootDatum, i: int, chi: UnramifiedCharacter) -> UnramifiedCharacter:
@@ -106,7 +107,8 @@ def _dot_act_simple(d: RootDatum, i: int, chi: UnramifiedCharacter) -> Unramifie
     for k in range(d.rank):
         basis = tuple(1 if c == k else 0 for c in range(d.rank))
         reflected = vec_sub(basis, tuple(alpha[k] * x for x in alphavee))
-        new_values.append(chi.value_at(reflected) * RationalFunction.q_power(alpha[k]))
+        c, exp = chi.value_at(reflected)
+        new_values.append((c, exp + alpha[k]))
     return UnramifiedCharacter(d, tuple(new_values))
 
 
@@ -350,11 +352,20 @@ def tree_structure_constants(m: int, n: int, q: int,
         total += level
         if total > DEFAULT_TREE_NODE_CAP:
             raise CapExceededError("tree size exceeds the node cap")
+    zeros = _leading_zero_histogram(m, q)
+    return {d: sum(count for z, count in zeros if m + d - 2 * min(z, d) == n)
+            for d in range(abs(m - n), m + n + 1, 2)}
+
+
+@lru_cache(maxsize=None)
+def _leading_zero_histogram(m: int, q: int) -> tuple[tuple[int, int], ...]:
+    """(z, count) pairs: how many non-backtracking paths of length m from a
+    vertex of the (q+1)-regular tree start with exactly z zero steps.  It
+    does not depend on the second radius n, so all n share one enumeration."""
     steps = [range(q + 1)] + [range(q)] * (m - 1) if m else []
     zeros = Counter(next((z for z, step in enumerate(path) if step), m)
                     for path in itertools.product(*steps))
-    return {d: sum(count for z, count in zeros.items() if m + d - 2 * min(z, d) == n)
-            for d in range(abs(m - n), m + n + 1, 2)}
+    return tuple(zeros.items())
 
 
 @dataclass(frozen=True)

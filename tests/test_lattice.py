@@ -5,11 +5,10 @@ from fractions import Fraction
 
 import pytest
 
-from heckedual.errors import NotDivisibleError, RankMismatchError
+from heckedual.errors import RankMismatchError
 from heckedual.lattice import (
     GroupAlgebraElement,
     Laurent,
-    RationalFunction,
     mat_apply,
     mat_det,
     mat_identity,
@@ -49,15 +48,6 @@ class TestLaurent:
         assert a - a == Laurent.zero()
         assert 3 * a == Laurent({1: 6, -1: 3})
 
-    def test_exact_div(self):
-        a = Laurent({0: 1, 1: 2, 2: 1})
-        b = Laurent({0: 1, 1: 1})
-        assert a.exact_div(b) == b
-        with pytest.raises(NotDivisibleError):
-            Laurent({0: 1, 1: 1}).exact_div(Laurent({0: 1, 2: 1}))
-        # division respects q-power shifts
-        assert Laurent({-1: 1, 1: -1}).exact_div(Laurent({-1: 1, 0: -1})) == Laurent({0: 1, 1: 1})
-
     def test_evaluate(self):
         a = Laurent({-1: 1, 2: 3})
         assert a.evaluate(Fraction(2)) == Fraction(1, 2) + 12
@@ -69,30 +59,6 @@ class TestLaurent:
     def test_str(self):
         assert str(Laurent({1: 1, 0: -2, -2: 3})) == "q - 2 + 3*q^-2"
         assert str(Laurent.zero()) == "0"
-
-
-class TestRationalFunction:
-    def test_reduction(self):
-        # (q^2 - 1) / (q - 1) = q + 1
-        num = Laurent({2: 1, 0: -1})
-        den = Laurent({1: 1, 0: -1})
-        assert RationalFunction(num, den) == RationalFunction(Laurent({1: 1, 0: 1}))
-
-    def test_field_ops(self):
-        x = RationalFunction.q_power(2) / RationalFunction.from_fraction(5)
-        assert x * RationalFunction.from_fraction(5) == RationalFunction.q_power(2)
-        assert (x / x) == RationalFunction.one()
-        assert x ** -1 == RationalFunction(Laurent.term(5), Laurent.q_power(2))
-
-    def test_random_field_axioms(self):
-        rng = random.Random(7)
-        for _ in range(40):
-            a = RationalFunction(random_laurent(rng), Laurent.one() + Laurent.q_power(rng.randint(1, 3)))
-            b = RationalFunction(random_laurent(rng) + Laurent.one(), Laurent.one())
-            c = RationalFunction(random_laurent(rng))
-            assert (a + b) * c == a * c + b * c
-            if not b.is_zero():
-                assert (a / b) * b == a
 
 
 class TestGroupAlgebra:

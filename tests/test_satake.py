@@ -7,8 +7,8 @@ import pytest
 
 from heckedual.dualdata import langlands_dual_data
 from heckedual.errors import CapExceededError, ValidationError
-from heckedual.lattice import GroupAlgebraElement, Laurent, RationalFunction, dot
-from heckedual.rootdatum import BUILTINS, weyl_compose, weyl_group
+from heckedual.lattice import GroupAlgebraElement, Laurent, dot, mat_mul
+from heckedual.rootdatum import BUILTINS, weyl_group
 from heckedual.satake import (
     UnramifiedCharacter,
     compare_rank1_oracle,
@@ -27,16 +27,10 @@ PGL2 = BUILTINS["PGL2"]
 DD_PGL2 = langlands_dual_data(PGL2)
 
 
-def rf(x):
-    return RationalFunction.from_fraction(Fraction(x))
-
-
 def random_character(rng, d):
-    values = []
-    for _ in range(d.rank):
-        num = Fraction(rng.randint(1, 9), rng.randint(1, 9))
-        values.append(rf(num) * RationalFunction.q_power(rng.randint(-2, 2)))
-    return UnramifiedCharacter(d, tuple(values))
+    values = tuple((Fraction(rng.randint(1, 9), rng.randint(1, 9)), rng.randint(-2, 2))
+                   for _ in range(d.rank))
+    return UnramifiedCharacter(d, values)
 
 
 class TestDotAction:
@@ -47,11 +41,11 @@ class TestDotAction:
 
     def test_pgl2_reflection(self):
         # the value s at the coroot goes to s^-1 q^2
-        chi = UnramifiedCharacter(PGL2, (rf(Fraction(5, 3)),))
-        s = chi.value_at((2,))
+        chi = UnramifiedCharacter(PGL2, ((Fraction(5, 3), 0),))
+        assert chi.value_at((2,)) == (Fraction(25, 9), 0)
         refl = weyl_group(PGL2)[1]
         image = dot_act(PGL2, refl, chi)
-        assert image.value_at((2,)) == s ** -1 * RationalFunction.q_power(2)
+        assert image.value_at((2,)) == (Fraction(9, 25), 2)
 
     def test_involution(self):
         rng = random.Random(1)
@@ -68,11 +62,12 @@ class TestDotAction:
         for name in ("GL3", "Sp4"):
             d = BUILTINS[name]
             elements = weyl_group(d)
+            by_matrix = {w.mat_y: w for w in elements}
             for _ in range(10):
                 w1 = rng.choice(elements)
                 w2 = rng.choice(elements)
                 chi = random_character(rng, d)
-                lhs = dot_act(d, weyl_compose(d, w1, w2), chi)
+                lhs = dot_act(d, by_matrix[mat_mul(w1.mat_y, w2.mat_y)], chi)
                 rhs = dot_act(d, w1, dot_act(d, w2, chi))
                 assert lhs == rhs
 
@@ -83,6 +78,20 @@ class TestDotAction:
         for _ in range(5):
             chi = random_character(rng, d)
             assert dot_act_word(d, (0, 1, 0), chi) == dot_act_word(d, (1, 0, 1), chi)
+
+
+class TestUnramifiedCharacter:
+    def test_wrong_number_of_values(self):
+        with pytest.raises(ValidationError, match="one value per coweight"):
+            UnramifiedCharacter(PGL2, ())
+        with pytest.raises(ValidationError, match="one value per coweight"):
+            UnramifiedCharacter(BUILTINS["GL2"], ((Fraction(1), 0),))
+
+    def test_zero_value(self):
+        with pytest.raises(ValidationError, match="nonzero"):
+            UnramifiedCharacter(PGL2, ((Fraction(0), 3),))
+        with pytest.raises(ValidationError, match="nonzero"):
+            UnramifiedCharacter(BUILTINS["GL2"], ((Fraction(2), 1), (Fraction(0), 0)))
 
 
 class TestLifting:
