@@ -16,7 +16,8 @@ Integer matrices are plain tuples of row tuples.  The module also provides
 the exact linear algebra used elsewhere.  Determinants, unimodular
 inverses, rational solving and ranks all run on one fraction-free
 Gauss-Jordan routine (``_row_reduce``).  Smith normal form with unimodular
-transforms and integer linear solving stay in integer arithmetic.
+transforms, integer linear solving and the Hermite normal form stay in
+integer arithmetic.
 
 Everything is immutable after construction and every operation is pure,
 so all of this is safe to use concurrently.  No floating point enters:
@@ -273,6 +274,37 @@ def solve_integer_linear(mat: Sequence[Sequence[int]], rhs: Sequence[int]):
     return particular, kernel
 
 
+def hermite_normal_form(rows: Sequence[Sequence[int]]) -> IntMatrix:
+    """Row Hermite normal form: a basis of the lattice the rows span, in
+    echelon form, each row's first nonzero entry (its pivot) positive and
+    the entries above a pivot in [0, pivot).  It depends on the lattice
+    only, not on the rows that span it."""
+    a = [list(r) for r in rows]
+    r = 0
+    for c in range(len(a[0]) if a else 0):
+        while True:
+            # Euclid down column c: the smallest entry divides the others
+            live = [i for i in range(r, len(a)) if a[i][c]]
+            if not live:
+                break
+            p = min(live, key=lambda i: abs(a[i][c]))
+            a[r], a[p] = a[p], a[r]
+            if len(live) == 1:
+                break
+            for i in range(r + 1, len(a)):
+                f = a[i][c] // a[r][c]
+                a[i] = [x - f * y for x, y in zip(a[i], a[r])]
+        if r == len(a) or not a[r][c]:
+            continue
+        if a[r][c] < 0:
+            a[r] = [-x for x in a[r]]
+        for i in range(r):
+            f = a[i][c] // a[r][c]
+            a[i] = [x - f * y for x, y in zip(a[i], a[r])]
+        r += 1
+    return tuple(tuple(row) for row in a[:r])
+
+
 # ---------------------------------------------------------------------------
 # Laurent polynomials in q
 
@@ -379,13 +411,22 @@ class Laurent:
             (k2, v2), = b.items()
             return Laurent._make({k1 + k2: v1 * v2 for k1, v1 in a.items()})
         out: dict[int, int] = {}
-        for k1, v1 in a.items():
-            for k2, v2 in b.items():
-                k = k1 + k2
-                out[k] = out.get(k, 0) + v1 * v2
+        self.add_product_into(other, out)
         return Laurent._make({k: v for k, v in out.items() if v})
 
     __rmul__ = __mul__
+
+    def add_product_into(self, other: "Laurent", acc: dict[int, int]) -> None:
+        """acc += self * other, on a plain {exponent: coefficient} dict.
+
+        Entries that cancel stay behind as zeros; Laurent(acc) drops them.
+        """
+        get = acc.get
+        b = other._coeffs.items()
+        for k1, v1 in self._coeffs.items():
+            for k2, v2 in b:
+                k = k1 + k2
+                acc[k] = get(k, 0) + v1 * v2
 
     def __eq__(self, other):
         other = self._coerce(other)
@@ -548,30 +589,35 @@ class GroupAlgebraElement:
         return NotImplemented
 
     def product_coefficients(self, other: "GroupAlgebraElement",
-                             points: Sequence[Vec]) -> dict[Vec, Laurent]:
-        """Coefficients of self * other at the given points only.
+                             points: Sequence[Vec]) -> dict[Vec, dict[int, int]]:
+        """Coefficients of self * other at the given points only, as the
+        plain accumulators of ``Laurent.add_product_into`` (so they may hold
+        zero entries).
 
         Each point costs one lookup per term of the smaller factor, instead
-        of forming the whole product.  Points where it vanishes are omitted.
+        of forming the whole product.  Points no pair of terms reaches are
+        omitted.
         """
         self._check_rank(other)
         small, large = self._terms, other._terms
         if len(small) > len(large):
             small, large = large, small
         small_items = list(small.items())
-        out: dict[Vec, Laurent] = {}
+        out: dict[Vec, dict[int, int]] = {}
         for v in points:
             acc: dict[int, int] = {}
             for y, c in small_items:
                 d = large.get(tuple(map(operator.sub, v, y)))
                 if d is not None:
-                    for k1, v1 in c._coeffs.items():
-                        for k2, v2 in d._coeffs.items():
-                            acc[k1 + k2] = acc.get(k1 + k2, 0) + v1 * v2
-            acc = {k: x for k, x in acc.items() if x}
+                    c.add_product_into(d, acc)
             if acc:
-                out[v] = Laurent._make(acc)
+                out[v] = acc
         return out
+
+    def shift(self, v: Vec) -> "GroupAlgebraElement":
+        """Multiply by the monomial e^v."""
+        return GroupAlgebraElement._make(self.rank,
+                                         {vec_add(y, v): c for y, c in self._terms.items()})
 
     def scale(self, c: Laurent | int) -> "GroupAlgebraElement":
         c = c if isinstance(c, Laurent) else Laurent.term(int(c))

@@ -283,6 +283,14 @@ def is_dominant_coweight(d: RootDatum, v: Sequence[int]) -> bool:
     return all(dot(alpha, v) >= 0 for alpha in d.simple_roots)
 
 
+def require_dominant(d: RootDatum, v: Sequence[int]) -> Vec:
+    """v as a tuple of ints; ValidationError unless it is dominant."""
+    v = tuple(int(x) for x in v)
+    if not is_dominant_coweight(d, v):
+        raise ValidationError(f"coweight {v} is not dominant")
+    return v
+
+
 def dominance_leq(d: RootDatum, nu: Sequence[int], lam: Sequence[int]) -> bool:
     """nu <= lam iff lam - nu is a nonnegative integer combination of the
     simple coroots."""
@@ -306,9 +314,7 @@ def dominant_below(d: RootDatum, lam: Vec) -> tuple[Vec, ...]:
     positivity of the inverse Cartan matrix), so subtraction coefficients
     are confined to the integer box prod [0, b_i].
     """
-    lam = tuple(int(x) for x in lam)
-    if not is_dominant_coweight(d, lam):
-        raise ValidationError(f"coweight {lam} is not dominant")
+    lam = require_dominant(d, lam)
     k = d.semisimple_rank
     if k == 0:
         return (lam,)

@@ -32,6 +32,17 @@ those points alone and never formed whole.  The last two image checks
 make a remainder that vanishes there vanish everywhere: it is dot-invariant,
 with dominant support below lambda+mu.
 
+A central coweight z, <alpha_i, z> = 0 for every simple root, only shifts:
+S(lambda + z) = e^z S(lambda), and since dominance and the points below
+move with z, c^(nu+z+z')_(lambda+z, mu+z') = c^nu_(lambda, mu).  So every
+coweight is split as rep + z, rep canonical modulo the central lattice
+(the Hermite normal form of the centre, pivot coordinates reduced by floor
+division; rep = lambda for data without a centre).  Images are built,
+checked and cached by rep alone and handed out shifted; a product is
+peeled, with both of its checks, once per unordered pair of
+representatives, which is exact because the group algebra is commutative,
+and its expansion is handed out shifted by z + z'.
+
 An independent combinatorial check is provided for the rank-one adjoint
 datum: structure counts of distance spheres on the (q+1)-regular tree,
 obtained by enumerating the paths from a vertex, must match the algebraic
@@ -54,6 +65,8 @@ from .lattice import (
     Laurent,
     Vec,
     dot,
+    hermite_normal_form,
+    solve_integer_linear,
     vec_add,
     vec_scale,
     vec_sub,
@@ -66,6 +79,7 @@ from .rootdatum import (
     dominant_below,
     is_dominant_coweight,
     positive_root_sum,
+    require_dominant,
 )
 
 DEFAULT_TREE_NODE_CAP = 2_000_000
@@ -211,9 +225,7 @@ def satake_image_extended(dd: LanglandsDualData, lam: Vec) -> GroupAlgebraElemen
     Every delta-exponent in the support is an integer by construction; the
     coefficient of e^(lambda, 0) is exactly 1.
     """
-    lam = tuple(int(x) for x in lam)
-    if not is_dominant_coweight(dd.base, lam):
-        raise ValidationError(f"coweight {lam} is not dominant")
+    lam = require_dominant(dd.base, lam)
     ext = dd.ext
     simple = tuple(zip(ext.simple_roots, ext.simple_coroots))
     start = lift_exponent(lam, 0)
@@ -234,17 +246,41 @@ def satake_image_extended(dd: LanglandsDualData, lam: Vec) -> GroupAlgebraElemen
 
 
 @lru_cache(maxsize=None)
-def _satake_image_cached(dd: LanglandsDualData, lam: Vec) -> SphericalFunction:
-    extended = satake_image_extended(dd, lam)
+def _centre_basis(d: RootDatum) -> tuple[tuple[int, Vec], ...]:
+    """The central coweights z (<alpha_i, z> = 0 for every simple root) as
+    (pivot column, row) pairs of their Hermite normal form."""
+    # with no roots at all the whole lattice is central: one zero equation
+    equations = d.simple_roots or ((0,) * d.rank,)
+    _, kernel = solve_integer_linear(equations, (0,) * len(equations))
+    return tuple((next(i for i, x in enumerate(row) if x), row)
+                 for row in hermite_normal_form(kernel))
+
+
+def centre_split(d: RootDatum, v: Vec) -> tuple[Vec, Vec]:
+    """(rep, z) with v = rep + z, z central and rep the same for every
+    coweight in v + (central lattice): each Hermite pivot coordinate of rep
+    is reduced into [0, pivot).  Without a centre, rep = v and z = 0."""
+    rep = v
+    for p, row in _centre_basis(d):
+        f = rep[p] // row[p]
+        if f:
+            rep = vec_sub(rep, vec_scale(f, row))
+    return rep, vec_sub(v, rep)
+
+
+@lru_cache(maxsize=None)
+def _satake_image_cached(dd: LanglandsDualData, rep: Vec) -> SphericalFunction:
+    # keyed by the centre representative only: S(rep + z) = e^z S(rep)
+    extended = satake_image_extended(dd, rep)
     image = SphericalFunction(extended.specialize_delta(dd.delta_index), dd.base)
     # with these two, a peel that is exact at the dominant points below
-    # lambda+mu leaves a zero remainder everywhere (see structure_polynomials)
+    # lambda+mu leaves a zero remainder everywhere (see _peel)
     if not image.is_dot_invariant():
-        raise RuntimeError(f"internal: image of {lam} is not dot-invariant")
-    below = set(dominant_below(dd.base, lam))
+        raise RuntimeError(f"internal: image of {rep} is not dot-invariant")
+    below = set(dominant_below(dd.base, rep))
     for y, _ in image.dominant_terms:
         if y not in below:
-            raise RuntimeError(f"internal: image of {lam} has dominant support {y} not below it")
+            raise RuntimeError(f"internal: image of {rep} has dominant support {y} not below it")
     return image
 
 
@@ -254,7 +290,12 @@ def satake_image(dd: LanglandsDualData, lam: Sequence[int]) -> SphericalFunction
     Coefficients land in Z[q, q^-1]; the result is invariant under the
     twisted Weyl action and its coefficient at e^lambda is 1.
     """
-    return _satake_image_cached(dd, tuple(int(x) for x in lam))
+    lam = require_dominant(dd.base, lam)
+    rep, z = centre_split(dd.base, lam)
+    image = _satake_image_cached(dd, rep)
+    if rep == lam:
+        return image
+    return SphericalFunction(image.poly.shift(z), dd.base)
 
 
 @dataclass
@@ -285,6 +326,24 @@ class HeckeExpansion:
 def structure_polynomials(dd: LanglandsDualData, lam: Sequence[int], mu: Sequence[int]) -> HeckeExpansion:
     """Expand the product of two basis images in the basis again.
 
+    Both coweights are split as rep + z with z central; the expansion of
+    the two representatives, peeled once per unordered pair, is shifted by
+    the sum of the two z.
+    """
+    d = dd.base
+    lam = tuple(int(x) for x in lam)
+    mu = tuple(int(x) for x in mu)
+    require_dominant(d, vec_add(lam, mu))
+    lam0, z1 = centre_split(d, require_dominant(d, lam))
+    mu0, z2 = centre_split(d, require_dominant(d, mu))
+    z = vec_add(z1, z2)
+    return HeckeExpansion(d, {vec_add(nu, z): c for nu, c in _peel(dd, *sorted((lam0, mu0)))})
+
+
+@lru_cache(maxsize=None)
+def _peel(dd: LanglandsDualData, lam: Vec, mu: Vec) -> tuple[tuple[Vec, Laurent], ...]:
+    """The expansion of S(lambda) S(mu) for two centre representatives.
+
     The product is strictly triangular, and peeling reads it only at the
     dominant coweights nu <= lambda+mu.  So its coefficients are computed
     at those points alone, and peeled there in decreasing dominance order
@@ -296,28 +355,26 @@ def structure_polynomials(dd: LanglandsDualData, lam: Sequence[int], mu: Sequenc
     zero exactly when the residual is.  A violation is reported as an
     internal error.
     """
-    lam = tuple(int(x) for x in lam)
-    mu = tuple(int(x) for x in mu)
+    d = dd.base
     top = vec_add(lam, mu)
-    points = dominant_below(dd.base, top)
-    residual = satake_image(dd, lam).poly.product_coefficients(satake_image(dd, mu).poly, points)
+    points = dominant_below(d, top)
+    residual = _satake_image_cached(dd, lam).poly.product_coefficients(
+        _satake_image_cached(dd, mu).poly, points)
     coeffs: dict[Vec, Laurent] = {}
     for nu in points:
-        c = residual.get(nu)
-        if c is None:
+        c = Laurent(residual.get(nu))
+        if not c:
             continue
         coeffs[nu] = c
-        for kappa, d in satake_image(dd, nu).dominant_terms:
-            left = residual.get(kappa, Laurent.zero()) - c * d
-            if left:
-                residual[kappa] = left
-            else:
-                del residual[kappa]
-    if residual:
+        minus_c = -c
+        rep, z = centre_split(d, nu)
+        for kappa, e in _satake_image_cached(dd, rep).dominant_terms:
+            minus_c.add_product_into(e, residual.setdefault(vec_add(kappa, z), {}))
+    if any(any(acc.values()) for acc in residual.values()):
         raise RuntimeError("internal: nonzero residual at a dominant point after peeling")
     if coeffs.get(top) != Laurent.one():
         raise RuntimeError("internal: top coefficient is not 1")
-    return HeckeExpansion(dd.base, coeffs)
+    return tuple(coeffs.items())
 
 
 # ---------------------------------------------------------------------------

@@ -1,0 +1,15 @@
+import pytest
+
+from heckedual import satake
+
+
+@pytest.fixture
+def fresh_images():
+    """Empty the image cache and the expansion memo around a test, so it
+    builds and peels cold (and leaves no corrupted image behind)."""
+    caches = (satake._satake_image_cached, satake._peel)
+    for cache in caches:
+        cache.cache_clear()
+    yield
+    for cache in caches:
+        cache.cache_clear()

@@ -9,6 +9,7 @@ from heckedual.errors import RankMismatchError
 from heckedual.lattice import (
     GroupAlgebraElement,
     Laurent,
+    hermite_normal_form,
     mat_apply,
     mat_det,
     mat_identity,
@@ -59,6 +60,19 @@ class TestLaurent:
     def test_str(self):
         assert str(Laurent({1: 1, 0: -2, -2: 3})) == "q - 2 + 3*q^-2"
         assert str(Laurent.zero()) == "0"
+
+    def test_add_product_into_accumulates(self):
+        rng = random.Random(29)
+        for _ in range(20):
+            a, b, c = (random_laurent(rng) for _ in range(3))
+            acc = dict(c.items())
+            a.add_product_into(b, acc)
+            assert Laurent(acc) == c + a * b
+        # cancelled entries stay behind as zeros and drop on conversion
+        acc = {}
+        Laurent({1: 1}).add_product_into(Laurent({0: 2}), acc)
+        Laurent({1: -2}).add_product_into(Laurent({0: 1}), acc)
+        assert acc == {1: 0} and Laurent(acc).is_zero()
 
 
 class TestGroupAlgebra:
@@ -129,6 +143,23 @@ class TestGroupAlgebra:
             a = random_element(rng, 2)
             assert a.apply_map(mat_mul(m1, m2)) == a.apply_map(m2).apply_map(m1)
 
+    def test_shift_is_monomial_product(self):
+        rng = random.Random(19)
+        for _ in range(10):
+            a = random_element(rng, 3)
+            v = tuple(rng.randint(-3, 3) for _ in range(3))
+            assert a.shift(v) == a * GroupAlgebraElement.monomial(v)
+
+    def test_product_coefficients_at_points(self):
+        rng = random.Random(31)
+        points = [(x, y) for x in range(-4, 5) for y in range(-4, 5)]
+        for _ in range(10):
+            a, b = random_element(rng, 2), random_element(rng, 2)
+            found = a.product_coefficients(b, points)
+            full = a * b
+            for v in points:
+                assert Laurent(found.get(v)) == full.coefficient(v)
+
     def test_specialize_is_ring_hom(self):
         rng = random.Random(17)
         for _ in range(15):
@@ -176,3 +207,33 @@ class TestIntegerLinearAlgebra:
             assert mat_apply(m, part) == b
             for k in kernel:
                 assert mat_apply(m, k) == (0, 0)
+
+    def test_hermite_normal_form(self):
+        assert hermite_normal_form(((2, 4, 4), (-6, 6, 12), (10, 4, 16))) == (
+            (2, 0, 120), (0, 2, 20), (0, 0, 156))
+        assert hermite_normal_form(((1, 1, -1), (2, -1, 0), (3, 0, -1))) == (
+            (1, 1, -1), (0, 3, -2))
+        assert hermite_normal_form(((0, 0),)) == ()
+        assert hermite_normal_form(()) == ()
+
+    def test_hermite_normal_form_depends_on_the_lattice_only(self):
+        rng = random.Random(37)
+        for _ in range(30):
+            m = tuple(tuple(rng.randint(-4, 4) for _ in range(4)) for _ in range(3))
+            h = hermite_normal_form(m)
+            pivots = [next(j for j, x in enumerate(row) if x) for row in h]
+            assert pivots == sorted(set(pivots))
+            for i, (row, p) in enumerate(zip(h, pivots)):
+                assert row[p] > 0
+                assert all(0 <= h[k][p] < row[p] for k in range(i))
+            # each spans the other: the rows solve integrally in the other set
+            for rows, other in ((m, h), (h, m)):
+                for row in rows:
+                    assert solve_integer_linear(tuple(zip(*other)), row) is not None
+            # another spanning set of the same lattice gives the same form
+            u = [list(r) for r in m]
+            for _ in range(6):
+                i, j = rng.sample(range(3), 2)
+                k = rng.randint(-3, 3)
+                u[i] = [x + k * y for x, y in zip(u[i], u[j])]
+            assert hermite_normal_form(u + [[0] * 4]) == h

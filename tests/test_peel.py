@@ -159,14 +159,6 @@ def test_is_dot_invariant_matches_dot_action(name):
                 assert SphericalFunction(elem, d).is_dot_invariant() == expected
 
 
-@pytest.fixture
-def fresh_images():
-    """Empty the image cache around a test that builds corrupted images."""
-    satake._satake_image_cached.cache_clear()
-    yield
-    satake._satake_image_cached.cache_clear()
-
-
 def corrupt_extended(monkeypatch, extra):
     """Make the symmetrizer return its true result plus extra(dd, lam)."""
     real = satake.satake_image_extended
@@ -197,16 +189,17 @@ def test_image_dominant_support_not_below_raises(monkeypatch, fresh_images):
     lambda poly: poly.scale(2),
     lambda poly: poly + GroupAlgebraElement.monomial((2,)),
 ], ids=["top-coefficient-2", "point-above-nu"])
-def test_peel_residual_nonzero_raises(monkeypatch, corruption):
-    # S(1)^2 = S(2) + (q^-1 + q^-2) S(0): corrupt S(0) past its build checks
-    real = satake.satake_image
+def test_peel_residual_nonzero_raises(monkeypatch, fresh_images, corruption):
+    # S(1)^2 = S(2) + (q^-1 + q^-2) S(0): corrupt S(0) past its build checks,
+    # in the lookup by centre representative that the peel reads
+    real = satake._satake_image_cached
 
-    def image(dd, nu):
-        found = real(dd, nu)
-        if tuple(nu) != (0,):
+    def image(dd, rep):
+        found = real(dd, rep)
+        if rep != (0,):
             return found
         return SphericalFunction(corruption(found.poly), found.datum)
 
-    monkeypatch.setattr(satake, "satake_image", image)
+    monkeypatch.setattr(satake, "_satake_image_cached", image)
     with pytest.raises(RuntimeError, match="nonzero residual"):
         structure_polynomials(DD_PGL2, (1,), (1,))
