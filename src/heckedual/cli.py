@@ -70,10 +70,10 @@ WEYL_CAP_ENV = "HECKEDUAL_MAX_WEYL"
 
 def parse_datum(doc: bytes | str) -> RootDatum:
     """Parse and validate a JSON datum document."""
-    if isinstance(doc, bytes):
-        doc = doc.decode("utf-8")
     try:
-        data = json.loads(doc)
+        data = json.loads(doc.decode("utf-8") if isinstance(doc, bytes) else doc)
+    except UnicodeDecodeError as exc:
+        raise ValidationError(f"datum document is not UTF-8: {exc}") from None
     except json.JSONDecodeError as exc:
         raise ValidationError(f"malformed JSON: {exc}") from None
     if not isinstance(data, dict):
@@ -106,11 +106,14 @@ def load_datum(source: str) -> RootDatum:
     builtin = lookup_datum(source)
     if builtin is not None:
         return builtin
-    if source == "-":
-        return parse_datum(sys.stdin.read())
-    if os.path.exists(source):
-        with open(source, "rb") as handle:
-            return parse_datum(handle.read())
+    try:
+        if source == "-":
+            return parse_datum(sys.stdin.buffer.read())
+        if os.path.exists(source):
+            with open(source, "rb") as handle:
+                return parse_datum(handle.read())
+    except OSError as exc:
+        raise ValidationError(f"cannot read datum {source!r}: {exc}") from None
     raise ValidationError(
         f"unknown datum {source!r}: not a builtin ({', '.join(sorted(BUILTINS))}, trivial)"
         " and not a readable file")

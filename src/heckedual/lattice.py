@@ -13,11 +13,11 @@ Two kinds of values live here:
   and characters of dual-group representations.
 
 Integer matrices are plain tuples of row tuples.  The module also provides
-the exact linear algebra used elsewhere.  Determinants, unimodular
-inverses, rational solving and ranks all run on one fraction-free
-Gauss-Jordan routine (``_row_reduce``).  Smith normal form with unimodular
-transforms, integer linear solving and the Hermite normal form stay in
-integer arithmetic.
+the exact linear algebra used elsewhere, on two elimination routines.
+Determinants, unimodular inverses, rational solving and ranks run on one
+fraction-free Gauss-Jordan routine over Q (``_row_reduce``); integer linear
+solving runs on the Smith normal form with unimodular transforms
+(``smith_normal_form``), over Z.
 
 Everything is immutable after construction and every operation is pure,
 so all of this is safe to use concurrently.  No floating point enters:
@@ -272,37 +272,6 @@ def solve_integer_linear(mat: Sequence[Sequence[int]], rhs: Sequence[int]):
     particular = mat_apply(t, tuple(y))
     kernel = tuple(t_cols[j] for j in range(rank, cols))
     return particular, kernel
-
-
-def hermite_normal_form(rows: Sequence[Sequence[int]]) -> IntMatrix:
-    """Row Hermite normal form: a basis of the lattice the rows span, in
-    echelon form, each row's first nonzero entry (its pivot) positive and
-    the entries above a pivot in [0, pivot).  It depends on the lattice
-    only, not on the rows that span it."""
-    a = [list(r) for r in rows]
-    r = 0
-    for c in range(len(a[0]) if a else 0):
-        while True:
-            # Euclid down column c: the smallest entry divides the others
-            live = [i for i in range(r, len(a)) if a[i][c]]
-            if not live:
-                break
-            p = min(live, key=lambda i: abs(a[i][c]))
-            a[r], a[p] = a[p], a[r]
-            if len(live) == 1:
-                break
-            for i in range(r + 1, len(a)):
-                f = a[i][c] // a[r][c]
-                a[i] = [x - f * y for x, y in zip(a[i], a[r])]
-        if r == len(a) or not a[r][c]:
-            continue
-        if a[r][c] < 0:
-            a[r] = [-x for x in a[r]]
-        for i in range(r):
-            f = a[i][c] // a[r][c]
-            a[i] = [x - f * y for x, y in zip(a[i], a[r])]
-        r += 1
-    return tuple(tuple(row) for row in a[:r])
 
 
 # ---------------------------------------------------------------------------

@@ -34,14 +34,16 @@ with dominant support below lambda+mu.
 
 A central coweight z, <alpha_i, z> = 0 for every simple root, only shifts:
 S(lambda + z) = e^z S(lambda), and since dominance and the points below
-move with z, c^(nu+z+z')_(lambda+z, mu+z') = c^nu_(lambda, mu).  So every
-coweight is split as rep + z, rep canonical modulo the central lattice
-(the Hermite normal form of the centre, pivot coordinates reduced by floor
-division; rep = lambda for data without a centre).  Images are built,
-checked and cached by rep alone and handed out shifted; a product is
-peeled, with both of its checks, once per unordered pair of
-representatives, which is exact because the group algebra is commutative,
-and its expansion is handed out shifted by z + z'.
+move with z, c^(nu+z+z')_(lambda+z, mu+z') = c^nu_(lambda, mu).  Two
+coweights differ by a central one exactly when they have the same pairings
+(<alpha_i, lambda>)_i with the simple roots, and a coweight is dominant
+exactly when its pairings are >= 0; so one pass over the simple roots both
+validates a coweight and names its class.  Images are built, checked and
+cached once per class, at the first coweight of the class asked for, and
+handed out shifted to the others; a product is peeled, with both of its
+checks, once per unordered pair of classes, which is exact because the
+group algebra is commutative, and its expansion is handed out shifted.
+No output depends on which coweight represents a class.
 
 An independent combinatorial check is provided for the rank-one adjoint
 datum: structure counts of distance spheres on the (q+1)-regular tree,
@@ -65,8 +67,6 @@ from .lattice import (
     Laurent,
     Vec,
     dot,
-    hermite_normal_form,
-    solve_integer_linear,
     vec_add,
     vec_scale,
     vec_sub,
@@ -245,43 +245,39 @@ def satake_image_extended(dd: LanglandsDualData, lam: Vec) -> GroupAlgebraElemen
     return image
 
 
-@lru_cache(maxsize=None)
-def _centre_basis(d: RootDatum) -> tuple[tuple[int, Vec], ...]:
-    """The central coweights z (<alpha_i, z> = 0 for every simple root) as
-    (pivot column, row) pairs of their Hermite normal form."""
-    # with no roots at all the whole lattice is central: one zero equation
-    equations = d.simple_roots or ((0,) * d.rank,)
-    _, kernel = solve_integer_linear(equations, (0,) * len(equations))
-    return tuple((next(i for i, x in enumerate(row) if x), row)
-                 for row in hermite_normal_form(kernel))
+def _pairings(d: RootDatum, v: Vec) -> Vec:
+    """(<alpha_i, v>)_i over the simple roots: the class of v modulo the
+    central coweights, all >= 0 exactly when v is dominant."""
+    return tuple(dot(alpha, v) for alpha in d.simple_roots)
 
 
-def centre_split(d: RootDatum, v: Vec) -> tuple[Vec, Vec]:
-    """(rep, z) with v = rep + z, z central and rep the same for every
-    coweight in v + (central lattice): each Hermite pivot coordinate of rep
-    is reduced into [0, pivot).  Without a centre, rep = v and z = 0."""
-    rep = v
-    for p, row in _centre_basis(d):
-        f = rep[p] // row[p]
-        if f:
-            rep = vec_sub(rep, vec_scale(f, row))
-    return rep, vec_sub(v, rep)
+def _require_dominant(v: Vec, pairings: Vec) -> None:
+    if any(x < 0 for x in pairings):
+        raise ValidationError(f"coweight {v} is not dominant")
 
 
-@lru_cache(maxsize=None)
-def _satake_image_cached(dd: LanglandsDualData, rep: Vec) -> SphericalFunction:
-    # keyed by the centre representative only: S(rep + z) = e^z S(rep)
-    extended = satake_image_extended(dd, rep)
-    image = SphericalFunction(extended.specialize_delta(dd.delta_index), dd.base)
-    # with these two, a peel that is exact at the dominant points below
-    # lambda+mu leaves a zero remainder everywhere (see _peel)
-    if not image.is_dot_invariant():
-        raise RuntimeError(f"internal: image of {rep} is not dot-invariant")
-    below = set(dominant_below(dd.base, rep))
-    for y, _ in image.dominant_terms:
-        if y not in below:
-            raise RuntimeError(f"internal: image of {rep} has dominant support {y} not below it")
-    return image
+# (datum, pairings) -> (rep, S(rep)), rep the first coweight of the class asked for
+_images: dict[tuple[LanglandsDualData, Vec], tuple[Vec, SphericalFunction]] = {}
+
+
+def _class_image(dd: LanglandsDualData, lam: Vec, pairings: Vec) -> tuple[Vec, SphericalFunction]:
+    """(rep, S(rep)) for the class of the dominant coweight lambda; a new
+    class is built and checked at rep = lambda."""
+    key = (dd, pairings)
+    entry = _images.get(key)
+    if entry is None:
+        image = SphericalFunction(satake_image_extended(dd, lam).specialize_delta(dd.delta_index),
+                                  dd.base)
+        # with these two, a peel that is exact at the dominant points below
+        # lambda+mu leaves a zero remainder everywhere (see _peel)
+        if not image.is_dot_invariant():
+            raise RuntimeError(f"internal: image of {lam} is not dot-invariant")
+        below = set(dominant_below(dd.base, lam))
+        for y, _ in image.dominant_terms:
+            if y not in below:
+                raise RuntimeError(f"internal: image of {lam} has dominant support {y} not below it")
+        entry = _images[key] = (lam, image)
+    return entry
 
 
 def satake_image(dd: LanglandsDualData, lam: Sequence[int]) -> SphericalFunction:
@@ -290,12 +286,13 @@ def satake_image(dd: LanglandsDualData, lam: Sequence[int]) -> SphericalFunction
     Coefficients land in Z[q, q^-1]; the result is invariant under the
     twisted Weyl action and its coefficient at e^lambda is 1.
     """
-    lam = require_dominant(dd.base, lam)
-    rep, z = centre_split(dd.base, lam)
-    image = _satake_image_cached(dd, rep)
+    lam = tuple(int(x) for x in lam)
+    pairings = _pairings(dd.base, lam)
+    _require_dominant(lam, pairings)
+    rep, image = _class_image(dd, lam, pairings)
     if rep == lam:
         return image
-    return SphericalFunction(image.poly.shift(z), dd.base)
+    return SphericalFunction(image.poly.shift(vec_sub(lam, rep)), dd.base)
 
 
 @dataclass
@@ -323,26 +320,37 @@ class HeckeExpansion:
         return "{" + body + "}"
 
 
+# (datum, pairings, pairings) -> _peel at the representatives of two
+# classes, their pairings in sorted order
+_expansions: dict[tuple[LanglandsDualData, Vec, Vec], tuple[Vec, tuple[tuple[Vec, Laurent], ...]]] = {}
+
+
 def structure_polynomials(dd: LanglandsDualData, lam: Sequence[int], mu: Sequence[int]) -> HeckeExpansion:
     """Expand the product of two basis images in the basis again.
 
-    Both coweights are split as rep + z with z central; the expansion of
-    the two representatives, peeled once per unordered pair, is shifted by
-    the sum of the two z.
+    The expansion is peeled once per unordered pair of classes modulo the
+    centre, at their representatives, and shifted to the pair asked for.
     """
     d = dd.base
     lam = tuple(int(x) for x in lam)
     mu = tuple(int(x) for x in mu)
-    require_dominant(d, vec_add(lam, mu))
-    lam0, z1 = centre_split(d, require_dominant(d, lam))
-    mu0, z2 = centre_split(d, require_dominant(d, mu))
-    z = vec_add(z1, z2)
-    return HeckeExpansion(d, {vec_add(nu, z): c for nu, c in _peel(dd, *sorted((lam0, mu0)))})
+    top = vec_add(lam, mu)
+    p_lam, p_mu = _pairings(d, lam), _pairings(d, mu)
+    for v, pairings in ((top, vec_add(p_lam, p_mu)), (lam, p_lam), (mu, p_mu)):
+        _require_dominant(v, pairings)
+    key = (dd, p_lam, p_mu) if p_lam <= p_mu else (dd, p_mu, p_lam)
+    entry = _expansions.get(key)
+    if entry is None:
+        entry = _expansions[key] = _peel(dd, lam, mu)
+    top0, items = entry
+    z = vec_sub(top, top0)
+    return HeckeExpansion(d, {vec_add(nu, z): c for nu, c in items})
 
 
-@lru_cache(maxsize=None)
-def _peel(dd: LanglandsDualData, lam: Vec, mu: Vec) -> tuple[tuple[Vec, Laurent], ...]:
-    """The expansion of S(lambda) S(mu) for two centre representatives.
+def _peel(dd: LanglandsDualData, lam: Vec, mu: Vec) -> tuple[Vec, tuple[tuple[Vec, Laurent], ...]]:
+    """(top, expansion of S(lambda0) S(mu0)), lambda0 and mu0 the cached
+    representatives of the classes of two dominant coweights lambda and mu,
+    and top = lambda0 + mu0.
 
     The product is strictly triangular, and peeling reads it only at the
     dominant coweights nu <= lambda+mu.  So its coefficients are computed
@@ -356,10 +364,11 @@ def _peel(dd: LanglandsDualData, lam: Vec, mu: Vec) -> tuple[tuple[Vec, Laurent]
     internal error.
     """
     d = dd.base
+    lam, s_lam = _class_image(dd, lam, _pairings(d, lam))
+    mu, s_mu = _class_image(dd, mu, _pairings(d, mu))
     top = vec_add(lam, mu)
     points = dominant_below(d, top)
-    residual = _satake_image_cached(dd, lam).poly.product_coefficients(
-        _satake_image_cached(dd, mu).poly, points)
+    residual = s_lam.poly.product_coefficients(s_mu.poly, points)
     coeffs: dict[Vec, Laurent] = {}
     for nu in points:
         c = Laurent(residual.get(nu))
@@ -367,14 +376,15 @@ def _peel(dd: LanglandsDualData, lam: Vec, mu: Vec) -> tuple[tuple[Vec, Laurent]
             continue
         coeffs[nu] = c
         minus_c = -c
-        rep, z = centre_split(d, nu)
-        for kappa, e in _satake_image_cached(dd, rep).dominant_terms:
+        rep, image = _class_image(dd, nu, _pairings(d, nu))
+        z = vec_sub(nu, rep)
+        for kappa, e in image.dominant_terms:
             minus_c.add_product_into(e, residual.setdefault(vec_add(kappa, z), {}))
     if any(any(acc.values()) for acc in residual.values()):
         raise RuntimeError("internal: nonzero residual at a dominant point after peeling")
     if coeffs.get(top) != Laurent.one():
         raise RuntimeError("internal: top coefficient is not 1")
-    return tuple(coeffs.items())
+    return top, tuple(coeffs.items())
 
 
 # ---------------------------------------------------------------------------
@@ -498,7 +508,7 @@ def compare_rank1_oracle(q0: int, max_height: int,
 
 
 # ---------------------------------------------------------------------------
-# enumeration helper shared by the CLI and the test suite
+# enumeration of the dominant coweights in a box, for the test suite
 
 
 def enumerate_dominant(d: RootDatum, height: int) -> tuple[Vec, ...]:

@@ -7,9 +7,9 @@ from heckedual import satake
 def fresh_images():
     """Empty the image cache and the expansion memo around a test, so it
     builds and peels cold (and leaves no corrupted image behind)."""
-    caches = (satake._satake_image_cached, satake._peel)
+    caches = (satake._images, satake._expansions)
     for cache in caches:
-        cache.cache_clear()
+        cache.clear()
     yield
     for cache in caches:
-        cache.cache_clear()
+        cache.clear()

@@ -1,7 +1,7 @@
-"""Reduction of coweights modulo the central lattice: the representatives,
-images and expansions of shifted coweights against ones built cold, the
-commutativity that the unordered expansion key relies on, and the caches
-holding one entry per class."""
+"""Keying by the class modulo the central lattice: images and expansions
+of shifted coweights against ones built cold, whatever coweight first
+represents a class, the commutativity that the unordered expansion key
+relies on, and the caches holding one entry per class."""
 
 import itertools
 
@@ -13,7 +13,6 @@ from heckedual.lattice import dot, vec_add, vec_scale
 from heckedual.rootdatum import BUILTINS, TRIVIAL, RootDatum, dominant_below, require_valid
 from heckedual.satake import (
     HeckeExpansion,
-    centre_split,
     enumerate_dominant,
     satake_image,
     satake_image_extended,
@@ -37,25 +36,8 @@ CENTRE_GENERATORS.update({
 DATA = [*BUILTINS.values(), TRIVIAL, SKEW, TORUS]
 
 
-@pytest.mark.parametrize("d", DATA, ids=lambda d: d.name)
-def test_representative_is_canonical(d):
-    gens = CENTRE_GENERATORS[d.name]
-    for v in itertools.product(range(-3, 4), repeat=d.rank):
-        rep, z = centre_split(d, v)
-        assert vec_add(rep, z) == v
-        assert all(dot(alpha, z) == 0 for alpha in d.simple_roots)
-        assert centre_split(d, rep) == (rep, (0,) * d.rank)
-        for g in gens:
-            for sign in (1, -1):
-                assert centre_split(d, vec_add(v, vec_scale(sign, g)))[0] == rep
-        if not gens:
-            assert rep == v
-
-
-def test_torus_reduces_to_zero():
-    for v in itertools.product(range(-3, 4), repeat=2):
-        assert centre_split(TORUS, v) == ((0, 0), v)
-    assert centre_split(TRIVIAL, ()) == ((), ())
+def pairings(d, v):
+    return tuple(dot(alpha, v) for alpha in d.simple_roots)
 
 
 def cold_image(dd, lam):
@@ -76,6 +58,24 @@ def cold_expansion(dd, lam, mu):
     return HeckeExpansion(dd.base, coeffs)
 
 
+@pytest.mark.parametrize("d", DATA, ids=lambda d: d.name)
+def test_representative_is_canonical(d, fresh_images):
+    # the class key of a coweight is its tuple of pairings with the simple
+    # roots, so a shift by a central generator stays in its class (a torus
+    # has one class, the trivial datum one coweight)
+    dd = langlands_dual_data(d)
+    doms = enumerate_dominant(d, 2)
+    for lam in doms:
+        for g in CENTRE_GENERATORS[d.name]:
+            for sign in (1, -1):
+                shifted = vec_add(lam, vec_scale(sign, g))
+                assert satake_image(dd, shifted).poly == cold_image(dd, shifted), (lam, shifted)
+        assert satake_image(dd, lam).poly == cold_image(dd, lam), lam
+    assert len(satake._images) == len({pairings(d, lam) for lam in doms})
+    if d is TORUS:
+        assert len(satake._images) == 1
+
+
 @pytest.mark.parametrize("name", ["GL2", "GL3"])
 def test_shifted_image_is_shifted_cold_image(name, fresh_images):
     dd = langlands_dual_data(BUILTINS[name])
@@ -88,8 +88,7 @@ def test_shifted_image_is_shifted_cold_image(name, fresh_images):
             assert satake_image(dd, shifted).poly == cold_image(dd, shifted), (lam, z)
             assert satake_image(dd, shifted).poly == cold_image(dd, lam).shift(z)
     # one cached image per class, no shifted copies
-    classes = {centre_split(dd.base, lam)[0] for lam in doms}
-    assert satake._satake_image_cached.cache_info().currsize == len(classes)
+    assert len(satake._images) == len({pairings(dd.base, lam) for lam in doms})
 
 
 @pytest.mark.parametrize("name", ["GL2", "GL3"])
@@ -108,19 +107,39 @@ def test_shifted_expansion_is_shifted(name, fresh_images):
                                                        for nu, e in base.coeffs.items()})
                 assert got == cold_expansion(dd, vec_add(lam, z1), vec_add(mu, z2))
     # one peel per unordered pair of classes
-    classes = {centre_split(dd.base, lam)[0] for lam in doms}
-    n = len(classes)
-    assert satake._peel.cache_info().currsize == n * (n + 1) // 2
+    n = len({pairings(dd.base, lam) for lam in doms})
+    assert len(satake._expansions) == n * (n + 1) // 2
+
+
+@pytest.mark.parametrize("name", ["GL2", "GL3", "skew"])
+def test_caches_do_not_depend_on_the_order_of_filling(name, fresh_images):
+    # fill both caches shifted coweights first, then in reverse order, so
+    # the first coweight of each class differs between the two fillings
+    d = {x.name: x for x in DATA}[name]
+    dd = langlands_dual_data(d)
+    g = CENTRE_GENERATORS[name][0]
+    doms = enumerate_dominant(d, 1)
+    coweights = [vec_add(lam, g) for lam in doms] + list(doms)
+    pairs = ([(vec_add(lam, g), mu) for lam in doms for mu in doms]
+             + [(lam, mu) for lam in doms for mu in doms])
+    images = {lam: cold_image(dd, lam) for lam in coweights}
+    expansions = {pair: cold_expansion(dd, *pair) for pair in pairs}
+    for order in (1, -1):
+        satake._images.clear()
+        satake._expansions.clear()
+        for lam, mu in pairs[::order]:
+            assert structure_polynomials(dd, lam, mu) == expansions[lam, mu], (lam, mu)
+        for lam in coweights[::order]:
+            assert satake_image(dd, lam).poly == images[lam], lam
 
 
 @pytest.mark.parametrize("name", sorted(BUILTINS))
 def test_expansion_is_commutative(name):
     # both orders peeled without the memo: the product, not the key, commutes
     dd = langlands_dual_data(BUILTINS[name])
-    peel = satake._peel.__wrapped__
-    reps = sorted({centre_split(dd.base, lam)[0] for lam in enumerate_dominant(dd.base, 2)})
-    for lam, mu in itertools.combinations(reps, 2):
-        assert peel(dd, lam, mu) == peel(dd, mu, lam), (lam, mu)
+    reps = {pairings(dd.base, lam): lam for lam in enumerate_dominant(dd.base, 2)}
+    for lam, mu in itertools.combinations(sorted(reps.values()), 2):
+        assert satake._peel(dd, lam, mu) == satake._peel(dd, mu, lam), (lam, mu)
 
 
 @pytest.mark.parametrize("name, lam, mu", [

@@ -1,6 +1,8 @@
 """Tests for the command line interface and the JSON interchange format."""
 
+import io
 import json
+import sys
 
 import pytest
 
@@ -139,6 +141,24 @@ class TestDeterminismAndExitCodes:
                                    "simple_roots": [[1]], "simple_coroots": [[1]]}))
         code, _, _ = run_cli(capsys, "roots", str(bad))
         assert code == 2
+
+    @pytest.mark.parametrize("kind", ["directory", "not-utf8", "stdin-not-utf8"])
+    def test_unreadable_datum_is_validation(self, tmp_path, capsys, monkeypatch, kind):
+        doc = b'{"name": "\xe9", "rank": 1, "simple_roots": [[2]], "simple_coroots": [[1]]}'
+        source = tmp_path / "latin1.json"
+        source.write_bytes(doc)
+        if kind == "directory":
+            source = tmp_path
+        elif kind == "stdin-not-utf8":
+            # as the interpreter opens stdin in UTF-8 mode: bad bytes decode
+            # to surrogates unless the datum is read as bytes
+            stdin = io.TextIOWrapper(io.BytesIO(doc), encoding="utf-8", errors="surrogateescape")
+            monkeypatch.setattr(sys, "stdin", stdin)
+            source = "-"
+        code, out, err = run_cli(capsys, "dual", str(source))
+        assert code == 2
+        assert out == ""
+        assert err.startswith("validation error: ") and err.count("\n") == 1
 
     def test_file_datum_accepted(self, tmp_path, capsys):
         doc = tmp_path / "gl2.json"

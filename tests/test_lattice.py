@@ -9,7 +9,6 @@ from heckedual.errors import RankMismatchError
 from heckedual.lattice import (
     GroupAlgebraElement,
     Laurent,
-    hermite_normal_form,
     mat_apply,
     mat_det,
     mat_identity,
@@ -207,33 +206,3 @@ class TestIntegerLinearAlgebra:
             assert mat_apply(m, part) == b
             for k in kernel:
                 assert mat_apply(m, k) == (0, 0)
-
-    def test_hermite_normal_form(self):
-        assert hermite_normal_form(((2, 4, 4), (-6, 6, 12), (10, 4, 16))) == (
-            (2, 0, 120), (0, 2, 20), (0, 0, 156))
-        assert hermite_normal_form(((1, 1, -1), (2, -1, 0), (3, 0, -1))) == (
-            (1, 1, -1), (0, 3, -2))
-        assert hermite_normal_form(((0, 0),)) == ()
-        assert hermite_normal_form(()) == ()
-
-    def test_hermite_normal_form_depends_on_the_lattice_only(self):
-        rng = random.Random(37)
-        for _ in range(30):
-            m = tuple(tuple(rng.randint(-4, 4) for _ in range(4)) for _ in range(3))
-            h = hermite_normal_form(m)
-            pivots = [next(j for j, x in enumerate(row) if x) for row in h]
-            assert pivots == sorted(set(pivots))
-            for i, (row, p) in enumerate(zip(h, pivots)):
-                assert row[p] > 0
-                assert all(0 <= h[k][p] < row[p] for k in range(i))
-            # each spans the other: the rows solve integrally in the other set
-            for rows, other in ((m, h), (h, m)):
-                for row in rows:
-                    assert solve_integer_linear(tuple(zip(*other)), row) is not None
-            # another spanning set of the same lattice gives the same form
-            u = [list(r) for r in m]
-            for _ in range(6):
-                i, j = rng.sample(range(3), 2)
-                k = rng.randint(-3, 3)
-                u[i] = [x + k * y for x, y in zip(u[i], u[j])]
-            assert hermite_normal_form(u + [[0] * 4]) == h

@@ -191,15 +191,15 @@ def test_image_dominant_support_not_below_raises(monkeypatch, fresh_images):
 ], ids=["top-coefficient-2", "point-above-nu"])
 def test_peel_residual_nonzero_raises(monkeypatch, fresh_images, corruption):
     # S(1)^2 = S(2) + (q^-1 + q^-2) S(0): corrupt S(0) past its build checks,
-    # in the lookup by centre representative that the peel reads
-    real = satake._satake_image_cached
+    # in the lookup by class that the peel reads
+    real = satake._class_image
 
-    def image(dd, rep):
-        found = real(dd, rep)
+    def class_image(dd, lam, pairings):
+        rep, found = real(dd, lam, pairings)
         if rep != (0,):
-            return found
-        return SphericalFunction(corruption(found.poly), found.datum)
+            return rep, found
+        return rep, SphericalFunction(corruption(found.poly), found.datum)
 
-    monkeypatch.setattr(satake, "_satake_image_cached", image)
+    monkeypatch.setattr(satake, "_class_image", class_image)
     with pytest.raises(RuntimeError, match="nonzero residual"):
         structure_polynomials(DD_PGL2, (1,), (1,))
