@@ -76,6 +76,22 @@ def test_representative_is_canonical(d, fresh_images):
         assert len(satake._images) == 1
 
 
+def test_torus_reduces_to_zero(fresh_images):
+    # with no roots every coweight is central: it falls into the class of 0,
+    # its image is e^v, and a product of two is the basis element of the sum
+    dd = langlands_dual_data(TORUS)
+    one = cold_image(dd, (0, 0))
+    for v in itertools.product(range(-3, 4), repeat=2):
+        assert pairings(TORUS, v) == pairings(TORUS, (0, 0)) == ()
+        assert satake_image(dd, v).poly == one.shift(v) == cold_image(dd, v), v
+        assert structure_polynomials(dd, v, (1, -2)) == cold_expansion(dd, v, (1, -2)), v
+    assert len(satake._images) == 1
+    assert len(satake._expansions) == 1
+    trivial = langlands_dual_data(TRIVIAL)
+    assert satake_image(trivial, ()).poly == cold_image(trivial, ())
+    assert len(satake._images) == 2
+
+
 @pytest.mark.parametrize("name", ["GL2", "GL3"])
 def test_shifted_image_is_shifted_cold_image(name, fresh_images):
     dd = langlands_dual_data(BUILTINS[name])
