@@ -457,8 +457,9 @@ def _global_options(parser, suppress: bool):
     default = (lambda value: argparse.SUPPRESS) if suppress else (lambda value: value)
     specs = {
         "--format": dict(choices=("text", "json"), default=default("text")),
-        "--max-weyl": dict(type=int,
-                           default=default(int(os.environ.get(WEYL_CAP_ENV, DEFAULT_WEYL_CAP))),
+        # argparse converts a string default (the environment's) with type
+        # at parse time, so a bad value is a usage error like a bad flag
+        "--max-weyl": dict(type=int, default=default(os.environ.get(WEYL_CAP_ENV, DEFAULT_WEYL_CAP)),
                            help="cap on the Weyl group size"),
         "--max-height": dict(type=int, default=default(None),
                              help=f"cap on coweight coordinates (default {DEFAULT_HEIGHT_CAP}; "

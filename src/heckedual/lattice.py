@@ -10,7 +10,11 @@ Two kinds of values live here:
   sparse map from q-exponent to integer coefficient.
 * ``GroupAlgebraElement``: finitely supported Z[q,q^-1]-combinations of
   lattice monomials e^v with v in Z^n; the carrier for spherical functions
-  and characters of dual-group representations.
+  and characters of dual-group representations.  Every operation that can
+  make two terms meet at one exponent (sum, difference, product, a linear
+  map of the exponents, restriction to the fibre over q, and the
+  Demazure-Lusztig and dot actions downstream) sums its terms through one
+  routine, ``GroupAlgebraElement.collect``, which stores no zero.
 
 Integer matrices are plain tuples of row tuples.  The module also provides
 the exact linear algebra used elsewhere, on two elimination routines.
@@ -28,7 +32,7 @@ from __future__ import annotations
 
 import operator
 from fractions import Fraction
-from typing import Mapping, Optional, Sequence
+from typing import Iterable, Mapping, Optional, Sequence
 
 from .errors import RankMismatchError
 
@@ -334,33 +338,27 @@ class Laurent:
             return Laurent({0: other})
         return NotImplemented
 
-    def __add__(self, other):
+    def _add(self, other, sign: int):
+        # self + sign * other
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
         out = dict(self._coeffs)
         for k, v in other._coeffs.items():
-            s = out.get(k, 0) + v
+            s = out.get(k, 0) + sign * v
             if s:
                 out[k] = s
             else:
                 out.pop(k, None)
         return Laurent._make(out)
+
+    def __add__(self, other):
+        return self._add(other, 1)
 
     __radd__ = __add__
 
     def __sub__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        out = dict(self._coeffs)
-        for k, v in other._coeffs.items():
-            s = out.get(k, 0) - v
-            if s:
-                out[k] = s
-            else:
-                out.pop(k, None)
-        return Laurent._make(out)
+        return self._add(other, -1)
 
     def __rsub__(self, other):
         return (-self).__add__(other)
@@ -477,6 +475,23 @@ class GroupAlgebraElement:
         return self
 
     @classmethod
+    def collect(cls, rank: int,
+                groups: Iterable[Iterable[tuple[Vec, Laurent]]]) -> "GroupAlgebraElement":
+        """The sum of groups of (exponent, coefficient) terms, summed by
+        exponent, with no zero sum stored.  Trusted like ``_make``: exponents
+        are tuples of length rank and coefficients are nonzero Laurents."""
+        out: dict[Vec, Laurent] = {}
+        for terms in groups:
+            for v, c in terms:
+                if v in out:
+                    c = out[v] + c
+                    if not c:
+                        del out[v]
+                        continue
+                out[v] = c
+        return cls._make(rank, out)
+
+    @classmethod
     def zero(cls, rank: int) -> "GroupAlgebraElement":
         return cls(rank)
 
@@ -509,27 +524,14 @@ class GroupAlgebraElement:
         if not isinstance(other, GroupAlgebraElement):
             return NotImplemented
         self._check_rank(other)
-        out = dict(self._terms)
-        for v, c in other._terms.items():
-            s = out[v] + c if v in out else c
-            if s.is_zero():
-                out.pop(v, None)
-            else:
-                out[v] = s
-        return GroupAlgebraElement._make(self.rank, out)
+        return GroupAlgebraElement.collect(self.rank, (self._terms.items(), other._terms.items()))
 
     def __sub__(self, other):
         if not isinstance(other, GroupAlgebraElement):
             return NotImplemented
         self._check_rank(other)
-        out = dict(self._terms)
-        for v, c in other._terms.items():
-            s = out[v] - c if v in out else -c
-            if s.is_zero():
-                out.pop(v, None)
-            else:
-                out[v] = s
-        return GroupAlgebraElement._make(self.rank, out)
+        return GroupAlgebraElement.collect(
+            self.rank, (self._terms.items(), ((v, -c) for v, c in other._terms.items())))
 
     def __neg__(self):
         return GroupAlgebraElement._make(self.rank, {v: -c for v, c in self._terms.items()})
@@ -540,17 +542,10 @@ class GroupAlgebraElement:
         if not isinstance(other, GroupAlgebraElement):
             return NotImplemented
         self._check_rank(other)
-        out: dict[Vec, Laurent] = {}
-        for v1, c1 in self._terms.items():
-            for v2, c2 in other._terms.items():
-                v = vec_add(v1, v2)
-                prod = c1 * c2
-                if v in out:
-                    out[v] = out[v] + prod
-                else:
-                    out[v] = prod
-        return GroupAlgebraElement._make(
-            self.rank, {v: c for v, c in out.items() if not c.is_zero()})
+        # one flat generator: per-row generators would bind v1, c1 late
+        terms = ((vec_add(v1, v2), c1 * c2)
+                 for v1, c1 in self._terms.items() for v2, c2 in other._terms.items())
+        return GroupAlgebraElement.collect(self.rank, [terms])
 
     def __rmul__(self, other):
         if isinstance(other, (int, Laurent)):
@@ -605,33 +600,16 @@ class GroupAlgebraElement:
 
     def apply_map(self, m: IntMatrix) -> "GroupAlgebraElement":
         """Push every exponent through an integer linear map (ring hom)."""
-        target = len(m)
-        out: dict[Vec, Laurent] = {}
-        for v, c in self._terms.items():
-            w = mat_apply(m, v)
-            if w in out:
-                out[w] = out[w] + c
-            else:
-                out[w] = c
-        return GroupAlgebraElement._make(
-            target, {v: c for v, c in out.items() if not c.is_zero()})
+        terms = ((mat_apply(m, v), c) for v, c in self._terms.items())
+        return GroupAlgebraElement.collect(len(m), [terms])
 
     def specialize_delta(self, index: int) -> "GroupAlgebraElement":
         """Restrict to the fiber over q: send the index-th exponent n to a
         factor q^n and drop that coordinate (a ring homomorphism)."""
         if not 0 <= index < self.rank:
             raise ValueError(f"invalid delta index {index} for rank {self.rank}")
-        out: dict[Vec, Laurent] = {}
-        for v, c in self._terms.items():
-            n = v[index]
-            w = v[:index] + v[index + 1:]
-            add = c.shift(n)
-            if w in out:
-                out[w] = out[w] + add
-            else:
-                out[w] = add
-        return GroupAlgebraElement._make(
-            self.rank - 1, {v: c for v, c in out.items() if not c.is_zero()})
+        terms = ((v[:index] + v[index + 1:], c.shift(v[index])) for v, c in self._terms.items())
+        return GroupAlgebraElement.collect(self.rank - 1, [terms])
 
     def to_str(self, var: str = "q") -> str:
         if not self._terms:

@@ -15,7 +15,7 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Optional, Sequence
 
-from .errors import CapExceededError, ValidationError
+from .errors import CapExceededError, RankMismatchError, ValidationError
 from .lattice import (
     IntMatrix,
     Laurent,
@@ -26,6 +26,7 @@ from .lattice import (
     mat_det,
     mat_identity,
     mat_mul,
+    mat_transpose,
     solve_integer_linear,
     solve_rational,
     vec_add,
@@ -279,8 +280,18 @@ def inversion_count(d: RootDatum, w: WeylElement) -> int:
 # dominance order on coweights
 
 
+def pairings(d: RootDatum, v: Sequence[int]) -> Vec:
+    """(<alpha_i, v>)_i over the simple roots: the class of v modulo the
+    central coweights, all >= 0 exactly when v is dominant.  The rank of v
+    is checked here, so also for a datum with no simple roots."""
+    if len(v) != d.rank:
+        raise RankMismatchError(f"pairing of vectors of ranks {d.rank} and {len(v)}")
+    # on every Hecke product: a list comprehension is quicker than a generator
+    return tuple([dot(alpha, v) for alpha in d.simple_roots])
+
+
 def is_dominant_coweight(d: RootDatum, v: Sequence[int]) -> bool:
-    return all(dot(alpha, v) >= 0 for alpha in d.simple_roots)
+    return all(x >= 0 for x in pairings(d, v))
 
 
 def require_dominant(d: RootDatum, v: Sequence[int]) -> Vec:
@@ -318,16 +329,20 @@ def dominant_below(d: RootDatum, lam: Vec) -> tuple[Vec, ...]:
     k = d.semisimple_rank
     if k == 0:
         return (lam,)
-    pairings = [dot(alpha, lam) for alpha in d.simple_roots]
-    coords = solve_rational(cartan_matrix(d), pairings)
+    cartan = cartan_matrix(d)
+    p = pairings(d, lam)
+    coords = solve_rational(cartan, p)
     assert coords is not None and all(b >= 0 for b in coords)
     bounds = [b.numerator // b.denominator for b in coords]
+    # <alpha_i, lam - sum_j c_j alphavee_j> = p_i - sum_j c_j C[j][i], so
+    # dominance is decided before nu is built
+    columns = mat_transpose(cartan)
     found = []
     for c in itertools.product(*(range(b + 1) for b in bounds)):
-        nu = lam
-        for ci, alphavee in zip(c, d.simple_coroots):
-            nu = vec_sub(nu, vec_scale(ci, alphavee))
-        if is_dominant_coweight(d, nu):
+        if all(x >= dot(col, c) for x, col in zip(p, columns)):
+            nu = lam
+            for ci, alphavee in zip(c, d.simple_coroots):
+                nu = vec_sub(nu, vec_scale(ci, alphavee))
             found.append(nu)
     found.sort(key=lambda v: coweight_order_key(d, v))
     return tuple(found)

@@ -78,6 +78,7 @@ from .rootdatum import (
     coweight_order_key,
     dominant_below,
     is_dominant_coweight,
+    pairings,
     positive_root_sum,
     require_dominant,
 )
@@ -146,13 +147,9 @@ def dot_act_poly(d: RootDatum, w: WeylElement, elem: GroupAlgebraElement) -> Gro
     for i in reversed(w.word):
         alpha = d.simple_roots[i]
         alphavee = d.simple_coroots[i]
-        out: dict[Vec, Laurent] = {}
-        for y, c in elem.items():
-            pairing = dot(alpha, y)
-            image = vec_sub(y, tuple(pairing * x for x in alphavee))
-            coeff = c.shift(-pairing)
-            out[image] = out.get(image, Laurent.zero()) + coeff
-        elem = GroupAlgebraElement(d.rank, out)
+        terms = ((vec_sub(y, vec_scale(k, alphavee)), c.shift(-k))
+                 for y, c in elem.items() for k in (dot(alpha, y),))
+        elem = GroupAlgebraElement.collect(d.rank, [terms])
     return elem
 
 
@@ -203,19 +200,15 @@ def _demazure_lusztig(elem: GroupAlgebraElement, alpha: Vec, alphavee: Vec) -> G
     quotient is a finite geometric sum: e^(y - j alphavee) for j = 1..k
     when k > 0, minus the same for j = k+1..0 when k < 0, none when k = 0.
     """
-    out: dict[Vec, Laurent] = {}
-
-    def add(y: Vec, c: Laurent):
-        out[y] = out[y] + c if y in out else c
-
-    for y, c in elem.items():
+    def terms(y: Vec, c: Laurent):
         k = dot(alpha, y)
         lowered = c.shift(-1)
-        add(vec_sub(y, vec_scale(k, alphavee)), lowered)
+        yield vec_sub(y, vec_scale(k, alphavee)), lowered
         rest = c - lowered if k > 0 else lowered - c
         for j in range(min(1, k + 1), max(1, k + 1)):
-            add(vec_sub(y, vec_scale(j, alphavee)), rest)
-    return GroupAlgebraElement(elem.rank, out)
+            yield vec_sub(y, vec_scale(j, alphavee)), rest
+
+    return GroupAlgebraElement.collect(elem.rank, (terms(y, c) for y, c in elem.items()))
 
 
 def satake_image_extended(dd: LanglandsDualData, lam: Vec) -> GroupAlgebraElement:
@@ -239,20 +232,14 @@ def satake_image_extended(dd: LanglandsDualData, lam: Vec) -> GroupAlgebraElemen
             if k > 0 and nu not in terms:
                 terms[nu] = _demazure_lusztig(terms[mu], alpha, alphavee)
                 frontier.append(nu)
-    image = sum(terms.values(), GroupAlgebraElement.zero(ext.rank))
+    image = GroupAlgebraElement.collect(ext.rank, (t.items() for t in terms.values()))
     if image.coefficient(start) != Laurent.one():
         raise RuntimeError(f"internal: leading coefficient at {lam} is not 1")
     return image
 
 
-def _pairings(d: RootDatum, v: Vec) -> Vec:
-    """(<alpha_i, v>)_i over the simple roots: the class of v modulo the
-    central coweights, all >= 0 exactly when v is dominant."""
-    return tuple(dot(alpha, v) for alpha in d.simple_roots)
-
-
-def _require_dominant(v: Vec, pairings: Vec) -> None:
-    if any(x < 0 for x in pairings):
+def _require_dominant(v: Vec, p: Vec) -> None:
+    if any(x < 0 for x in p):
         raise ValidationError(f"coweight {v} is not dominant")
 
 
@@ -260,10 +247,10 @@ def _require_dominant(v: Vec, pairings: Vec) -> None:
 _images: dict[tuple[LanglandsDualData, Vec], tuple[Vec, SphericalFunction]] = {}
 
 
-def _class_image(dd: LanglandsDualData, lam: Vec, pairings: Vec) -> tuple[Vec, SphericalFunction]:
+def _class_image(dd: LanglandsDualData, lam: Vec, p: Vec) -> tuple[Vec, SphericalFunction]:
     """(rep, S(rep)) for the class of the dominant coweight lambda; a new
     class is built and checked at rep = lambda."""
-    key = (dd, pairings)
+    key = (dd, p)
     entry = _images.get(key)
     if entry is None:
         image = SphericalFunction(satake_image_extended(dd, lam).specialize_delta(dd.delta_index),
@@ -287,9 +274,9 @@ def satake_image(dd: LanglandsDualData, lam: Sequence[int]) -> SphericalFunction
     twisted Weyl action and its coefficient at e^lambda is 1.
     """
     lam = tuple(int(x) for x in lam)
-    pairings = _pairings(dd.base, lam)
-    _require_dominant(lam, pairings)
-    rep, image = _class_image(dd, lam, pairings)
+    p = pairings(dd.base, lam)
+    _require_dominant(lam, p)
+    rep, image = _class_image(dd, lam, p)
     if rep == lam:
         return image
     return SphericalFunction(image.poly.shift(vec_sub(lam, rep)), dd.base)
@@ -335,9 +322,9 @@ def structure_polynomials(dd: LanglandsDualData, lam: Sequence[int], mu: Sequenc
     lam = tuple(int(x) for x in lam)
     mu = tuple(int(x) for x in mu)
     top = vec_add(lam, mu)
-    p_lam, p_mu = _pairings(d, lam), _pairings(d, mu)
-    for v, pairings in ((top, vec_add(p_lam, p_mu)), (lam, p_lam), (mu, p_mu)):
-        _require_dominant(v, pairings)
+    p_lam, p_mu = pairings(d, lam), pairings(d, mu)
+    for v, p in ((top, vec_add(p_lam, p_mu)), (lam, p_lam), (mu, p_mu)):
+        _require_dominant(v, p)
     key = (dd, p_lam, p_mu) if p_lam <= p_mu else (dd, p_mu, p_lam)
     entry = _expansions.get(key)
     if entry is None:
@@ -364,8 +351,8 @@ def _peel(dd: LanglandsDualData, lam: Vec, mu: Vec) -> tuple[Vec, tuple[tuple[Ve
     internal error.
     """
     d = dd.base
-    lam, s_lam = _class_image(dd, lam, _pairings(d, lam))
-    mu, s_mu = _class_image(dd, mu, _pairings(d, mu))
+    lam, s_lam = _class_image(dd, lam, pairings(d, lam))
+    mu, s_mu = _class_image(dd, mu, pairings(d, mu))
     top = vec_add(lam, mu)
     points = dominant_below(d, top)
     residual = s_lam.poly.product_coefficients(s_mu.poly, points)
@@ -376,7 +363,7 @@ def _peel(dd: LanglandsDualData, lam: Vec, mu: Vec) -> tuple[Vec, tuple[tuple[Ve
             continue
         coeffs[nu] = c
         minus_c = -c
-        rep, image = _class_image(dd, nu, _pairings(d, nu))
+        rep, image = _class_image(dd, nu, pairings(d, nu))
         z = vec_sub(nu, rep)
         for kappa, e in image.dominant_terms:
             minus_c.add_product_into(e, residual.setdefault(vec_add(kappa, z), {}))

@@ -9,6 +9,7 @@ import pytest
 
 from heckedual import satake
 from heckedual.dualdata import langlands_dual_data
+from heckedual.errors import RankMismatchError
 from heckedual.lattice import dot, vec_add, vec_scale
 from heckedual.rootdatum import BUILTINS, TRIVIAL, RootDatum, dominant_below, require_valid
 from heckedual.satake import (
@@ -90,6 +91,25 @@ def test_torus_reduces_to_zero(fresh_images):
     trivial = langlands_dual_data(TRIVIAL)
     assert satake_image(trivial, ()).poly == cold_image(trivial, ())
     assert len(satake._images) == 2
+
+
+def test_wrong_rank_is_refused_after_the_class_is_cached(fresh_images):
+    # a torus has one class, so a coweight of the wrong rank would find the
+    # cached image of (1, 2) unless its rank is checked first
+    dd = langlands_dual_data(TORUS)
+    satake_image(dd, (1, 2))
+    structure_polynomials(dd, (1, 2), (1, 2))
+    match = "pairing of vectors of ranks 2 and 3"
+    with pytest.raises(RankMismatchError, match=match):
+        satake_image(dd, (1, 2, 3))
+    with pytest.raises(RankMismatchError, match=match):
+        structure_polynomials(dd, (1, 2), (1, 2, 3))
+    with pytest.raises(RankMismatchError, match=match):
+        structure_polynomials(dd, (1, 2, 3), (1, 2))
+    with pytest.raises(RankMismatchError, match=match):
+        satake_image_extended(dd, (1, 2, 3))
+    with pytest.raises(RankMismatchError, match=match):
+        dominant_below(TORUS, (1, 2, 3))
 
 
 @pytest.mark.parametrize("name", ["GL2", "GL3"])

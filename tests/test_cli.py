@@ -43,6 +43,33 @@ class TestDatumDocuments:
         with pytest.raises(ValidationError):
             parse_datum(b"{nope")
 
+    @pytest.mark.parametrize("doc, message", [
+        ([1, 2], "datum document must be a JSON object"),
+        ({"rank": "two"}, "bad datum document: invalid literal"),
+        ({"rank": -1}, "negative rank -1"),
+        ({"rank": 2, "simple_roots": [[1]], "simple_coroots": [[2, 0]]},
+         "simple root (1,) has length 1, expected rank 2"),
+        ({"rank": 1, "simple_roots": [[2]], "simple_coroots": []},
+         "1 simple roots but 0 simple coroots"),
+        ({"rank": 1, "simple_roots": [[2], [1]], "simple_coroots": [[1], [2]]},
+         "2 simple roots exceed ambient rank 1"),
+        ({"rank": 2, "simple_roots": [[2, 0], [-1, 2]], "simple_coroots": [[1, 0], [0, 1]]},
+         "Cartan entries C[0][1], C[1][0] disagree on vanishing"),
+        # affine A1 (C = [[2, -2], [-2, 2]]), its roots kept independent by a third coordinate
+        ({"rank": 3, "simple_roots": [[2, -2, 1], [-2, 2, 0]],
+          "simple_coroots": [[1, 0, 0], [0, 1, 0]]},
+         "Cartan matrix is not of finite type"),
+    ], ids=["non-object", "bad-field", "negative-rank", "wrong-length", "count-mismatch",
+            "more-roots-than-rank", "cartan-zeros", "not-finite-type"])
+    def test_invalid_document_is_validation(self, tmp_path, capsys, doc, message):
+        source = tmp_path / "datum.json"
+        source.write_text(json.dumps(doc))
+        code, out, err = run_cli(capsys, "dual", str(source))
+        assert code == 2
+        assert out == ""
+        assert err.startswith("validation error: ") and err.count("\n") == 1
+        assert message in err
+
 
 class TestCommands:
     def test_dual(self, capsys):
@@ -120,6 +147,28 @@ class TestCommands:
         assert plus["split_values"][1] == minus["split_values"][1]
 
 
+class TestTextFormat:
+    """The default output format, pinned byte for byte."""
+
+    @pytest.mark.parametrize("argv, text", [
+        (("satake", "PGL2", "--coweight", "2"),
+         "command: satake\ndatum: PGL2\ncoweight: [2]\nimage:\n  [[-2], [[-2, 1]]]\n"
+         "  [[0], [[-2, -1], [-1, 1]]]\n  [[2], [[0, 1]]]\n"
+         "image_str: e[2] + (q^-1 - q^-2) + q^-2*e[-2]\ndot_invariant: True\n"),
+        (("oracle", "--q", "2", "--max-height", "1"),
+         "command: oracle\nq: 2\nmax_height: 1\nentries:\n"
+         "  m=0  n=0  d=0  exponent=0  tree_count=1  algebra_value=1  ok=True\n"
+         "  m=0  n=1  d=1  exponent=0  tree_count=1  algebra_value=1  ok=True\n"
+         "  m=1  n=0  d=1  exponent=0  tree_count=1  algebra_value=1  ok=True\n"
+         "failures: 0\nobserved_coefficient_ring: Z[q]\n"),
+        (("split", "PGL2", "--q", "2", "--values", "3"),
+         "command: split\ndatum: PGL2\nq: 2\nsqrt:\n  a: 0\n  b: 1\n  rad: 2\n"
+         "values: ['3', '2']\nsplit_values:\n  a=0  b=3  rad=2\n  1\ndelta_value: 1\n"),
+    ], ids=["satake", "oracle", "split"])
+    def test_text_output(self, capsys, argv, text):
+        assert run_cli(capsys, *argv) == (0, text, "")
+
+
 class TestDeterminismAndExitCodes:
     def test_json_is_byte_identical(self, capsys):
         _, out1, _ = run_cli(capsys, "--format", "json", "dualdata", "Sp4")
@@ -183,15 +232,28 @@ class TestDeterminismAndExitCodes:
         assert out == ""
         assert "pole" in err
 
-    @pytest.mark.parametrize("argv", [
-        ("satake", "GL3", "--coweight", "1,0"),
-        ("mult", "GL3", "--lhs", "1,0", "--rhs", "1,0,0"),
-    ], ids=["satake", "mult"])
-    def test_wrong_rank_coweight_is_validation(self, capsys, argv):
+    @pytest.mark.parametrize("argv, ranks", [
+        (("satake", "GL3", "--coweight", "1,0"), "3 and 2"),
+        (("mult", "GL3", "--lhs", "1,0", "--rhs", "1,0,0"), "3 and 2"),
+        # data with no simple roots: the rank is checked before any pairing
+        (("satake", "TORUS", "--coweight", "1,2,3"), "2 and 3"),
+        (("satake", "TORUS", "--coweight", "1"), "2 and 1"),
+        (("mult", "TORUS", "--lhs", "1,2", "--rhs", "1,2,3"), "2 and 3"),
+        (("mult", "TORUS", "--lhs", "1,2,3", "--rhs", "1,2"), "2 and 3"),
+        (("satake", "trivial", "--coweight", "1"), "0 and 1"),
+        (("mult", "trivial", "--lhs", "1", "--rhs="), "0 and 1"),
+        (("mult", "trivial", "--lhs=", "--rhs", "1"), "0 and 1"),
+    ], ids=["satake", "mult", "torus-satake-long", "torus-satake-short", "torus-mult-rhs",
+            "torus-mult-lhs", "trivial-satake", "trivial-mult-lhs", "trivial-mult-rhs"])
+    def test_wrong_rank_coweight_is_validation(self, tmp_path, capsys, argv, ranks):
+        torus = tmp_path / "torus.json"
+        torus.write_text(json.dumps({"name": "T2", "rank": 2,
+                                     "simple_roots": [], "simple_coroots": []}))
+        argv = [str(torus) if arg == "TORUS" else arg for arg in argv]
         code, out, err = run_cli(capsys, *argv)
         assert code == 2
         assert out == ""
-        assert "ranks 3 and 2" in err
+        assert err == f"validation error: pairing of vectors of ranks {ranks}\n"
 
     @pytest.mark.parametrize("argv", [
         ("rfactor", "PGL2", "--weights", "1,1;-1,0", "--values", "2", "--q", "3", "--s", "nan"),
@@ -285,6 +347,15 @@ class TestDeterminismAndExitCodes:
             monkeypatch.delenv("HECKEDUAL_MAX_WEYL")
         assert at_cap == run_cli(capsys, "--format", "json", *argv)
         assert at_cap[0] == 0
+
+    @pytest.mark.parametrize("value", ["abc", ""])
+    def test_non_integer_weyl_cap_env_is_usage_error(self, capsys, monkeypatch, value):
+        monkeypatch.setenv("HECKEDUAL_MAX_WEYL", value)
+        code, out, err = run_cli(capsys, "weyl", "SL2")
+        assert code == 1
+        assert out == ""
+        assert err.startswith("usage error: ") and err.count("\n") == 1
+        assert repr(value) in err
 
     @pytest.mark.parametrize("argv", [
         ("dualdata", "GL3"),

@@ -167,6 +167,39 @@ class TestGroupAlgebra:
             assert (a * b).specialize_delta(2) == a.specialize_delta(2) * b.specialize_delta(2)
 
 
+class TestCollect:
+    """GroupAlgebraElement.collect sums every group-algebra operation's
+    terms; none of them may leave a zero coefficient stored."""
+
+    def test_collect_is_the_sum_of_its_groups(self):
+        rng = random.Random(23)
+        for _ in range(10):
+            parts = [random_element(rng, 2) for _ in range(4)]
+            total = GroupAlgebraElement.collect(2, (x.items() for x in parts))
+            assert total == parts[0] + parts[1] + parts[2] + parts[3]
+            assert GroupAlgebraElement.collect(2, (x.items() for x in parts + [-total])).is_zero()
+
+    def test_difference_with_itself_stores_nothing(self):
+        rng = random.Random(29)
+        for _ in range(10):
+            x = random_element(rng, 3)
+            assert (x - x).is_zero()
+            assert (x + (-x)).items() == []
+            y = GroupAlgebraElement.monomial((9, 9, 9), Laurent.q_power(2))
+            assert ((x + y) - x).support() == ((9, 9, 9),)
+
+    def test_apply_map_that_cancels_stores_nothing(self):
+        x = ga(2, {(1, 0): 1, (0, 1): -1})
+        image = x.apply_map(((1, 1),))
+        assert image.is_zero() and image.rank == 1
+
+    def test_specialize_delta_that_cancels_stores_nothing(self):
+        # e^(0,1) - q e^(0,0) restricts to q e^0 - q e^0
+        x = ga(2, {(0, 1): 1, (0, 0): Laurent.term(-1, 1)})
+        spec = x.specialize_delta(1)
+        assert spec.is_zero() and spec.rank == 1
+
+
 class TestIntegerLinearAlgebra:
     def test_det(self):
         assert mat_det(((2, 0), (0, 3))) == 6

@@ -80,6 +80,18 @@ class TestDotAction:
             assert dot_act_word(d, (0, 1, 0), chi) == dot_act_word(d, (1, 0, 1), chi)
 
 
+    def test_dot_act_poly_on_cancelling_sums(self):
+        # images are dot-invariant, so w.S - S cancels; so does w.(x - x)
+        d = BUILTINS["GL3"]
+        dd = langlands_dual_data(d)
+        image = satake_image(dd, (2, 1, 0)).poly
+        x = GroupAlgebraElement.monomial((1, -1, 0), Laurent.q_power(1))
+        for w in weyl_group(d):
+            assert (dot_act_poly(d, w, image) - image).is_zero()
+            assert dot_act_poly(d, w, x - x).is_zero()
+            assert dot_act_poly(d, w, x + image - x) == dot_act_poly(d, w, image)
+
+
 class TestUnramifiedCharacter:
     def test_wrong_number_of_values(self):
         with pytest.raises(ValidationError, match="one value per coweight"):
