@@ -28,14 +28,13 @@ from .errors import (
     UsageError,
     ValidationError,
 )
-from .lattice import Laurent, mat_apply, mat_inverse_unimodular
+from .lattice import IntMatrix, Laurent, mat_apply, mat_inverse_unimodular
 from .rootdatum import (
     BUILTINS,
     DEFAULT_WEYL_CAP,
     RootDatum,
     datum_isomorphic,
     dual_datum,
-    longest_element,
     lookup_datum,
     positive_roots,
     validate_datum,
@@ -168,6 +167,16 @@ def check_height(vectors: Sequence[Sequence[int]], cap: int):
                 f"coweight {tuple(v)} exceeds the height cap {cap}; raise --max-height")
 
 
+def isomorphic_builtin(d: RootDatum) -> Optional[tuple[str, IntMatrix]]:
+    """The first builtin by name that d is isomorphic to, with the
+    isomorphism from the builtin's lattice to d's, or None."""
+    for name, builtin in sorted(BUILTINS.items()):
+        iso = datum_isomorphic(d, builtin)
+        if iso is not None:
+            return name, iso
+    return None
+
+
 def dual_data(args, d: RootDatum) -> LanglandsDualData:
     """Dual data of d, refused like `weyl` when |W| exceeds --max-weyl."""
     weyl_group(d, args.max_weyl)
@@ -202,7 +211,8 @@ def cmd_weyl(args) -> dict:
         "command": "weyl",
         "datum": d.name or "(file)",
         "order": len(elements),
-        "longest_length": longest_element(d).length,
+        # breadth-first by length, so the last element is the longest
+        "longest_length": elements[-1].length,
         "words": [list(w.word) for w in elements],
     }
 
@@ -231,12 +241,10 @@ def cmd_extend(args) -> dict:
         "r": list(e.r),
         "delta_index": e.delta_index,
     }
-    for name, builtin in sorted(BUILTINS.items()):
-        iso = datum_isomorphic(e.ext, builtin)
-        if iso is not None:
-            out["isomorphic_builtin"] = name
-            out["isomorphism"] = [list(row) for row in iso]
-            break
+    found = isomorphic_builtin(e.ext)
+    if found is not None:
+        out["isomorphic_builtin"] = found[0]
+        out["isomorphism"] = [list(row) for row in found[1]]
     return out
 
 
@@ -273,14 +281,12 @@ def cmd_dualdata(args) -> dict:
             "description": quotient.kernel.describe(),
         },
     }
-    for name, builtin in sorted(BUILTINS.items()):
-        iso = datum_isomorphic(dd.ext, builtin)
-        if iso is not None:
-            inv = mat_inverse_unimodular(iso)
-            out["isomorphic_builtin"] = name
-            out["r_transported"] = list(mat_apply(inv, dd.r))
-            out["j_transported"] = list(mat_apply(inv, dd.j))
-            break
+    found = isomorphic_builtin(dd.ext)
+    if found is not None:
+        inv = mat_inverse_unimodular(found[1])
+        out["isomorphic_builtin"] = found[0]
+        out["r_transported"] = list(mat_apply(inv, dd.r))
+        out["j_transported"] = list(mat_apply(inv, dd.j))
     return out
 
 

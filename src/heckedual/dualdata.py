@@ -37,7 +37,6 @@ from .rootdatum import (
     require_valid,
     simple_reflection_x,
     validate_datum,
-    weyl_group,
 )
 
 
@@ -69,10 +68,6 @@ class ExtendedDatum:
     ext: RootDatum
     r: Vec
     delta_index: int
-
-    @property
-    def rank(self) -> int:
-        return self.ext.rank
 
 
 def extend_datum(d: RootDatum) -> ExtendedDatum:
@@ -146,10 +141,6 @@ class LanglandsDualData:
     def delta_index(self) -> int:
         return self.extended.delta_index
 
-    def epsilon_value(self, y: Sequence[int]) -> int:
-        """The central sign evaluated on a coweight of the base: +-1."""
-        return -1 if dot(self.t[:-1], y) % 2 else 1
-
 
 @lru_cache(maxsize=None)
 def langlands_dual_data(d: RootDatum) -> LanglandsDualData:
@@ -164,9 +155,10 @@ def langlands_dual_data(d: RootDatum) -> LanglandsDualData:
         raise RuntimeError("internal: dot(r, i) != 1")
     if dot(data.j, data.i) != 2:
         raise RuntimeError("internal: dot(j, i) != 2")
-    for w in weyl_group(extended.ext):
-        if mat_apply(w.mat_x, j) != j:
-            raise RuntimeError(f"internal: j moved by Weyl element {w.word}")
+    # s_i j = j - <j, alphavee_i> alpha_i, and the s_i generate the Weyl group
+    for k, alphavee in enumerate(extended.ext.simple_coroots):
+        if dot(j, alphavee) != 0:
+            raise RuntimeError(f"internal: j moved by simple reflection s_{k}")
     return data
 
 

@@ -320,9 +320,6 @@ class Laurent:
     def is_zero(self) -> bool:
         return not self._coeffs
 
-    def coefficient(self, exp: int) -> int:
-        return self._coeffs.get(exp, 0)
-
     def items(self) -> list[tuple[int, int]]:
         return sorted(self._coeffs.items())
 

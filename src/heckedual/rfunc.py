@@ -26,8 +26,8 @@ from typing import Sequence, Union
 
 from .dualdata import LanglandsDualData
 from .errors import OmegaViolationError, PoleError, ValidationError
-from .lattice import Vec, dot
-from .rootdatum import weyl_group
+from .lattice import Vec, dot, mat_apply
+from .rootdatum import simple_reflection_y, weyl_group
 
 # ---------------------------------------------------------------------------
 # the quadratic coefficient field Q(sqrt(rad))
@@ -205,7 +205,7 @@ class TorusAssignment:
 class UnramifiedParameter(TorusAssignment):
     """A torus assignment satisfying the modulus condition at delta."""
 
-    q: Fraction = Fraction(2)
+    q: Fraction
 
     def __post_init__(self):
         super().__post_init__()
@@ -261,13 +261,12 @@ class DualRepresentation:
             raise ValidationError("weight multiset is not Weyl stable")
 
     def _is_stable(self) -> bool:
+        """Stable under every simple reflection, which generate the group."""
+        ext = self.dd.ext
         counter = Counter(self.weights)
-        for w in weyl_group(self.dd.ext):
-            if w.length != 1:
-                continue
-            moved = Counter(
-                tuple(dot(row, wt) for row in w.mat_y) for wt in self.weights)
-            if moved != counter:
+        for i in range(ext.semisimple_rank):
+            reflection = simple_reflection_y(ext, i)
+            if Counter(mat_apply(reflection, wt) for wt in self.weights) != counter:
                 return False
         return True
 

@@ -5,13 +5,18 @@ Z^rank and the standard dot product as the pairing.  Duality swaps the two
 vector lists.  The builtin registry covers simply connected, adjoint and
 self-dual presentations in ranks one to three, which is enough to exercise
 both values of the central sign downstream.
+
+Facts about a datum are decided from its k simple roots: finite type from
+the k leading principal minors of the Cartan matrix, and the positive roots
+by reflecting upward from the simple roots.  The Weyl group is enumerated
+only where its elements are wanted (`weyl_group`, `longest_element`,
+`stabilizer_poincare`), under a cap.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from fractions import Fraction
 from functools import lru_cache
 from typing import Optional, Sequence
 
@@ -62,9 +67,6 @@ class RootDatum:
     def semisimple_rank(self) -> int:
         return len(self.simple_roots)
 
-    def dual(self) -> "RootDatum":
-        return dual_datum(self)
-
 
 @dataclass(frozen=True)
 class WeylElement:
@@ -96,10 +98,11 @@ def cartan_matrix(d: RootDatum) -> IntMatrix:
 
 def _is_finite_type_cartan(c: IntMatrix) -> bool:
     """Finite type test for a generalized Cartan matrix: every principal
-    minor is positive (Kac, Infinite-dimensional Lie Algebras, 4.3)."""
-    k = len(c)
-    return all(mat_det(tuple(tuple(c[i][j] for j in idx) for i in idx)) > 0
-               for size in range(1, k + 1) for idx in itertools.combinations(range(k), size))
+    minor is positive (Kac, Infinite-dimensional Lie Algebras, 4.3).  The
+    off-diagonal entries are <= 0, so the k leading principal minors
+    suffice (Fiedler and Ptak, 1962)."""
+    return all(mat_det(tuple(row[:size] for row in c[:size])) > 0
+               for size in range(1, len(c) + 1))
 
 
 def validate_datum(d: RootDatum) -> list[str]:
@@ -176,44 +179,39 @@ def simple_reflection_y(d: RootDatum, i: int) -> IntMatrix:
 
 
 @lru_cache(maxsize=None)
-def _root_closure(d: RootDatum) -> tuple[tuple[Vec, Vec], ...]:
-    require_valid(d)
-    refl_x = [simple_reflection_x(d, i) for i in range(d.semisimple_rank)]
-    refl_y = [simple_reflection_y(d, i) for i in range(d.semisimple_rank)]
-    seen: dict[Vec, Vec] = {}
-    frontier = list(zip(d.simple_roots, d.simple_coroots))
-    for root, coroot in frontier:
-        seen[root] = coroot
-    while frontier:
-        root, coroot = frontier.pop()
-        for sx, sy in zip(refl_x, refl_y):
-            r2 = mat_apply(sx, root)
-            if r2 not in seen:
-                seen[r2] = mat_apply(sy, coroot)
-                frontier.append((r2, mat_apply(sy, coroot)))
-        if len(seen) > _ROOT_CAP:
-            raise CapExceededError("root generation exceeded the safety cap")
-    return tuple(sorted(seen.items()))
-
-
-@lru_cache(maxsize=None)
 def positive_roots(d: RootDatum) -> tuple[tuple[Vec, ...], tuple[Vec, ...]]:
-    """All positive roots with their coroots, matched index by index.
+    """All positive roots with their coroots, matched index by index and
+    sorted by (height, root).
 
-    Positivity means nonnegative coordinates in the simple-root basis; each
-    generated root must be wholly positive or wholly negative.
+    s_i permutes the positive roots other than alpha_i (Humphreys,
+    Reflection Groups and Coxeter Groups, 1.4), sending beta to
+    beta - <beta, alphavee_i> alpha_i of height h(beta) - <beta, alphavee_i>
+    and betavee to s_i(betavee); every positive root is reached this way
+    from the simple roots.
     """
-    pos: list[tuple[Vec, Vec, tuple[Fraction, ...]]] = []
-    for root, coroot in _root_closure(d):
-        coords = solve_rational(d.simple_roots, root)
-        if coords is None:
-            raise ValidationError(f"root {root} outside the span of simple roots")
-        if all(x >= 0 for x in coords):
-            pos.append((root, coroot, coords))
-        elif not all(x <= 0 for x in coords):
-            raise ValidationError(f"root {root} is neither positive nor negative")
-    pos.sort(key=lambda item: (sum(item[2]), item[0]))
-    return tuple(r for r, _, _ in pos), tuple(c for _, c, _ in pos)
+    require_valid(d)
+    simple = tuple(zip(d.simple_roots, d.simple_coroots))
+    found = {root: (1, coroot) for root, coroot in simple}
+    frontier = list(found)
+    while frontier:
+        beta = frontier.pop()
+        height, betavee = found[beta]
+        for alpha, alphavee in simple:
+            n = dot(beta, alphavee)
+            if n == 0 or beta == alpha:
+                continue
+            root = vec_sub(beta, vec_scale(n, alpha))
+            if height - n < 1:
+                raise RuntimeError(
+                    f"internal: reflecting {beta} gave {root} of height {height - n}")
+            if root in found:
+                continue
+            found[root] = (height - n, vec_sub(betavee, vec_scale(dot(alpha, betavee), alphavee)))
+            frontier.append(root)
+        if 2 * len(found) > _ROOT_CAP:  # the cap counts all roots, negative ones too
+            raise CapExceededError("root generation exceeded the safety cap")
+    ordered = sorted(found, key=lambda root: (found[root][0], root))
+    return tuple(ordered), tuple(found[root][1] for root in ordered)
 
 
 @lru_cache(maxsize=None)

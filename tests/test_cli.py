@@ -367,3 +367,22 @@ class TestDeterminismAndExitCodes:
         code, _, err = run_cli(capsys, "--max-weyl", "5", *argv)
         assert code == 3
         assert "cap of 5" in err
+
+    @pytest.mark.parametrize("argv, code, message", [
+        (("satake", "GL2", "--coweight", "1,x"), 2,
+         "validation error: expected a comma separated integer vector, got '1,x'"),
+        (("rfactor", "PGL2", "--weights", "0,1", "--q", "abc"), 2,
+         "validation error: expected a rational number, got 'abc'"),
+        (("euler", "--s", "2"), 1, "usage error: euler needs a datum or --trivial"),
+        (("euler", "PGL2", "--s", "2"), 1, "usage error: euler needs --places or --primes-below"),
+    ], ids=["bad-coweight", "bad-q", "euler-no-datum", "euler-no-places"])
+    def test_refused_arguments(self, capsys, argv, code, message):
+        assert run_cli(capsys, *argv) == (code, "", message + "\n")
+
+    def test_euler_with_weights(self, capsys):
+        result = run_json(capsys, "euler", "PGL2", "--weights", "1,1;-1,0",
+                          "--places", "2,3", "--s", "3")
+        # values 1 on the base: inverse roots q and 1, so the local factor
+        # is 1 / ((1 - q^(1-s)) (1 - q^-s)); at s = 3 that is 32/21 * 243/208
+        assert result["places"] == ["2", "3"]
+        assert result["value"] == pytest.approx(32 / 21 * 243 / 208, rel=1e-12)

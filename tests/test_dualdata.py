@@ -1,5 +1,11 @@
 """Tests for the extended datum, rho-type weights and the central sign."""
 
+import json
+
+import pytest
+
+from heckedual import dualdata, rootdatum
+from heckedual.cli import main
 from heckedual.dualdata import (
     KernelElement,
     decompose_quotient,
@@ -8,7 +14,9 @@ from heckedual.dualdata import (
     langlands_dual_data,
     solve_rho_weights,
 )
+from heckedual.errors import ValidationError
 from heckedual.lattice import dot, mat_apply, mat_inverse_unimodular, solve_rational, vec_sub
+from heckedual.rfunc import DualRepresentation
 from heckedual.rootdatum import (
     BUILTINS,
     TRIVIAL,
@@ -136,6 +144,50 @@ class TestLanglandsDualData:
         assert dd.j == (2,)
         assert dd.i == (1,)
         assert dd.epsilon_order == 1
+
+    def test_moved_j_is_a_tripwire(self, monkeypatch):
+        # t = 0 instead of alpha for PGL2: j = 2r pairs to 2 with alphavee~
+        monkeypatch.setattr(dualdata, "epsilon_of", lambda d: (1, (0,)))
+        with pytest.raises(RuntimeError, match="j moved by simple reflection s_0"):
+            langlands_dual_data.__wrapped__(BUILTINS["PGL2"])
+
+
+class TestNoWeylEnumeration:
+    """Invariance and stability are checked on the simple reflections; the
+    Weyl group is enumerated only where its elements are the output."""
+
+    @pytest.fixture
+    def enumerations(self, monkeypatch):
+        calls = []
+        cached = rootdatum._weyl_group_cached
+
+        def spy(d, cap):
+            calls.append((d.name, cap))
+            return cached(d, cap)
+
+        monkeypatch.setattr(rootdatum, "_weyl_group_cached", spy)
+        return calls
+
+    def test_dual_data(self, enumerations):
+        for d in list(BUILTINS.values()) + [TRIVIAL]:
+            assert langlands_dual_data.__wrapped__(d) == langlands_dual_data(d)
+        assert enumerations == []
+
+    def test_stability(self, enumerations):
+        dd = langlands_dual_data(BUILTINS["GL3"])
+        weights = DualRepresentation.from_orbits(dd, [(1, 0, 0, 0)]).weights
+        assert enumerations == [("GL3~", rootdatum.DEFAULT_WEYL_CAP)]
+        enumerations.clear()
+        assert DualRepresentation(dd, weights).dimension == 3
+        with pytest.raises(ValidationError, match="^weight multiset is not Weyl stable$"):
+            DualRepresentation(dd, weights[:2])
+        assert enumerations == []
+
+    def test_weyl_command_enumerates_once(self, enumerations, capsys):
+        assert main(["--max-weyl", "6", "--format", "json", "weyl", "GL3"]) == 0
+        result = json.loads(capsys.readouterr().out)
+        assert (result["order"], result["longest_length"]) == (6, 3)
+        assert enumerations == [("GL3", 6)]
 
 
 class TestQuotient:

@@ -77,6 +77,10 @@ class TestParameters:
         with pytest.raises(OmegaViolationError):
             UnramifiedParameter(DD_PGL2, (Fraction(2), Fraction(5)), Fraction(3))
 
+    def test_q_is_required(self):
+        with pytest.raises(TypeError):
+            UnramifiedParameter(DD_PGL2, (Fraction(2), Fraction(2)))
+
     def test_trivial_datum(self):
         p = make_parameter(DD_TRIVIAL, 4, ())
         assert p.values == (Fraction(4),)

@@ -5,8 +5,10 @@ import random
 
 import pytest
 
-from heckedual.errors import ValidationError
-from heckedual.lattice import Laurent, mat_apply, mat_det, mat_inverse_unimodular, dot
+from heckedual import rootdatum
+from heckedual.dualdata import extend_datum
+from heckedual.errors import CapExceededError, ValidationError
+from heckedual.lattice import Laurent, mat_apply, mat_det, mat_inverse_unimodular, dot, solve_rational
 from heckedual.rootdatum import (
     BUILTINS,
     RootDatum,
@@ -20,11 +22,64 @@ from heckedual.rootdatum import (
     longest_element,
     positive_root_sum,
     positive_roots,
+    simple_reflection_x,
+    simple_reflection_y,
     stabilizer_poincare,
     validate_datum,
     weyl_group,
     weyl_order,
 )
+
+
+def simply_connected(name, cartan):
+    """The datum with coroots the standard basis and alpha_j = sum_i C[i][j] e_i."""
+    k = len(cartan)
+    return RootDatum(k, tuple(tuple(cartan[i][j] for i in range(k)) for j in range(k)),
+                     tuple(tuple(int(i == j) for i in range(k)) for j in range(k)), name)
+
+
+SIMPLY_CONNECTED = (
+    simply_connected("G2", ((2, -1), (-3, 2))),
+    simply_connected("A3", ((2, -1, 0), (-1, 2, -1), (0, -1, 2))),
+    simply_connected("B3", ((2, -1, 0), (-1, 2, -2), (0, -1, 2))),
+    simply_connected("C3", ((2, -1, 0), (-1, 2, -1), (0, -2, 2))),
+    simply_connected("D4", ((2, -1, 0, 0), (-1, 2, -1, -1), (0, -1, 2, 0), (0, -1, 0, 2))),
+)
+
+
+def type_a_cartan(k, affine=False):
+    """The k x k Cartan matrix of type A_k, or of affine type A_(k-1)~."""
+    def entry(i, j):
+        if i == j:
+            return 2
+        gap = abs(i - j)
+        return -1 if gap == 1 or (affine and gap == k - 1) else 0
+    return tuple(tuple(entry(i, j) for j in range(k)) for i in range(k))
+
+
+def closure_positive_roots(d):
+    """Positive roots the long way, to check positive_roots against: close the
+    simple roots under every simple reflection, negative roots included, and
+    keep the roots whose coordinates in the simple roots are all >= 0."""
+    refl_x = [simple_reflection_x(d, i) for i in range(d.semisimple_rank)]
+    refl_y = [simple_reflection_y(d, i) for i in range(d.semisimple_rank)]
+    seen = dict(zip(d.simple_roots, d.simple_coroots))
+    frontier = list(seen.items())
+    while frontier:
+        root, coroot = frontier.pop()
+        for sx, sy in zip(refl_x, refl_y):
+            image = mat_apply(sx, root)
+            if image not in seen:
+                seen[image] = mat_apply(sy, coroot)
+                frontier.append((image, seen[image]))
+    positive = []
+    for root, coroot in seen.items():
+        coords = solve_rational(d.simple_roots, root)
+        assert all(x >= 0 for x in coords) or all(x <= 0 for x in coords), root
+        if all(x >= 0 for x in coords):
+            positive.append((sum(coords), root, coroot))
+    positive.sort(key=lambda item: item[:2])
+    return tuple(r for _, r, _ in positive), tuple(c for _, _, c in positive)
 
 
 class TestValidation:
@@ -54,6 +109,23 @@ class TestValidation:
         d = RootDatum(2, ((1, -1), (2, -2)), ((1, -1), (1, -1)))
         issues = validate_datum(d)
         assert issues
+
+    def test_finite_type_takes_k_determinants(self, monkeypatch):
+        sizes = []
+
+        def counting_det(m):
+            sizes.append(len(m))
+            if len(sizes) > 1000:
+                raise AssertionError("more than 1000 determinants")
+            return mat_det(m)
+
+        monkeypatch.setattr(rootdatum, "mat_det", counting_det)
+        assert rootdatum._is_finite_type_cartan(type_a_cartan(20))
+        assert sizes == list(range(1, 21))
+        sizes.clear()
+        # affine A19~: the leading minors 2, 3, ..., 20, then 0
+        assert not rootdatum._is_finite_type_cartan(type_a_cartan(20, affine=True))
+        assert sizes == list(range(1, 21))
 
 
 class TestDuality:
@@ -94,6 +166,29 @@ class TestRoots:
             roots, coroots = positive_roots(d)
             for beta, betavee in zip(roots, coroots):
                 assert dot(beta, betavee) == 2
+
+    def test_upward_reflection_matches_closure(self):
+        data = list(SIMPLY_CONNECTED)
+        for d in BUILTINS.values():
+            data += [d, dual_datum(d), extend_datum(d).ext]
+        for d in data:
+            assert positive_roots(d) == closure_positive_roots(d), d.name
+
+    def test_reflection_below_height_one_is_a_tripwire(self, monkeypatch):
+        # <alpha_0, alphavee_1> = 1 > 0: not a Cartan matrix, and s_0 alpha_1 =
+        # alpha_1 - alpha_0 has height 0
+        monkeypatch.setattr(rootdatum, "require_valid", lambda d: d)
+        bad = RootDatum(2, ((2, 1), (1, 2)), ((1, 0), (0, 1)))
+        with pytest.raises(RuntimeError, match="of height 0"):
+            positive_roots.__wrapped__(bad)
+
+    def test_root_cap_counts_all_roots(self, monkeypatch):
+        gl3 = BUILTINS["GL3"]  # 3 positive roots, 6 roots
+        monkeypatch.setattr(rootdatum, "_ROOT_CAP", 5)
+        with pytest.raises(CapExceededError, match="safety cap"):
+            positive_roots.__wrapped__(gl3)
+        monkeypatch.setattr(rootdatum, "_ROOT_CAP", 6)
+        assert positive_roots.__wrapped__(gl3) == positive_roots(gl3)
 
     def test_root_sums(self):
         assert positive_root_sum(BUILTINS["PGL2"]) == (1,)
