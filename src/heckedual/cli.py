@@ -39,6 +39,7 @@ from .rootdatum import (
     positive_roots,
     validate_datum,
     weyl_group,
+    weyl_order,
 )
 from .rfunc import (
     DualRepresentation,
@@ -178,8 +179,10 @@ def isomorphic_builtin(d: RootDatum) -> Optional[tuple[str, IntMatrix]]:
 
 
 def dual_data(args, d: RootDatum) -> LanglandsDualData:
-    """Dual data of d, refused like `weyl` when |W| exceeds --max-weyl."""
-    weyl_group(d, args.max_weyl)
+    """Dual data of d, refused like `weyl` when |W| exceeds --max-weyl;
+    |W| is counted, not enumerated."""
+    if weyl_order(d) > args.max_weyl:
+        raise CapExceededError(f"Weyl group exceeds the cap of {args.max_weyl} elements")
     return langlands_dual_data(d)
 
 

@@ -125,6 +125,15 @@ class LanglandsDualData:
     p: Vec
     epsilon_order: int
 
+    def __post_init__(self):
+        # the image and expansion caches hash their keys on every lookup,
+        # and the generated hash would walk all the nested fields each time
+        object.__setattr__(self, "_hash", hash((self.extended, self.t, self.j, self.i, self.p,
+                                                self.epsilon_order)))
+
+    def __hash__(self):
+        return self._hash
+
     @property
     def base(self) -> RootDatum:
         return self.extended.base

@@ -6,8 +6,12 @@ two vector lists" and no separate pairing type is needed.
 
 Two kinds of values live here:
 
-* ``Laurent``: integer Laurent polynomials in one variable q, stored as a
-  sparse map from q-exponent to integer coefficient.
+* ``Laurent``: integer Laurent polynomials in one variable q, each packed
+  into one Python int with a 64-bit slot per coefficient (Kronecker
+  substitution), so that a product is one int product.  The int is read
+  only while a bound carried on the sum of the coefficients' absolute
+  values is below 2^63, half a slot; otherwise reading raises an
+  internal RuntimeError.
 * ``GroupAlgebraElement``: finitely supported Z[q,q^-1]-combinations of
   lattice monomials e^v with v in Z^n; the carrier for spherical functions
   and characters of dual-group representations.  Every operation that can
@@ -281,33 +285,56 @@ def solve_integer_linear(mat: Sequence[Sequence[int]], rhs: Sequence[int]):
 # ---------------------------------------------------------------------------
 # Laurent polynomials in q
 
+_SLOT = 64  # bits per coefficient in a packed Laurent
+_MASK = (1 << _SLOT) - 1
+_HALF = 1 << (_SLOT - 1)
+
 
 class Laurent:
-    """Integer Laurent polynomial in one variable, as {exponent: coefficient}.
+    """Integer Laurent polynomial in one variable, packed into one int.
 
-    Zero coefficients are never stored, so representations are unique and
-    equality is structural.
+    sum_k c_k q^k is stored as lo, the lowest exponent with c_k != 0, and
+    N = sum_k c_k 2^(64 (k - lo)), whose 64-bit digits are read back as
+    balanced digits in [-2^63, 2^63).  Products and shifted sums of
+    Laurents are then one int product and one shifted int add
+    (Kronecker substitution; Harvey, J. Symbolic Comput. 44, 2009).
+
+    Each value also carries an upper bound on its norm sum_k |c_k|: sums
+    add the bounds and products multiply them.  While the bound is below
+    2^63 every coefficient fits its digit, so N is read (equality, zero
+    tests, decoding) only then, and otherwise reading raises an internal
+    RuntimeError.  A sum or product of two Laurents whose bound reaches
+    2^63 takes the exact norms of its operands instead, so a long chain of
+    arithmetic trips only when its values grow that large.  The zero
+    polynomial is lo = N = 0, so representations are unique and equality
+    is structural.
     """
 
-    __slots__ = ("_coeffs",)
+    __slots__ = ("_lo", "_n", "_bound")
 
     def __init__(self, coeffs: Mapping[int, int] | None = None):
-        self._coeffs = {int(k): int(v) for k, v in (coeffs or {}).items() if v}
+        terms = [(int(k), int(v)) for k, v in (coeffs or {}).items() if v]
+        lo = min((k for k, _ in terms), default=0)
+        self._lo = lo
+        self._n = sum(v << (k - lo) * _SLOT for k, v in terms)
+        self._bound = sum(abs(v) for _, v in terms)
 
     @classmethod
-    def _make(cls, coeffs: dict) -> "Laurent":
-        # trusted constructor: integer keys and values, no zeros stored
+    def _make(cls, lo: int, n: int, bound: int) -> "Laurent":
+        # trusted constructor: lo is the lowest exponent, or 0 when n == 0
         self = object.__new__(cls)
-        self._coeffs = coeffs
+        self._lo = lo
+        self._n = n
+        self._bound = bound
         return self
 
     @classmethod
     def zero(cls) -> "Laurent":
-        return cls._make({})
+        return cls._make(0, 0, 0)
 
     @classmethod
     def one(cls) -> "Laurent":
-        return cls._make({0: 1})
+        return cls._make(0, 1, 1)
 
     @classmethod
     def term(cls, coeff: int, exp: int = 0) -> "Laurent":
@@ -315,18 +342,35 @@ class Laurent:
 
     @classmethod
     def q_power(cls, exp: int) -> "Laurent":
-        return cls({exp: 1})
+        return cls._make(exp, 1, 1)
+
+    def _exact(self) -> int:
+        return _read(self._n, self._bound)
 
     def is_zero(self) -> bool:
-        return not self._coeffs
+        return not self._exact()
 
     def items(self) -> list[tuple[int, int]]:
-        return sorted(self._coeffs.items())
+        out = []
+        n, k = self._exact(), self._lo
+        while n:
+            c = n & _MASK
+            if c >= _HALF:
+                c -= 1 << _SLOT
+            if c:
+                out.append((k, c))
+            n = (n - c) >> _SLOT
+            k += 1
+        return out
+
+    def _norm(self) -> int:
+        """sum_k |c_k|, exactly."""
+        return sum(abs(c) for _, c in self.items())
 
     def min_exp(self) -> int:
-        if not self._coeffs:
+        if self.is_zero():
             raise ValueError("zero polynomial has no exponents")
-        return min(self._coeffs)
+        return self._lo
 
     def _coerce(self, other):
         if isinstance(other, Laurent):
@@ -340,14 +384,10 @@ class Laurent:
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        out = dict(self._coeffs)
-        for k, v in other._coeffs.items():
-            s = out.get(k, 0) + sign * v
-            if s:
-                out[k] = s
-            else:
-                out.pop(k, None)
-        return Laurent._make(out)
+        bound = self._bound + other._bound
+        if bound >= _HALF:
+            bound = self._norm() + other._norm()
+        return _packed_sum(self._lo, self._n, other._lo, sign * other._n, bound)
 
     def __add__(self, other):
         return self._add(other, 1)
@@ -361,68 +401,53 @@ class Laurent:
         return (-self).__add__(other)
 
     def __neg__(self):
-        return Laurent._make({k: -v for k, v in self._coeffs.items()})
+        return Laurent._make(self._lo, -self._n, self._bound)
 
     def __mul__(self, other):
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        a, b = self._coeffs, other._coeffs
-        if len(a) < len(b):
-            a, b = b, a
-        if len(b) == 1:
-            # one term c*q^k: a shift and a scale, nothing cancels
-            (k2, v2), = b.items()
-            return Laurent._make({k1 + k2: v1 * v2 for k1, v1 in a.items()})
-        out: dict[int, int] = {}
-        self.add_product_into(other, out)
-        return Laurent._make({k: v for k, v in out.items() if v})
+        bound = self._bound * other._bound
+        if bound >= _HALF:
+            bound = self._norm() * other._norm()
+        n = self._n * other._n
+        return Laurent._make(self._lo + other._lo if n else 0, n, bound)
 
     __rmul__ = __mul__
-
-    def add_product_into(self, other: "Laurent", acc: dict[int, int]) -> None:
-        """acc += self * other, on a plain {exponent: coefficient} dict.
-
-        Entries that cancel stay behind as zeros; Laurent(acc) drops them.
-        """
-        get = acc.get
-        b = other._coeffs.items()
-        for k1, v1 in self._coeffs.items():
-            for k2, v2 in b:
-                k = k1 + k2
-                acc[k] = get(k, 0) + v1 * v2
 
     def __eq__(self, other):
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        return self._coeffs == other._coeffs
+        return self._exact() == other._exact() and self._lo == other._lo
 
     def __hash__(self):
-        return hash(tuple(sorted(self._coeffs.items())))
+        return hash((self._lo, self._exact()))
 
     def __bool__(self):
-        return bool(self._coeffs)
+        return not self.is_zero()
 
     def shift(self, exp: int) -> "Laurent":
         """Multiply by q^exp."""
-        return Laurent._make({k + exp: v for k, v in self._coeffs.items()})
+        if not self._n:
+            return self
+        return Laurent._make(self._lo + exp, self._n, self._bound)
 
     def substitute_inverse(self) -> "Laurent":
         """Substitute q -> q^-1."""
-        return Laurent._make({-k: v for k, v in self._coeffs.items()})
+        return Laurent({-k: v for k, v in self.items()})
 
     def evaluate(self, x: Fraction) -> Fraction:
-        if any(k < 0 for k in self._coeffs) and x == 0:
+        terms = self.items()
+        if terms and terms[0][0] < 0 and x == 0:
             raise ZeroDivisionError("negative q-power evaluated at 0")
-        return sum((Fraction(v) * Fraction(x) ** k for k, v in self._coeffs.items()),
-                   Fraction(0))
+        return sum((Fraction(v) * Fraction(x) ** k for k, v in terms), Fraction(0))
 
     def to_str(self, var: str = "q") -> str:
-        if not self._coeffs:
+        if self.is_zero():
             return "0"
         parts = []
-        for exp, coeff in sorted(self._coeffs.items(), reverse=True):
+        for exp, coeff in reversed(self.items()):
             if exp == 0:
                 body = str(abs(coeff))
             else:
@@ -440,6 +465,74 @@ class Laurent:
 
     def __repr__(self):
         return f"Laurent({self.to_str()})"
+
+
+def _read(n: int, bound: int) -> int:
+    """N, once its bound shows that every coefficient fits its digit."""
+    if bound >= _HALF:
+        raise RuntimeError(f"internal: Laurent coefficient bound {bound} "
+                           f"reaches half a {_SLOT}-bit slot")
+    return n
+
+
+def _packed(lo: int, n: int, bound: int) -> Laurent:
+    """q^lo N as a Laurent of the given bound, lo raised past the zero
+    digits at the bottom of N."""
+    if n and not n & _MASK:
+        # a zero lowest digit, which only the bound shows to be 0
+        n = _read(n, bound)
+        zeros = ((n & -n).bit_length() - 1) // _SLOT
+        lo, n = lo + zeros, n >> zeros * _SLOT
+    return Laurent._make(lo if n else 0, n, bound)
+
+
+def _packed_sum(lo1: int, n1: int, lo2: int, n2: int, bound: int) -> Laurent:
+    """q^lo1 N1 + q^lo2 N2 as a Laurent of the given bound, where each part
+    is zero or has its lowest exponent at its lo."""
+    if not n1:
+        return Laurent._make(lo2 if n2 else 0, n2, bound)
+    if not n2:
+        return Laurent._make(lo1, n1, bound)
+    if lo1 < lo2:
+        return Laurent._make(lo1, n1 + (n2 << (lo2 - lo1) * _SLOT), bound)
+    if lo1 > lo2:
+        return Laurent._make(lo2, (n1 << (lo1 - lo2) * _SLOT) + n2, bound)
+    return _packed(lo1, n1 + n2, bound)
+
+
+def add_products_into(acc: dict[Vec, Laurent], c: Laurent,
+                      terms: Iterable[tuple[Vec, Laurent]], shift: Vec) -> None:
+    """acc[v + shift] += c * e for every term (v, e), in place: one int
+    product and one shifted int add per term.  An entry that cancels is
+    kept, as zero.
+
+    The bounds added are those of the terms times the exact norm of c, so
+    that peeling, where each c is an entry of acc, does not multiply the
+    bounds along its chains of subtractions.
+    """
+    lo, n, bound = c._lo, c._n, c._norm()
+    if not n:
+        return
+    get, add, shifted = acc.get, operator.add, any(shift)
+    for v, e in terms:
+        k = tuple(map(add, v, shift)) if shifted else v
+        plo, pn, pb = lo + e._lo, n * e._n, bound * e._bound
+        a = get(k)
+        if a is not None:
+            pb += a._bound
+            an = a._n
+            if an:
+                alo = a._lo
+                if alo < plo:
+                    plo, pn = alo, an + (pn << (plo - alo) * _SLOT)
+                elif alo > plo:
+                    pn += an << (alo - plo) * _SLOT
+                else:
+                    pn += an
+                    if not pn & _MASK:
+                        acc[k] = _packed(plo, pn, pb)
+                        continue
+        acc[k] = Laurent._make(plo, pn, pb)
 
 
 # ---------------------------------------------------------------------------
@@ -550,29 +643,39 @@ class GroupAlgebraElement:
         return NotImplemented
 
     def product_coefficients(self, other: "GroupAlgebraElement",
-                             points: Sequence[Vec]) -> dict[Vec, dict[int, int]]:
-        """Coefficients of self * other at the given points only, as the
-        plain accumulators of ``Laurent.add_product_into`` (so they may hold
-        zero entries).
+                             points: Sequence[Vec]) -> dict[Vec, Laurent]:
+        """Coefficients of self * other at the given points only.  Points
+        no pair of terms reaches are omitted; a coefficient that cancels is
+        kept, as zero.
 
         Each point costs one lookup per term of the smaller factor, instead
-        of forming the whole product.  Points no pair of terms reaches are
-        omitted.
+        of forming the whole product, and each pair of terms that meets
+        there one int product and one shifted int add.
         """
         self._check_rank(other)
         small, large = self._terms, other._terms
         if len(small) > len(large):
             small, large = large, small
-        small_items = list(small.items())
-        out: dict[Vec, dict[int, int]] = {}
+        small_items = [(y, c._lo, c._n, c._bound) for y, c in small.items()]
+        get, sub = large.get, operator.sub
+        out: dict[Vec, Laurent] = {}
         for v in points:
-            acc: dict[int, int] = {}
-            for y, c in small_items:
-                d = large.get(tuple(map(operator.sub, v, y)))
-                if d is not None:
-                    c.add_product_into(d, acc)
-            if acc:
-                out[v] = acc
+            lo = n = bound = 0
+            for y, clo, cn, cb in small_items:
+                d = get(tuple(map(sub, v, y)))
+                if d is None:
+                    continue
+                plo = clo + d._lo
+                bound += cb * d._bound
+                if not n:
+                    lo, n = plo, cn * d._n
+                elif plo >= lo:
+                    n += cn * d._n << (plo - lo) * _SLOT
+                else:
+                    n = (n << (lo - plo) * _SLOT) + cn * d._n
+                    lo = plo
+            if bound:  # some pair met at v: every stored term has a bound >= 1
+                out[v] = Laurent._make(lo, n, bound) if n & _MASK else _packed(lo, n, bound)
         return out
 
     def shift(self, v: Vec) -> "GroupAlgebraElement":

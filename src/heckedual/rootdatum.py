@@ -10,12 +10,14 @@ Facts about a datum are decided from its k simple roots: finite type from
 the k leading principal minors of the Cartan matrix, and the positive roots
 by reflecting upward from the simple roots.  The Weyl group is enumerated
 only where its elements are wanted (`weyl_group`, `longest_element`,
-`stabilizer_poincare`), under a cap.
+`stabilizer_poincare`), under a cap; its order comes from the heights of
+the positive roots (`weyl_order`).
 """
 
 from __future__ import annotations
 
 import itertools
+from collections import Counter
 from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Optional, Sequence
@@ -259,8 +261,22 @@ def weyl_group(d: RootDatum, cap: int = DEFAULT_WEYL_CAP) -> tuple[WeylElement, 
     return _weyl_group_cached(d, cap)
 
 
-def weyl_order(d: RootDatum, cap: int = DEFAULT_WEYL_CAP) -> int:
-    return len(weyl_group(d, cap))
+def weyl_order(d: RootDatum) -> int:
+    """|W| = prod (m_i + 1) over the exponents m_i, without enumerating W.
+
+    The numbers of positive roots of height 1, 2, ... form a partition
+    whose dual partition is the exponents (Kostant 1959; Humphreys,
+    Reflection Groups and Coxeter Groups, 3.20).  The height of beta is
+    <beta, rhovee>, half its pairing with the sum of the positive coroots.
+    """
+    roots, coroots = positive_roots(d)
+    two_rhovee = tuple(map(sum, zip(*coroots)))
+    counts = Counter(dot(beta, two_rhovee) // 2 for beta in roots)
+    order = 1
+    for height, count in counts.items():
+        # count - counts[height + 1] exponents equal height
+        order *= (height + 1) ** (count - counts[height + 1])
+    return order
 
 
 def longest_element(d: RootDatum) -> WeylElement:
@@ -404,6 +420,9 @@ def datum_isomorphic(d1: RootDatum, d2: RootDatum) -> Optional[IntMatrix]:
         return None
     n = d1.rank
     k = d1.semisimple_rank
+    if k == 0:
+        # tori: every unimodular map is an isomorphism, and I is the closest
+        return mat_identity(n)
     c1 = cartan_matrix(d1)
     c2 = cartan_matrix(d2)
     best = None

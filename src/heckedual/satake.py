@@ -66,6 +66,7 @@ from .lattice import (
     GroupAlgebraElement,
     Laurent,
     Vec,
+    add_products_into,
     dot,
     vec_add,
     vec_scale,
@@ -358,16 +359,13 @@ def _peel(dd: LanglandsDualData, lam: Vec, mu: Vec) -> tuple[Vec, tuple[tuple[Ve
     residual = s_lam.poly.product_coefficients(s_mu.poly, points)
     coeffs: dict[Vec, Laurent] = {}
     for nu in points:
-        c = Laurent(residual.get(nu))
+        c = residual.get(nu)
         if not c:
             continue
         coeffs[nu] = c
-        minus_c = -c
         rep, image = _class_image(dd, nu, pairings(d, nu))
-        z = vec_sub(nu, rep)
-        for kappa, e in image.dominant_terms:
-            minus_c.add_product_into(e, residual.setdefault(vec_add(kappa, z), {}))
-    if any(any(acc.values()) for acc in residual.values()):
+        add_products_into(residual, -c, image.dominant_terms, vec_sub(nu, rep))
+    if any(residual.values()):
         raise RuntimeError("internal: nonzero residual at a dominant point after peeling")
     if coeffs.get(top) != Laurent.one():
         raise RuntimeError("internal: top coefficient is not 1")
@@ -492,16 +490,3 @@ def compare_rank1_oracle(q0: int, max_height: int,
                 entries.append(OracleEntry(m, n, nu[0], 0, 0,
                                            expansion.get(nu).evaluate(Fraction(q0)), True))
     return OracleReport(q0, max_height, tuple(entries))
-
-
-# ---------------------------------------------------------------------------
-# enumeration of the dominant coweights in a box, for the test suite
-
-
-def enumerate_dominant(d: RootDatum, height: int) -> tuple[Vec, ...]:
-    """All dominant coweights with every coordinate bounded by height in
-    absolute value, in decreasing dominance-compatible order."""
-    found = [v for v in itertools.product(range(-height, height + 1), repeat=d.rank)
-             if is_dominant_coweight(d, v)]
-    found.sort(key=lambda v: coweight_order_key(d, v))
-    return tuple(found)

@@ -1,6 +1,18 @@
+import itertools
+
 import pytest
 
 from heckedual import satake
+from heckedual.rootdatum import coweight_order_key, is_dominant_coweight
+
+
+def enumerate_dominant(d, height):
+    """All dominant coweights with every coordinate bounded by height in
+    absolute value, in decreasing dominance-compatible order."""
+    found = [v for v in itertools.product(range(-height, height + 1), repeat=d.rank)
+             if is_dominant_coweight(d, v)]
+    found.sort(key=lambda v: coweight_order_key(d, v))
+    return tuple(found)
 
 
 @pytest.fixture

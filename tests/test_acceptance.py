@@ -49,11 +49,12 @@ from heckedual.rfunc import (
 from heckedual.satake import (
     compare_rank1_oracle,
     dot_act_poly,
-    enumerate_dominant,
     lift_exponent,
     satake_image_extended,
     structure_polynomials,
 )
+
+from conftest import enumerate_dominant
 
 
 def report(number: int, title: str, ok: bool, detail: str = ""):

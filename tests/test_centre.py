@@ -14,11 +14,12 @@ from heckedual.lattice import dot, vec_add, vec_scale
 from heckedual.rootdatum import BUILTINS, TRIVIAL, RootDatum, dominant_below, require_valid
 from heckedual.satake import (
     HeckeExpansion,
-    enumerate_dominant,
     satake_image,
     satake_image_extended,
     structure_polynomials,
 )
+
+from conftest import enumerate_dominant
 
 # one simple root, centre {v : v0 + 2 v1 + 3 v2 = 0} of rank 2, containing
 # no coordinate axis
@@ -192,3 +193,17 @@ def test_mutating_an_expansion_leaves_the_next_call_alone(name, lam, mu):
     swapped.coeffs.update({nu: c + 1 for nu, c in swapped.coeffs.items()})
     assert structure_polynomials(dd, lam, mu).coeffs == expected
     assert structure_polynomials(dd, mu, lam).coeffs == expected
+
+
+def test_equal_datum_hits_the_caches(fresh_images):
+    # the caches key on the dual data, whose hash is computed once when it
+    # is built: a fresh equal instance must find the same entries
+    d = BUILTINS["GL3"]
+    dd, fresh = langlands_dual_data(d), langlands_dual_data.__wrapped__(d)
+    assert fresh is not dd and hash(fresh) == hash(dd)
+    image = satake_image(dd, (1, 0, 0))
+    expansion = structure_polynomials(dd, (1, 0, 0), (0, 0, -1))
+    sizes = len(satake._images), len(satake._expansions)
+    assert satake_image(fresh, (1, 0, 0)) is image
+    assert structure_polynomials(fresh, (0, 0, -1), (1, 0, 0)) == expansion
+    assert (len(satake._images), len(satake._expansions)) == sizes

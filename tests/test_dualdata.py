@@ -183,6 +183,30 @@ class TestNoWeylEnumeration:
             DualRepresentation(dd, weights[:2])
         assert enumerations == []
 
+    def test_dual_data_commands_count_w(self, enumerations, capsys, monkeypatch, tmp_path):
+        # GL21: |W| = 21!, refused under the default cap at once
+        monkeypatch.delenv("HECKEDUAL_MAX_WEYL", raising=False)
+        roots = [[int(c == i) - int(c == i + 1) for c in range(21)] for i in range(20)]
+        path = tmp_path / "gl21.json"
+        path.write_text(json.dumps({"name": "GL21", "rank": 21, "simple_roots": roots,
+                                    "simple_coroots": roots}))
+        assert main(["dualdata", str(path)]) == 3
+        assert capsys.readouterr().err == (
+            f"resource cap: Weyl group exceeds the cap of {rootdatum.DEFAULT_WEYL_CAP} elements\n")
+        for order, argv in ((6, ["dualdata", "GL3"]), (6, ["satake", "GL3", "--coweight", "1,0,0"]),
+                            (6, ["mult", "GL3", "--lhs", "1,0,0", "--rhs", "0,0,-1"]),
+                            (2, ["rfactor", "PGL2", "--weights", "1,1;-1,0", "--values", "2",
+                                 "--q", "3", "--s", "2"])):
+            assert main(["--max-weyl", str(order)] + argv) == 0
+            assert main(["--max-weyl", str(order - 1)] + argv) == 3
+        assert enumerations == []
+
+    def test_equal_data_hash_equal(self):
+        for d in list(BUILTINS.values()) + [TRIVIAL]:
+            fresh = langlands_dual_data.__wrapped__(d)
+            assert fresh == langlands_dual_data(d) and fresh is not langlands_dual_data(d)
+            assert hash(fresh) == hash(langlands_dual_data(d))
+
     def test_weyl_command_enumerates_once(self, enumerations, capsys):
         assert main(["--max-weyl", "6", "--format", "json", "weyl", "GL3"]) == 0
         result = json.loads(capsys.readouterr().out)

@@ -9,6 +9,7 @@ from heckedual.errors import RankMismatchError
 from heckedual.lattice import (
     GroupAlgebraElement,
     Laurent,
+    add_products_into,
     mat_apply,
     mat_det,
     mat_identity,
@@ -59,19 +60,132 @@ class TestLaurent:
     def test_str(self):
         assert str(Laurent({1: 1, 0: -2, -2: 3})) == "q - 2 + 3*q^-2"
         assert str(Laurent.zero()) == "0"
+        assert str(Laurent.one()) == "1"
+        assert str(Laurent({1: -1})) == "-q"
+        assert str(Laurent({-1: 2, 3: -1})) == "-q^3 + 2*q^-1"
+        assert str(Laurent({0: -5, 1: 1, -1: -1})) == "q - 5 - q^-1"
+        assert Laurent({2: 7, -3: -1}).to_str("t") == "7*t^2 - t^-3"
+        assert repr(Laurent({0: 1, -1: 1})) == "Laurent(1 + q^-1)"
 
-    def test_add_product_into_accumulates(self):
+    def test_add_products_into_accumulates(self):
         rng = random.Random(29)
         for _ in range(20):
             a, b, c = (random_laurent(rng) for _ in range(3))
-            acc = dict(c.items())
-            a.add_product_into(b, acc)
-            assert Laurent(acc) == c + a * b
-        # cancelled entries stay behind as zeros and drop on conversion
+            acc = {(0,): c}
+            add_products_into(acc, a, [((0,), b)], (0,))
+            assert acc[(0,)] == c + a * b
+        # shifted keys, and an entry that cancels is kept, as zero
         acc = {}
-        Laurent({1: 1}).add_product_into(Laurent({0: 2}), acc)
-        Laurent({1: -2}).add_product_into(Laurent({0: 1}), acc)
-        assert acc == {1: 0} and Laurent(acc).is_zero()
+        add_products_into(acc, Laurent({1: 1}), [((0,), Laurent({0: 2}))], (3,))
+        add_products_into(acc, Laurent({1: -2}), [((1,), Laurent({0: 1}))], (2,))
+        assert list(acc) == [(3,)] and acc[(3,)].is_zero()
+        assert acc[(3,)] == Laurent.zero() and acc[(3,)].items() == []
+
+
+def dict_sum(a, b, sign=1):
+    out = dict(a)
+    for k, v in b.items():
+        out[k] = out.get(k, 0) + sign * v
+    return {k: v for k, v in out.items() if v}
+
+
+def dict_product(a, b):
+    out = {}
+    for k1, v1 in a.items():
+        for k2, v2 in b.items():
+            out[k1 + k2] = out.get(k1 + k2, 0) + v1 * v2
+    return {k: v for k, v in out.items() if v}
+
+
+def edge_laurent(rng):
+    """One to three terms whose coefficients reach near half a slot, with
+    norm below 2^63 - 1."""
+    exps = rng.sample(range(-5, 6), rng.randint(1, 3))
+    room = ((1 << 63) - 2) // len(exps)
+    return Laurent({e: rng.randint(1, room) * rng.choice((-1, 1)) for e in exps})
+
+
+class TestPackedLaurent:
+    """Laurent is packed into one int; every result must match a plain
+    {exponent: coefficient} computation."""
+
+    def check(self, x, expected):
+        assert x.items() == sorted(expected.items())
+        assert x == Laurent(expected) and hash(x) == hash(Laurent(expected))
+        assert x.is_zero() == (not expected)
+        if expected:
+            assert x.min_exp() == min(expected)
+
+    def test_random_arithmetic_matches_dicts(self):
+        rng = random.Random(41)
+        for _ in range(300):
+            a, b = random_laurent(rng, size=4, span=5), random_laurent(rng, size=4, span=5)
+            da, db = dict(a.items()), dict(b.items())
+            self.check(a + b, dict_sum(da, db))
+            self.check(a - b, dict_sum(da, db, -1))
+            self.check(a * b, dict_product(da, db))
+            self.check(-a, {k: -v for k, v in da.items()})
+            k = rng.randint(-7, 7)
+            self.check(a.shift(k), {e + k: v for e, v in da.items()})
+            self.check(a.substitute_inverse(), {-e: v for e, v in da.items()})
+            self.check(a * 3 - 2, dict_sum({e: 3 * v for e, v in da.items()}, {0: 2}, -1))
+
+    def test_cancellation_to_zero(self):
+        rng = random.Random(43)
+        for _ in range(50):
+            a, b = random_laurent(rng, span=6), random_laurent(rng, span=6)
+            for zero in (a - a, a + (-a), a * b - b * a, (a + b) - b - a):
+                self.check(zero, {})
+                assert zero == Laurent.zero() and hash(zero) == hash(Laurent.zero())
+                assert str(zero) == "0"
+                with pytest.raises(ValueError):
+                    zero.min_exp()
+        # the lowest digits cancel and the rest moves down into place
+        x = Laurent({-3: 2, -1: 1, 4: -1}) + Laurent({-3: -2, 2: 5})
+        self.check(x, {-1: 1, 2: 5, 4: -1})
+
+    def test_coefficients_near_the_slot_edge(self):
+        rng = random.Random(47)
+        top = (1 << 63) - 1
+        for coeffs in ({0: top}, {0: -top}, {-2: top >> 1, 1: -(top >> 1)},
+                       {0: -(1 << 62), 1: (1 << 62) - 1}, {-1: -1, 0: -(1 << 62), 3: 1}):
+            x = Laurent(coeffs)
+            self.check(x, coeffs)
+            self.check(-x, {k: -v for k, v in coeffs.items()})
+            self.check(x.shift(-9), {k - 9: v for k, v in coeffs.items()})
+        for _ in range(200):
+            a = edge_laurent(rng)
+            da = dict(a.items())
+            self.check(a, da)
+            self.check(-a, {k: -v for k, v in da.items()})
+            self.check(a + Laurent({9: 1}), dict_sum(da, {9: 1}))
+            self.check(a.shift(4) - Laurent({1: -1}),
+                       dict_sum({k + 4: v for k, v in da.items()}, {1: 1}))
+        half = Laurent({0: (1 << 62) - 1})
+        self.check(half + half, {0: (1 << 63) - 2})
+        self.check(Laurent({0: 1 << 31}) * Laurent({0: (1 << 31) - 1, 5: -3}),
+                   {0: (1 << 62) - (1 << 31), 5: -3 << 31})
+
+    def test_bound_at_half_a_slot_trips(self):
+        reads = (lambda x: x.items(), lambda x: x.is_zero(), bool, hash, str,
+                 lambda x: x == Laurent.zero(), lambda x: x.min_exp())
+        big = Laurent({0: 1 << 62})
+        # each has norm 2^63: the first would decode correctly, the others
+        # would not, and the bound cannot tell them apart
+        for x in (Laurent({0: 1 << 62, 1: 1 << 62}), Laurent({0: 1 << 63}),
+                  big + big, big * 2, big - (-big)):
+            for read in reads:
+                with pytest.raises(RuntimeError, match="half a 64-bit slot"):
+                    read(x)
+
+    def test_loose_bounds_take_exact_norms(self):
+        # y * x - y * (x - 1) == y: the bounds multiply by 2 |x|_1 + 1 = 9
+        # per step and pass 2^63 long before the end, the norms do not
+        x = Laurent({-1: 1, 2: -3})
+        y = Laurent({0: 2, 1: -1})
+        for _ in range(60):
+            y = y * x - y * (x - 1)
+        assert y == Laurent({0: 2, 1: -1})
 
 
 class TestGroupAlgebra:

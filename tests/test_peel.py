@@ -23,12 +23,13 @@ from heckedual.satake import (
     HeckeExpansion,
     SphericalFunction,
     dot_act_poly,
-    enumerate_dominant,
     lift_exponent,
     satake_image,
     satake_image_extended,
     structure_polynomials,
 )
+
+from conftest import enumerate_dominant
 
 DD_PGL2 = langlands_dual_data(BUILTINS["PGL2"])
 
@@ -203,3 +204,31 @@ def test_peel_residual_nonzero_raises(monkeypatch, fresh_images, corruption):
     monkeypatch.setattr(satake, "_class_image", class_image)
     with pytest.raises(RuntimeError, match="nonzero residual"):
         structure_polynomials(DD_PGL2, (1,), (1,))
+
+
+def test_peel_top_not_one_raises(monkeypatch, fresh_images):
+    # 2 S(1) * 2 S(1) = 4 S(2) + 4 (q^-1 + q^-2) S(0) peels to a zero
+    # residual, so only the unit-top check sees it
+    real = satake._class_image
+
+    def class_image(dd, lam, pairings):
+        rep, found = real(dd, lam, pairings)
+        if rep != (1,):
+            return rep, found
+        return rep, SphericalFunction(found.poly.scale(2), found.datum)
+
+    monkeypatch.setattr(satake, "_class_image", class_image)
+    with pytest.raises(RuntimeError, match="top coefficient is not 1"):
+        structure_polynomials(DD_PGL2, (1,), (1,))
+
+
+def test_image_top_not_one_raises(monkeypatch, fresh_images):
+    # a Demazure-Lusztig step that also hands e^(1,0) back to the start
+    real = satake._demazure_lusztig
+
+    def corrupted(elem, alpha, alphavee):
+        return real(elem, alpha, alphavee) + GroupAlgebraElement.monomial(lift_exponent((1,), 0))
+
+    monkeypatch.setattr(satake, "_demazure_lusztig", corrupted)
+    with pytest.raises(RuntimeError, match="leading coefficient at \\(1,\\) is not 1"):
+        satake_image(DD_PGL2, (1,))

@@ -57,6 +57,11 @@ def type_a_cartan(k, affine=False):
     return tuple(tuple(entry(i, j) for j in range(k)) for i in range(k))
 
 
+def gl_roots(n):
+    """The simple roots e_i - e_(i+1) of GL_n, which are also its simple coroots."""
+    return tuple(tuple(int(c == i) - int(c == i + 1) for c in range(n)) for i in range(n - 1))
+
+
 def closure_positive_roots(d):
     """Positive roots the long way, to check positive_roots against: close the
     simple roots under every simple reflection, negative roots included, and
@@ -203,6 +208,24 @@ class TestWeylGroup:
         assert weyl_order(BUILTINS["GL3"]) == 6
         assert weyl_order(BUILTINS["Sp4"]) == 8
 
+    def test_order_from_exponents_matches_enumeration(self):
+        f4 = simply_connected("F4", ((2, -1, 0, 0), (-1, 2, -2, 0), (0, -1, 2, -1), (0, 0, -1, 2)))
+        a1xa1 = simply_connected("A1xA1", ((2, 0), (0, 2)))
+        data = list(SIMPLY_CONNECTED) + [f4, a1xa1, TRIVIAL, RootDatum(2, (), (), "T2")]
+        for d in BUILTINS.values():
+            data += [d, extend_datum(d).ext]
+        for d in data:
+            assert weyl_order(d) == len(weyl_group(d)), d.name
+        assert (weyl_order(f4), weyl_order(SIMPLY_CONNECTED[4]), weyl_order(a1xa1)) == (1152, 192, 4)
+
+    def test_order_of_a_large_datum_enumerates_nothing(self, monkeypatch):
+        def refuse(d, cap):
+            raise AssertionError("Weyl group enumerated")
+
+        monkeypatch.setattr(rootdatum, "_weyl_group_cached", refuse)
+        gl21 = RootDatum(21, gl_roots(21), gl_roots(21), "GL21")
+        assert weyl_order(gl21) == 51090942171709440000  # 21!
+
     def test_lengths_are_inversions(self):
         for name in ("PGL2", "GL2", "GL3", "Sp4", "SO5"):
             d = BUILTINS[name]
@@ -300,6 +323,12 @@ class TestIsomorphism:
             iso = datum_isomorphic(d, d)
             assert iso == tuple(tuple(1 if i == j else 0 for j in range(d.rank))
                                 for i in range(d.rank))
+
+    def test_torus_self_isomorphism_is_identity(self):
+        for rank in (0, 1, 2, 3):
+            torus = RootDatum(rank, (), (), f"T{rank}")
+            assert datum_isomorphic(torus, torus) == tuple(
+                tuple(int(r == c) for c in range(rank)) for r in range(rank))
 
     def test_sl2_pgl2_not_isomorphic(self):
         assert datum_isomorphic(BUILTINS["SL2"], BUILTINS["PGL2"]) is None

@@ -15,13 +15,14 @@ from heckedual.satake import (
     dot_act,
     dot_act_poly,
     dot_act_word,
-    enumerate_dominant,
     lift_exponent,
     satake_image,
     satake_image_extended,
     structure_polynomials,
     tree_structure_constants,
 )
+
+from conftest import enumerate_dominant
 
 PGL2 = BUILTINS["PGL2"]
 DD_PGL2 = langlands_dual_data(PGL2)
