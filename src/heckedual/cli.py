@@ -37,7 +37,7 @@ from .rootdatum import (
     dual_datum,
     lookup_datum,
     positive_roots,
-    validate_datum,
+    require_valid,
     weyl_group,
     weyl_order,
 )
@@ -87,10 +87,7 @@ def parse_datum(doc: bytes | str) -> RootDatum:
         )
     except (KeyError, TypeError, ValueError) as exc:
         raise ValidationError(f"bad datum document: {exc}") from None
-    issues = validate_datum(datum)
-    if issues:
-        raise ValidationError("invalid root datum: " + "; ".join(issues))
-    return datum
+    return require_valid(datum)
 
 
 def emit_datum(d: RootDatum) -> dict:

@@ -36,7 +36,6 @@ from .rootdatum import (
     positive_roots,
     require_valid,
     simple_reflection_x,
-    validate_datum,
 )
 
 
@@ -77,9 +76,10 @@ def extend_datum(d: RootDatum) -> ExtendedDatum:
     coroots = tuple(v + (1,) for v in d.simple_coroots)
     name = f"{d.name}~" if d.name else ""
     ext = RootDatum(d.rank + 1, roots, coroots, name)
-    issues = validate_datum(ext)
-    if issues:
-        raise ValidationError("extension failed validation: " + "; ".join(issues))
+    try:
+        require_valid(ext)
+    except ValidationError as exc:
+        raise ValidationError(f"extension failed validation: {exc}") from None
     r = (0,) * d.rank + (1,)
     datum = ExtendedDatum(d, ext, r, d.rank)
     for i, alphavee in enumerate(ext.simple_coroots):
@@ -98,10 +98,8 @@ def epsilon_of(d: RootDatum) -> tuple[int, Vec]:
     is not divisible by 2 in the character lattice.  Centrality amounts to
     dot(t, betavee) being even for every coroot, which is checked.
     """
-    require_valid(d)
     t = positive_root_sum(d)
-    _, coroots = positive_roots(d)
-    for betavee in coroots:
+    for betavee in positive_roots(d)[1]:
         if dot(t, betavee) % 2:
             raise RuntimeError(f"internal: dot(t, {betavee}) is odd; sign not central")
     order = 2 if any(x % 2 for x in t) else 1

@@ -26,8 +26,8 @@ from typing import Sequence, Union
 
 from .dualdata import LanglandsDualData
 from .errors import OmegaViolationError, PoleError, ValidationError
-from .lattice import Vec, dot, mat_apply
-from .rootdatum import simple_reflection_y, weyl_group
+from .lattice import Vec, mat_apply
+from .rootdatum import simple_reflection_y
 
 # ---------------------------------------------------------------------------
 # the quadratic coefficient field Q(sqrt(rad))
@@ -285,10 +285,17 @@ class DualRepresentation:
 
     @classmethod
     def from_orbits(cls, dd: LanglandsDualData, seeds: Sequence[Sequence[int]]) -> "DualRepresentation":
+        """The union of the seeds' Weyl orbits, each walked by the simple reflections."""
+        reflections = [simple_reflection_y(dd.ext, i) for i in range(dd.ext.semisimple_rank)]
         weights: list[Vec] = []
         for seed in seeds:
-            seed = tuple(int(x) for x in seed)
-            orbit = {tuple(dot(row, seed) for row in w.mat_y) for w in weyl_group(dd.ext)}
+            orbit = {tuple(int(x) for x in seed)}
+            frontier = list(orbit)
+            while frontier:
+                wt = frontier.pop()
+                images = {mat_apply(s, wt) for s in reflections} - orbit
+                orbit |= images
+                frontier.extend(images)
             weights.extend(sorted(orbit))
         return cls(dd, tuple(weights))
 

@@ -6,21 +6,23 @@ vector lists.  The builtin registry covers simply connected, adjoint and
 self-dual presentations in ranks one to three, which is enough to exercise
 both values of the central sign downstream.
 
-Facts about a datum are decided from its k simple roots: finite type from
-the k leading principal minors of the Cartan matrix, and the positive roots
-by reflecting upward from the simple roots.  The Weyl group is enumerated
-only where its elements are wanted (`weyl_group`, `longest_element`,
-`stabilizer_poincare`), under a cap; its order comes from the heights of
-the positive roots (`weyl_order`).
+Facts about a datum are decided once, from its k simple roots, and cached
+together (`_facts`): validity, with finite type from the k leading principal
+minors of the Cartan matrix; the positive roots with their heights, by
+reflecting upward from the simple roots; twice rho; and the exponents, from
+which come |W| (`weyl_order`) and the Poincare polynomials of stabilizers
+(`stabilizer_poincare`).  The Weyl group is enumerated only where its
+elements are the output (`weyl_group`), under a cap.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 from collections import Counter
 from dataclasses import dataclass, field
 from functools import lru_cache
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 from .errors import CapExceededError, RankMismatchError, ValidationError
 from .lattice import (
@@ -29,14 +31,12 @@ from .lattice import (
     Vec,
     dot,
     int_rank,
-    mat_apply,
     mat_det,
     mat_identity,
     mat_mul,
     mat_transpose,
     solve_integer_linear,
     solve_rational,
-    vec_add,
     vec_scale,
     vec_sub,
 )
@@ -147,9 +147,7 @@ def validate_datum(d: RootDatum) -> list[str]:
 
 
 def require_valid(d: RootDatum) -> RootDatum:
-    issues = validate_datum(d)
-    if issues:
-        raise ValidationError("invalid root datum: " + "; ".join(issues))
+    _facts(d)
     return d
 
 
@@ -180,18 +178,37 @@ def simple_reflection_y(d: RootDatum, i: int) -> IntMatrix:
                  for r in range(n))
 
 
-@lru_cache(maxsize=None)
-def positive_roots(d: RootDatum) -> tuple[tuple[Vec, ...], tuple[Vec, ...]]:
-    """All positive roots with their coroots, matched index by index and
-    sorted by (height, root).
+def _exponents(heights: Sequence[int]) -> tuple[int, ...]:
+    """The exponents of a root system: the dual partition of the numbers of
+    its positive roots of height 1, 2, ... (Kostant 1959; Humphreys,
+    Reflection Groups and Coxeter Groups, 3.20)."""
+    counts = Counter(heights)
+    # count - counts[height + 1] exponents equal height
+    return tuple(height for height in sorted(counts)
+                 for _ in range(counts[height] - counts[height + 1]))
 
-    s_i permutes the positive roots other than alpha_i (Humphreys,
-    Reflection Groups and Coxeter Groups, 1.4), sending beta to
-    beta - <beta, alphavee_i> alpha_i of height h(beta) - <beta, alphavee_i>
-    and betavee to s_i(betavee); every positive root is reached this way
-    from the simple roots.
-    """
-    require_valid(d)
+
+class _Facts(NamedTuple):
+    """What the simple roots of a valid datum decide."""
+
+    cartan: IntMatrix
+    roots: tuple[Vec, ...]  # positive, sorted by (height, root)
+    coroots: tuple[Vec, ...]  # matched with roots index by index
+    heights: tuple[int, ...]
+    two_rho: Vec  # the sum of the positive roots
+    exponents: tuple[int, ...]
+
+
+@lru_cache(maxsize=None)
+def _facts(d: RootDatum) -> _Facts:
+    """Validate d, then reflect upward from its simple roots: s_i permutes
+    the positive roots other than alpha_i (Humphreys, Reflection Groups and
+    Coxeter Groups, 1.4), sending beta to beta - <beta, alphavee_i> alpha_i
+    of height h(beta) - <beta, alphavee_i> and betavee to s_i(betavee);
+    every positive root is reached this way from the simple roots."""
+    issues = validate_datum(d)
+    if issues:
+        raise ValidationError("invalid root datum: " + "; ".join(issues))
     simple = tuple(zip(d.simple_roots, d.simple_coroots))
     found = {root: (1, coroot) for root, coroot in simple}
     frontier = list(found)
@@ -212,18 +229,22 @@ def positive_roots(d: RootDatum) -> tuple[tuple[Vec, ...], tuple[Vec, ...]]:
             frontier.append(root)
         if 2 * len(found) > _ROOT_CAP:  # the cap counts all roots, negative ones too
             raise CapExceededError("root generation exceeded the safety cap")
-    ordered = sorted(found, key=lambda root: (found[root][0], root))
-    return tuple(ordered), tuple(found[root][1] for root in ordered)
+    roots = tuple(sorted(found, key=lambda root: (found[root][0], root)))
+    heights = tuple(found[root][0] for root in roots)
+    return _Facts(cartan_matrix(d), roots, tuple(found[root][1] for root in roots), heights,
+                  tuple(map(sum, zip((0,) * d.rank, *roots))), _exponents(heights))
 
 
-@lru_cache(maxsize=None)
+def positive_roots(d: RootDatum) -> tuple[tuple[Vec, ...], tuple[Vec, ...]]:
+    """All positive roots with their coroots, matched index by index and
+    sorted by (height, root)."""
+    facts = _facts(d)
+    return facts.roots, facts.coroots
+
+
 def positive_root_sum(d: RootDatum) -> Vec:
     """Sum of all positive roots (twice the half-sum rho)."""
-    roots, _ = positive_roots(d)
-    total = (0,) * d.rank
-    for r in roots:
-        total = vec_add(total, r)
-    return total
+    return _facts(d).two_rho
 
 
 @lru_cache(maxsize=None)
@@ -234,19 +255,17 @@ def _weyl_group_cached(d: RootDatum, cap: int) -> tuple[WeylElement, ...]:
     refl_y = [simple_reflection_y(d, i) for i in range(d.semisimple_rank)]
     identity = WeylElement((), mat_identity(n), mat_identity(n))
     elements = [identity]
-    index = {identity.mat_y: 0}
+    seen = {identity.mat_y}
     head = 0
     while head < len(elements):
         w = elements[head]
         head += 1
         for i in range(d.semisimple_rank):
             mat_y = mat_mul(w.mat_y, refl_y[i])
-            if mat_y in index:
+            if mat_y in seen:
                 continue
-            mat_x = mat_mul(w.mat_x, refl_x[i])
-            element = WeylElement(w.word + (i,), mat_x, mat_y)
-            index[mat_y] = len(elements)
-            elements.append(element)
+            seen.add(mat_y)
+            elements.append(WeylElement(w.word + (i,), mat_mul(w.mat_x, refl_x[i]), mat_y))
             if len(elements) > cap:
                 raise CapExceededError(f"Weyl group exceeds the cap of {cap} elements")
     return tuple(elements)
@@ -262,32 +281,8 @@ def weyl_group(d: RootDatum, cap: int = DEFAULT_WEYL_CAP) -> tuple[WeylElement, 
 
 
 def weyl_order(d: RootDatum) -> int:
-    """|W| = prod (m_i + 1) over the exponents m_i, without enumerating W.
-
-    The numbers of positive roots of height 1, 2, ... form a partition
-    whose dual partition is the exponents (Kostant 1959; Humphreys,
-    Reflection Groups and Coxeter Groups, 3.20).  The height of beta is
-    <beta, rhovee>, half its pairing with the sum of the positive coroots.
-    """
-    roots, coroots = positive_roots(d)
-    two_rhovee = tuple(map(sum, zip(*coroots)))
-    counts = Counter(dot(beta, two_rhovee) // 2 for beta in roots)
-    order = 1
-    for height, count in counts.items():
-        # count - counts[height + 1] exponents equal height
-        order *= (height + 1) ** (count - counts[height + 1])
-    return order
-
-
-def longest_element(d: RootDatum) -> WeylElement:
-    return max(weyl_group(d), key=lambda w: w.length)
-
-
-def inversion_count(d: RootDatum, w: WeylElement) -> int:
-    """Number of positive roots sent to negative roots; equals the length."""
-    roots, _ = positive_roots(d)
-    neg = {vec_scale(-1, r) for r in roots}
-    return sum(1 for r in roots if mat_apply(w.mat_x, r) in neg)
+    """|W| = prod (m_i + 1) over the exponents m_i, without enumerating W."""
+    return math.prod(m + 1 for m in _facts(d).exponents)
 
 
 # ---------------------------------------------------------------------------
@@ -328,7 +323,7 @@ def dominance_leq(d: RootDatum, nu: Sequence[int], lam: Sequence[int]) -> bool:
 
 def coweight_order_key(d: RootDatum, v: Vec):
     """Sort key realizing a linear extension of reverse dominance order."""
-    return (-dot(positive_root_sum(d), v),) + v
+    return (-dot(_facts(d).two_rho, v),) + v
 
 
 @lru_cache(maxsize=None)
@@ -343,7 +338,7 @@ def dominant_below(d: RootDatum, lam: Vec) -> tuple[Vec, ...]:
     k = d.semisimple_rank
     if k == 0:
         return (lam,)
-    cartan = cartan_matrix(d)
+    cartan = _facts(d).cartan
     p = pairings(d, lam)
     coords = solve_rational(cartan, p)
     assert coords is not None and all(b >= 0 for b in coords)
@@ -363,12 +358,15 @@ def dominant_below(d: RootDatum, lam: Vec) -> tuple[Vec, ...]:
 
 
 def stabilizer_poincare(d: RootDatum, lam: Sequence[int]) -> Laurent:
-    """Poincare polynomial sum t^len(w) over the stabilizer of lam in W."""
-    lam = tuple(lam)
-    out = Laurent.zero()
-    for w in weyl_group(d):
-        if mat_apply(w.mat_y, lam) == lam:
-            out = out + Laurent.q_power(w.length)
+    """Poincare polynomial sum t^len(w) over the stabilizer of a dominant lam
+    in W, which the simple reflections fixing lam generate (Humphreys 1.12):
+    prod (1 + t + ... + t^m) over the exponents m of its positive roots
+    {beta > 0 : <beta, lam> = 0}, whose heights are their heights in d."""
+    lam = require_dominant(d, lam)
+    facts = _facts(d)
+    out = Laurent.one()
+    for m in _exponents([h for beta, h in zip(facts.roots, facts.heights) if dot(beta, lam) == 0]):
+        out = out * Laurent(dict.fromkeys(range(m + 1), 1))
     return out
 
 
@@ -414,8 +412,7 @@ def datum_isomorphic(d1: RootDatum, d2: RootDatum) -> Optional[IntMatrix]:
     preferred (then determinant +1, then lexicographic order), so repeated
     calls are deterministic and self-isomorphism returns the identity.
     """
-    require_valid(d1)
-    require_valid(d2)
+    c1, c2 = _facts(d1).cartan, _facts(d2).cartan
     if d1.rank != d2.rank or d1.semisimple_rank != d2.semisimple_rank:
         return None
     n = d1.rank
@@ -423,8 +420,6 @@ def datum_isomorphic(d1: RootDatum, d2: RootDatum) -> Optional[IntMatrix]:
     if k == 0:
         # tori: every unimodular map is an isomorphism, and I is the closest
         return mat_identity(n)
-    c1 = cartan_matrix(d1)
-    c2 = cartan_matrix(d2)
     best = None
     best_key = None
     for perm in itertools.permutations(range(k)):

@@ -176,8 +176,7 @@ class TestNoWeylEnumeration:
     def test_stability(self, enumerations):
         dd = langlands_dual_data(BUILTINS["GL3"])
         weights = DualRepresentation.from_orbits(dd, [(1, 0, 0, 0)]).weights
-        assert enumerations == [("GL3~", rootdatum.DEFAULT_WEYL_CAP)]
-        enumerations.clear()
+        assert weights == ((0, 0, 1, -2), (0, 1, 0, -1), (1, 0, 0, 0))
         assert DualRepresentation(dd, weights).dimension == 3
         with pytest.raises(ValidationError, match="^weight multiset is not Weyl stable$"):
             DualRepresentation(dd, weights[:2])
@@ -200,6 +199,28 @@ class TestNoWeylEnumeration:
             assert main(["--max-weyl", str(order)] + argv) == 0
             assert main(["--max-weyl", str(order - 1)] + argv) == 3
         assert enumerations == []
+
+    def test_stabilizers(self, enumerations):
+        for d in BUILTINS.values():
+            rootdatum.stabilizer_poincare(d, (0,) * d.rank)
+        assert enumerations == []
+
+    def test_validation_once_per_datum(self, monkeypatch, capsys):
+        calls = []
+        validate = rootdatum.validate_datum
+
+        def spy(d):
+            calls.append(d)
+            return validate(d)
+
+        monkeypatch.setattr(rootdatum, "validate_datum", spy)
+        rootdatum._facts.cache_clear()
+        langlands_dual_data.cache_clear()
+        assert main(["dualdata", "GL3"]) == 0
+        capsys.readouterr()
+        # GL3, its extension, and the other seven builtins it is compared with
+        assert len(calls) == len(set(calls)) == 9
+        assert {d.name for d in calls} == {"GL3~"} | set(BUILTINS)
 
     def test_equal_data_hash_equal(self):
         for d in list(BUILTINS.values()) + [TRIVIAL]:

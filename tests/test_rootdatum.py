@@ -6,6 +6,7 @@ import random
 import pytest
 
 from heckedual import rootdatum
+from heckedual.cli import isomorphic_builtin
 from heckedual.dualdata import extend_datum
 from heckedual.errors import CapExceededError, ValidationError
 from heckedual.lattice import Laurent, mat_apply, mat_det, mat_inverse_unimodular, dot, solve_rational
@@ -17,9 +18,7 @@ from heckedual.rootdatum import (
     dominance_leq,
     dominant_below,
     dual_datum,
-    inversion_count,
     is_dominant_coweight,
-    longest_element,
     positive_root_sum,
     positive_roots,
     simple_reflection_x,
@@ -45,6 +44,7 @@ SIMPLY_CONNECTED = (
     simply_connected("C3", ((2, -1, 0), (-1, 2, -1), (0, -2, 2))),
     simply_connected("D4", ((2, -1, 0, 0), (-1, 2, -1, -1), (0, -1, 2, 0), (0, -1, 0, 2))),
 )
+F4 = simply_connected("F4", ((2, -1, 0, 0), (-1, 2, -2, 0), (0, -1, 2, -1), (0, 0, -1, 2)))
 
 
 def type_a_cartan(k, affine=False):
@@ -60,6 +60,17 @@ def type_a_cartan(k, affine=False):
 def gl_roots(n):
     """The simple roots e_i - e_(i+1) of GL_n, which are also its simple coroots."""
     return tuple(tuple(int(c == i) - int(c == i + 1) for c in range(n)) for i in range(n - 1))
+
+
+def longest_element(d):
+    return max(weyl_group(d), key=lambda w: w.length)
+
+
+def inversion_count(d, w):
+    """Number of positive roots sent to negative roots; equals the length."""
+    roots, _ = positive_roots(d)
+    neg = {tuple(-x for x in r) for r in roots}
+    return sum(1 for r in roots if mat_apply(w.mat_x, r) in neg)
 
 
 def closure_positive_roots(d):
@@ -182,18 +193,18 @@ class TestRoots:
     def test_reflection_below_height_one_is_a_tripwire(self, monkeypatch):
         # <alpha_0, alphavee_1> = 1 > 0: not a Cartan matrix, and s_0 alpha_1 =
         # alpha_1 - alpha_0 has height 0
-        monkeypatch.setattr(rootdatum, "require_valid", lambda d: d)
+        monkeypatch.setattr(rootdatum, "validate_datum", lambda d: [])
         bad = RootDatum(2, ((2, 1), (1, 2)), ((1, 0), (0, 1)))
         with pytest.raises(RuntimeError, match="of height 0"):
-            positive_roots.__wrapped__(bad)
+            rootdatum._facts.__wrapped__(bad)
 
     def test_root_cap_counts_all_roots(self, monkeypatch):
         gl3 = BUILTINS["GL3"]  # 3 positive roots, 6 roots
         monkeypatch.setattr(rootdatum, "_ROOT_CAP", 5)
         with pytest.raises(CapExceededError, match="safety cap"):
-            positive_roots.__wrapped__(gl3)
+            rootdatum._facts.__wrapped__(gl3)
         monkeypatch.setattr(rootdatum, "_ROOT_CAP", 6)
-        assert positive_roots.__wrapped__(gl3) == positive_roots(gl3)
+        assert rootdatum._facts.__wrapped__(gl3) == rootdatum._facts(gl3)
 
     def test_root_sums(self):
         assert positive_root_sum(BUILTINS["PGL2"]) == (1,)
@@ -209,14 +220,13 @@ class TestWeylGroup:
         assert weyl_order(BUILTINS["Sp4"]) == 8
 
     def test_order_from_exponents_matches_enumeration(self):
-        f4 = simply_connected("F4", ((2, -1, 0, 0), (-1, 2, -2, 0), (0, -1, 2, -1), (0, 0, -1, 2)))
         a1xa1 = simply_connected("A1xA1", ((2, 0), (0, 2)))
-        data = list(SIMPLY_CONNECTED) + [f4, a1xa1, TRIVIAL, RootDatum(2, (), (), "T2")]
+        data = list(SIMPLY_CONNECTED) + [F4, a1xa1, TRIVIAL, RootDatum(2, (), (), "T2")]
         for d in BUILTINS.values():
             data += [d, extend_datum(d).ext]
         for d in data:
             assert weyl_order(d) == len(weyl_group(d)), d.name
-        assert (weyl_order(f4), weyl_order(SIMPLY_CONNECTED[4]), weyl_order(a1xa1)) == (1152, 192, 4)
+        assert (weyl_order(F4), weyl_order(SIMPLY_CONNECTED[4]), weyl_order(a1xa1)) == (1152, 192, 4)
 
     def test_order_of_a_large_datum_enumerates_nothing(self, monkeypatch):
         def refuse(d, cap):
@@ -315,6 +325,29 @@ class TestStabilizer:
         expected = Laurent({0: 1, 1: 2, 2: 2, 3: 1})
         assert stabilizer_poincare(BUILTINS["GL3"], (0, 0, 0)) == expected
 
+    def test_exponents_match_enumeration(self):
+        def enumerated(d, lam):
+            out = Laurent.zero()
+            for w in weyl_group(d):
+                if mat_apply(w.mat_y, lam) == lam:
+                    out = out + Laurent.q_power(w.length)
+            return out
+
+        cases = [(d, (0,) * d.rank) for d in (SIMPLY_CONNECTED[0], F4)]
+        for d in BUILTINS.values():
+            for datum in (d, extend_datum(d).ext):
+                cases += [(datum, lam) for lam in itertools.product(range(-2, 3), repeat=datum.rank)
+                          if is_dominant_coweight(datum, lam)]
+        for d, lam in cases:
+            assert stabilizer_poincare(d, lam) == enumerated(d, lam), (d.name, lam)
+        assert len(cases) == 2 + 82 + 410  # G2 and F4, the builtins, their extensions
+
+    def test_requires_dominant(self):
+        # the stabilizer of (1,-1) is conjugate to a parabolic subgroup, but its
+        # lengths give t^3 + 1, which is no product over exponents
+        with pytest.raises(ValidationError, match=r"^coweight \(1, -1\) is not dominant$"):
+            stabilizer_poincare(BUILTINS["SL3"], (1, -1))
+
 
 class TestIsomorphism:
     def test_self_isomorphism_is_identity(self):
@@ -329,6 +362,26 @@ class TestIsomorphism:
             torus = RootDatum(rank, (), (), f"T{rank}")
             assert datum_isomorphic(torus, torus) == tuple(
                 tuple(int(r == c) for c in range(rank)) for r in range(rank))
+
+    def test_sheared_gl2_is_found(self):
+        gl2 = BUILTINS["GL2"]
+        count = 0
+        for s in [s for s in range(-29, 30) if s]:
+            for shear in (((1, s), (0, 1)), ((1, 0), (s, 1))):
+                # transport roots by the shear and coroots by its inverse transpose
+                dual = tuple(zip(*mat_inverse_unimodular(shear)))
+                d = RootDatum(2, (mat_apply(shear, gl2.simple_roots[0]),),
+                              (mat_apply(dual, gl2.simple_coroots[0]),), f"GL2^{shear}")
+                name, iso = isomorphic_builtin(d)
+                assert name == "GL2" and abs(mat_det(iso)) == 1, shear
+                assert mat_apply(iso, gl2.simple_roots[0]) == d.simple_roots[0]
+                assert mat_apply(tuple(zip(*iso)), d.simple_coroots[0]) == gl2.simple_coroots[0]
+                count += 1
+        assert count == 116
+
+    def test_sl2_times_gm_is_not_gl2(self):
+        sl2_gm = RootDatum(2, ((2, 0),), ((1, 0),), "SL2xGm")
+        assert datum_isomorphic(sl2_gm, BUILTINS["GL2"]) is None
 
     def test_sl2_pgl2_not_isomorphic(self):
         assert datum_isomorphic(BUILTINS["SL2"], BUILTINS["PGL2"]) is None
