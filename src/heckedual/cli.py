@@ -2,7 +2,8 @@
 
 Every command is deterministic: the same configuration produces byte
 identical JSON.  Exit codes: 0 success, 1 usage error, 2 validation
-error, 3 resource cap exceeded, 4 numeric pole or domain error.
+error, 3 resource cap exceeded or out of memory, 4 numeric pole or domain
+error.
 """
 
 from __future__ import annotations
@@ -38,8 +39,8 @@ from .rootdatum import (
     lookup_datum,
     positive_roots,
     require_valid,
+    require_weyl_cap,
     weyl_group,
-    weyl_order,
 )
 from .rfunc import (
     DualRepresentation,
@@ -178,8 +179,7 @@ def isomorphic_builtin(d: RootDatum) -> Optional[tuple[str, IntMatrix]]:
 def dual_data(args, d: RootDatum) -> LanglandsDualData:
     """Dual data of d, refused like `weyl` when |W| exceeds --max-weyl;
     |W| is counted, not enumerated."""
-    if weyl_order(d) > args.max_weyl:
-        raise CapExceededError(f"Weyl group exceeds the cap of {args.max_weyl} elements")
+    require_weyl_cap(d, args.max_weyl)
     return langlands_dual_data(d)
 
 
@@ -559,6 +559,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return 2
     except CapExceededError as exc:
         print(f"resource cap: {exc}", file=sys.stderr)
+        return 3
+    except MemoryError:
+        print("resource cap: out of memory", file=sys.stderr)
         return 3
     except (PoleError, ArithmeticError) as exc:
         print(f"numeric error: {exc}", file=sys.stderr)

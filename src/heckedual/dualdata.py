@@ -203,8 +203,8 @@ def decompose_quotient(dd: LanglandsDualData) -> QuotientDecomposition:
     The cocharacter-level map Z (+) X -> X~, (n, x) |-> n*j + (x, 0), has
     cokernel Z/2; the kernel of the corresponding torus covering is
     generated by (-1, epsilon).  Both facts are recomputed here from Smith
-    normal forms rather than read off the t-parity shortcut, so agreement
-    with epsilon_of is a genuine cross-check.
+    normal forms rather than read off the t-parity shortcut, and checked
+    against epsilon_of: a genuine cross-check.
     """
     base = dd.base
     n = base.rank
@@ -242,4 +242,7 @@ def decompose_quotient(dd: LanglandsDualData) -> QuotientDecomposition:
     parities = tuple(parity_class(tuple(1 if c == k + 1 else 0 for c in range(n + 1)))
                      for k in range(n))
     order = 2 if any(parities) else 1
+    if order != dd.epsilon_order or parities != tuple(x % 2 for x in t0):
+        raise RuntimeError(f"internal: Smith-form epsilon (order {order}, parity {parities})"
+                           f" disagrees with epsilon_of (order {dd.epsilon_order}, t {t0})")
     return QuotientDecomposition((2,), KernelElement(gm, order, parities))

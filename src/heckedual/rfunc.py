@@ -215,13 +215,9 @@ class UnramifiedParameter(TorusAssignment):
                 f" differs from q = {self.q}")
 
 
-def make_parameter(dd: LanglandsDualData, q, base_values: Sequence[FieldElement],
-                   delta_value=None) -> UnramifiedParameter:
-    """Build a parameter from values on the base coweight basis.
-
-    The delta value is forced to q; passing an explicit delta value that
-    disagrees raises the modulus violation.
-    """
+def make_parameter(dd: LanglandsDualData, q, base_values: Sequence[FieldElement]) -> UnramifiedParameter:
+    """Build a parameter from values on the base coweight basis; the delta
+    value is q, as the modulus condition asks."""
     q = Fraction(q)
     if q <= 1:
         raise ValidationError(f"residue cardinality q = {q} must exceed 1")
@@ -231,9 +227,6 @@ def make_parameter(dd: LanglandsDualData, q, base_values: Sequence[FieldElement]
     for v in base_values:
         if not v:
             raise ValidationError("parameter values must be nonzero")
-    if delta_value is not None and delta_value != q:
-        raise OmegaViolationError(
-            f"(omega) violated: delta value {delta_value} differs from q = {q}")
     values = base_values + (q,)
     return UnramifiedParameter(dd, values, q)
 

@@ -12,7 +12,8 @@ minors of the Cartan matrix; the positive roots with their heights, by
 reflecting upward from the simple roots; twice rho; and the exponents, from
 which come |W| (`weyl_order`) and the Poincare polynomials of stabilizers
 (`stabilizer_poincare`).  The Weyl group is enumerated only where its
-elements are the output (`weyl_group`), under a cap.
+elements are the output (`weyl_group`), once the counted |W| has passed a
+cap (`require_weyl_cap`).
 """
 
 from __future__ import annotations
@@ -248,8 +249,7 @@ def positive_root_sum(d: RootDatum) -> Vec:
 
 
 @lru_cache(maxsize=None)
-def _weyl_group_cached(d: RootDatum, cap: int) -> tuple[WeylElement, ...]:
-    require_valid(d)
+def _weyl_group_cached(d: RootDatum) -> tuple[WeylElement, ...]:
     n = d.rank
     refl_x = [simple_reflection_x(d, i) for i in range(d.semisimple_rank)]
     refl_y = [simple_reflection_y(d, i) for i in range(d.semisimple_rank)]
@@ -266,23 +266,29 @@ def _weyl_group_cached(d: RootDatum, cap: int) -> tuple[WeylElement, ...]:
                 continue
             seen.add(mat_y)
             elements.append(WeylElement(w.word + (i,), mat_mul(w.mat_x, refl_x[i]), mat_y))
-            if len(elements) > cap:
-                raise CapExceededError(f"Weyl group exceeds the cap of {cap} elements")
     return tuple(elements)
 
 
 def weyl_group(d: RootDatum, cap: int = DEFAULT_WEYL_CAP) -> tuple[WeylElement, ...]:
-    """All Weyl elements in breadth-first (length, then word) order.
+    """All Weyl elements in breadth-first (length, then word) order, once
+    |W| has passed the cap.
 
     The first element is the identity; each word is reduced because the
     closure is explored by increasing length.
     """
-    return _weyl_group_cached(d, cap)
+    require_weyl_cap(d, cap)
+    return _weyl_group_cached(d)
 
 
 def weyl_order(d: RootDatum) -> int:
     """|W| = prod (m_i + 1) over the exponents m_i, without enumerating W."""
     return math.prod(m + 1 for m in _facts(d).exponents)
+
+
+def require_weyl_cap(d: RootDatum, cap: int) -> None:
+    """CapExceededError when |W|, counted, exceeds the cap."""
+    if weyl_order(d) > cap:
+        raise CapExceededError(f"Weyl group exceeds the cap of {cap} elements")
 
 
 # ---------------------------------------------------------------------------
@@ -303,11 +309,16 @@ def is_dominant_coweight(d: RootDatum, v: Sequence[int]) -> bool:
     return all(x >= 0 for x in pairings(d, v))
 
 
+def require_dominant_pairings(v: Vec, p: Vec) -> None:
+    """ValidationError unless v, with pairings p, is dominant."""
+    if any(x < 0 for x in p):
+        raise ValidationError(f"coweight {v} is not dominant")
+
+
 def require_dominant(d: RootDatum, v: Sequence[int]) -> Vec:
     """v as a tuple of ints; ValidationError unless it is dominant."""
     v = tuple(int(x) for x in v)
-    if not is_dominant_coweight(d, v):
-        raise ValidationError(f"coweight {v} is not dominant")
+    require_dominant_pairings(v, pairings(d, v))
     return v
 
 

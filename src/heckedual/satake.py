@@ -82,6 +82,7 @@ from .rootdatum import (
     pairings,
     positive_root_sum,
     require_dominant,
+    require_dominant_pairings,
 )
 
 DEFAULT_TREE_NODE_CAP = 2_000_000
@@ -239,11 +240,6 @@ def satake_image_extended(dd: LanglandsDualData, lam: Vec) -> GroupAlgebraElemen
     return image
 
 
-def _require_dominant(v: Vec, p: Vec) -> None:
-    if any(x < 0 for x in p):
-        raise ValidationError(f"coweight {v} is not dominant")
-
-
 # (datum, pairings) -> (rep, S(rep)), rep the first coweight of the class asked for
 _images: dict[tuple[LanglandsDualData, Vec], tuple[Vec, SphericalFunction]] = {}
 
@@ -276,7 +272,7 @@ def satake_image(dd: LanglandsDualData, lam: Sequence[int]) -> SphericalFunction
     """
     lam = tuple(int(x) for x in lam)
     p = pairings(dd.base, lam)
-    _require_dominant(lam, p)
+    require_dominant_pairings(lam, p)
     rep, image = _class_image(dd, lam, p)
     if rep == lam:
         return image
@@ -325,7 +321,7 @@ def structure_polynomials(dd: LanglandsDualData, lam: Sequence[int], mu: Sequenc
     top = vec_add(lam, mu)
     p_lam, p_mu = pairings(d, lam), pairings(d, mu)
     for v, p in ((top, vec_add(p_lam, p_mu)), (lam, p_lam), (mu, p_mu)):
-        _require_dominant(v, p)
+        require_dominant_pairings(v, p)
     key = (dd, p_lam, p_mu) if p_lam <= p_mu else (dd, p_mu, p_lam)
     entry = _expansions.get(key)
     if entry is None:

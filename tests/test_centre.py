@@ -10,7 +10,7 @@ import pytest
 from heckedual import satake
 from heckedual.dualdata import langlands_dual_data
 from heckedual.errors import RankMismatchError
-from heckedual.lattice import dot, vec_add, vec_scale
+from heckedual.lattice import Laurent, dot, vec_add, vec_scale
 from heckedual.rootdatum import BUILTINS, TRIVIAL, RootDatum, dominant_below, require_valid
 from heckedual.satake import (
     HeckeExpansion,
@@ -177,6 +177,28 @@ def test_expansion_is_commutative(name):
     reps = {pairings(dd.base, lam): lam for lam in enumerate_dominant(dd.base, 2)}
     for lam, mu in itertools.combinations(sorted(reps.values()), 2):
         assert satake._peel(dd, lam, mu) == satake._peel(dd, mu, lam), (lam, mu)
+
+
+def times(dd, expansion, mu, left):
+    """The expansion of (sum_nu a_nu S(nu)) S(mu), each S(nu) S(mu) expanded
+    by structure_polynomials with S(mu) on the given side."""
+    out = {}
+    for nu, a in expansion.items():
+        for rho, b in structure_polynomials(dd, *((mu, nu) if left else (nu, mu))).items():
+            out[rho] = out.get(rho, Laurent.zero()) + a * b
+    return HeckeExpansion(dd.base, out)
+
+
+@pytest.mark.parametrize("name", sorted(BUILTINS))
+def test_expansion_is_associative(name):
+    # (S(a) S(b)) S(c) = S(a) (S(b) S(c)) for every unordered triple, both
+    # sides through the cached expansions, shifted across centre classes;
+    # GL3 stops at height 1 to keep the suite fast
+    dd = langlands_dual_data(BUILTINS[name])
+    doms = enumerate_dominant(dd.base, 1 if name == "GL3" else 2)
+    for a, b, c in itertools.combinations_with_replacement(doms, 3):
+        assert (times(dd, structure_polynomials(dd, a, b), c, left=False)
+                == times(dd, structure_polynomials(dd, b, c), a, left=True)), (a, b, c)
 
 
 @pytest.mark.parametrize("name, lam, mu", [

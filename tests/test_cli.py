@@ -220,6 +220,12 @@ class TestDeterminismAndExitCodes:
                              "--coweight", "5")
         assert code == 3
 
+    def test_out_of_memory_is_a_cap(self, capsys):
+        # the sieve asks for 10^18 bytes, more than any address space holds
+        code, out, err = run_cli(capsys, "euler", "--trivial", "--primes-below",
+                                 "1000000000000000000", "--s", "2")
+        assert (code, out, err) == (3, "", "resource cap: out of memory\n")
+
     def test_pole_exit_code(self, capsys):
         code, _, _ = run_cli(capsys, "euler", "--trivial", "--places", "2", "--s", "0")
         assert code == 4

@@ -1,5 +1,6 @@
 """Tests for the extended datum, rho-type weights and the central sign."""
 
+import dataclasses
 import json
 
 import pytest
@@ -152,6 +153,15 @@ class TestLanglandsDualData:
             langlands_dual_data.__wrapped__(BUILTINS["PGL2"])
 
 
+def write_gl21(tmp_path) -> str:
+    """A GL21 datum file (20 simple roots, |W| = 21!); returns its path."""
+    roots = [[int(c == i) - int(c == i + 1) for c in range(21)] for i in range(20)]
+    path = tmp_path / "gl21.json"
+    path.write_text(json.dumps({"name": "GL21", "rank": 21, "simple_roots": roots,
+                                "simple_coroots": roots}))
+    return str(path)
+
+
 class TestNoWeylEnumeration:
     """Invariance and stability are checked on the simple reflections; the
     Weyl group is enumerated only where its elements are the output."""
@@ -161,9 +171,9 @@ class TestNoWeylEnumeration:
         calls = []
         cached = rootdatum._weyl_group_cached
 
-        def spy(d, cap):
-            calls.append((d.name, cap))
-            return cached(d, cap)
+        def spy(d):
+            calls.append((d.name,))
+            return cached(d)
 
         monkeypatch.setattr(rootdatum, "_weyl_group_cached", spy)
         return calls
@@ -185,11 +195,7 @@ class TestNoWeylEnumeration:
     def test_dual_data_commands_count_w(self, enumerations, capsys, monkeypatch, tmp_path):
         # GL21: |W| = 21!, refused under the default cap at once
         monkeypatch.delenv("HECKEDUAL_MAX_WEYL", raising=False)
-        roots = [[int(c == i) - int(c == i + 1) for c in range(21)] for i in range(20)]
-        path = tmp_path / "gl21.json"
-        path.write_text(json.dumps({"name": "GL21", "rank": 21, "simple_roots": roots,
-                                    "simple_coroots": roots}))
-        assert main(["dualdata", str(path)]) == 3
+        assert main(["dualdata", write_gl21(tmp_path)]) == 3
         assert capsys.readouterr().err == (
             f"resource cap: Weyl group exceeds the cap of {rootdatum.DEFAULT_WEYL_CAP} elements\n")
         for order, argv in ((6, ["dualdata", "GL3"]), (6, ["satake", "GL3", "--coweight", "1,0,0"]),
@@ -232,7 +238,27 @@ class TestNoWeylEnumeration:
         assert main(["--max-weyl", "6", "--format", "json", "weyl", "GL3"]) == 0
         result = json.loads(capsys.readouterr().out)
         assert (result["order"], result["longest_length"]) == (6, 3)
-        assert enumerations == [("GL3", 6)]
+        assert enumerations == [("GL3",)]
+
+    def test_weyl_command_refuses_before_enumerating(self, capsys, monkeypatch, tmp_path):
+        def refuse(d):
+            raise AssertionError("Weyl group enumerated")
+
+        monkeypatch.setattr(rootdatum, "_weyl_group_cached", refuse)
+        monkeypatch.delenv("HECKEDUAL_MAX_WEYL", raising=False)
+        for argv, cap in ((["weyl", write_gl21(tmp_path)], rootdatum.DEFAULT_WEYL_CAP),
+                          (["--max-weyl", "5", "weyl", "GL3"], 5)):
+            assert main(argv) == 3
+            assert capsys.readouterr() == (
+                "", f"resource cap: Weyl group exceeds the cap of {cap} elements\n")
+
+    def test_weyl_cache_is_keyed_by_datum_only(self, capsys, monkeypatch):
+        monkeypatch.delenv("HECKEDUAL_MAX_WEYL", raising=False)
+        rootdatum._weyl_group_cached.cache_clear()
+        for cap in (["--max-weyl", "6"], ["--max-weyl", "7"], []):
+            assert main(cap + ["weyl", "GL3"]) == 0
+        capsys.readouterr()
+        assert rootdatum._weyl_group_cached.cache_info().misses == 1
 
 
 class TestQuotient:
@@ -252,6 +278,13 @@ class TestQuotient:
             q = decompose_quotient(langlands_dual_data(d))
             assert q.kernel.epsilon_order == order
             assert q.kernel.epsilon_parity == tuple(x % 2 for x in t)
+
+    def test_smith_form_epsilon_is_cross_checked(self):
+        for d in BUILTINS.values():
+            dd = langlands_dual_data(d)
+            wrong = dataclasses.replace(dd, epsilon_order=3 - dd.epsilon_order)
+            with pytest.raises(RuntimeError, match="^internal: Smith-form epsilon"):
+                decompose_quotient(wrong)
 
     def test_sl2_kernel_is_minus_one_trivial(self):
         q = decompose_quotient(langlands_dual_data(BUILTINS["SL2"]))

@@ -65,10 +65,6 @@ class TestParameters:
         assert p.delta_value() == 3
         assert p.value_at((1, 1)) == 6
 
-    def test_omega_violation(self):
-        with pytest.raises(OmegaViolationError):
-            make_parameter(DD_PGL2, 3, (Fraction(2),), delta_value=1)
-
     def test_zero_value_rejected(self):
         with pytest.raises(ValidationError):
             make_parameter(DD_PGL2, 3, (Fraction(0),))

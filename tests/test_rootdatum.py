@@ -229,7 +229,7 @@ class TestWeylGroup:
         assert (weyl_order(F4), weyl_order(SIMPLY_CONNECTED[4]), weyl_order(a1xa1)) == (1152, 192, 4)
 
     def test_order_of_a_large_datum_enumerates_nothing(self, monkeypatch):
-        def refuse(d, cap):
+        def refuse(d):
             raise AssertionError("Weyl group enumerated")
 
         monkeypatch.setattr(rootdatum, "_weyl_group_cached", refuse)
