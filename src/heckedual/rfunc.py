@@ -76,6 +76,8 @@ class QuadExt:
         return QuadExt(-self.a, -self.b, self.rad)
 
     def __mul__(self, other):
+        if isinstance(other, (int, Fraction)):
+            return QuadExt(self.a * other, self.b * other, self.rad)
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
@@ -107,8 +109,9 @@ class QuadExt:
         while exp:
             if exp & 1:
                 out = out * base
-            base = base * base
             exp >>= 1
+            if exp:
+                base = base * base
         return out
 
     def __eq__(self, other):
@@ -397,11 +400,18 @@ def split_by_sqrt(x: UnramifiedParameter, sq: FieldElement) -> TorusAssignment:
     The result has delta value 1, i.e. it is a classical assignment; which
     classical assignment depends on the choice of root, exactly through
     the parity twist below.
+
+    Once sq^2 = q is checked, sq^n = q^(n // 2) * sq^(n % 2) with floor
+    division, so each value is v * q^(n // 2) times sq (n odd) or the
+    field's one sq^0 (n even), for n = -j_k.  The one keeps each value in
+    the field of sq, and refuses a value from another extension, exactly as
+    v * sq^n does.
     """
     if sq * sq != x.q:
         raise ValidationError(f"square root check failed: ({sq})^2 != {x.q}")
-    j = x.dd.j
-    new_values = tuple(v * sq ** (-j[k]) for k, v in enumerate(x.values))
+    one = sq ** 0
+    new_values = tuple(v * x.q ** (-jk // 2) * (sq if jk % 2 else one)
+                       for jk, v in zip(x.dd.j, x.values))
     out = TorusAssignment(x.dd, new_values)
     assert out.delta_value() == 1
     return out

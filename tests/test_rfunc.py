@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import pytest
 
-from heckedual.dualdata import langlands_dual_data
+from heckedual.dualdata import extend_datum, langlands_dual_data
 from heckedual.errors import OmegaViolationError, PoleError, ValidationError
 from heckedual.rootdatum import BUILTINS, TRIVIAL
 from heckedual.rfunc import (
@@ -29,6 +29,11 @@ from heckedual.rfunc import (
 DD_PGL2 = langlands_dual_data(BUILTINS["PGL2"])
 DD_TRIVIAL = langlands_dual_data(TRIVIAL)
 
+# every builtin and its extension, as a datum in its own right; SO5 has
+# odd and negative j = (-3, -1, 2), Sp4 an all-even j = (-4, -2, 2)
+SPLIT_DATA = (TRIVIAL,) + tuple(BUILTINS.values()) + tuple(
+    extend_datum(d).ext for d in BUILTINS.values())
+
 
 class TestQuadExt:
     def test_arithmetic(self):
@@ -50,6 +55,28 @@ class TestQuadExt:
             b = QuadExt(Fraction(rng.randint(-5, 5)), Fraction(rng.randint(1, 5)), Fraction(2))
             assert (a * b).conjugate() == a.conjugate() * b.conjugate()
             assert (a + b).conjugate() == a.conjugate() + b.conjugate()
+
+    def test_power_is_repeated_multiplication(self):
+        rng = random.Random(7)
+        for _ in range(30):
+            x = QuadExt(Fraction(rng.randint(-9, 9), rng.randint(1, 9)),
+                        Fraction(rng.randint(-9, 9), rng.randint(1, 9)),
+                        Fraction(rng.choice((2, 3, 5, 7)), rng.choice((1, 2, 3))))
+            if not x:
+                continue
+            for step, sign in ((x, 1), (x.inverse(), -1)):
+                expected = QuadExt(Fraction(1), Fraction(0), x.rad)
+                for n in range(7):
+                    assert x ** (sign * n) == expected
+                    expected = expected * step
+
+    def test_scalar_product_matches_embedded_scalar(self):
+        x = QuadExt(Fraction(3, 2), Fraction(-5, 7), Fraction(3))
+        for c in (0, 1, -4, Fraction(2, 9)):
+            expected = x * QuadExt(Fraction(c), Fraction(0), x.rad)
+            for product in (x * c, c * x):
+                assert type(product) is QuadExt
+                assert (product.a, product.b, product.rad) == (expected.a, expected.b, expected.rad)
 
     def test_sqrt_of(self):
         assert sqrt_of(Fraction(9)) == 3
@@ -286,6 +313,58 @@ class TestSplitting:
             lhs = split_by_sqrt(p, root).conjugate()
             rhs = split_by_sqrt(p.conjugate(), field_conjugate(root))
             assert lhs == rhs
+
+    @pytest.mark.parametrize("datum", SPLIT_DATA, ids=lambda d: d.name)
+    def test_split_is_the_definition(self, datum, monkeypatch):
+        """Each value is v * sq^-j_k, equal in value, type, str and hash, for
+        both roots of square, non-square and fractional q; past its check a
+        split raises a QuadExt to no power but 0."""
+        power = QuadExt.__pow__
+        exponents = []
+
+        def spy(self, exp):
+            exponents.append(exp)
+            return power(self, exp)
+
+        dd = langlands_dual_data(datum)
+        rng = random.Random(8)
+        for q in (Fraction(9), Fraction(2), Fraction(9, 4), Fraction(3, 2)):
+            # the generator of Q(sqrt q), also where q is a square
+            gen = QuadExt(Fraction(0), Fraction(1), q)
+            rational = tuple(Fraction(rng.choice((-1, 1)) * rng.randint(1, 9), rng.randint(1, 9))
+                             for _ in range(dd.base.rank))
+            quadratic = tuple(rng.randint(1, 5) + Fraction(rng.randint(-5, 5), 3) * gen
+                              for _ in range(dd.base.rank))
+            for base_values in (rational, quadratic):
+                x = make_parameter(dd, q, base_values)
+                for root in (sqrt_of(q), -sqrt_of(q), gen, -gen):
+                    expected = tuple(v * root ** (-jk) for jk, v in zip(dd.j, x.values))
+                    monkeypatch.setattr(QuadExt, "__pow__", spy)
+                    got = split_by_sqrt(x, root).values
+                    monkeypatch.setattr(QuadExt, "__pow__", power)
+                    assert got == expected
+                    assert [type(v) for v in got] == [type(v) for v in expected]
+                    assert [str(v) for v in got] == [str(v) for v in expected]
+                    assert [hash(v) for v in got] == [hash(v) for v in expected]
+        assert set(exponents) <= {0}
+
+    def test_int_root_splits_exactly(self):
+        # int ** -n is a float, so the closed form must not raise sq itself
+        dd = langlands_dual_data(BUILTINS["SO5"])
+        x = make_parameter(dd, 49, (Fraction(2), Fraction(-3, 5)))
+        got = split_by_sqrt(x, -7).values
+        assert got == split_by_sqrt(x, Fraction(-7)).values
+        assert all(type(v) is Fraction for v in got)
+
+    @pytest.mark.parametrize("name", ["PGL2", "Sp4"])
+    def test_split_refuses_a_value_from_another_extension(self, name):
+        # PGL2 has an odd j, Sp4 an all-even one; a value in Q(sqrt 2) with
+        # q = 3 is refused either way
+        dd = langlands_dual_data(BUILTINS[name])
+        x = make_parameter(dd, 3, (QuadExt(Fraction(1), Fraction(1), Fraction(2)),) * dd.base.rank)
+        for root in (sqrt_of(Fraction(3)), -sqrt_of(Fraction(3))):
+            with pytest.raises(ValidationError, match="^mixing different quadratic extensions$"):
+                split_by_sqrt(x, root)
 
     def test_galois_failure_without_root(self):
         # with rational input data, conjugating the output of a fixed-root
