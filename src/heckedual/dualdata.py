@@ -25,6 +25,7 @@ from .lattice import (
     Vec,
     dot,
     mat_apply,
+    reflect,
     smith_normal_form,
     solve_integer_linear,
     vec_scale,
@@ -35,7 +36,6 @@ from .rootdatum import (
     positive_root_sum,
     positive_roots,
     require_valid,
-    simple_reflection_x,
 )
 
 
@@ -82,11 +82,10 @@ def extend_datum(d: RootDatum) -> ExtendedDatum:
         raise ValidationError(f"extension failed validation: {exc}") from None
     r = (0,) * d.rank + (1,)
     datum = ExtendedDatum(d, ext, r, d.rank)
-    for i, alphavee in enumerate(ext.simple_coroots):
+    for i, (alpha, alphavee) in enumerate(zip(ext.simple_roots, ext.simple_coroots)):
         if dot(r, alphavee) != 1:
             raise RuntimeError(f"internal: dot(r, coroot {i}) != 1 in extension")
-        reflected = mat_apply(simple_reflection_x(ext, i), r)
-        if reflected != vec_sub(r, ext.simple_roots[i]):
+        if reflect(r, alphavee, alpha) != vec_sub(r, alpha):
             raise RuntimeError(f"internal: reflection {i} does not shift r by a root")
     return datum
 

@@ -20,12 +20,13 @@ Two kinds of values live here:
   Demazure-Lusztig and dot actions downstream) sums its terms through one
   routine, ``GroupAlgebraElement.collect``, which stores no zero.
 
-Integer matrices are plain tuples of row tuples.  The module also provides
-the exact linear algebra used elsewhere, on two elimination routines.
-Determinants, unimodular inverses, rational solving and ranks run on one
-fraction-free Gauss-Jordan routine over Q (``_row_reduce``); integer linear
-solving runs on the Smith normal form with unimodular transforms
-(``smith_normal_form``), over Z.
+Simple reflections are applied to vectors by ``reflect``, v - <a, v> b; no
+reflection matrix is built.  Integer matrices are plain tuples of row
+tuples.  The module also provides the exact linear algebra used elsewhere,
+on two elimination routines.  Determinants, unimodular inverses, rational
+solving and ranks run on one fraction-free Gauss-Jordan routine over Q
+(``_row_reduce``); integer linear solving runs on the Smith normal form
+with unimodular transforms (``smith_normal_form``), over Z.
 
 Everything is immutable after construction and every operation is pure,
 so all of this is safe to use concurrently.  No floating point enters:
@@ -65,6 +66,17 @@ def vec_sub(x: Vec, y: Vec) -> Vec:
 
 def vec_scale(c: int, x: Vec) -> Vec:
     return tuple(c * a for a in x)
+
+
+def vec_sub_scaled(x: Vec, c: int, y: Vec) -> Vec:
+    """x - c*y."""
+    return tuple([a - c * b for a, b in zip(x, y)])
+
+
+def reflect(v: Vec, a: Vec, b: Vec) -> Vec:
+    """v - <a, v> b: the simple reflection of root a, coroot b on a coweight
+    v; with a the coroot and b the root, on a weight v."""
+    return vec_sub_scaled(v, dot(a, v), b)
 
 
 def mat_identity(n: int) -> IntMatrix:
@@ -443,28 +455,31 @@ class Laurent:
             raise ZeroDivisionError("negative q-power evaluated at 0")
         return sum((Fraction(v) * Fraction(x) ** k for k, v in terms), Fraction(0))
 
-    def to_str(self, var: str = "q") -> str:
-        if self.is_zero():
-            return "0"
+    def to_str(self) -> str:
         parts = []
         for exp, coeff in reversed(self.items()):
             if exp == 0:
                 body = str(abs(coeff))
             else:
-                power = var if exp == 1 else f"{var}^{exp}"
+                power = "q" if exp == 1 else f"q^{exp}"
                 body = power if abs(coeff) == 1 else f"{abs(coeff)}*{power}"
             parts.append(("-" if coeff < 0 else "+", body))
-        sign, first = parts[0]
-        text = ("-" if sign == "-" else "") + first
-        for sign, body in parts[1:]:
-            text += f" {sign} {body}"
-        return text
+        return _signed_sum(parts)
 
     def __str__(self):
         return self.to_str()
 
     def __repr__(self):
         return f"Laurent({self.to_str()})"
+
+
+def _signed_sum(parts: list[tuple[str, str]]) -> str:
+    """Join (sign, body) pairs as "a - b + c", showing the first sign only
+    when it is "-"; "0" when there are none."""
+    if not parts:
+        return "0"
+    (sign, first), *rest = parts
+    return ("-" if sign == "-" else "") + first + "".join(f" {s} {body}" for s, body in rest)
 
 
 def _read(n: int, bound: int) -> int:
@@ -598,7 +613,10 @@ class GroupAlgebraElement:
         return not self._terms
 
     def coefficient(self, v: Sequence[int]) -> Laurent:
-        return self._terms.get(tuple(v), Laurent.zero())
+        v = tuple(v)
+        if len(v) != self.rank:
+            raise RankMismatchError(f"exponent {v} in a rank-{self.rank} algebra")
+        return self._terms.get(v, Laurent.zero())
 
     def items(self) -> list[tuple[Vec, Laurent]]:
         return sorted(self._terms.items())
@@ -711,31 +729,25 @@ class GroupAlgebraElement:
         terms = ((v[:index] + v[index + 1:], c.shift(v[index])) for v, c in self._terms.items())
         return GroupAlgebraElement.collect(self.rank - 1, [terms])
 
-    def to_str(self, var: str = "q") -> str:
-        if not self._terms:
-            return "0"
+    def to_str(self) -> str:
         parts = []
         for v, c in sorted(self._terms.items(), reverse=True):
             mono = "e[" + ",".join(str(x) for x in v) + "]" if any(v) else ""
             coeff_items = c.items()
             if len(coeff_items) > 1:
-                body = f"({c.to_str(var)})"
+                body = f"({c})"
                 parts.append(("+", f"{body}*{mono}" if mono else body))
                 continue
             exp, coeff = coeff_items[0]
             sign = "-" if coeff < 0 else "+"
             scalar = Laurent({exp: abs(coeff)})
             if not mono:
-                parts.append((sign, scalar.to_str(var)))
+                parts.append((sign, str(scalar)))
             elif scalar == Laurent.one():
                 parts.append((sign, mono))
             else:
-                parts.append((sign, f"{scalar.to_str(var)}*{mono}"))
-        sign, first = parts[0]
-        text = ("-" if sign == "-" else "") + first
-        for sign, body in parts[1:]:
-            text += f" {sign} {body}"
-        return text
+                parts.append((sign, f"{scalar}*{mono}"))
+        return _signed_sum(parts)
 
     def __str__(self):
         return self.to_str()

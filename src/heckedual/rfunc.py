@@ -25,9 +25,8 @@ from fractions import Fraction
 from typing import Sequence, Union
 
 from .dualdata import LanglandsDualData
-from .errors import OmegaViolationError, PoleError, ValidationError
-from .lattice import Vec, mat_apply
-from .rootdatum import simple_reflection_y
+from .errors import OmegaViolationError, PoleError, RankMismatchError, ValidationError
+from .lattice import Vec, reflect
 
 # ---------------------------------------------------------------------------
 # the quadratic coefficient field Q(sqrt(rad))
@@ -191,6 +190,8 @@ class TorusAssignment:
             raise ValidationError("assignment values must be nonzero")
 
     def value_at(self, ytilde: Sequence[int]) -> FieldElement:
+        if len(ytilde) != len(self.values):
+            raise RankMismatchError(f"value at a rank-{len(ytilde)} vector, not rank {len(self.values)}")
         out: FieldElement = Fraction(1)
         for v, e in zip(self.values, ytilde):
             if e:
@@ -260,11 +261,8 @@ class DualRepresentation:
         """Stable under every simple reflection, which generate the group."""
         ext = self.dd.ext
         counter = Counter(self.weights)
-        for i in range(ext.semisimple_rank):
-            reflection = simple_reflection_y(ext, i)
-            if Counter(mat_apply(reflection, wt) for wt in self.weights) != counter:
-                return False
-        return True
+        return all(Counter(reflect(wt, alpha, alphavee) for wt in self.weights) == counter
+                   for alpha, alphavee in zip(ext.simple_roots, ext.simple_coroots))
 
     @property
     def dimension(self) -> int:
@@ -282,14 +280,15 @@ class DualRepresentation:
     @classmethod
     def from_orbits(cls, dd: LanglandsDualData, seeds: Sequence[Sequence[int]]) -> "DualRepresentation":
         """The union of the seeds' Weyl orbits, each walked by the simple reflections."""
-        reflections = [simple_reflection_y(dd.ext, i) for i in range(dd.ext.semisimple_rank)]
+        simple = tuple(zip(dd.ext.simple_roots, dd.ext.simple_coroots))
         weights: list[Vec] = []
         for seed in seeds:
             orbit = {tuple(int(x) for x in seed)}
             frontier = list(orbit)
             while frontier:
                 wt = frontier.pop()
-                images = {mat_apply(s, wt) for s in reflections} - orbit
+                images = {reflect(wt, alpha, alphavee) for alpha, alphavee in simple}
+                images -= orbit
                 orbit |= images
                 frontier.extend(images)
             weights.extend(sorted(orbit))

@@ -34,12 +34,12 @@ from .lattice import (
     int_rank,
     mat_det,
     mat_identity,
-    mat_mul,
     mat_transpose,
+    reflect,
     solve_integer_linear,
     solve_rational,
-    vec_scale,
     vec_sub,
+    vec_sub_scaled,
 )
 
 DEFAULT_WEYL_CAP = 10 ** 6
@@ -163,22 +163,6 @@ def dual_datum(d: RootDatum) -> RootDatum:
 # roots and Weyl group
 
 
-def simple_reflection_x(d: RootDatum, i: int) -> IntMatrix:
-    alpha = d.simple_roots[i]
-    alphavee = d.simple_coroots[i]
-    n = d.rank
-    return tuple(tuple((1 if r == c else 0) - alpha[r] * alphavee[c] for c in range(n))
-                 for r in range(n))
-
-
-def simple_reflection_y(d: RootDatum, i: int) -> IntMatrix:
-    alpha = d.simple_roots[i]
-    alphavee = d.simple_coroots[i]
-    n = d.rank
-    return tuple(tuple((1 if r == c else 0) - alphavee[r] * alpha[c] for c in range(n))
-                 for r in range(n))
-
-
 def _exponents(heights: Sequence[int]) -> tuple[int, ...]:
     """The exponents of a root system: the dual partition of the numbers of
     its positive roots of height 1, 2, ... (Kostant 1959; Humphreys,
@@ -220,13 +204,13 @@ def _facts(d: RootDatum) -> _Facts:
             n = dot(beta, alphavee)
             if n == 0 or beta == alpha:
                 continue
-            root = vec_sub(beta, vec_scale(n, alpha))
+            root = vec_sub_scaled(beta, n, alpha)
             if height - n < 1:
                 raise RuntimeError(
                     f"internal: reflecting {beta} gave {root} of height {height - n}")
             if root in found:
                 continue
-            found[root] = (height - n, vec_sub(betavee, vec_scale(dot(alpha, betavee), alphavee)))
+            found[root] = (height - n, reflect(betavee, alpha, alphavee))
             frontier.append(root)
         if 2 * len(found) > _ROOT_CAP:  # the cap counts all roots, negative ones too
             raise CapExceededError("root generation exceeded the safety cap")
@@ -250,22 +234,23 @@ def positive_root_sum(d: RootDatum) -> Vec:
 
 @lru_cache(maxsize=None)
 def _weyl_group_cached(d: RootDatum) -> tuple[WeylElement, ...]:
-    n = d.rank
-    refl_x = [simple_reflection_x(d, i) for i in range(d.semisimple_rank)]
-    refl_y = [simple_reflection_y(d, i) for i in range(d.semisimple_rank)]
-    identity = WeylElement((), mat_identity(n), mat_identity(n))
+    """Breadth-first closure under w -> w s_i, where each row of M s_i is
+    the row reflected on the other side: (alphavee_i, alpha_i) on mat_y."""
+    identity = WeylElement((), mat_identity(d.rank), mat_identity(d.rank))
+    simple = tuple(enumerate(zip(d.simple_roots, d.simple_coroots)))
     elements = [identity]
     seen = {identity.mat_y}
     head = 0
     while head < len(elements):
         w = elements[head]
         head += 1
-        for i in range(d.semisimple_rank):
-            mat_y = mat_mul(w.mat_y, refl_y[i])
+        for i, (alpha, alphavee) in simple:
+            mat_y = tuple(reflect(row, alphavee, alpha) for row in w.mat_y)
             if mat_y in seen:
                 continue
             seen.add(mat_y)
-            elements.append(WeylElement(w.word + (i,), mat_mul(w.mat_x, refl_x[i]), mat_y))
+            mat_x = tuple(reflect(row, alpha, alphavee) for row in w.mat_x)
+            elements.append(WeylElement(w.word + (i,), mat_x, mat_y))
     return tuple(elements)
 
 
@@ -362,7 +347,7 @@ def dominant_below(d: RootDatum, lam: Vec) -> tuple[Vec, ...]:
         if all(x >= dot(col, c) for x, col in zip(p, columns)):
             nu = lam
             for ci, alphavee in zip(c, d.simple_coroots):
-                nu = vec_sub(nu, vec_scale(ci, alphavee))
+                nu = vec_sub_scaled(nu, ci, alphavee)
             found.append(nu)
     found.sort(key=lambda v: coweight_order_key(d, v))
     return tuple(found)

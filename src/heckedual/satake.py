@@ -6,7 +6,9 @@ a coweight monomial lifted to delta-height n transforms by the plain
 linear action there, and restricting the delta coordinate to q recovers
 the twisted action below.  All spherical computations therefore happen
 upstairs, where only integer delta-exponents ever occur, and are pushed
-down at the end.
+down at the end.  One dot step, e^y -> q^-<alpha, y> e^(s y) for a simple
+reflection s (``_dot_reflect``), serves both the dot action on elements
+and the check that an element is dot-invariant.
 
 The image of a dominant coweight lambda is its Hall-Littlewood
 symmetrization with parameter q^-1, summed over the Weyl orbit of
@@ -61,16 +63,17 @@ from functools import cached_property, lru_cache
 from typing import Sequence
 
 from .dualdata import LanglandsDualData, langlands_dual_data
-from .errors import CapExceededError, ValidationError
+from .errors import CapExceededError, RankMismatchError, ValidationError
 from .lattice import (
     GroupAlgebraElement,
     Laurent,
     Vec,
     add_products_into,
     dot,
+    reflect,
     vec_add,
-    vec_scale,
     vec_sub,
+    vec_sub_scaled,
 )
 from .rootdatum import (
     BUILTINS,
@@ -110,6 +113,8 @@ class UnramifiedCharacter:
             raise ValidationError("character values must be nonzero")
 
     def value_at(self, y: Sequence[int]) -> tuple[Fraction, int]:
+        if len(y) != len(self.values):
+            raise RankMismatchError(f"value at a rank-{len(y)} vector, not rank {len(self.values)}")
         c, k = Fraction(1), 0
         for (vc, vk), e in zip(self.values, y):
             c *= Fraction(vc) ** e
@@ -123,8 +128,7 @@ def _dot_act_simple(d: RootDatum, i: int, chi: UnramifiedCharacter) -> Unramifie
     new_values = []
     for k in range(d.rank):
         basis = tuple(1 if c == k else 0 for c in range(d.rank))
-        reflected = vec_sub(basis, tuple(alpha[k] * x for x in alphavee))
-        c, exp = chi.value_at(reflected)
+        c, exp = chi.value_at(reflect(basis, alpha, alphavee))
         new_values.append((c, exp + alpha[k]))
     return UnramifiedCharacter(d, tuple(new_values))
 
@@ -142,17 +146,21 @@ def dot_act(d: RootDatum, w: WeylElement, chi: UnramifiedCharacter) -> Unramifie
 
 
 def dot_act_poly(d: RootDatum, w: WeylElement, elem: GroupAlgebraElement) -> GroupAlgebraElement:
-    """The twisted action on coweight monomials over Z[q, q^-1]: a simple
-    reflection sends e^y to q^-dot(alpha, y) e^(sy)."""
+    """The twisted action on coweight monomials over Z[q, q^-1], one
+    simple reflection of the word at a time (``_dot_reflect``)."""
     if elem.rank != d.rank:
         raise ValidationError("element rank does not match the datum")
     for i in reversed(w.word):
-        alpha = d.simple_roots[i]
-        alphavee = d.simple_coroots[i]
-        terms = ((vec_sub(y, vec_scale(k, alphavee)), c.shift(-k))
-                 for y, c in elem.items() for k in (dot(alpha, y),))
-        elem = GroupAlgebraElement.collect(d.rank, [terms])
+        elem = _dot_reflect(elem, d.simple_roots[i], d.simple_coroots[i])
     return elem
+
+
+def _dot_reflect(elem: GroupAlgebraElement, alpha: Vec, alphavee: Vec) -> GroupAlgebraElement:
+    """The dot step of the simple reflection s of alpha and alphavee:
+    e^y -> q^-<alpha, y> e^(s y)."""
+    terms = ((vec_sub_scaled(y, k, alphavee), c.shift(-k))
+             for y, c in elem.items() for k in (dot(alpha, y),))
+    return GroupAlgebraElement.collect(elem.rank, [terms])
 
 
 def lift_exponent(y: Sequence[int], n: int) -> Vec:
@@ -172,17 +180,10 @@ class SphericalFunction:
     datum: RootDatum
 
     def is_dot_invariant(self) -> bool:
-        """Invariance under every simple reflection, checked by lookups: the
-        coefficient at y - <alpha, y> alphavee must be q^-<alpha, y> times
-        the one at y."""
-        poly = self.poly
-        for alpha, alphavee in zip(self.datum.simple_roots, self.datum.simple_coroots):
-            for y, c in poly.items():
-                pairing = dot(alpha, y)
-                if pairing and poly.coefficient(
-                        vec_sub(y, vec_scale(pairing, alphavee))) != c.shift(-pairing):
-                    return False
-        return True
+        """Invariance under the dot step of every simple reflection, which
+        generate W."""
+        return all(_dot_reflect(self.poly, alpha, alphavee) == self.poly
+                   for alpha, alphavee in zip(self.datum.simple_roots, self.datum.simple_coroots))
 
     @cached_property
     def dominant_terms(self) -> tuple[tuple[Vec, Laurent], ...]:
@@ -205,10 +206,10 @@ def _demazure_lusztig(elem: GroupAlgebraElement, alpha: Vec, alphavee: Vec) -> G
     def terms(y: Vec, c: Laurent):
         k = dot(alpha, y)
         lowered = c.shift(-1)
-        yield vec_sub(y, vec_scale(k, alphavee)), lowered
+        yield vec_sub_scaled(y, k, alphavee), lowered
         rest = c - lowered if k > 0 else lowered - c
         for j in range(min(1, k + 1), max(1, k + 1)):
-            yield vec_sub(y, vec_scale(j, alphavee)), rest
+            yield vec_sub_scaled(y, j, alphavee), rest
 
     return GroupAlgebraElement.collect(elem.rank, (terms(y, c) for y, c in elem.items()))
 
@@ -230,7 +231,7 @@ def satake_image_extended(dd: LanglandsDualData, lam: Vec) -> GroupAlgebraElemen
         mu = frontier.pop()
         for alpha, alphavee in simple:
             k = dot(alpha, mu)
-            nu = vec_sub(mu, vec_scale(k, alphavee))
+            nu = vec_sub_scaled(mu, k, alphavee)
             if k > 0 and nu not in terms:
                 terms[nu] = _demazure_lusztig(terms[mu], alpha, alphavee)
                 frontier.append(nu)

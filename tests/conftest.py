@@ -6,6 +6,21 @@ from heckedual import satake
 from heckedual.rootdatum import coweight_order_key, is_dominant_coweight
 
 
+def simple_reflection_x(d, i):
+    """The matrix of s_i on weights, I - alpha_i (x) alphavee_i: a reference
+    for ``lattice.reflect`` built entry by entry."""
+    alpha, alphavee = d.simple_roots[i], d.simple_coroots[i]
+    return tuple(tuple(int(r == c) - alpha[r] * alphavee[c] for c in range(d.rank))
+                 for r in range(d.rank))
+
+
+def simple_reflection_y(d, i):
+    """The matrix of s_i on coweights, I - alphavee_i (x) alpha_i."""
+    alphavee, alpha = d.simple_coroots[i], d.simple_roots[i]
+    return tuple(tuple(int(r == c) - alphavee[r] * alpha[c] for c in range(d.rank))
+                 for r in range(d.rank))
+
+
 def enumerate_dominant(d, height):
     """All dominant coweights with every coordinate bounded by height in
     absolute value, in decreasing dominance-compatible order."""

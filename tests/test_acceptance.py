@@ -30,7 +30,6 @@ from heckedual.rootdatum import (
     dual_datum,
     positive_root_sum,
     positive_roots,
-    simple_reflection_x,
     weyl_group,
 )
 from heckedual.rfunc import (
@@ -54,7 +53,7 @@ from heckedual.satake import (
     structure_polynomials,
 )
 
-from conftest import enumerate_dominant
+from conftest import enumerate_dominant, simple_reflection_x
 
 
 def report(number: int, title: str, ok: bool, detail: str = ""):

@@ -22,9 +22,10 @@ from heckedual.rootdatum import (
     BUILTINS,
     TRIVIAL,
     datum_isomorphic,
-    simple_reflection_x,
     weyl_group,
 )
+
+from conftest import simple_reflection_x
 
 
 class TestRhoWeights:

@@ -64,7 +64,7 @@ class TestLaurent:
         assert str(Laurent({1: -1})) == "-q"
         assert str(Laurent({-1: 2, 3: -1})) == "-q^3 + 2*q^-1"
         assert str(Laurent({0: -5, 1: 1, -1: -1})) == "q - 5 - q^-1"
-        assert Laurent({2: 7, -3: -1}).to_str("t") == "7*t^2 - t^-3"
+        assert str(Laurent({2: 7, -3: -1})) == "7*q^2 - q^-3"
         assert repr(Laurent({0: 1, -1: 1})) == "Laurent(1 + q^-1)"
 
     def test_add_products_into_accumulates(self):
@@ -211,6 +211,13 @@ class TestGroupAlgebra:
     def test_rank_mismatch(self):
         with pytest.raises(RankMismatchError):
             GroupAlgebraElement.one(1) * GroupAlgebraElement.one(2)
+
+    def test_coefficient_refuses_a_wrong_rank(self):
+        x = GroupAlgebraElement.monomial((1, 2), 3)
+        assert x.coefficient((1, 2)) == 3
+        for v in ((1,), (1, 2, 3)):
+            with pytest.raises(RankMismatchError):
+                x.coefficient(v)
 
     def test_apply_map_identity_and_negation(self):
         rng = random.Random(3)

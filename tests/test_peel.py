@@ -146,18 +146,33 @@ def test_images_pinned():
     assert digest.hexdigest() == PINNED_IMAGES
 
 
+def dot_invariant_by_lookups(d, elem):
+    """For every simple reflection s and every term c e^y, the coefficient
+    at s y = y - <alpha, y> alphavee is q^-<alpha, y> c."""
+    for alpha, alphavee in zip(d.simple_roots, d.simple_coroots):
+        for y, c in elem.items():
+            k = sum(a * x for a, x in zip(alpha, y))
+            if elem.coefficient(tuple(x - k * b for x, b in zip(y, alphavee))) != c.shift(-k):
+                return False
+    return True
+
+
 @pytest.mark.parametrize("name", ["PGL2", "GL3", "Sp4"])
 def test_is_dot_invariant_matches_dot_action(name):
     d = BUILTINS[name]
     reflections = [w for w in weyl_group(d) if w.length == 1]
     dd = langlands_dual_data(d)
+    seen = set()
     for lam in enumerate_dominant(d, 2):
         poly = satake_image(dd, lam).poly
         for y in poly.support()[:3]:
             bumped = poly + GroupAlgebraElement.monomial(y, Laurent.q_power(1))
             for elem in (poly, bumped):
-                expected = all(dot_act_poly(d, w, elem) == elem for w in reflections)
+                expected = dot_invariant_by_lookups(d, elem)
                 assert SphericalFunction(elem, d).is_dot_invariant() == expected
+                assert all(dot_act_poly(d, w, elem) == elem for w in reflections) == expected
+                seen.add(expected)
+    assert seen == {True, False}
 
 
 def corrupt_extended(monkeypatch, extra):

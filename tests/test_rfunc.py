@@ -7,7 +7,7 @@ from fractions import Fraction
 import pytest
 
 from heckedual.dualdata import extend_datum, langlands_dual_data
-from heckedual.errors import OmegaViolationError, PoleError, ValidationError
+from heckedual.errors import OmegaViolationError, PoleError, RankMismatchError, ValidationError
 from heckedual.rootdatum import BUILTINS, TRIVIAL
 from heckedual.rfunc import (
     DualRepresentation,
@@ -107,6 +107,14 @@ class TestParameters:
     def test_trivial_datum(self):
         p = make_parameter(DD_TRIVIAL, 4, ())
         assert p.values == (Fraction(4),)
+
+    def test_value_at_refuses_a_wrong_rank(self):
+        p = make_parameter(langlands_dual_data(BUILTINS["GL2"]), 3, (Fraction(2), Fraction(5)))
+        assert p.value_at((1, 1, 1)) == 30
+        for y in ((1,), (1, 1), (1, 1, 1, 7)):
+            with pytest.raises(RankMismatchError):
+                p.value_at(y)
+        assert issubclass(RankMismatchError, ValidationError)
 
 
 class TestRepresentations:

@@ -9,7 +9,17 @@ from heckedual import rootdatum
 from heckedual.cli import isomorphic_builtin
 from heckedual.dualdata import extend_datum
 from heckedual.errors import CapExceededError, ValidationError
-from heckedual.lattice import Laurent, mat_apply, mat_det, mat_inverse_unimodular, dot, solve_rational
+from heckedual.lattice import (
+    Laurent,
+    dot,
+    mat_apply,
+    mat_det,
+    mat_identity,
+    mat_inverse_unimodular,
+    mat_mul,
+    reflect,
+    solve_rational,
+)
 from heckedual.rootdatum import (
     BUILTINS,
     RootDatum,
@@ -21,13 +31,13 @@ from heckedual.rootdatum import (
     is_dominant_coweight,
     positive_root_sum,
     positive_roots,
-    simple_reflection_x,
-    simple_reflection_y,
     stabilizer_poincare,
     validate_datum,
     weyl_group,
     weyl_order,
 )
+
+from conftest import simple_reflection_x, simple_reflection_y
 
 
 def simply_connected(name, cartan):
@@ -235,6 +245,29 @@ class TestWeylGroup:
         monkeypatch.setattr(rootdatum, "_weyl_group_cached", refuse)
         gl21 = RootDatum(21, gl_roots(21), gl_roots(21), "GL21")
         assert weyl_order(gl21) == 51090942171709440000  # 21!
+
+    def test_reflections_match_the_reference_matrices(self):
+        # reflect against the matrices built entry by entry, on basis and
+        # random vectors, and every Weyl element's matrices against the
+        # product of those matrices along its word
+        rng = random.Random(15)
+        data = list(SIMPLY_CONNECTED) + [F4]
+        for d in BUILTINS.values():
+            data += [d, extend_datum(d).ext]
+        for d in data:
+            refl_x = [simple_reflection_x(d, i) for i in range(d.semisimple_rank)]
+            refl_y = [simple_reflection_y(d, i) for i in range(d.semisimple_rank)]
+            vectors = list(mat_identity(d.rank))
+            vectors += [tuple(rng.randint(-5, 5) for _ in range(d.rank)) for _ in range(10)]
+            for i, (alpha, alphavee) in enumerate(zip(d.simple_roots, d.simple_coroots)):
+                for v in vectors:
+                    assert reflect(v, alphavee, alpha) == mat_apply(refl_x[i], v), (d.name, i, v)
+                    assert reflect(v, alpha, alphavee) == mat_apply(refl_y[i], v), (d.name, i, v)
+            for w in weyl_group(d):
+                mat_x = mat_y = mat_identity(d.rank)
+                for i in w.word:
+                    mat_x, mat_y = mat_mul(mat_x, refl_x[i]), mat_mul(mat_y, refl_y[i])
+                assert (w.mat_x, w.mat_y) == (mat_x, mat_y), (d.name, w.word)
 
     def test_lengths_are_inversions(self):
         for name in ("PGL2", "GL2", "GL3", "Sp4", "SO5"):

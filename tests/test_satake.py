@@ -6,7 +6,7 @@ from fractions import Fraction
 import pytest
 
 from heckedual.dualdata import langlands_dual_data
-from heckedual.errors import CapExceededError, ValidationError
+from heckedual.errors import CapExceededError, RankMismatchError, ValidationError
 from heckedual.lattice import GroupAlgebraElement, Laurent, dot, mat_mul
 from heckedual.rootdatum import BUILTINS, weyl_group
 from heckedual.satake import (
@@ -99,6 +99,13 @@ class TestUnramifiedCharacter:
             UnramifiedCharacter(PGL2, ())
         with pytest.raises(ValidationError, match="one value per coweight"):
             UnramifiedCharacter(BUILTINS["GL2"], ((Fraction(1), 0),))
+
+    def test_value_at_refuses_a_wrong_rank(self):
+        chi = UnramifiedCharacter(BUILTINS["GL2"], ((Fraction(2), 1), (Fraction(5), 0)))
+        assert chi.value_at((1, 1)) == (Fraction(10), 1)
+        for y in ((1,), (1, 1, 7)):
+            with pytest.raises(RankMismatchError):
+                chi.value_at(y)
 
     def test_zero_value(self):
         with pytest.raises(ValidationError, match="nonzero"):
