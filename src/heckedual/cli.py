@@ -4,6 +4,12 @@ Every command is deterministic: the same configuration produces byte
 identical JSON.  Exit codes: 0 success, 1 usage error, 2 validation
 error, 3 resource cap exceeded or out of memory, 4 numeric pole or domain
 error.
+
+Each call goes through `run`, which tags the result with its command,
+loads the call's datum once (`load_datum`: a builtin, a file or `-`;
+euler's --trivial wins over a positional datum) and labels it, except
+for dual, whose output holds the whole datum as its input.  The `cmd_*`
+functions take (args, d) and return only their own fields.
 """
 
 from __future__ import annotations
@@ -69,6 +75,14 @@ WEYL_CAP_ENV = "HECKEDUAL_MAX_WEYL"
 # datum documents
 
 
+def _document_int(x) -> int:
+    """An integer entry of a datum document: a boolean or a number with a
+    fractional part is refused, not truncated by int()."""
+    if isinstance(x, bool) or (isinstance(x, float) and not x.is_integer()):
+        raise ValueError(f"expected an integer, got {json.dumps(x)}")
+    return int(x)
+
+
 def parse_datum(doc: bytes | str) -> RootDatum:
     """Parse and validate a JSON datum document."""
     try:
@@ -81,9 +95,9 @@ def parse_datum(doc: bytes | str) -> RootDatum:
         raise ValidationError("datum document must be a JSON object")
     try:
         datum = RootDatum(
-            int(data["rank"]),
-            tuple(tuple(int(x) for x in v) for v in data.get("simple_roots", ())),
-            tuple(tuple(int(x) for x in v) for v in data.get("simple_coroots", ())),
+            _document_int(data["rank"]),
+            tuple(tuple(_document_int(x) for x in v) for v in data.get("simple_roots", ())),
+            tuple(tuple(_document_int(x) for x in v) for v in data.get("simple_coroots", ())),
             str(data.get("name", "")),
         )
     except (KeyError, TypeError, ValueError) as exc:
@@ -187,29 +201,22 @@ def dual_data(args, d: RootDatum) -> LanglandsDualData:
 # commands
 
 
-def cmd_dual(args) -> dict:
-    d = load_datum(args.datum)
-    return {"command": "dual", "input": emit_datum(d), "dual": emit_datum(dual_datum(d))}
+def cmd_dual(args, d) -> dict:
+    return {"input": emit_datum(d), "dual": emit_datum(dual_datum(d))}
 
 
-def cmd_roots(args) -> dict:
-    d = load_datum(args.datum)
+def cmd_roots(args, d) -> dict:
     roots, coroots = positive_roots(d)
     return {
-        "command": "roots",
-        "datum": d.name or "(file)",
         "positive_roots": [list(r) for r in roots],
         "positive_coroots": [list(c) for c in coroots],
         "count": len(roots),
     }
 
 
-def cmd_weyl(args) -> dict:
-    d = load_datum(args.datum)
+def cmd_weyl(args, d) -> dict:
     elements = weyl_group(d, args.max_weyl)
     return {
-        "command": "weyl",
-        "datum": d.name or "(file)",
         "order": len(elements),
         # breadth-first by length, so the last element is the longest
         "longest_length": elements[-1].length,
@@ -217,26 +224,21 @@ def cmd_weyl(args) -> dict:
     }
 
 
-def cmd_rho(args) -> dict:
-    d = load_datum(args.datum)
+def cmd_rho(args, d) -> dict:
     solution = solve_rho_weights(d)
-    out = {"command": "rho", "datum": d.name or "(file)"}
     if solution is None:
-        out["solvable"] = False
-    else:
-        particular, kernel = solution
-        out["solvable"] = True
-        out["particular"] = list(particular)
-        out["kernel_basis"] = [list(k) for k in kernel]
-    return out
+        return {"solvable": False}
+    particular, kernel = solution
+    return {
+        "solvable": True,
+        "particular": list(particular),
+        "kernel_basis": [list(k) for k in kernel],
+    }
 
 
-def cmd_extend(args) -> dict:
-    d = load_datum(args.datum)
+def cmd_extend(args, d) -> dict:
     e = extend_datum(d)
     out = {
-        "command": "extend",
-        "datum": d.name or "(file)",
         "extended": emit_datum(e.ext),
         "r": list(e.r),
         "delta_index": e.delta_index,
@@ -248,24 +250,18 @@ def cmd_extend(args) -> dict:
     return out
 
 
-def cmd_epsilon(args) -> dict:
-    d = load_datum(args.datum)
+def cmd_epsilon(args, d) -> dict:
     order, t = epsilon_of(d)
     return {
-        "command": "epsilon",
-        "datum": d.name or "(file)",
         "order": order,
         "t": list(t),
     }
 
 
-def cmd_dualdata(args) -> dict:
-    d = load_datum(args.datum)
+def cmd_dualdata(args, d) -> dict:
     dd = dual_data(args, d)
     quotient = decompose_quotient(dd)
     out = {
-        "command": "dualdata",
-        "datum": d.name or "(file)",
         "extended": emit_datum(dd.ext),
         "r": list(dd.r),
         "t": list(dd.t),
@@ -290,15 +286,12 @@ def cmd_dualdata(args) -> dict:
     return out
 
 
-def cmd_satake(args) -> dict:
-    d = load_datum(args.datum)
+def cmd_satake(args, d) -> dict:
     lam = parse_vector(args.coweight)
     check_height([lam], args.max_height)
     dd = dual_data(args, d)
     image = satake_image(dd, lam)
     return {
-        "command": "satake",
-        "datum": d.name or "(file)",
         "coweight": list(lam),
         "image": poly_json(image.poly),
         "image_str": str(image.poly),
@@ -306,26 +299,22 @@ def cmd_satake(args) -> dict:
     }
 
 
-def cmd_mult(args) -> dict:
-    d = load_datum(args.datum)
+def cmd_mult(args, d) -> dict:
     lam = parse_vector(args.lhs)
     mu = parse_vector(args.rhs)
     check_height([lam, mu], args.max_height)
     dd = dual_data(args, d)
     expansion = structure_polynomials(dd, lam, mu)
     return {
-        "command": "mult",
-        "datum": d.name or "(file)",
         "lhs": list(lam),
         "rhs": list(mu),
         "expansion": [[list(nu), laurent_json(c), str(c)] for nu, c in expansion.items()],
     }
 
 
-def cmd_oracle(args) -> dict:
+def cmd_oracle(args, d) -> dict:
     report = compare_rank1_oracle(args.q, args.max_height, args.max_tree_depth)
     return {
-        "command": "oracle",
         "q": report.q,
         "max_height": report.max_height,
         "entries": [
@@ -348,16 +337,13 @@ def _build_parameter(args, dd):
     return make_parameter(dd, parse_fraction(args.q), values)
 
 
-def cmd_rfactor(args) -> dict:
-    d = load_datum(args.datum)
+def cmd_rfactor(args, d) -> dict:
     dd = dual_data(args, d)
     parameter = _build_parameter(args, dd)
     weights = parse_vectors(args.weights)
     tau = DualRepresentation(dd, weights)
     factor = local_rfactor(parameter, tau)
     out = {
-        "command": "rfactor",
-        "datum": d.name or "(file)",
         "q": str(parameter.q),
         "weights": [list(w) for w in tau.weights],
         "inverse_roots": [field_json(c) for c in factor.inverse_roots],
@@ -370,13 +356,7 @@ def cmd_rfactor(args) -> dict:
     return out
 
 
-def cmd_euler(args) -> dict:
-    if args.trivial:
-        d = lookup_datum("trivial")
-    elif args.datum:
-        d = load_datum(args.datum)
-    else:
-        raise UsageError("euler needs a datum or --trivial")
+def cmd_euler(args, d) -> dict:
     dd = dual_data(args, d)
     if args.weights:
         tau = DualRepresentation(dd, parse_vectors(args.weights))
@@ -395,16 +375,13 @@ def cmd_euler(args) -> dict:
         places.append((q, make_parameter(dd, q, values)))
     value = partial_rfunction(places, tau, args.s)
     return {
-        "command": "euler",
-        "datum": d.name or "(file)",
         "places": [str(q) for q in qs],
         "s": args.s,
         "value": value,
     }
 
 
-def cmd_split(args) -> dict:
-    d = load_datum(args.datum)
+def cmd_split(args, d) -> dict:
     dd = dual_data(args, d)
     parameter = _build_parameter(args, dd)
     root = parse_fraction(args.sqrt) if args.sqrt else sqrt_of(parameter.q)
@@ -412,14 +389,29 @@ def cmd_split(args) -> dict:
         root = -root
     split = split_by_sqrt(parameter, root)
     return {
-        "command": "split",
-        "datum": d.name or "(file)",
         "q": str(parameter.q),
         "sqrt": field_json(root),
         "values": [field_json(v) for v in parameter.values],
         "split_values": [field_json(v) for v in split.values],
         "delta_value": field_json(split.delta_value()),
     }
+
+
+def run(args) -> dict:
+    """Run one parsed call: the result is tagged with its command, and a
+    datum command's datum is loaded here once and labelled, before the
+    fields that its `cmd_*` returns from (args, d)."""
+    result = {"command": args.command}
+    d = None
+    if "datum" in vars(args):  # every command but oracle
+        source = "trivial" if args.trivial else args.datum
+        if not source and args.datum_optional:
+            raise UsageError(f"{args.command} needs a datum or --trivial")
+        d = load_datum(source)
+        if args.labelled:
+            result["datum"] = d.name or "(file)"
+    result.update(args.fn(args, d))
+    return result
 
 
 # ---------------------------------------------------------------------------
@@ -487,6 +479,10 @@ def build_parser() -> argparse.ArgumentParser:
     # level keeps its own: a default set on shared actions reaches them all.
     flags = _Parser(add_help=False)
     _global_options(flags, suppress=True)
+    # what `run` reads of a datum command, unless its subparser says otherwise:
+    # dual's output names its input instead of a label, and only euler's
+    # datum may be left out, for --trivial
+    parser.set_defaults(labelled=True, datum_optional=False, trivial=False)
     sub = parser.add_subparsers(dest="command", required=True)
 
     def with_datum(name, help_text):
@@ -494,7 +490,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("datum", help="builtin name, 'trivial', a JSON file path, or -")
         return p
 
-    with_datum("dual", "dual root datum").set_defaults(fn=cmd_dual)
+    with_datum("dual", "dual root datum").set_defaults(fn=cmd_dual, labelled=False)
     with_datum("roots", "positive roots and coroots").set_defaults(fn=cmd_roots)
     with_datum("weyl", "Weyl group order and words").set_defaults(fn=cmd_weyl)
     with_datum("rho", "solve for weights of type rho").set_defaults(fn=cmd_rho)
@@ -530,7 +526,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--weights", default="")
     p.add_argument("--values", default="")
     p.add_argument("--s", type=float, required=True)
-    p.set_defaults(fn=cmd_euler)
+    p.set_defaults(fn=cmd_euler, datum_optional=True)
 
     p = with_datum("split", "divide out a square root of q along j")
     p.add_argument("--values", default="")
@@ -550,7 +546,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             args.max_height = ORACLE_HEIGHT if args.fn is cmd_oracle else DEFAULT_HEIGHT_CAP
         if any(getattr(args, cap, 1) <= 0 for cap in ("max_weyl", "max_height", "max_tree_depth")):
             raise UsageError("resource caps must be positive")
-        result = args.fn(args)
+        result = run(args)
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 1

@@ -39,6 +39,11 @@ class TestDatumDocuments:
         with pytest.raises(ValidationError):
             parse_datum(doc)
 
+    def test_integral_entries_still_read_by_int(self):
+        doc = json.dumps({"name": "PGL2", "rank": 1.0, "simple_roots": [["1"]],
+                          "simple_coroots": [[2.0]]})
+        assert parse_datum(doc) == BUILTINS["PGL2"]
+
     def test_malformed_json(self):
         with pytest.raises(ValidationError):
             parse_datum(b"{nope")
@@ -59,8 +64,20 @@ class TestDatumDocuments:
         ({"rank": 3, "simple_roots": [[2, -2, 1], [-2, 2, 0]],
           "simple_coroots": [[1, 0, 0], [0, 1, 0]]},
          "Cartan matrix is not of finite type"),
+        # JSON booleans and fractional numbers are refused, not truncated by int()
+        ({"name": "X", "rank": 1.9, "simple_roots": [[2.7]], "simple_coroots": [[True]]},
+         "bad datum document: expected an integer, got 1.9"),
+        ({"name": "X", "rank": 1, "simple_roots": [[2.7]], "simple_coroots": [[1]]},
+         "bad datum document: expected an integer, got 2.7"),
+        ({"name": "X", "rank": 1, "simple_roots": [[2]], "simple_coroots": [[True]]},
+         "bad datum document: expected an integer, got true"),
+        ({"name": "X", "rank": True, "simple_roots": [[2]], "simple_coroots": [[1]]},
+         "bad datum document: expected an integer, got true"),
+        ({"name": "X", "rank": 1, "simple_roots": [[2]], "simple_coroots": [[float("inf")]]},
+         "bad datum document: expected an integer, got Infinity"),
     ], ids=["non-object", "bad-field", "negative-rank", "wrong-length", "count-mismatch",
-            "more-roots-than-rank", "cartan-zeros", "not-finite-type"])
+            "more-roots-than-rank", "cartan-zeros", "not-finite-type", "fractional-rank",
+            "fractional-entry", "boolean-entry", "boolean-rank", "infinite-entry"])
     def test_invalid_document_is_validation(self, tmp_path, capsys, doc, message):
         source = tmp_path / "datum.json"
         source.write_text(json.dumps(doc))
@@ -164,7 +181,48 @@ class TestTextFormat:
         (("split", "PGL2", "--q", "2", "--values", "3"),
          "command: split\ndatum: PGL2\nq: 2\nsqrt:\n  a: 0\n  b: 1\n  rad: 2\n"
          "values: ['3', '2']\nsplit_values:\n  a=0  b=3  rad=2\n  1\ndelta_value: 1\n"),
-    ], ids=["satake", "oracle", "split"])
+        (("dual", "SL2"),
+         "command: dual\ninput:\n  name: SL2\n  rank: 1\n  simple_roots:\n  [2]\n"
+         "  simple_coroots:\n  [1]\ndual:\n  name: dual(SL2)\n  rank: 1\n  simple_roots:\n"
+         "  [1]\n  simple_coroots:\n  [2]\n"),
+        (("roots", "SL3"),
+         "command: roots\ndatum: SL3\npositive_roots:\n  [-1, 2]\n  [2, -1]\n  [1, 1]\n"
+         "positive_coroots:\n  [0, 1]\n  [1, 0]\n  [1, 1]\ncount: 3\n"),
+        (("weyl", "SL3"),
+         "command: weyl\ndatum: SL3\norder: 6\nlongest_length: 3\nwords:\n  []\n  [0]\n"
+         "  [1]\n  [0, 1]\n  [1, 0]\n  [0, 1, 0]\n"),
+        (("rho", "GL2"),
+         "command: rho\ndatum: GL2\nsolvable: True\nparticular: [1, 0]\nkernel_basis:\n"
+         "  [1, 1]\n"),
+        (("extend", "PGL2"),
+         "command: extend\ndatum: PGL2\nextended:\n  name: PGL2~\n  rank: 2\n"
+         "  simple_roots:\n  [1, 0]\n  simple_coroots:\n  [2, 1]\nr: [0, 1]\n"
+         "delta_index: 1\nisomorphic_builtin: GL2\nisomorphism:\n  [0, -1]\n  [1, 1]\n"),
+        (("epsilon", "SO5"), "command: epsilon\ndatum: SO5\norder: 2\nt: [3, 1]\n"),
+        (("dualdata", "PGL2"),
+         "command: dualdata\ndatum: PGL2\nextended:\n  name: PGL2~\n  rank: 2\n"
+         "  simple_roots:\n  [1, 0]\n  simple_coroots:\n  [2, 1]\nr: [0, 1]\nt: [1, 0]\n"
+         "j: [-1, 2]\ni: [0, 1]\np: [0, 1]\nepsilon_order: 2\ncokernel_invariants: [2]\n"
+         "kernel_element:\n  gm_component: -1\n  epsilon_order: 2\n  epsilon_parity: [1]\n"
+         "  description: (-1, epsilon of order 2)\nisomorphic_builtin: GL2\n"
+         "r_transported: [1, 0]\nj_transported: [1, 1]\n"),
+        (("mult", "PGL2", "--lhs", "1", "--rhs", "1"),
+         "command: mult\ndatum: PGL2\nlhs: [1]\nrhs: [1]\nexpansion:\n  [[2], [[0, 1]], '1']\n"
+         "  [[0], [[-2, 1], [-1, 1]], 'q^-1 + q^-2']\n"),
+        (("rfactor", "PGL2", "--weights", "1,1;-1,0", "--values", "2", "--q", "3", "--s", "2"),
+         "command: rfactor\ndatum: PGL2\nq: 3\nweights:\n  [-1, 0]\n  [1, 1]\n"
+         "inverse_roots: ['1/2', '6']\nsymbolic: (1 - (1/2)*u)^-1 * (1 - (6)*u)^-1\n"
+         "contragredient_weights:\n  [-1, 0]\n  [1, 1]\ns: 2.0\nvalue: 3.176470588235294\n"),
+        (("euler", "PGL2", "--places", "2", "--s", "2"),
+         "command: euler\ndatum: PGL2\nplaces: ['2']\ns: 2.0\nvalue: 1.3333333333333333\n"),
+        # --trivial wins over a positional datum, in either order
+        (("euler", "PGL2", "--trivial", "--places", "2", "--s", "2"),
+         "command: euler\ndatum: trivial\nplaces: ['2']\ns: 2.0\nvalue: 1.3333333333333333\n"),
+        (("euler", "--trivial", "PGL2", "--places", "2", "--s", "2"),
+         "command: euler\ndatum: trivial\nplaces: ['2']\ns: 2.0\nvalue: 1.3333333333333333\n"),
+    ], ids=["satake", "oracle", "split", "dual", "roots", "weyl", "rho", "extend", "epsilon",
+            "dualdata", "mult", "rfactor", "euler", "euler-datum-then-trivial",
+            "euler-trivial-then-datum"])
     def test_text_output(self, capsys, argv, text):
         assert run_cli(capsys, *argv) == (0, text, "")
 
