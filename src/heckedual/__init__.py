@@ -24,7 +24,6 @@ from .rootdatum import (
     BUILTINS,
     TRIVIAL,
     RootDatum,
-    WeylElement,
     datum_isomorphic,
     dominance_leq,
     dominant_below,

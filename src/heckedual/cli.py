@@ -215,12 +215,12 @@ def cmd_roots(args, d) -> dict:
 
 
 def cmd_weyl(args, d) -> dict:
-    elements = weyl_group(d, args.max_weyl)
+    words = weyl_group(d, args.max_weyl)
     return {
-        "order": len(elements),
-        # breadth-first by length, so the last element is the longest
-        "longest_length": elements[-1].length,
-        "words": [list(w.word) for w in elements],
+        "order": len(words),
+        # breadth-first by length, so the last word is the longest
+        "longest_length": len(words[-1]),
+        "words": [list(word) for word in words],
     }
 
 
@@ -421,24 +421,22 @@ def run(args) -> dict:
 def render_text(result: dict) -> str:
     lines = []
 
-    def emit(prefix, value):
+    def emit(indent, key, value):
         if isinstance(value, dict):
-            lines.append(f"{prefix}:")
+            lines.append(f"{indent}{key}:")
             for k in value:
-                emit(f"  {k}", value[k])
+                emit(indent + "  ", k, value[k])
         elif isinstance(value, list) and value and isinstance(value[0], (dict, list)):
-            lines.append(f"{prefix}:")
+            lines.append(f"{indent}{key}:")
             for item in value:
                 if isinstance(item, dict):
-                    body = "  ".join(f"{k}={item[k]}" for k in item)
-                    lines.append(f"  {body}")
-                else:
-                    lines.append(f"  {item}")
+                    item = "  ".join(f"{k}={item[k]}" for k in item)
+                lines.append(f"{indent}  {item}")
         else:
-            lines.append(f"{prefix}: {value}")
+            lines.append(f"{indent}{key}: {value}")
 
     for key in result:
-        emit(key, result[key])
+        emit("", key, result[key])
     return "\n".join(lines)
 
 

@@ -13,7 +13,8 @@ reflecting upward from the simple roots; twice rho; and the exponents, from
 which come |W| (`weyl_order`) and the Poincare polynomials of stabilizers
 (`stabilizer_poincare`).  The Weyl group is enumerated only where its
 elements are the output (`weyl_group`), once the counted |W| has passed a
-cap (`require_weyl_cap`).
+cap (`require_weyl_cap`).  A Weyl element is its reduced word, told apart
+from the others by one coweight, w^-1(2 rho-vee); no matrix is built.
 """
 
 from __future__ import annotations
@@ -69,23 +70,6 @@ class RootDatum:
     @property
     def semisimple_rank(self) -> int:
         return len(self.simple_roots)
-
-
-@dataclass(frozen=True)
-class WeylElement:
-    """A Weyl group element with a reduced word and its two matrices.
-
-    mat_x acts on X (weights), mat_y on Y (coweights); they are
-    contragredient for the dot pairing, and mat_x preserves the root set.
-    """
-
-    word: tuple[int, ...]
-    mat_x: IntMatrix
-    mat_y: IntMatrix
-
-    @property
-    def length(self) -> int:
-        return len(self.word)
 
 
 # ---------------------------------------------------------------------------
@@ -233,33 +217,33 @@ def positive_root_sum(d: RootDatum) -> Vec:
 
 
 @lru_cache(maxsize=None)
-def _weyl_group_cached(d: RootDatum) -> tuple[WeylElement, ...]:
-    """Breadth-first closure under w -> w s_i, where each row of M s_i is
-    the row reflected on the other side: (alphavee_i, alpha_i) on mat_y."""
-    identity = WeylElement((), mat_identity(d.rank), mat_identity(d.rank))
+def _weyl_group_cached(d: RootDatum) -> tuple[tuple[int, ...], ...]:
+    """Breadth-first closure under w -> w s_i, telling elements apart by
+    w^-1 v for v = 2 rho-vee, the sum of the positive coroots: <alpha_i, v>
+    = 2, so v is regular and w -> w^-1 v is injective (Humphreys 1.12), and
+    (w s_i)^-1 v = s_i (w^-1 v) is one reflection of a vector."""
+    v = tuple(map(sum, zip((0,) * d.rank, *_facts(d).coroots)))
     simple = tuple(enumerate(zip(d.simple_roots, d.simple_coroots)))
-    elements = [identity]
-    seen = {identity.mat_y}
-    head = 0
-    while head < len(elements):
-        w = elements[head]
-        head += 1
+    words = [()]
+    keys = [v]
+    seen = {v}
+    for word, key in zip(words, keys):  # both lists grow as they are read
         for i, (alpha, alphavee) in simple:
-            mat_y = tuple(reflect(row, alphavee, alpha) for row in w.mat_y)
-            if mat_y in seen:
+            moved = reflect(key, alpha, alphavee)
+            if moved in seen:
                 continue
-            seen.add(mat_y)
-            mat_x = tuple(reflect(row, alpha, alphavee) for row in w.mat_x)
-            elements.append(WeylElement(w.word + (i,), mat_x, mat_y))
-    return tuple(elements)
+            seen.add(moved)
+            words.append(word + (i,))
+            keys.append(moved)
+    return tuple(words)
 
 
-def weyl_group(d: RootDatum, cap: int = DEFAULT_WEYL_CAP) -> tuple[WeylElement, ...]:
-    """All Weyl elements in breadth-first (length, then word) order, once
-    |W| has passed the cap.
+def weyl_group(d: RootDatum, cap: int = DEFAULT_WEYL_CAP) -> tuple[tuple[int, ...], ...]:
+    """All Weyl elements as reduced words, in breadth-first (length, then
+    word) order, once |W| has passed the cap.
 
-    The first element is the identity; each word is reduced because the
-    closure is explored by increasing length.
+    The first word is the empty one, the identity; each word is reduced
+    because the closure is explored by increasing length.
     """
     require_weyl_cap(d, cap)
     return _weyl_group_cached(d)
@@ -310,6 +294,8 @@ def require_dominant(d: RootDatum, v: Sequence[int]) -> Vec:
 def dominance_leq(d: RootDatum, nu: Sequence[int], lam: Sequence[int]) -> bool:
     """nu <= lam iff lam - nu is a nonnegative integer combination of the
     simple coroots."""
+    for v in (nu, lam):
+        pairings(d, v)  # refuses a wrong rank
     diff = vec_sub(tuple(lam), tuple(nu))
     coords = solve_rational(d.simple_coroots, diff)
     if coords is None:

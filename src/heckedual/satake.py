@@ -7,8 +7,9 @@ linear action there, and restricting the delta coordinate to q recovers
 the twisted action below.  All spherical computations therefore happen
 upstairs, where only integer delta-exponents ever occur, and are pushed
 down at the end.  One dot step, e^y -> q^-<alpha, y> e^(s y) for a simple
-reflection s (``_dot_reflect``), serves both the dot action on elements
-and the check that an element is dot-invariant.
+reflection s (``_dot_reflect``), serves both the dot action on elements,
+folded over the reduced word of a Weyl element, and the check that an
+element is dot-invariant.
 
 The image of a dominant coweight lambda is its Hall-Littlewood
 symmetrization with parameter q^-1, summed over the Weyl orbit of
@@ -78,7 +79,6 @@ from .lattice import (
 from .rootdatum import (
     BUILTINS,
     RootDatum,
-    WeylElement,
     coweight_order_key,
     dominant_below,
     is_dominant_coweight,
@@ -133,7 +133,7 @@ def _dot_act_simple(d: RootDatum, i: int, chi: UnramifiedCharacter) -> Unramifie
     return UnramifiedCharacter(d, tuple(new_values))
 
 
-def dot_act_word(d: RootDatum, word: Sequence[int], chi: UnramifiedCharacter) -> UnramifiedCharacter:
+def dot_act(d: RootDatum, word: Sequence[int], chi: UnramifiedCharacter) -> UnramifiedCharacter:
     """Apply the twisted action along a word of simple reflections; the
     result is independent of the chosen reduced word."""
     for i in reversed(tuple(word)):
@@ -141,16 +141,12 @@ def dot_act_word(d: RootDatum, word: Sequence[int], chi: UnramifiedCharacter) ->
     return chi
 
 
-def dot_act(d: RootDatum, w: WeylElement, chi: UnramifiedCharacter) -> UnramifiedCharacter:
-    return dot_act_word(d, w.word, chi)
-
-
-def dot_act_poly(d: RootDatum, w: WeylElement, elem: GroupAlgebraElement) -> GroupAlgebraElement:
+def dot_act_poly(d: RootDatum, word: Sequence[int], elem: GroupAlgebraElement) -> GroupAlgebraElement:
     """The twisted action on coweight monomials over Z[q, q^-1], one
     simple reflection of the word at a time (``_dot_reflect``)."""
     if elem.rank != d.rank:
         raise ValidationError("element rank does not match the datum")
-    for i in reversed(w.word):
+    for i in reversed(tuple(word)):
         elem = _dot_reflect(elem, d.simple_roots[i], d.simple_coroots[i])
     return elem
 
@@ -292,6 +288,7 @@ class HeckeExpansion:
         self.coeffs = {tuple(v): c for v, c in self.coeffs.items() if not c.is_zero()}
 
     def get(self, nu: Sequence[int]) -> Laurent:
+        pairings(self.datum, nu)  # refuses a wrong rank
         return self.coeffs.get(tuple(nu), Laurent.zero())
 
     def items(self) -> list[tuple[Vec, Laurent]]:

@@ -3,6 +3,7 @@ import itertools
 import pytest
 
 from heckedual import satake
+from heckedual.lattice import mat_identity, mat_mul
 from heckedual.rootdatum import coweight_order_key, is_dominant_coweight
 
 
@@ -19,6 +20,17 @@ def simple_reflection_y(d, i):
     alphavee, alpha = d.simple_coroots[i], d.simple_roots[i]
     return tuple(tuple(int(r == c) - alphavee[r] * alpha[c] for c in range(d.rank))
                  for r in range(d.rank))
+
+
+def weyl_matrices(d, word):
+    """The matrices of the Weyl element with reduced word ``word``, on
+    weights and on coweights: the products of the simple reflections above
+    along the word."""
+    mat_x = mat_y = mat_identity(d.rank)
+    for i in word:
+        mat_x = mat_mul(mat_x, simple_reflection_x(d, i))
+        mat_y = mat_mul(mat_y, simple_reflection_y(d, i))
+    return mat_x, mat_y
 
 
 def enumerate_dominant(d, height):

@@ -53,7 +53,7 @@ from heckedual.satake import (
     structure_polynomials,
 )
 
-from conftest import enumerate_dominant, simple_reflection_x
+from conftest import enumerate_dominant, simple_reflection_x, weyl_matrices
 
 
 def report(number: int, title: str, ok: bool, detail: str = ""):
@@ -89,8 +89,8 @@ def test_criterion_02_extended_datum_axioms():
         if dot(dd.j, dd.i) != 2:
             failures.append(f"{name}: dot(j, i) != 2")
         for w in weyl_group(ext):
-            if mat_apply(w.mat_x, dd.j) != dd.j:
-                failures.append(f"{name}: j moved by {w.word}")
+            if mat_apply(weyl_matrices(ext, w)[0], dd.j) != dd.j:
+                failures.append(f"{name}: j moved by {w}")
     report(2, "extended datum axioms on all builtins", not failures, "; ".join(failures))
 
 
@@ -186,13 +186,14 @@ def test_criterion_08_dot_linear_intertwining():
         dd = langlands_dual_data(d)
         monomials = [tuple(rng.randint(-4, 4) for _ in range(d.rank)) for _ in range(50)]
         for w_ext, w_base in zip(weyl_group(dd.ext), weyl_group(d)):
-            assert w_ext.word == w_base.word
+            assert w_ext == w_base
+            _, mat_y = weyl_matrices(dd.ext, w_ext)
             for y in monomials:
                 lifted = GroupAlgebraElement.monomial(lift_exponent(y, 0))
-                upstairs = lifted.apply_map(w_ext.mat_y).specialize_delta(dd.delta_index)
+                upstairs = lifted.apply_map(mat_y).specialize_delta(dd.delta_index)
                 downstairs = dot_act_poly(d, w_base, GroupAlgebraElement.monomial(y))
                 if upstairs != downstairs:
-                    failures.append(f"{name}: w = {w_base.word}, y = {y}")
+                    failures.append(f"{name}: w = {w_base}, y = {y}")
     report(8, "lifted linear action specializes to the dot action "
               "(PGL2, GL2, GL3, Sp4; 50 monomials per element)",
            not failures, "; ".join(failures[:3]))

@@ -11,7 +11,14 @@ from heckedual import satake
 from heckedual.dualdata import langlands_dual_data
 from heckedual.errors import RankMismatchError
 from heckedual.lattice import Laurent, dot, vec_add, vec_scale
-from heckedual.rootdatum import BUILTINS, TRIVIAL, RootDatum, dominant_below, require_valid
+from heckedual.rootdatum import (
+    BUILTINS,
+    TRIVIAL,
+    RootDatum,
+    dominance_leq,
+    dominant_below,
+    require_valid,
+)
 from heckedual.satake import (
     HeckeExpansion,
     satake_image,
@@ -111,6 +118,13 @@ def test_wrong_rank_is_refused_after_the_class_is_cached(fresh_images):
         satake_image_extended(dd, (1, 2, 3))
     with pytest.raises(RankMismatchError, match=match):
         dominant_below(TORUS, (1, 2, 3))
+    # neither the dominance order nor a coefficient lookup truncates to the
+    # shorter vector
+    gl2 = BUILTINS["GL2"]
+    with pytest.raises(RankMismatchError, match=match):
+        dominance_leq(gl2, (5, 5, 9), (6, 4))
+    with pytest.raises(RankMismatchError, match=match):
+        structure_polynomials(langlands_dual_data(gl2), (1, 0), (1, 0)).get((2, 0, 7))
 
 
 @pytest.mark.parametrize("name", ["GL2", "GL3"])

@@ -182,9 +182,9 @@ class TestTextFormat:
          "command: split\ndatum: PGL2\nq: 2\nsqrt:\n  a: 0\n  b: 1\n  rad: 2\n"
          "values: ['3', '2']\nsplit_values:\n  a=0  b=3  rad=2\n  1\ndelta_value: 1\n"),
         (("dual", "SL2"),
-         "command: dual\ninput:\n  name: SL2\n  rank: 1\n  simple_roots:\n  [2]\n"
-         "  simple_coroots:\n  [1]\ndual:\n  name: dual(SL2)\n  rank: 1\n  simple_roots:\n"
-         "  [1]\n  simple_coroots:\n  [2]\n"),
+         "command: dual\ninput:\n  name: SL2\n  rank: 1\n  simple_roots:\n    [2]\n"
+         "  simple_coroots:\n    [1]\ndual:\n  name: dual(SL2)\n  rank: 1\n  simple_roots:\n"
+         "    [1]\n  simple_coroots:\n    [2]\n"),
         (("roots", "SL3"),
          "command: roots\ndatum: SL3\npositive_roots:\n  [-1, 2]\n  [2, -1]\n  [1, 1]\n"
          "positive_coroots:\n  [0, 1]\n  [1, 0]\n  [1, 1]\ncount: 3\n"),
@@ -196,12 +196,12 @@ class TestTextFormat:
          "  [1, 1]\n"),
         (("extend", "PGL2"),
          "command: extend\ndatum: PGL2\nextended:\n  name: PGL2~\n  rank: 2\n"
-         "  simple_roots:\n  [1, 0]\n  simple_coroots:\n  [2, 1]\nr: [0, 1]\n"
+         "  simple_roots:\n    [1, 0]\n  simple_coroots:\n    [2, 1]\nr: [0, 1]\n"
          "delta_index: 1\nisomorphic_builtin: GL2\nisomorphism:\n  [0, -1]\n  [1, 1]\n"),
         (("epsilon", "SO5"), "command: epsilon\ndatum: SO5\norder: 2\nt: [3, 1]\n"),
         (("dualdata", "PGL2"),
          "command: dualdata\ndatum: PGL2\nextended:\n  name: PGL2~\n  rank: 2\n"
-         "  simple_roots:\n  [1, 0]\n  simple_coroots:\n  [2, 1]\nr: [0, 1]\nt: [1, 0]\n"
+         "  simple_roots:\n    [1, 0]\n  simple_coroots:\n    [2, 1]\nr: [0, 1]\nt: [1, 0]\n"
          "j: [-1, 2]\ni: [0, 1]\np: [0, 1]\nepsilon_order: 2\ncokernel_invariants: [2]\n"
          "kernel_element:\n  gm_component: -1\n  epsilon_order: 2\n  epsilon_parity: [1]\n"
          "  description: (-1, epsilon of order 2)\nisomorphic_builtin: GL2\n"

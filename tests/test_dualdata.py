@@ -25,7 +25,7 @@ from heckedual.rootdatum import (
     weyl_group,
 )
 
-from conftest import simple_reflection_x
+from conftest import simple_reflection_x, weyl_matrices
 
 
 class TestRhoWeights:
@@ -131,7 +131,7 @@ class TestLanglandsDualData:
             assert dot(dd.r, dd.i) == 1
             assert dot(dd.j, dd.i) == 2
             for w in weyl_group(dd.ext):
-                assert mat_apply(w.mat_x, dd.j) == dd.j
+                assert mat_apply(weyl_matrices(dd.ext, w)[0], dd.j) == dd.j
 
     def test_gl2_identification_transports_r_and_j(self):
         dd = langlands_dual_data(BUILTINS["PGL2"])

@@ -29,7 +29,7 @@ from heckedual.satake import (
     structure_polynomials,
 )
 
-from conftest import enumerate_dominant
+from conftest import enumerate_dominant, weyl_matrices
 
 DD_PGL2 = langlands_dual_data(BUILTINS["PGL2"])
 
@@ -79,13 +79,14 @@ def hall_littlewood_sides(dd, lam):
         numerator = numerator * (one - GroupAlgebraElement.monomial(inv, Laurent.q_power(-1)))
     rhs = GroupAlgebraElement.zero(ext.rank)
     for w in weyl_group(ext):
+        _, mat_y = weyl_matrices(ext, w)
         exponent = (0,) * ext.rank
         for betavee in coroots:
-            moved = mat_apply(w.mat_y, betavee)
+            moved = mat_apply(mat_y, betavee)
             if moved not in coroots:
                 exponent = vec_add(exponent, moved)
-        ratio = GroupAlgebraElement.monomial(exponent, (-1) ** w.length)
-        rhs = rhs + numerator.apply_map(w.mat_y) * ratio
+        ratio = GroupAlgebraElement.monomial(exponent, (-1) ** len(w))
+        rhs = rhs + numerator.apply_map(mat_y) * ratio
     normalizer = stabilizer_poincare(dd.base, lam).substitute_inverse()
     return satake_image_extended(dd, lam) * delta * normalizer, rhs
 
@@ -160,7 +161,7 @@ def dot_invariant_by_lookups(d, elem):
 @pytest.mark.parametrize("name", ["PGL2", "GL3", "Sp4"])
 def test_is_dot_invariant_matches_dot_action(name):
     d = BUILTINS[name]
-    reflections = [w for w in weyl_group(d) if w.length == 1]
+    reflections = [w for w in weyl_group(d) if len(w) == 1]
     dd = langlands_dual_data(d)
     seen = set()
     for lam in enumerate_dominant(d, 2):

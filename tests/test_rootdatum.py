@@ -1,12 +1,14 @@
 """Tests for based root data, Weyl groups and the dominance order."""
 
+import hashlib
 import itertools
 import random
+from types import SimpleNamespace
 
 import pytest
 
 from heckedual import rootdatum
-from heckedual.cli import isomorphic_builtin
+from heckedual.cli import cmd_weyl, isomorphic_builtin
 from heckedual.dualdata import extend_datum
 from heckedual.errors import CapExceededError, ValidationError
 from heckedual.lattice import (
@@ -16,7 +18,6 @@ from heckedual.lattice import (
     mat_det,
     mat_identity,
     mat_inverse_unimodular,
-    mat_mul,
     reflect,
     solve_rational,
 )
@@ -37,7 +38,7 @@ from heckedual.rootdatum import (
     weyl_order,
 )
 
-from conftest import simple_reflection_x, simple_reflection_y
+from conftest import simple_reflection_x, simple_reflection_y, weyl_matrices
 
 
 def simply_connected(name, cartan):
@@ -57,6 +58,9 @@ SIMPLY_CONNECTED = (
 F4 = simply_connected("F4", ((2, -1, 0, 0), (-1, 2, -2, 0), (0, -1, 2, -1), (0, 0, -1, 2)))
 
 
+PINNED_WEYL_WORDS = "53f9d8739c88efb41a5b470c713609379e244e5f7b5c8c8d60f3ec7d886b2aa2"
+
+
 def type_a_cartan(k, affine=False):
     """The k x k Cartan matrix of type A_k, or of affine type A_(k-1)~."""
     def entry(i, j):
@@ -73,14 +77,15 @@ def gl_roots(n):
 
 
 def longest_element(d):
-    return max(weyl_group(d), key=lambda w: w.length)
+    return max(weyl_group(d), key=len)
 
 
 def inversion_count(d, w):
     """Number of positive roots sent to negative roots; equals the length."""
     roots, _ = positive_roots(d)
     neg = {tuple(-x for x in r) for r in roots}
-    return sum(1 for r in roots if mat_apply(w.mat_x, r) in neg)
+    mat_x, _ = weyl_matrices(d, w)
+    return sum(1 for r in roots if mat_apply(mat_x, r) in neg)
 
 
 def closure_positive_roots(d):
@@ -246,10 +251,24 @@ class TestWeylGroup:
         gl21 = RootDatum(21, gl_roots(21), gl_roots(21), "GL21")
         assert weyl_order(gl21) == 51090942171709440000  # 21!
 
+    def test_words_pinned(self):
+        # sha256 of the words of W, in the breadth-first order that `weyl`
+        # prints, recorded when each element was told apart by its matrices
+        data = [TRIVIAL]
+        for d in BUILTINS.values():
+            data += [d, extend_datum(d).ext]
+        data += [RootDatum(n, gl_roots(n), gl_roots(n), f"GL{n}") for n in range(4, 8)]
+        data += list(SIMPLY_CONNECTED) + [F4]
+        digest = hashlib.sha256()
+        for d in data:
+            words = weyl_group(d)
+            assert cmd_weyl(SimpleNamespace(max_weyl=len(words)), d)["words"] == list(map(list, words))
+            digest.update(repr((d.name, words)).encode())
+        assert digest.hexdigest() == PINNED_WEYL_WORDS
+
     def test_reflections_match_the_reference_matrices(self):
         # reflect against the matrices built entry by entry, on basis and
-        # random vectors, and every Weyl element's matrices against the
-        # product of those matrices along its word
+        # random vectors
         rng = random.Random(15)
         data = list(SIMPLY_CONNECTED) + [F4]
         for d in BUILTINS.values():
@@ -263,22 +282,17 @@ class TestWeylGroup:
                 for v in vectors:
                     assert reflect(v, alphavee, alpha) == mat_apply(refl_x[i], v), (d.name, i, v)
                     assert reflect(v, alpha, alphavee) == mat_apply(refl_y[i], v), (d.name, i, v)
-            for w in weyl_group(d):
-                mat_x = mat_y = mat_identity(d.rank)
-                for i in w.word:
-                    mat_x, mat_y = mat_mul(mat_x, refl_x[i]), mat_mul(mat_y, refl_y[i])
-                assert (w.mat_x, w.mat_y) == (mat_x, mat_y), (d.name, w.word)
 
     def test_lengths_are_inversions(self):
         for name in ("PGL2", "GL2", "GL3", "Sp4", "SO5"):
             d = BUILTINS[name]
             for w in weyl_group(d):
-                assert w.length == inversion_count(d, w)
+                assert len(w) == inversion_count(d, w)
 
     def test_longest_element_length(self):
         for d in BUILTINS.values():
             roots, _ = positive_roots(d)
-            assert longest_element(d).length == len(roots)
+            assert len(longest_element(d)) == len(roots)
 
     def test_root_set_stable(self):
         for name in ("GL3", "Sp4"):
@@ -286,17 +300,19 @@ class TestWeylGroup:
             roots, _ = positive_roots(d)
             full = set(roots) | {tuple(-x for x in r) for r in roots}
             for w in weyl_group(d):
-                assert {mat_apply(w.mat_x, r) for r in full} == full
+                mat_x, _ = weyl_matrices(d, w)
+                assert {mat_apply(mat_x, r) for r in full} == full
 
     def test_contragredient_pairing(self):
         rng = random.Random(1)
         for name in ("GL2", "Sp4"):
             d = BUILTINS[name]
             for w in weyl_group(d):
+                mat_x, mat_y = weyl_matrices(d, w)
                 for _ in range(5):
                     x = tuple(rng.randint(-3, 3) for _ in range(d.rank))
                     y = tuple(rng.randint(-3, 3) for _ in range(d.rank))
-                    assert dot(mat_apply(w.mat_x, x), mat_apply(w.mat_y, y)) == dot(x, y)
+                    assert dot(mat_apply(mat_x, x), mat_apply(mat_y, y)) == dot(x, y)
 
 
 class TestDominance:
@@ -362,8 +378,8 @@ class TestStabilizer:
         def enumerated(d, lam):
             out = Laurent.zero()
             for w in weyl_group(d):
-                if mat_apply(w.mat_y, lam) == lam:
-                    out = out + Laurent.q_power(w.length)
+                if mat_apply(weyl_matrices(d, w)[1], lam) == lam:
+                    out = out + Laurent.q_power(len(w))
             return out
 
         cases = [(d, (0,) * d.rank) for d in (SIMPLY_CONNECTED[0], F4)]
