@@ -2,11 +2,9 @@
 local R-factors, all in exact arithmetic."""
 
 from .dualdata import (
-    ExtendedDatum,
     LanglandsDualData,
     decompose_quotient,
     epsilon_of,
-    extend_datum,
     langlands_dual_data,
     solve_rho_weights,
 )

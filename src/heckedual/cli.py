@@ -25,7 +25,6 @@ from .dualdata import (
     LanglandsDualData,
     decompose_quotient,
     epsilon_of,
-    extend_datum,
     langlands_dual_data,
     solve_rho_weights,
 )
@@ -75,16 +74,9 @@ WEYL_CAP_ENV = "HECKEDUAL_MAX_WEYL"
 # datum documents
 
 
-def _document_int(x) -> int:
-    """An integer entry of a datum document: a boolean or a number with a
-    fractional part is refused, not truncated by int()."""
-    if isinstance(x, bool) or (isinstance(x, float) and not x.is_integer()):
-        raise ValueError(f"expected an integer, got {json.dumps(x)}")
-    return int(x)
-
-
 def parse_datum(doc: bytes | str) -> RootDatum:
-    """Parse and validate a JSON datum document."""
+    """Parse and validate a JSON datum document; RootDatum reads its
+    entries, refusing a boolean or a fractional number."""
     try:
         data = json.loads(doc.decode("utf-8") if isinstance(doc, bytes) else doc)
     except UnicodeDecodeError as exc:
@@ -95,12 +87,12 @@ def parse_datum(doc: bytes | str) -> RootDatum:
         raise ValidationError("datum document must be a JSON object")
     try:
         datum = RootDatum(
-            _document_int(data["rank"]),
-            tuple(tuple(_document_int(x) for x in v) for v in data.get("simple_roots", ())),
-            tuple(tuple(_document_int(x) for x in v) for v in data.get("simple_coroots", ())),
+            data["rank"],
+            data.get("simple_roots", ()),
+            data.get("simple_coroots", ()),
             str(data.get("name", "")),
         )
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, ValidationError) as exc:
         raise ValidationError(f"bad datum document: {exc}") from None
     return require_valid(datum)
 
@@ -237,13 +229,13 @@ def cmd_rho(args, d) -> dict:
 
 
 def cmd_extend(args, d) -> dict:
-    e = extend_datum(d)
+    dd = langlands_dual_data(d)
     out = {
-        "extended": emit_datum(e.ext),
-        "r": list(e.r),
-        "delta_index": e.delta_index,
+        "extended": emit_datum(dd.ext),
+        "r": list(dd.r),
+        "delta_index": dd.delta_index,
     }
-    found = isomorphic_builtin(e.ext)
+    found = isomorphic_builtin(dd.ext)
     if found is not None:
         out["isomorphic_builtin"] = found[0]
         out["isomorphism"] = [list(row) for row in found[1]]

@@ -1,4 +1,5 @@
-"""The extended datum, its dual-side structure maps and the central sign.
+"""The dual data of a root datum: its extension, the dual-side structure
+maps and the central sign, held together in one object per datum.
 
 Starting from a based root datum, the character lattice is enlarged by one
 rank with a distinguished weight r pairing to 1 with every simple coroot,
@@ -6,7 +7,8 @@ so the extension always carries a weight of type rho even when the base
 datum does not.  On the dual side this produces the tuple of structure
 data (i, p, j, r) together with a canonical central element of order at
 most two, realized here as the parity functional of the sum t of all
-positive roots.
+positive roots.  `langlands_dual_data` builds all of it, as one
+`LanglandsDualData`, and caches it once per datum and name.
 
 Everything is verified at construction time: the identities dot(r, i) = 1,
 dot(j, i) = 2, Weyl invariance of j and evenness of dot(t, coroot) are
@@ -57,39 +59,6 @@ def solve_rho_weights(d: RootDatum) -> Optional[tuple[Vec, tuple[Vec, ...]]]:
     return particular, tuple(kernel)
 
 
-@dataclass(frozen=True)
-class ExtendedDatum:
-    """The rank+1 extension with simple roots (alpha, 0), coroots
-    (alphavee, 1), distinguished weight r = (0,...,0,1) and the delta
-    coordinate last."""
-
-    base: RootDatum
-    ext: RootDatum
-    r: Vec
-    delta_index: int
-
-
-def extend_datum(d: RootDatum) -> ExtendedDatum:
-    """Adjoin the canonical central direction to a valid datum."""
-    require_valid(d)
-    roots = tuple(v + (0,) for v in d.simple_roots)
-    coroots = tuple(v + (1,) for v in d.simple_coroots)
-    name = f"{d.name}~" if d.name else ""
-    ext = RootDatum(d.rank + 1, roots, coroots, name)
-    try:
-        require_valid(ext)
-    except ValidationError as exc:
-        raise ValidationError(f"extension failed validation: {exc}") from None
-    r = (0,) * d.rank + (1,)
-    datum = ExtendedDatum(d, ext, r, d.rank)
-    for i, (alpha, alphavee) in enumerate(zip(ext.simple_roots, ext.simple_coroots)):
-        if dot(r, alphavee) != 1:
-            raise RuntimeError(f"internal: dot(r, coroot {i}) != 1 in extension")
-        if reflect(r, alphavee, alpha) != vec_sub(r, alpha):
-            raise RuntimeError(f"internal: reflection {i} does not shift r by a root")
-    return datum
-
-
 def epsilon_of(d: RootDatum) -> tuple[int, Vec]:
     """Order of the central sign and the weight t behind it.
 
@@ -107,15 +76,20 @@ def epsilon_of(d: RootDatum) -> tuple[int, Vec]:
 
 @dataclass(frozen=True)
 class LanglandsDualData:
-    """Dual-side structure data attached to the extension of a root datum.
+    """A datum's extension and its dual-side structure data.
 
-    Fields live in the extended lattices: t and j = 2r - t in the extended
-    character lattice, the central cocharacter i and the projection
-    character p both given by the delta vector of the extended cocharacter
-    lattice.  epsilon_order records whether the central sign is trivial.
+    The extension ext has rank one more than base, simple roots (alpha, 0),
+    simple coroots (alphavee, 1) and the delta coordinate last; r =
+    (0,...,0,1) is its distinguished weight.  t and j = 2r - t lie in the
+    extended character lattice, the central cocharacter i and the
+    projection character p are both the delta vector of the extended
+    cocharacter lattice, and epsilon_order records whether the central sign
+    is trivial.  Equality ignores names, as the datum's does.
     """
 
-    extended: ExtendedDatum
+    base: RootDatum
+    ext: RootDatum
+    r: Vec
     t: Vec
     j: Vec
     i: Vec
@@ -125,47 +99,52 @@ class LanglandsDualData:
     def __post_init__(self):
         # the image and expansion caches hash their keys on every lookup,
         # and the generated hash would walk all the nested fields each time
-        object.__setattr__(self, "_hash", hash((self.extended, self.t, self.j, self.i, self.p,
-                                                self.epsilon_order)))
+        object.__setattr__(self, "_hash", hash((self.base, self.ext, self.r, self.t, self.j,
+                                                self.i, self.p, self.epsilon_order)))
 
     def __hash__(self):
         return self._hash
 
     @property
-    def base(self) -> RootDatum:
-        return self.extended.base
-
-    @property
-    def ext(self) -> RootDatum:
-        return self.extended.ext
-
-    @property
-    def r(self) -> Vec:
-        return self.extended.r
-
-    @property
     def delta_index(self) -> int:
-        return self.extended.delta_index
+        return self.base.rank
+
+
+def langlands_dual_data(d: RootDatum) -> LanglandsDualData:
+    """Assemble and verify the full dual-side data for a valid datum, once
+    per datum and name: equal data may carry different names, and the
+    extension is named after its base."""
+    return _dual_data(d, d.name)
 
 
 @lru_cache(maxsize=None)
-def langlands_dual_data(d: RootDatum) -> LanglandsDualData:
-    """Assemble and verify the full dual-side data for a valid datum."""
-    extended = extend_datum(d)
+def _dual_data(d: RootDatum, name: str) -> LanglandsDualData:
+    require_valid(d)
+    roots = tuple(v + (0,) for v in d.simple_roots)
+    coroots = tuple(v + (1,) for v in d.simple_coroots)
+    ext = RootDatum(d.rank + 1, roots, coroots, f"{name}~" if name else "")
+    try:
+        require_valid(ext)
+    except ValidationError as exc:
+        raise ValidationError(f"extension failed validation: {exc}") from None
+    r = i = (0,) * d.rank + (1,)  # the delta vector
+    for k, (alpha, alphavee) in enumerate(zip(ext.simple_roots, ext.simple_coroots)):
+        if dot(r, alphavee) != 1:
+            raise RuntimeError(f"internal: dot(r, coroot {k}) != 1 in extension")
+        if reflect(r, alphavee, alpha) != vec_sub(r, alpha):
+            raise RuntimeError(f"internal: reflection {k} does not shift r by a root")
     order, t0 = epsilon_of(d)
     t = t0 + (0,)
-    j = vec_sub(vec_scale(2, extended.r), t)
-    i = (0,) * d.rank + (1,)
-    data = LanglandsDualData(extended, t, j, i, i, order)
-    if dot(data.r, data.i) != 1:
+    j = vec_sub(vec_scale(2, r), t)
+    if dot(r, i) != 1:
         raise RuntimeError("internal: dot(r, i) != 1")
-    if dot(data.j, data.i) != 2:
+    if dot(j, i) != 2:
         raise RuntimeError("internal: dot(j, i) != 2")
-    # s_i j = j - <j, alphavee_i> alpha_i, and the s_i generate the Weyl group
-    for k, alphavee in enumerate(extended.ext.simple_coroots):
+    # s_k j = j - <j, alphavee_k> alpha_k, and the s_k generate the Weyl group
+    for k, alphavee in enumerate(ext.simple_coroots):
         if dot(j, alphavee) != 0:
             raise RuntimeError(f"internal: j moved by simple reflection s_{k}")
-    return data
+    return LanglandsDualData(d, ext, r, t, j, i, i, order)
 
 
 # ---------------------------------------------------------------------------

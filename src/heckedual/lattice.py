@@ -35,11 +35,12 @@ the sign phenomena downstream are statements about exact q-exponents.
 
 from __future__ import annotations
 
+import json
 import operator
 from fractions import Fraction
 from typing import Iterable, Mapping, Optional, Sequence
 
-from .errors import RankMismatchError
+from .errors import RankMismatchError, ValidationError
 
 Vec = tuple[int, ...]
 IntMatrix = tuple[Vec, ...]
@@ -47,6 +48,22 @@ IntMatrix = tuple[Vec, ...]
 
 # ---------------------------------------------------------------------------
 # vectors and integer matrices
+
+
+def as_int(x) -> int:
+    """An integer entry read by int(): a boolean, or a float or Fraction
+    with a fractional part, is refused with a ValidationError, not
+    truncated."""
+    if isinstance(x, bool) or (isinstance(x, float) and not x.is_integer()) or (
+            isinstance(x, Fraction) and x.denominator != 1):
+        shown = json.dumps(x) if isinstance(x, (bool, float)) else str(x)
+        raise ValidationError(f"expected an integer, got {shown}")
+    return int(x)
+
+
+def int_vector(v: Iterable) -> Vec:
+    """v as a tuple of ints, its entries read by ``as_int`` in one pass."""
+    return tuple([x if type(x) is int else as_int(x) for x in v])
 
 
 def dot(x: Sequence[int], y: Sequence[int]) -> int:
@@ -563,10 +580,10 @@ class GroupAlgebraElement:
         self.rank = rank
         store: dict[Vec, Laurent] = {}
         for v, c in (terms or {}).items():
-            v = tuple(int(x) for x in v)
+            v = int_vector(v)
             if len(v) != rank:
                 raise RankMismatchError(f"exponent {v} in a rank-{rank} algebra")
-            c = c if isinstance(c, Laurent) else Laurent.term(int(c))
+            c = c if isinstance(c, Laurent) else Laurent.term(as_int(c))
             if not c.is_zero():
                 store[v] = c
         self._terms = store

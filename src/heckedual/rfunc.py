@@ -26,7 +26,7 @@ from typing import Sequence, Union
 
 from .dualdata import LanglandsDualData
 from .errors import OmegaViolationError, PoleError, RankMismatchError, ValidationError
-from .lattice import Vec, reflect
+from .lattice import Vec, int_vector, reflect
 
 # ---------------------------------------------------------------------------
 # the quadratic coefficient field Q(sqrt(rad))
@@ -249,7 +249,7 @@ class DualRepresentation:
 
     def __post_init__(self):
         object.__setattr__(self, "weights",
-                           tuple(sorted(tuple(int(x) for x in w) for w in self.weights)))
+                           tuple(sorted(map(int_vector, self.weights))))
         rank = self.dd.ext.rank
         for w in self.weights:
             if len(w) != rank:
@@ -283,7 +283,7 @@ class DualRepresentation:
         simple = tuple(zip(dd.ext.simple_roots, dd.ext.simple_coroots))
         weights: list[Vec] = []
         for seed in seeds:
-            orbit = {tuple(int(x) for x in seed)}
+            orbit = {int_vector(seed)}
             frontier = list(orbit)
             while frontier:
                 wt = frontier.pop()

@@ -31,8 +31,10 @@ from .lattice import (
     IntMatrix,
     Laurent,
     Vec,
+    as_int,
     dot,
     int_rank,
+    int_vector,
     mat_det,
     mat_identity,
     mat_transpose,
@@ -53,7 +55,8 @@ class RootDatum:
     """A based root datum presented on the lattice Z^rank.
 
     The name is a label only; it does not take part in equality, so dual
-    presentations compare equal to builtins regardless of labeling.
+    presentations compare equal to builtins regardless of labeling.  The
+    rank and every entry are read by ``as_int``.
     """
 
     rank: int
@@ -62,10 +65,9 @@ class RootDatum:
     name: str = field(default="", compare=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "simple_roots",
-                           tuple(tuple(int(x) for x in v) for v in self.simple_roots))
-        object.__setattr__(self, "simple_coroots",
-                           tuple(tuple(int(x) for x in v) for v in self.simple_coroots))
+        object.__setattr__(self, "rank", as_int(self.rank))
+        object.__setattr__(self, "simple_roots", tuple(map(int_vector, self.simple_roots)))
+        object.__setattr__(self, "simple_coroots", tuple(map(int_vector, self.simple_coroots)))
 
     @property
     def semisimple_rank(self) -> int:
@@ -286,7 +288,7 @@ def require_dominant_pairings(v: Vec, p: Vec) -> None:
 
 def require_dominant(d: RootDatum, v: Sequence[int]) -> Vec:
     """v as a tuple of ints; ValidationError unless it is dominant."""
-    v = tuple(int(x) for x in v)
+    v = int_vector(v)
     require_dominant_pairings(v, pairings(d, v))
     return v
 

@@ -71,6 +71,7 @@ from .lattice import (
     Vec,
     add_products_into,
     dot,
+    int_vector,
     reflect,
     vec_add,
     vec_sub,
@@ -168,9 +169,10 @@ def lift_exponent(y: Sequence[int], n: int) -> Vec:
 # spherical expansions
 
 
-@dataclass
+@dataclass(frozen=True)
 class SphericalFunction:
-    """A dot-invariant element of the coweight group algebra."""
+    """A dot-invariant element of the coweight group algebra.  Frozen,
+    since the image cache hands out the same instance to every caller."""
 
     poly: GroupAlgebraElement
     datum: RootDatum
@@ -267,7 +269,7 @@ def satake_image(dd: LanglandsDualData, lam: Sequence[int]) -> SphericalFunction
     Coefficients land in Z[q, q^-1]; the result is invariant under the
     twisted Weyl action and its coefficient at e^lambda is 1.
     """
-    lam = tuple(int(x) for x in lam)
+    lam = int_vector(lam)
     p = pairings(dd.base, lam)
     require_dominant_pairings(lam, p)
     rep, image = _class_image(dd, lam, p)
@@ -314,8 +316,8 @@ def structure_polynomials(dd: LanglandsDualData, lam: Sequence[int], mu: Sequenc
     centre, at their representatives, and shifted to the pair asked for.
     """
     d = dd.base
-    lam = tuple(int(x) for x in lam)
-    mu = tuple(int(x) for x in mu)
+    lam = int_vector(lam)
+    mu = int_vector(mu)
     top = vec_add(lam, mu)
     p_lam, p_mu = pairings(d, lam), pairings(d, mu)
     for v, p in ((top, vec_add(p_lam, p_mu)), (lam, p_lam), (mu, p_mu)):

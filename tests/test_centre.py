@@ -3,11 +3,12 @@ of shifted coweights against ones built cold, whatever coweight first
 represents a class, the commutativity that the unordered expansion key
 relies on, and the caches holding one entry per class."""
 
+import dataclasses
 import itertools
 
 import pytest
 
-from heckedual import satake
+from heckedual import dualdata, satake
 from heckedual.dualdata import langlands_dual_data
 from heckedual.errors import RankMismatchError
 from heckedual.lattice import Laurent, dot, vec_add, vec_scale
@@ -231,11 +232,23 @@ def test_mutating_an_expansion_leaves_the_next_call_alone(name, lam, mu):
     assert structure_polynomials(dd, mu, lam).coeffs == expected
 
 
+def test_cached_image_is_frozen():
+    # satake_image hands out the cached image itself (PGL2 has no centre to
+    # shift it by), so it must not be assignable: a shifted poly would reach
+    # every later call and every peel that reads it
+    dd = langlands_dual_data(BUILTINS["PGL2"])
+    image = satake_image(dd, (2,))
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        image.poly = image.poly.shift((5,))
+    assert satake_image(dd, (2,)) is image
+    assert image.poly == cold_image(dd, (2,))
+
+
 def test_equal_datum_hits_the_caches(fresh_images):
     # the caches key on the dual data, whose hash is computed once when it
     # is built: a fresh equal instance must find the same entries
     d = BUILTINS["GL3"]
-    dd, fresh = langlands_dual_data(d), langlands_dual_data.__wrapped__(d)
+    dd, fresh = langlands_dual_data(d), dualdata._dual_data.__wrapped__(d, d.name)
     assert fresh is not dd and hash(fresh) == hash(dd)
     image = satake_image(dd, (1, 0, 0))
     expansion = structure_polynomials(dd, (1, 0, 0), (0, 0, -1))

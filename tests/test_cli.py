@@ -8,7 +8,7 @@ import pytest
 
 from heckedual.cli import emit_datum, main, parse_datum
 from heckedual.errors import ValidationError
-from heckedual.rootdatum import BUILTINS
+from heckedual.rootdatum import BUILTINS, lookup_datum
 
 
 def run_cli(capsys, *argv):
@@ -125,6 +125,24 @@ class TestCommands:
         assert result["cokernel_invariants"] == [2]
         assert result["r_transported"] == [1, 0]
         assert result["j_transported"] == [1, 1]
+
+    def test_dual_data_keeps_the_callers_name(self, capsys, tmp_path):
+        # SL2 named X equals SL2, but each call's extension is named after
+        # the datum that call loaded
+        source = tmp_path / "x.json"
+        source.write_text(json.dumps(dict(emit_datum(BUILTINS["SL2"]), name="X")))
+        assert run_json(capsys, "dualdata", str(source))["extended"]["name"] == "X~"
+        result = run_json(capsys, "dualdata", "SL2")
+        assert (result["datum"], result["extended"]["name"]) == ("SL2", "SL2~")
+
+    @pytest.mark.parametrize("name", sorted(BUILTINS) + ["trivial"])
+    def test_extend_and_dualdata_print_one_extension(self, capsys, tmp_path, name):
+        renamed = tmp_path / "renamed.json"
+        renamed.write_text(json.dumps(dict(emit_datum(lookup_datum(name)), name="X")))
+        run_json(capsys, "dualdata", str(renamed))
+        extended = run_json(capsys, "extend", name)["extended"]
+        assert extended == run_json(capsys, "dualdata", name)["extended"]
+        assert extended["name"] == f"{name}~"
 
     def test_satake(self, capsys):
         result = run_json(capsys, "satake", "PGL2", "--coweight", "1")

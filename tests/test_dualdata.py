@@ -11,7 +11,6 @@ from heckedual.dualdata import (
     KernelElement,
     decompose_quotient,
     epsilon_of,
-    extend_datum,
     langlands_dual_data,
     solve_rho_weights,
 )
@@ -21,6 +20,7 @@ from heckedual.rfunc import DualRepresentation
 from heckedual.rootdatum import (
     BUILTINS,
     TRIVIAL,
+    RootDatum,
     datum_isomorphic,
     weyl_group,
 )
@@ -63,26 +63,26 @@ class TestRhoWeights:
 class TestExtendDatum:
     def test_shape(self):
         for d in BUILTINS.values():
-            e = extend_datum(d)
+            e = langlands_dual_data(d)
             assert e.base == d
             assert e.ext.rank == d.rank + 1
             assert e.delta_index == d.rank
             assert e.r == (0,) * d.rank + (1,)
 
     def test_pgl2_extension_vectors(self):
-        e = extend_datum(BUILTINS["PGL2"])
+        e = langlands_dual_data(BUILTINS["PGL2"])
         assert e.ext.simple_roots == ((1, 0),)
         assert e.ext.simple_coroots == ((2, 1),)
 
     def test_sl2_extension_pairing(self):
-        e = extend_datum(BUILTINS["SL2"])
+        e = langlands_dual_data(BUILTINS["SL2"])
         assert e.ext.simple_roots == ((2, 0),)
         assert e.ext.simple_coroots == ((1, 1),)
         assert dot(e.r, e.ext.simple_coroots[0]) == 1
 
     def test_r_is_rho_weight_of_extension(self):
         for d in BUILTINS.values():
-            e = extend_datum(d)
+            e = langlands_dual_data(d)
             solution = solve_rho_weights(e.ext)
             assert solution is not None
             particular, kernel = solution
@@ -97,13 +97,13 @@ class TestExtendDatum:
 
     def test_reflections_shift_r(self):
         for d in BUILTINS.values():
-            e = extend_datum(d)
+            e = langlands_dual_data(d)
             for i, alpha in enumerate(e.ext.simple_roots):
                 image = mat_apply(simple_reflection_x(e.ext, i), e.r)
                 assert image == vec_sub(e.r, alpha)
 
     def test_extended_pgl2_is_gl2(self):
-        iso = datum_isomorphic(extend_datum(BUILTINS["PGL2"]).ext, BUILTINS["GL2"])
+        iso = datum_isomorphic(langlands_dual_data(BUILTINS["PGL2"]).ext, BUILTINS["GL2"])
         assert iso is not None
 
 
@@ -141,6 +141,13 @@ class TestLanglandsDualData:
         assert mat_apply(inv, dd.r) == (1, 0)
         assert mat_apply(inv, dd.j) == (1, 1)
 
+    def test_extension_is_named_after_the_callers_datum(self):
+        sl2 = langlands_dual_data(BUILTINS["SL2"])
+        mine = RootDatum(1, ((2,),), ((1,),), "mine")
+        dd = langlands_dual_data(mine)
+        assert dd == sl2 and dd.base.name == "mine" and dd.ext.name == "mine~"
+        assert langlands_dual_data(BUILTINS["SL2"]).ext.name == "SL2~"
+
     def test_trivial_datum(self):
         dd = langlands_dual_data(TRIVIAL)
         assert dd.j == (2,)
@@ -151,7 +158,7 @@ class TestLanglandsDualData:
         # t = 0 instead of alpha for PGL2: j = 2r pairs to 2 with alphavee~
         monkeypatch.setattr(dualdata, "epsilon_of", lambda d: (1, (0,)))
         with pytest.raises(RuntimeError, match="j moved by simple reflection s_0"):
-            langlands_dual_data.__wrapped__(BUILTINS["PGL2"])
+            dualdata._dual_data.__wrapped__(BUILTINS["PGL2"], "PGL2")
 
 
 def write_gl21(tmp_path) -> str:
@@ -181,7 +188,7 @@ class TestNoWeylEnumeration:
 
     def test_dual_data(self, enumerations):
         for d in list(BUILTINS.values()) + [TRIVIAL]:
-            assert langlands_dual_data.__wrapped__(d) == langlands_dual_data(d)
+            assert dualdata._dual_data.__wrapped__(d, d.name) == langlands_dual_data(d)
         assert enumerations == []
 
     def test_stability(self, enumerations):
@@ -222,7 +229,7 @@ class TestNoWeylEnumeration:
 
         monkeypatch.setattr(rootdatum, "validate_datum", spy)
         rootdatum._facts.cache_clear()
-        langlands_dual_data.cache_clear()
+        dualdata._dual_data.cache_clear()
         assert main(["dualdata", "GL3"]) == 0
         capsys.readouterr()
         # GL3, its extension, and the other seven builtins it is compared with
@@ -231,7 +238,7 @@ class TestNoWeylEnumeration:
 
     def test_equal_data_hash_equal(self):
         for d in list(BUILTINS.values()) + [TRIVIAL]:
-            fresh = langlands_dual_data.__wrapped__(d)
+            fresh = dualdata._dual_data.__wrapped__(d, d.name)
             assert fresh == langlands_dual_data(d) and fresh is not langlands_dual_data(d)
             assert hash(fresh) == hash(langlands_dual_data(d))
 

@@ -5,11 +5,13 @@ from fractions import Fraction
 
 import pytest
 
-from heckedual.errors import RankMismatchError
+from heckedual.dualdata import langlands_dual_data
+from heckedual.errors import RankMismatchError, ValidationError
 from heckedual.lattice import (
     GroupAlgebraElement,
     Laurent,
     add_products_into,
+    as_int,
     mat_apply,
     mat_det,
     mat_identity,
@@ -18,6 +20,9 @@ from heckedual.lattice import (
     smith_normal_form,
     solve_integer_linear,
 )
+from heckedual.rfunc import DualRepresentation
+from heckedual.rootdatum import BUILTINS, RootDatum, require_dominant
+from heckedual.satake import satake_image, structure_polynomials
 
 
 def ga(rank, terms):
@@ -34,6 +39,38 @@ def random_element(rng, rank, terms=3):
         {tuple(rng.randint(-2, 2) for _ in range(rank)): random_laurent(rng)
          for _ in range(terms)},
     )
+
+
+PGL2 = langlands_dual_data(BUILTINS["PGL2"])
+
+
+class TestIntegerEntries:
+    """Every entry point reads integer entries by one rule, ``as_int``."""
+
+    @pytest.mark.parametrize("x, shown", [(1.5, "1.5"), (Fraction(3, 2), "3/2")])
+    @pytest.mark.parametrize("call", [
+        lambda x: RootDatum(1, ((x,),), ((2,),)),
+        lambda x: RootDatum(x, ((1,),), ((2,),)),
+        lambda x: require_dominant(BUILTINS["PGL2"], (x,)),
+        lambda x: satake_image(PGL2, (x,)),
+        lambda x: structure_polynomials(PGL2, (x,), (1,)),
+        lambda x: structure_polynomials(PGL2, (1,), (x,)),
+        lambda x: DualRepresentation(PGL2, ((x, 1),)),
+        lambda x: DualRepresentation.from_orbits(PGL2, [(x, 0)]),
+        lambda x: GroupAlgebraElement(1, {(x,): 1}),
+        lambda x: GroupAlgebraElement(1, {(1,): x}),
+    ], ids=["datum-entry", "datum-rank", "require-dominant", "satake-image", "lhs", "rhs",
+            "dual-representation", "from-orbits", "exponent", "coefficient"])
+    def test_fraction_is_refused_not_truncated(self, call, x, shown):
+        with pytest.raises(ValidationError, match=f"^expected an integer, got {shown}$"):
+            call(x)
+
+    def test_integral_values_are_read(self):
+        assert [as_int(x) for x in (2, 2.0, Fraction(4, 2), "2", -0.0)] == [2, 2, 2, 2, 0]
+        assert RootDatum(1.0, ((Fraction(1),),), ((2.0,),)) == BUILTINS["PGL2"]
+        assert satake_image(PGL2, (Fraction(2),)) is satake_image(PGL2, (2,))
+        with pytest.raises(ValidationError, match="^expected an integer, got true$"):
+            as_int(True)
 
 
 class TestLaurent:

@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import pytest
 
-from heckedual.dualdata import extend_datum, langlands_dual_data
+from heckedual.dualdata import langlands_dual_data
 from heckedual.errors import OmegaViolationError, PoleError, RankMismatchError, ValidationError
 from heckedual.rootdatum import BUILTINS, TRIVIAL
 from heckedual.rfunc import (
@@ -32,7 +32,7 @@ DD_TRIVIAL = langlands_dual_data(TRIVIAL)
 # every builtin and its extension, as a datum in its own right; SO5 has
 # odd and negative j = (-3, -1, 2), Sp4 an all-even j = (-4, -2, 2)
 SPLIT_DATA = (TRIVIAL,) + tuple(BUILTINS.values()) + tuple(
-    extend_datum(d).ext for d in BUILTINS.values())
+    langlands_dual_data(d).ext for d in BUILTINS.values())
 
 
 class TestQuadExt:

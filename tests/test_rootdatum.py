@@ -9,7 +9,7 @@ import pytest
 
 from heckedual import rootdatum
 from heckedual.cli import cmd_weyl, isomorphic_builtin
-from heckedual.dualdata import extend_datum
+from heckedual.dualdata import langlands_dual_data
 from heckedual.errors import CapExceededError, ValidationError
 from heckedual.lattice import (
     Laurent,
@@ -201,7 +201,7 @@ class TestRoots:
     def test_upward_reflection_matches_closure(self):
         data = list(SIMPLY_CONNECTED)
         for d in BUILTINS.values():
-            data += [d, dual_datum(d), extend_datum(d).ext]
+            data += [d, dual_datum(d), langlands_dual_data(d).ext]
         for d in data:
             assert positive_roots(d) == closure_positive_roots(d), d.name
 
@@ -238,7 +238,7 @@ class TestWeylGroup:
         a1xa1 = simply_connected("A1xA1", ((2, 0), (0, 2)))
         data = list(SIMPLY_CONNECTED) + [F4, a1xa1, TRIVIAL, RootDatum(2, (), (), "T2")]
         for d in BUILTINS.values():
-            data += [d, extend_datum(d).ext]
+            data += [d, langlands_dual_data(d).ext]
         for d in data:
             assert weyl_order(d) == len(weyl_group(d)), d.name
         assert (weyl_order(F4), weyl_order(SIMPLY_CONNECTED[4]), weyl_order(a1xa1)) == (1152, 192, 4)
@@ -256,7 +256,7 @@ class TestWeylGroup:
         # prints, recorded when each element was told apart by its matrices
         data = [TRIVIAL]
         for d in BUILTINS.values():
-            data += [d, extend_datum(d).ext]
+            data += [d, langlands_dual_data(d).ext]
         data += [RootDatum(n, gl_roots(n), gl_roots(n), f"GL{n}") for n in range(4, 8)]
         data += list(SIMPLY_CONNECTED) + [F4]
         digest = hashlib.sha256()
@@ -272,7 +272,7 @@ class TestWeylGroup:
         rng = random.Random(15)
         data = list(SIMPLY_CONNECTED) + [F4]
         for d in BUILTINS.values():
-            data += [d, extend_datum(d).ext]
+            data += [d, langlands_dual_data(d).ext]
         for d in data:
             refl_x = [simple_reflection_x(d, i) for i in range(d.semisimple_rank)]
             refl_y = [simple_reflection_y(d, i) for i in range(d.semisimple_rank)]
@@ -384,7 +384,7 @@ class TestStabilizer:
 
         cases = [(d, (0,) * d.rank) for d in (SIMPLY_CONNECTED[0], F4)]
         for d in BUILTINS.values():
-            for datum in (d, extend_datum(d).ext):
+            for datum in (d, langlands_dual_data(d).ext):
                 cases += [(datum, lam) for lam in itertools.product(range(-2, 3), repeat=datum.rank)
                           if is_dominant_coweight(datum, lam)]
         for d, lam in cases:
