@@ -342,7 +342,7 @@ class Laurent:
     __slots__ = ("_lo", "_n", "_bound")
 
     def __init__(self, coeffs: Mapping[int, int] | None = None):
-        terms = [(int(k), int(v)) for k, v in (coeffs or {}).items() if v]
+        terms = [(k, v) for k, v in map(int_vector, (coeffs or {}).items()) if v]
         lo = min((k for k, _ in terms), default=0)
         self._lo = lo
         self._n = sum(v << (k - lo) * _SLOT for k, v in terms)
@@ -630,7 +630,7 @@ class GroupAlgebraElement:
         return not self._terms
 
     def coefficient(self, v: Sequence[int]) -> Laurent:
-        v = tuple(v)
+        v = int_vector(v)
         if len(v) != self.rank:
             raise RankMismatchError(f"exponent {v} in a rank-{self.rank} algebra")
         return self._terms.get(v, Laurent.zero())
@@ -719,7 +719,7 @@ class GroupAlgebraElement:
                                          {vec_add(y, v): c for y, c in self._terms.items()})
 
     def scale(self, c: Laurent | int) -> "GroupAlgebraElement":
-        c = c if isinstance(c, Laurent) else Laurent.term(int(c))
+        c = c if isinstance(c, Laurent) else Laurent.term(c)
         if c.is_zero():
             return GroupAlgebraElement._make(self.rank, {})
         return GroupAlgebraElement._make(self.rank,

@@ -27,6 +27,7 @@ from typing import Sequence, Union
 from .dualdata import LanglandsDualData
 from .errors import OmegaViolationError, PoleError, RankMismatchError, ValidationError
 from .lattice import Vec, int_vector, reflect
+from .rootdatum import orbit_walk
 
 # ---------------------------------------------------------------------------
 # the quadratic coefficient field Q(sqrt(rad))
@@ -190,6 +191,7 @@ class TorusAssignment:
             raise ValidationError("assignment values must be nonzero")
 
     def value_at(self, ytilde: Sequence[int]) -> FieldElement:
+        ytilde = int_vector(ytilde)
         if len(ytilde) != len(self.values):
             raise RankMismatchError(f"value at a rank-{len(ytilde)} vector, not rank {len(self.values)}")
         out: FieldElement = Fraction(1)
@@ -279,19 +281,10 @@ class DualRepresentation:
 
     @classmethod
     def from_orbits(cls, dd: LanglandsDualData, seeds: Sequence[Sequence[int]]) -> "DualRepresentation":
-        """The union of the seeds' Weyl orbits, each walked by the simple reflections."""
-        simple = tuple(zip(dd.ext.simple_roots, dd.ext.simple_coroots))
+        """The union of the seeds' Weyl orbits, each walked by ``orbit_walk``."""
         weights: list[Vec] = []
-        for seed in seeds:
-            orbit = {int_vector(seed)}
-            frontier = list(orbit)
-            while frontier:
-                wt = frontier.pop()
-                images = {reflect(wt, alpha, alphavee) for alpha, alphavee in simple}
-                images -= orbit
-                orbit |= images
-                frontier.extend(images)
-            weights.extend(sorted(orbit))
+        for seed in map(int_vector, seeds):
+            weights += sorted([seed, *(nu for _, _, nu in orbit_walk(dd.ext, seed))])
         return cls(dd, tuple(weights))
 
 

@@ -13,8 +13,9 @@ reflecting upward from the simple roots; twice rho; and the exponents, from
 which come |W| (`weyl_order`) and the Poincare polynomials of stabilizers
 (`stabilizer_poincare`).  The Weyl group is enumerated only where its
 elements are the output (`weyl_group`), once the counted |W| has passed a
-cap (`require_weyl_cap`).  A Weyl element is its reduced word, told apart
-from the others by one coweight, w^-1(2 rho-vee); no matrix is built.
+cap (`require_weyl_cap`).  Every W-orbit is walked breadth first by one
+walk, `orbit_walk`; W is walked as the orbit of 2 rho-vee, which is
+regular, an element is its reduced word, and no matrix is built.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ import math
 from collections import Counter
 from dataclasses import dataclass, field
 from functools import lru_cache
-from typing import NamedTuple, Optional, Sequence
+from typing import Iterator, NamedTuple, Optional, Sequence
 
 from .errors import CapExceededError, RankMismatchError, ValidationError
 from .lattice import (
@@ -218,26 +219,33 @@ def positive_root_sum(d: RootDatum) -> Vec:
     return _facts(d).two_rho
 
 
+def orbit_walk(d: RootDatum, v: Vec) -> Iterator[tuple[Vec, int, Vec]]:
+    """The W-orbit of the coweight v, walked breadth first by the simple
+    reflections: (mu, i, nu) once per new point nu = s_i mu, by distance
+    from v, then by i.  From a dominant v every step has <alpha_i, mu> > 0,
+    since s_i mu is nearer to v when <alpha_i, mu> < 0 (Humphreys 1.6)."""
+    simple = tuple(enumerate(zip(d.simple_roots, d.simple_coroots)))
+    seen = {v}
+    queue = [v]
+    for mu in queue:  # the queue grows as it is read
+        for i, (alpha, alphavee) in simple:
+            nu = reflect(mu, alpha, alphavee)
+            if nu not in seen:
+                seen.add(nu)
+                queue.append(nu)
+                yield mu, i, nu
+
+
 @lru_cache(maxsize=None)
 def _weyl_group_cached(d: RootDatum) -> tuple[tuple[int, ...], ...]:
-    """Breadth-first closure under w -> w s_i, telling elements apart by
-    w^-1 v for v = 2 rho-vee, the sum of the positive coroots: <alpha_i, v>
-    = 2, so v is regular and w -> w^-1 v is injective (Humphreys 1.12), and
-    (w s_i)^-1 v = s_i (w^-1 v) is one reflection of a vector."""
+    """The orbit walk of v = 2 rho-vee, with (w s_i)^-1 v = s_i (w^-1 v):
+    each <alpha_i, v> = 2, so v is regular and w -> w^-1 v is injective
+    (Humphreys 1.12)."""
     v = tuple(map(sum, zip((0,) * d.rank, *_facts(d).coroots)))
-    simple = tuple(enumerate(zip(d.simple_roots, d.simple_coroots)))
-    words = [()]
-    keys = [v]
-    seen = {v}
-    for word, key in zip(words, keys):  # both lists grow as they are read
-        for i, (alpha, alphavee) in simple:
-            moved = reflect(key, alpha, alphavee)
-            if moved in seen:
-                continue
-            seen.add(moved)
-            words.append(word + (i,))
-            keys.append(moved)
-    return tuple(words)
+    words = {v: ()}
+    for mu, i, nu in orbit_walk(d, v):
+        words[nu] = words[mu] + (i,)
+    return tuple(words.values())
 
 
 def weyl_group(d: RootDatum, cap: int = DEFAULT_WEYL_CAP) -> tuple[tuple[int, ...], ...]:
@@ -296,9 +304,10 @@ def require_dominant(d: RootDatum, v: Sequence[int]) -> Vec:
 def dominance_leq(d: RootDatum, nu: Sequence[int], lam: Sequence[int]) -> bool:
     """nu <= lam iff lam - nu is a nonnegative integer combination of the
     simple coroots."""
+    nu, lam = int_vector(nu), int_vector(lam)
     for v in (nu, lam):
         pairings(d, v)  # refuses a wrong rank
-    diff = vec_sub(tuple(lam), tuple(nu))
+    diff = vec_sub(lam, nu)
     coords = solve_rational(d.simple_coroots, diff)
     if coords is None:
         return False

@@ -20,9 +20,10 @@ Polynomials, III; Nelsen-Ram):
                 = sum_{u in W^lambda} T_u e^(lambda,0),
 
 with Demazure-Lusztig operators T_i and W^lambda the minimal coset
-representatives of W / W_lambda.  The walk starts at e^(lambda,0); each
-orbit point mu with k = <alpha_i, mu> > 0 hands T_i of its term to s_i mu.
-The Hecke braid relations make a term independent of the path that
+representatives of W / W_lambda.  The walk goes breadth first from
+e^(lambda,0) (``rootdatum.orbit_walk``), so each step, from mu to a new
+point s_i mu, has k = <alpha_i, mu> > 0 and hands T_i of mu's term to s_i
+mu.  The Hecke braid relations make a term independent of the path that
 reached it, and on a monomial T_i is a finite geometric sum, so nothing
 is divided.  Each image is checked once, when it is built: its top
 coefficient is 1, it is dot-invariant, and its dominant support lies
@@ -83,6 +84,7 @@ from .rootdatum import (
     coweight_order_key,
     dominant_below,
     is_dominant_coweight,
+    orbit_walk,
     pairings,
     positive_root_sum,
     require_dominant,
@@ -114,6 +116,7 @@ class UnramifiedCharacter:
             raise ValidationError("character values must be nonzero")
 
     def value_at(self, y: Sequence[int]) -> tuple[Fraction, int]:
+        y = int_vector(y)
         if len(y) != len(self.values):
             raise RankMismatchError(f"value at a rank-{len(y)} vector, not rank {len(self.values)}")
         c, k = Fraction(1), 0
@@ -214,25 +217,18 @@ def _demazure_lusztig(elem: GroupAlgebraElement, alpha: Vec, alphavee: Vec) -> G
 
 def satake_image_extended(dd: LanglandsDualData, lam: Vec) -> GroupAlgebraElement:
     """The symmetrized image on the extended lattice, before restriction,
-    summed over the orbit of (lambda, 0) as the module docstring describes.
+    summed over the orbit of (lambda, 0) as the module docstring describes;
+    it is walked breadth first, so every step has <alpha_i, mu> > 0.
 
     Every delta-exponent in the support is an integer by construction; the
     coefficient of e^(lambda, 0) is exactly 1.
     """
     lam = require_dominant(dd.base, lam)
     ext = dd.ext
-    simple = tuple(zip(ext.simple_roots, ext.simple_coroots))
     start = lift_exponent(lam, 0)
     terms = {start: GroupAlgebraElement.monomial(start)}
-    frontier = [start]
-    while frontier:
-        mu = frontier.pop()
-        for alpha, alphavee in simple:
-            k = dot(alpha, mu)
-            nu = vec_sub_scaled(mu, k, alphavee)
-            if k > 0 and nu not in terms:
-                terms[nu] = _demazure_lusztig(terms[mu], alpha, alphavee)
-                frontier.append(nu)
+    for mu, i, nu in orbit_walk(ext, start):
+        terms[nu] = _demazure_lusztig(terms[mu], ext.simple_roots[i], ext.simple_coroots[i])
     image = GroupAlgebraElement.collect(ext.rank, (t.items() for t in terms.values()))
     if image.coefficient(start) != Laurent.one():
         raise RuntimeError(f"internal: leading coefficient at {lam} is not 1")
@@ -290,8 +286,9 @@ class HeckeExpansion:
         self.coeffs = {tuple(v): c for v, c in self.coeffs.items() if not c.is_zero()}
 
     def get(self, nu: Sequence[int]) -> Laurent:
+        nu = int_vector(nu)
         pairings(self.datum, nu)  # refuses a wrong rank
-        return self.coeffs.get(tuple(nu), Laurent.zero())
+        return self.coeffs.get(nu, Laurent.zero())
 
     def items(self) -> list[tuple[Vec, Laurent]]:
         return sorted(self.coeffs.items(), key=lambda kv: coweight_order_key(self.datum, kv[0]))

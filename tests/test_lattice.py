@@ -20,9 +20,9 @@ from heckedual.lattice import (
     smith_normal_form,
     solve_integer_linear,
 )
-from heckedual.rfunc import DualRepresentation
-from heckedual.rootdatum import BUILTINS, RootDatum, require_dominant
-from heckedual.satake import satake_image, structure_polynomials
+from heckedual.rfunc import DualRepresentation, make_parameter
+from heckedual.rootdatum import BUILTINS, RootDatum, dominance_leq, require_dominant
+from heckedual.satake import UnramifiedCharacter, satake_image, structure_polynomials
 
 
 def ga(rank, terms):
@@ -59,8 +59,21 @@ class TestIntegerEntries:
         lambda x: DualRepresentation.from_orbits(PGL2, [(x, 0)]),
         lambda x: GroupAlgebraElement(1, {(x,): 1}),
         lambda x: GroupAlgebraElement(1, {(1,): x}),
+        lambda x: Laurent({0: x}),
+        lambda x: Laurent({x: 2}),
+        lambda x: Laurent.term(x, 1),
+        lambda x: GroupAlgebraElement.monomial((1,)).scale(x),
+        lambda x: GroupAlgebraElement.monomial((1,)).coefficient((x,)),
+        lambda x: structure_polynomials(PGL2, (1,), (1,)).get((x,)),
+        lambda x: dominance_leq(BUILTINS["PGL2"], (x,), (3,)),
+        lambda x: dominance_leq(BUILTINS["PGL2"], (1,), (x,)),
+        lambda x: make_parameter(PGL2, 3, (Fraction(2),)).value_at((x, 1)),
+        lambda x: UnramifiedCharacter(BUILTINS["PGL2"], ((Fraction(2), 1),)).value_at((x,)),
     ], ids=["datum-entry", "datum-rank", "require-dominant", "satake-image", "lhs", "rhs",
-            "dual-representation", "from-orbits", "exponent", "coefficient"])
+            "dual-representation", "from-orbits", "exponent", "coefficient",
+            "laurent-coefficient", "laurent-exponent", "laurent-term", "scale", "coefficient-at",
+            "expansion-get", "dominance-lower", "dominance-upper", "parameter-value",
+            "character-value"])
     def test_fraction_is_refused_not_truncated(self, call, x, shown):
         with pytest.raises(ValidationError, match=f"^expected an integer, got {shown}$"):
             call(x)
@@ -69,6 +82,9 @@ class TestIntegerEntries:
         assert [as_int(x) for x in (2, 2.0, Fraction(4, 2), "2", -0.0)] == [2, 2, 2, 2, 0]
         assert RootDatum(1.0, ((Fraction(1),),), ((2.0,),)) == BUILTINS["PGL2"]
         assert satake_image(PGL2, (Fraction(2),)) is satake_image(PGL2, (2,))
+        assert Laurent({2.0: Fraction(6, 2)}) == Laurent.term(3, 2)
+        assert dominance_leq(BUILTINS["PGL2"], (1.0,), (3,))
+        assert make_parameter(PGL2, 3, (Fraction(2),)).value_at((3.0, 1)) == 24
         with pytest.raises(ValidationError, match="^expected an integer, got true$"):
             as_int(True)
 

@@ -3,6 +3,7 @@
 import hashlib
 import itertools
 import random
+from fractions import Fraction
 from types import SimpleNamespace
 
 import pytest
@@ -38,7 +39,7 @@ from heckedual.rootdatum import (
     weyl_order,
 )
 
-from conftest import simple_reflection_x, simple_reflection_y, weyl_matrices
+from conftest import enumerate_dominant, simple_reflection_x, simple_reflection_y, weyl_matrices
 
 
 def simply_connected(name, cartan):
@@ -313,6 +314,40 @@ class TestWeylGroup:
                     x = tuple(rng.randint(-3, 3) for _ in range(d.rank))
                     y = tuple(rng.randint(-3, 3) for _ in range(d.rank))
                     assert dot(mat_apply(mat_x, x), mat_apply(mat_y, y)) == dot(x, y)
+
+
+def orbit_walk_cases():
+    """(datum, dominant coweight) for every builtin, its extension, and
+    the simply connected data of types G2, A3, B3, C3, D4 and F4, at
+    every dominant coweight of height <= 3."""
+    data = [d for b in BUILTINS.values() for d in (b, langlands_dual_data(b).ext)]
+    data += list(SIMPLY_CONNECTED) + [F4]
+    return [(d, v) for d in data for v in enumerate_dominant(d, 3)]
+
+
+class TestOrbitWalk:
+    def test_every_step_goes_down(self):
+        # breadth first from a dominant start: a depth-first walk takes
+        # upward steps, <alpha_i, mu> < 0, to points it has not yet found
+        steps = 0
+        for d, v in orbit_walk_cases():
+            found = {v}
+            for mu, i, nu in rootdatum.orbit_walk(d, v):
+                assert mu in found and nu not in found, (d.name, v, mu, nu)
+                assert nu == reflect(mu, d.simple_roots[i], d.simple_coroots[i])
+                assert dot(d.simple_roots[i], mu) > 0, (d.name, v, mu, i)
+                found.add(nu)
+                steps += 1
+        assert steps == 4002
+
+    def test_orbit_size_is_the_index_of_the_stabilizer(self):
+        # |W v| = |W| / |W_v|, with |W_v| its Poincare polynomial at t = 1
+        cases = orbit_walk_cases()
+        for d, v in cases:
+            points = 1 + sum(1 for _ in rootdatum.orbit_walk(d, v))
+            assert points * stabilizer_poincare(d, v).evaluate(Fraction(1)) == weyl_order(d), \
+                (d.name, v)
+        assert len(cases) == 1346
 
 
 class TestDominance:
