@@ -16,12 +16,16 @@ elements are the output (`weyl_group`), once the counted |W| has passed a
 cap (`require_weyl_cap`).  Every W-orbit is walked breadth first by one
 walk, `orbit_walk`; W is walked as the orbit of 2 rho-vee, which is
 regular, an element is its reduced word, and no matrix is built.
+`dominant_below` walks down by the positive coroots, keeping the dominant
+points: every cover among dominant weights is a positive root (Stembridge
+1998), so it solves no linear system and enumerates no box.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+import operator
 from collections import Counter
 from dataclasses import dataclass, field
 from functools import lru_cache
@@ -38,7 +42,6 @@ from .lattice import (
     int_vector,
     mat_det,
     mat_identity,
-    mat_transpose,
     reflect,
     solve_integer_linear,
     solve_rational,
@@ -319,35 +322,29 @@ def coweight_order_key(d: RootDatum, v: Vec):
     return (-dot(_facts(d).two_rho, v),) + v
 
 
-@lru_cache(maxsize=None)
-def dominant_below(d: RootDatum, lam: Vec) -> tuple[Vec, ...]:
-    """All dominant coweights nu <= lam, in decreasing dominance order.
+def dominant_below(d: RootDatum, lam: Sequence[int]) -> tuple[Vec, ...]:
+    """All dominant coweights nu <= lam, in decreasing dominance order: a
+    breadth-first walk down from lam by the positive coroots that keeps the
+    dominant points reaches them all, as every cover among dominant weights
+    is a positive root (Stembridge, Adv. Math. 136, 1998)."""
+    return _dominant_below(d, int_vector(lam))
 
-    Writes the semisimple part of lam as sum b_i alphavee_i (b_i >= 0 by
-    positivity of the inverse Cartan matrix), so subtraction coefficients
-    are confined to the integer box prod [0, b_i].
-    """
-    lam = require_dominant(d, lam)
-    k = d.semisimple_rank
-    if k == 0:
-        return (lam,)
-    cartan = _facts(d).cartan
+
+@lru_cache(maxsize=None)
+def _dominant_below(d: RootDatum, lam: Vec) -> tuple[Vec, ...]:
     p = pairings(d, lam)
-    coords = solve_rational(cartan, p)
-    assert coords is not None and all(b >= 0 for b in coords)
-    bounds = [b.numerator // b.denominator for b in coords]
-    # <alpha_i, lam - sum_j c_j alphavee_j> = p_i - sum_j c_j C[j][i], so
-    # dominance is decided before nu is built
-    columns = mat_transpose(cartan)
-    found = []
-    for c in itertools.product(*(range(b + 1) for b in bounds)):
-        if all(x >= dot(col, c) for x, col in zip(p, columns)):
-            nu = lam
-            for ci, alphavee in zip(c, d.simple_coroots):
-                nu = vec_sub_scaled(nu, ci, alphavee)
-            found.append(nu)
-    found.sort(key=lambda v: coweight_order_key(d, v))
-    return tuple(found)
+    require_dominant_pairings(lam, p)  # on a miss only: a refusal is never cached
+    steps = [(betavee, pairings(d, betavee)) for betavee in _facts(d).coroots]
+    seen = {lam}
+    queue = [(lam, p)]
+    for mu, p in queue:  # the queue grows as it is read
+        for betavee, c in steps:
+            if all(map(operator.ge, p, c)):  # mu - betavee is dominant
+                nu = vec_sub(mu, betavee)
+                if nu not in seen:
+                    seen.add(nu)
+                    queue.append((nu, vec_sub(p, c)))
+    return tuple(sorted((nu for nu, _ in queue), key=lambda v: coweight_order_key(d, v)))
 
 
 def stabilizer_poincare(d: RootDatum, lam: Sequence[int]) -> Laurent:

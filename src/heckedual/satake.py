@@ -71,6 +71,7 @@ from .lattice import (
     Laurent,
     Vec,
     add_products_into,
+    as_int,
     dot,
     int_vector,
     reflect,
@@ -103,8 +104,8 @@ DEFAULT_TREE_DEPTH_CAP = 12
 class UnramifiedCharacter:
     """A character of the split torus given by its values on the coweight
     basis.  The dot action only multiplies values by powers of q, so each
-    value is a pair (c, k) meaning c*q^k with c a nonzero Fraction.  Values
-    extend multiplicatively."""
+    value is a pair (c, k) meaning c*q^k with c a nonzero Fraction and k
+    read by ``as_int``.  Values extend multiplicatively."""
 
     datum: RootDatum
     values: tuple[tuple[Fraction, int], ...]
@@ -112,6 +113,7 @@ class UnramifiedCharacter:
     def __post_init__(self):
         if len(self.values) != self.datum.rank:
             raise ValidationError("character needs one value per coweight basis vector")
+        object.__setattr__(self, "values", tuple((c, as_int(k)) for c, k in self.values))
         if any(c == 0 for c, _ in self.values):
             raise ValidationError("character values must be nonzero")
 

@@ -2,9 +2,9 @@ import itertools
 
 import pytest
 
-from heckedual import satake
-from heckedual.lattice import mat_identity, mat_mul
-from heckedual.rootdatum import coweight_order_key, is_dominant_coweight
+from heckedual import rootdatum, satake
+from heckedual.lattice import dot, mat_identity, mat_mul, mat_transpose, solve_rational, vec_sub_scaled
+from heckedual.rootdatum import coweight_order_key, is_dominant_coweight, pairings, require_dominant
 
 
 def simple_reflection_x(d, i):
@@ -38,6 +38,35 @@ def enumerate_dominant(d, height):
     absolute value, in decreasing dominance-compatible order."""
     found = [v for v in itertools.product(range(-height, height + 1), repeat=d.rank)
              if is_dominant_coweight(d, v)]
+    found.sort(key=lambda v: coweight_order_key(d, v))
+    return tuple(found)
+
+
+def dominant_below_by_box(d, lam):
+    """All dominant coweights nu <= lam, in decreasing dominance order: a
+    reference for ``dominant_below`` that writes the semisimple part of lam
+    as sum b_i alphavee_i (b_i >= 0 by positivity of the inverse Cartan
+    matrix), so subtraction coefficients are confined to the integer box
+    prod [0, b_i]."""
+    lam = require_dominant(d, lam)
+    k = d.semisimple_rank
+    if k == 0:
+        return (lam,)
+    cartan = rootdatum._facts(d).cartan
+    p = pairings(d, lam)
+    coords = solve_rational(cartan, p)
+    assert coords is not None and all(b >= 0 for b in coords)
+    bounds = [b.numerator // b.denominator for b in coords]
+    # <alpha_i, lam - sum_j c_j alphavee_j> = p_i - sum_j c_j C[j][i], so
+    # dominance is decided before nu is built
+    columns = mat_transpose(cartan)
+    found = []
+    for c in itertools.product(*(range(b + 1) for b in bounds)):
+        if all(x >= dot(col, c) for x, col in zip(p, columns)):
+            nu = lam
+            for ci, alphavee in zip(c, d.simple_coroots):
+                nu = vec_sub_scaled(nu, ci, alphavee)
+            found.append(nu)
     found.sort(key=lambda v: coweight_order_key(d, v))
     return tuple(found)
 

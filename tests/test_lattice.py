@@ -21,7 +21,7 @@ from heckedual.lattice import (
     solve_integer_linear,
 )
 from heckedual.rfunc import DualRepresentation, make_parameter
-from heckedual.rootdatum import BUILTINS, RootDatum, dominance_leq, require_dominant
+from heckedual.rootdatum import BUILTINS, RootDatum, dominance_leq, dominant_below, require_dominant
 from heckedual.satake import UnramifiedCharacter, satake_image, structure_polynomials
 
 
@@ -69,11 +69,13 @@ class TestIntegerEntries:
         lambda x: dominance_leq(BUILTINS["PGL2"], (1,), (x,)),
         lambda x: make_parameter(PGL2, 3, (Fraction(2),)).value_at((x, 1)),
         lambda x: UnramifiedCharacter(BUILTINS["PGL2"], ((Fraction(2), 1),)).value_at((x,)),
+        lambda x: UnramifiedCharacter(BUILTINS["PGL2"], ((Fraction(2), x),)),
+        lambda x: dominant_below(BUILTINS["PGL2"], (x,)),
     ], ids=["datum-entry", "datum-rank", "require-dominant", "satake-image", "lhs", "rhs",
             "dual-representation", "from-orbits", "exponent", "coefficient",
             "laurent-coefficient", "laurent-exponent", "laurent-term", "scale", "coefficient-at",
             "expansion-get", "dominance-lower", "dominance-upper", "parameter-value",
-            "character-value"])
+            "character-value", "character-exponent", "dominant-below"])
     def test_fraction_is_refused_not_truncated(self, call, x, shown):
         with pytest.raises(ValidationError, match=f"^expected an integer, got {shown}$"):
             call(x)

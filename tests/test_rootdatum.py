@@ -39,7 +39,13 @@ from heckedual.rootdatum import (
     weyl_order,
 )
 
-from conftest import enumerate_dominant, simple_reflection_x, simple_reflection_y, weyl_matrices
+from conftest import (
+    dominant_below_by_box,
+    enumerate_dominant,
+    simple_reflection_x,
+    simple_reflection_y,
+    weyl_matrices,
+)
 
 
 def simply_connected(name, cartan):
@@ -395,6 +401,34 @@ class TestDominance:
         for v in itertools.product(range(-4, 5), repeat=2):
             if is_dominant_coweight(d, v) and dominance_leq(d, v, lam):
                 assert v in below
+
+    def test_dominant_below_reads_any_sequence(self):
+        d = BUILTINS["Sp4"]
+        assert dominant_below(d, [3, 1]) == dominant_below(d, (3, 1))
+        assert dominant_below(BUILTINS["PGL2"], [2]) == ((2,), (0,))
+
+    def test_dominant_below_refuses_a_boolean_after_a_cached_call(self):
+        # (True,) == (1,), so a cache keyed by the argument as given would
+        # return the answer for (1,)
+        assert dominant_below(BUILTINS["PGL2"], (1,)) == ((1,),)
+        with pytest.raises(ValidationError, match="^expected an integer, got true$"):
+            dominant_below(BUILTINS["PGL2"], (True,))
+
+    def test_dominant_below_matches_the_box(self):
+        # the walk down the positive coroots against the box of subtraction
+        # coefficients: every builtin at height <= 4, every extension and
+        # the simply connected data and their duals at height <= 2 (F4's
+        # dual at height <= 1: the box alone takes seconds at 2)
+        cases = [(d, 4) for d in BUILTINS.values()]
+        cases += [(langlands_dual_data(d).ext, 2) for d in BUILTINS.values()]
+        for d in SIMPLY_CONNECTED + (F4,):
+            cases += [(d, 2), (dual_datum(d), 1 if d is F4 else 2)]
+        count = 0
+        for d, height in cases:
+            for lam in enumerate_dominant(d, height):
+                assert dominant_below(d, lam) == dominant_below_by_box(d, lam), (d.name, lam)
+                count += 1
+        assert count == 906
 
 
 class TestStabilizer:
