@@ -20,7 +20,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Optional, Sequence
+from typing import Optional
 
 from .errors import ValidationError
 from .lattice import (
@@ -160,9 +160,6 @@ class KernelElement:
     gm_component: int
     epsilon_order: int
     epsilon_parity: Vec
-
-    def epsilon_value(self, y: Sequence[int]) -> int:
-        return -1 if dot(self.epsilon_parity, y) % 2 else 1
 
     def describe(self) -> str:
         eps = "epsilon of order 2" if self.epsilon_order == 2 else "trivial epsilon"

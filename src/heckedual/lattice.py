@@ -23,10 +23,10 @@ Two kinds of values live here:
 Simple reflections are applied to vectors by ``reflect``, v - <a, v> b; no
 reflection matrix is built.  Integer matrices are plain tuples of row
 tuples.  The module also provides the exact linear algebra used elsewhere,
-on two elimination routines.  Determinants, unimodular inverses, rational
-solving and ranks run on one fraction-free Gauss-Jordan routine over Q
-(``_row_reduce``); integer linear solving runs on the Smith normal form
-with unimodular transforms (``smith_normal_form``), over Z.
+on two elimination routines.  Determinants, unimodular inverses and ranks
+run on one fraction-free Gauss-Jordan routine (``_row_reduce``); linear
+solving runs on the Smith normal form with unimodular transforms
+(``smith_normal_form``), over Z.
 
 Everything is immutable after construction and every operation is pure,
 so all of this is safe to use concurrently.  No floating point enters:
@@ -38,7 +38,7 @@ from __future__ import annotations
 import json
 import operator
 from fractions import Fraction
-from typing import Iterable, Mapping, Optional, Sequence
+from typing import Iterable, Mapping, Sequence
 
 from .errors import RankMismatchError, ValidationError
 
@@ -167,23 +167,6 @@ def mat_inverse_unimodular(m: IntMatrix) -> IntMatrix:
     return tuple(tuple(row[i] * x for x in row[n:]) for i, row in enumerate(aug))
 
 
-def solve_rational(columns: Sequence[Sequence[int]], target: Sequence[int]) -> Optional[tuple[Fraction, ...]]:
-    """Solve sum_j c_j * columns[j] = target over Q.
-
-    Returns one solution, or None when the system is inconsistent.  When the
-    columns are linearly independent the solution is unique.
-    """
-    k = len(columns)
-    rows = [[col[i] for col in columns] + [x] for i, x in enumerate(target)]
-    pivots, _ = _row_reduce(rows, k)
-    if any(row[k] for row in rows[len(pivots):]):
-        return None
-    sol = [Fraction(0)] * k
-    for row, c in zip(rows, pivots):
-        sol[c] = Fraction(row[k], row[c])
-    return tuple(sol)
-
-
 def int_rank(vectors: Sequence[Sequence[int]]) -> int:
     """Rank of the span of the given vectors."""
     if not vectors:
@@ -279,7 +262,8 @@ def smith_normal_form(mat: Sequence[Sequence[int]]) -> tuple[IntMatrix, IntMatri
     d = tuple(tuple(r) for r in a)
     st = tuple(tuple(r) for r in s)
     tt = tuple(tuple(r) for r in t)
-    assert mat_mul(mat_mul(st, tuple(tuple(r) for r in mat)), tt) == d
+    if mat_mul(mat_mul(st, tuple(tuple(r) for r in mat)), tt) != d:
+        raise RuntimeError("internal: Smith normal form fails S M T = D")
     return d, st, tt
 
 
@@ -462,10 +446,6 @@ class Laurent:
             return self
         return Laurent._make(self._lo + exp, self._n, self._bound)
 
-    def substitute_inverse(self) -> "Laurent":
-        """Substitute q -> q^-1."""
-        return Laurent({-k: v for k, v in self.items()})
-
     def evaluate(self, x: Fraction) -> Fraction:
         terms = self.items()
         if terms and terms[0][0] < 0 and x == 0:
@@ -535,7 +515,7 @@ def _packed_sum(lo1: int, n1: int, lo2: int, n2: int, bound: int) -> Laurent:
 def add_products_into(acc: dict[Vec, Laurent], c: Laurent,
                       terms: Iterable[tuple[Vec, Laurent]], shift: Vec) -> None:
     """acc[v + shift] += c * e for every term (v, e), in place: one int
-    product and one shifted int add per term.  An entry that cancels is
+    product per term, added by ``_packed_sum``.  An entry that cancels is
     kept, as zero.
 
     The bounds added are those of the terms times the exact norm of c, so
@@ -545,26 +525,11 @@ def add_products_into(acc: dict[Vec, Laurent], c: Laurent,
     lo, n, bound = c._lo, c._n, c._norm()
     if not n:
         return
-    get, add, shifted = acc.get, operator.add, any(shift)
+    get, add, shifted, zero = acc.get, operator.add, any(shift), Laurent.zero()
     for v, e in terms:
         k = tuple(map(add, v, shift)) if shifted else v
-        plo, pn, pb = lo + e._lo, n * e._n, bound * e._bound
-        a = get(k)
-        if a is not None:
-            pb += a._bound
-            an = a._n
-            if an:
-                alo = a._lo
-                if alo < plo:
-                    plo, pn = alo, an + (pn << (plo - alo) * _SLOT)
-                elif alo > plo:
-                    pn += an << (alo - plo) * _SLOT
-                else:
-                    pn += an
-                    if not pn & _MASK:
-                        acc[k] = _packed(plo, pn, pb)
-                        continue
-        acc[k] = Laurent._make(plo, pn, pb)
+        a = get(k, zero)
+        acc[k] = _packed_sum(a._lo, a._n, lo + e._lo, n * e._n, a._bound + bound * e._bound)
 
 
 # ---------------------------------------------------------------------------
@@ -710,7 +675,7 @@ class GroupAlgebraElement:
                     n = (n << (lo - plo) * _SLOT) + cn * d._n
                     lo = plo
             if bound:  # some pair met at v: every stored term has a bound >= 1
-                out[v] = Laurent._make(lo, n, bound) if n & _MASK else _packed(lo, n, bound)
+                out[v] = _packed(lo, n, bound)
         return out
 
     def shift(self, v: Vec) -> "GroupAlgebraElement":

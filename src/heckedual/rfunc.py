@@ -92,15 +92,6 @@ class QuadExt:
             raise ZeroDivisionError("inverse of zero (or of a zero divisor)")
         return QuadExt(self.a / norm, -self.b / norm, self.rad)
 
-    def __truediv__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return self * other.inverse()
-
-    def __rtruediv__(self, other):
-        return self.inverse() * other
-
     def __pow__(self, exp: int) -> "QuadExt":
         if exp < 0:
             return self.inverse() ** (-exp)
@@ -275,11 +266,6 @@ class DualRepresentation:
         return cls(dd, ((0,) * dd.ext.rank,))
 
     @classmethod
-    def projection_character(cls, dd: LanglandsDualData) -> "DualRepresentation":
-        """The one-dimensional representation with weight delta."""
-        return cls(dd, (dd.i,))
-
-    @classmethod
     def from_orbits(cls, dd: LanglandsDualData, seeds: Sequence[Sequence[int]]) -> "DualRepresentation":
         """The union of the seeds' Weyl orbits, each walked by ``orbit_walk``."""
         weights: list[Vec] = []
@@ -318,10 +304,6 @@ class RFactor:
 
     q: Fraction
     inverse_roots: tuple[FieldElement, ...]
-
-    @property
-    def degree(self) -> int:
-        return len(self.inverse_roots)
 
     def shifted(self, steps: int = 1) -> "RFactor":
         """Replace s by s - steps: every inverse root picks up q^steps."""
@@ -405,7 +387,8 @@ def split_by_sqrt(x: UnramifiedParameter, sq: FieldElement) -> TorusAssignment:
     new_values = tuple(v * x.q ** (-jk // 2) * (sq if jk % 2 else one)
                        for jk, v in zip(x.dd.j, x.values))
     out = TorusAssignment(x.dd, new_values)
-    assert out.delta_value() == 1
+    if out.delta_value() != 1:
+        raise RuntimeError(f"internal: split assignment has delta value {out.delta_value()}, not 1")
     return out
 
 

@@ -44,7 +44,6 @@ from .lattice import (
     mat_identity,
     reflect,
     solve_integer_linear,
-    solve_rational,
     vec_sub,
     vec_sub_scaled,
 )
@@ -60,7 +59,8 @@ class RootDatum:
 
     The name is a label only; it does not take part in equality, so dual
     presentations compare equal to builtins regardless of labeling.  The
-    rank and every entry are read by ``as_int``.
+    rank and every entry are read by ``as_int``.  The hash is computed once:
+    every ``_facts`` lookup takes it.
     """
 
     rank: int
@@ -72,6 +72,10 @@ class RootDatum:
         object.__setattr__(self, "rank", as_int(self.rank))
         object.__setattr__(self, "simple_roots", tuple(map(int_vector, self.simple_roots)))
         object.__setattr__(self, "simple_coroots", tuple(map(int_vector, self.simple_coroots)))
+        object.__setattr__(self, "_hash", hash((self.rank, self.simple_roots, self.simple_coroots)))
+
+    def __hash__(self):
+        return self._hash
 
     @property
     def semisimple_rank(self) -> int:
@@ -306,15 +310,15 @@ def require_dominant(d: RootDatum, v: Sequence[int]) -> Vec:
 
 def dominance_leq(d: RootDatum, nu: Sequence[int], lam: Sequence[int]) -> bool:
     """nu <= lam iff lam - nu is a nonnegative integer combination of the
-    simple coroots."""
+    simple coroots; they are independent, so the combination is unique if
+    it exists."""
     nu, lam = int_vector(nu), int_vector(lam)
     for v in (nu, lam):
         pairings(d, v)  # refuses a wrong rank
-    diff = vec_sub(lam, nu)
-    coords = solve_rational(d.simple_coroots, diff)
-    if coords is None:
-        return False
-    return all(c.denominator == 1 and c >= 0 for c in coords)
+    # the coroots as columns; with none, rank rows of no column
+    columns = tuple(zip(*d.simple_coroots)) or ((),) * d.rank
+    solution = solve_integer_linear(columns, vec_sub(lam, nu))
+    return solution is not None and all(c >= 0 for c in solution[0])
 
 
 def coweight_order_key(d: RootDatum, v: Vec):

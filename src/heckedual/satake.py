@@ -279,13 +279,28 @@ def satake_image(dd: LanglandsDualData, lam: Sequence[int]) -> SphericalFunction
 @dataclass
 class HeckeExpansion:
     """Coefficients of a product of basis elements: a map from dominant
-    coweights to Z[q, q^-1], with no zero entries stored."""
+    coweights to Z[q, q^-1], with no zero entries stored.  Each key is read
+    by ``int_vector`` and its rank checked against the datum."""
 
     datum: RootDatum
     coeffs: dict[Vec, Laurent]
 
     def __post_init__(self):
-        self.coeffs = {tuple(v): c for v, c in self.coeffs.items() if not c.is_zero()}
+        coeffs = {}
+        for v, c in self.coeffs.items():
+            v = int_vector(v)
+            pairings(self.datum, v)  # refuses a wrong rank
+            if not c.is_zero():
+                coeffs[v] = c
+        self.coeffs = coeffs
+
+    @classmethod
+    def _make(cls, datum: RootDatum, coeffs: dict[Vec, Laurent]) -> "HeckeExpansion":
+        # trusted constructor: int tuple keys of the datum's rank, no zero
+        self = object.__new__(cls)
+        self.datum = datum
+        self.coeffs = coeffs
+        return self
 
     def get(self, nu: Sequence[int]) -> Laurent:
         nu = int_vector(nu)
@@ -326,8 +341,10 @@ def structure_polynomials(dd: LanglandsDualData, lam: Sequence[int], mu: Sequenc
     if entry is None:
         entry = _expansions[key] = _peel(dd, lam, mu)
     top0, items = entry
+    if top == top0:
+        return HeckeExpansion._make(d, dict(items))
     z = vec_sub(top, top0)
-    return HeckeExpansion(d, {vec_add(nu, z): c for nu, c in items})
+    return HeckeExpansion._make(d, {vec_add(nu, z): c for nu, c in items})
 
 
 def _peel(dd: LanglandsDualData, lam: Vec, mu: Vec) -> tuple[Vec, tuple[tuple[Vec, Laurent], ...]]:

@@ -1,9 +1,10 @@
 import itertools
+from fractions import Fraction
 
 import pytest
 
 from heckedual import rootdatum, satake
-from heckedual.lattice import dot, mat_identity, mat_mul, mat_transpose, solve_rational, vec_sub_scaled
+from heckedual.lattice import dot, mat_identity, mat_mul, mat_transpose, vec_sub, vec_sub_scaled
 from heckedual.rootdatum import coweight_order_key, is_dominant_coweight, pairings, require_dominant
 
 
@@ -42,6 +43,48 @@ def enumerate_dominant(d, height):
     return tuple(found)
 
 
+def fraction_gauss_jordan(rows, ncols):
+    """Reduced row echelon form over Fraction, pivoting on the first
+    nonzero entry: the elimination the fraction-free routine replaced."""
+    rows = [[Fraction(x) for x in row] for row in rows]
+    pivots = []
+    for c in range(ncols):
+        r = len(pivots)
+        p = next((i for i in range(r, len(rows)) if rows[i][c]), None)
+        if p is None:
+            continue
+        rows[r], rows[p] = rows[p], rows[r]
+        inv = 1 / rows[r][c]
+        rows[r] = [x * inv for x in rows[r]]
+        for i in range(len(rows)):
+            if i != r and rows[i][c]:
+                f = rows[i][c]
+                rows[i] = [x - f * y for x, y in zip(rows[i], rows[r])]
+        pivots.append(c)
+    return pivots, rows
+
+
+def solve_fraction(columns, target):
+    """Solve sum_j c_j * columns[j] = target over Q: one solution, free
+    coordinates 0, or None when the system is inconsistent."""
+    k = len(columns)
+    pivots, rows = fraction_gauss_jordan(
+        [[col[i] for col in columns] + [x] for i, x in enumerate(target)], k)
+    if any(row[k] for row in rows[len(pivots):]):
+        return None
+    sol = [Fraction(0)] * k
+    for row, c in zip(rows, pivots):
+        sol[c] = row[k]
+    return tuple(sol)
+
+
+def dominance_leq_by_fractions(d, nu, lam):
+    """nu <= lam by the rational coordinates of lam - nu in the simple
+    coroots: a reference for ``dominance_leq``."""
+    coords = solve_fraction(d.simple_coroots, vec_sub(lam, nu))
+    return coords is not None and all(c.denominator == 1 and c >= 0 for c in coords)
+
+
 def dominant_below_by_box(d, lam):
     """All dominant coweights nu <= lam, in decreasing dominance order: a
     reference for ``dominant_below`` that writes the semisimple part of lam
@@ -54,7 +97,7 @@ def dominant_below_by_box(d, lam):
         return (lam,)
     cartan = rootdatum._facts(d).cartan
     p = pairings(d, lam)
-    coords = solve_rational(cartan, p)
+    coords = solve_fraction(cartan, p)
     assert coords is not None and all(b >= 0 for b in coords)
     bounds = [b.numerator // b.denominator for b in coords]
     # <alpha_i, lam - sum_j c_j alphavee_j> = p_i - sum_j c_j C[j][i], so

@@ -1,15 +1,13 @@
 """Exhaustive checks of the shared exact elimination routines.
 
-Every determinant, rank, rational solve and unimodular inverse runs on one
-fraction-free Gauss-Jordan routine.  These tests compare it with
-independent definitions written here: the Leibniz expansion, a
-forward-only integer elimination, Gauss-Jordan over Fraction,
-substitution back into the system, and the symmetrize-then-Sylvester
-finite-type test.
+Every determinant, rank and unimodular inverse runs on one fraction-free
+Gauss-Jordan routine.  These tests compare it with independent
+definitions: the Leibniz expansion, a forward-only integer elimination,
+Gauss-Jordan over Fraction (in conftest), and the
+symmetrize-then-Sylvester finite-type test.
 """
 
 import itertools
-import math
 import random
 from fractions import Fraction
 from typing import Optional
@@ -23,9 +21,10 @@ from heckedual.lattice import (
     mat_identity,
     mat_inverse_unimodular,
     mat_mul,
-    solve_rational,
 )
 from heckedual.rootdatum import _is_finite_type_cartan
+
+from conftest import fraction_gauss_jordan
 
 
 def permutation_sign(perm) -> int:
@@ -85,49 +84,6 @@ def test_det_rank_and_inverse_exhaustive():
             unimodular += 1
             assert mat_mul(m, mat_inverse_unimodular(m)) == mat_identity(n), m
     assert unimodular > 0
-
-
-def test_solve_rational_exhaustive():
-    # the columns of m against the last standard basis vector, which is in
-    # their span for every invertible m and for some singular ones
-    solved = refused = 0
-    for m in SMALL_MATRICES:
-        n = len(m)
-        target = (0,) * (n - 1) + (1,)
-        sol = solve_rational(m, target)
-        if sol is None:
-            refused += 1
-            assert int_rank(m + (target,)) > int_rank(m), m
-            continue
-        solved += 1
-        assert all(isinstance(x, Fraction) for x in sol)
-        # substitute back with the denominators cleared
-        scale = math.lcm(*(x.denominator for x in sol))
-        ints = [x.numerator * (scale // x.denominator) for x in sol]
-        back = tuple(sum(x * col[i] for x, col in zip(ints, m)) for i in range(n))
-        assert back == tuple(scale * t for t in target), (m, sol)
-    assert solved > refused > 0
-
-
-def fraction_gauss_jordan(rows, ncols):
-    """Reduced row echelon form over Fraction, pivoting on the first
-    nonzero entry: the elimination the fraction-free routine replaced."""
-    rows = [[Fraction(x) for x in row] for row in rows]
-    pivots = []
-    for c in range(ncols):
-        r = len(pivots)
-        p = next((i for i in range(r, len(rows)) if rows[i][c]), None)
-        if p is None:
-            continue
-        rows[r], rows[p] = rows[p], rows[r]
-        inv = 1 / rows[r][c]
-        rows[r] = [x * inv for x in rows[r]]
-        for i in range(len(rows)):
-            if i != r and rows[i][c]:
-                f = rows[i][c]
-                rows[i] = [x - f * y for x, y in zip(rows[i], rows[r])]
-        pivots.append(c)
-    return pivots, rows
 
 
 def test_row_reduce_is_a_multiple_of_fraction_gauss_jordan():

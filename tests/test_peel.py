@@ -87,7 +87,8 @@ def hall_littlewood_sides(dd, lam):
                 exponent = vec_add(exponent, moved)
         ratio = GroupAlgebraElement.monomial(exponent, (-1) ** len(w))
         rhs = rhs + numerator.apply_map(mat_y) * ratio
-    normalizer = stabilizer_poincare(dd.base, lam).substitute_inverse()
+    # the Poincare polynomial with q -> q^-1
+    normalizer = Laurent({-k: c for k, c in stabilizer_poincare(dd.base, lam).items()})
     return satake_image_extended(dd, lam) * delta * normalizer, rhs
 
 

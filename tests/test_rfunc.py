@@ -1,5 +1,6 @@
 """Tests for parameters, local factors, the splitting and the sign twist."""
 
+import dataclasses
 import math
 import random
 from fractions import Fraction
@@ -156,7 +157,7 @@ class TestLocalFactors:
 
     def test_projection_rep(self):
         p = make_parameter(DD_PGL2, 3, (Fraction(2),))
-        factor = local_rfactor(p, DualRepresentation.projection_character(DD_PGL2))
+        factor = local_rfactor(p, DualRepresentation(DD_PGL2, (DD_PGL2.i,)))
         assert factor.inverse_roots == (Fraction(3),)
         # (1 - q^(1-s))^-1 at s = 2 is (1 - 1/3)^-1
         assert factor.evaluate(2.0) == pytest.approx(1.5)
@@ -216,7 +217,7 @@ class TestLocalFactors:
                      for _ in range(rng.randint(1, 3))]
             tau = DualRepresentation.from_orbits(dd, seeds)
             p = make_parameter(dd, 5, (Fraction(2), Fraction(3, 7)))
-            assert local_rfactor(p, tau).degree == tau.dimension
+            assert len(local_rfactor(p, tau).inverse_roots) == tau.dimension
 
     def test_shift_identity_random(self):
         rng = random.Random(3)
@@ -278,6 +279,14 @@ class TestSplitting:
         assert p.value_at((1, 1)) == 18
         split = split_by_sqrt(p, Fraction(3))
         assert split.value_at((1, 1)) == 6
+
+    def test_delta_value_is_cross_checked(self):
+        # a j whose delta entry is not 2 leaves delta value q^-1 after the
+        # split, which trips the check, also under -O
+        wrong = dataclasses.replace(DD_PGL2, j=DD_PGL2.j[:-1] + (4,))
+        p = make_parameter(wrong, 9, (Fraction(2),))
+        with pytest.raises(RuntimeError, match="^internal: split assignment has delta value 1/9"):
+            split_by_sqrt(p, Fraction(3))
 
     def test_wrong_root_rejected(self):
         p = make_parameter(DD_PGL2, 9, (Fraction(2),))

@@ -20,7 +20,7 @@ from heckedual.lattice import (
     mat_identity,
     mat_inverse_unimodular,
     reflect,
-    solve_rational,
+    solve_integer_linear,
 )
 from heckedual.rootdatum import (
     BUILTINS,
@@ -40,6 +40,7 @@ from heckedual.rootdatum import (
 )
 
 from conftest import (
+    dominance_leq_by_fractions,
     dominant_below_by_box,
     enumerate_dominant,
     simple_reflection_x,
@@ -112,7 +113,9 @@ def closure_positive_roots(d):
                 frontier.append((image, seen[image]))
     positive = []
     for root, coroot in seen.items():
-        coords = solve_rational(d.simple_roots, root)
+        solution = solve_integer_linear(tuple(zip(*d.simple_roots)), root)
+        assert solution is not None, root
+        coords = solution[0]
         assert all(x >= 0 for x in coords) or all(x <= 0 for x in coords), root
         if all(x >= 0 for x in coords):
             positive.append((sum(coords), root, coroot))
@@ -376,6 +379,22 @@ class TestDominance:
                 assert a == b
             if dominance_leq(d, a, b) and dominance_leq(d, b, c):
                 assert dominance_leq(d, a, c)
+
+    def test_matches_the_rational_reference(self):
+        # every pair with coordinates in [-1, 1], on every builtin and
+        # extension of rank <= 3, the trivial datum and a rank-2 torus
+        data = [d for b in BUILTINS.values() for d in (b, langlands_dual_data(b).ext)
+                if d.rank <= 3] + [TRIVIAL, RootDatum(2, (), (), "T2")]
+        count = below = 0
+        for d in data:
+            box = list(itertools.product((-1, 0, 1), repeat=d.rank))
+            for nu, lam in itertools.product(box, repeat=2):
+                leq = dominance_leq(d, nu, lam)
+                assert leq == dominance_leq_by_fractions(d, nu, lam), (d.name, nu, lam)
+                count += 1
+                below += leq
+        assert count == 4959 + 1 + 81
+        assert below == 500
 
     def test_dominant_below_pgl2(self):
         d = BUILTINS["PGL2"]

@@ -10,6 +10,7 @@ from heckedual.errors import CapExceededError, RankMismatchError, ValidationErro
 from heckedual.lattice import GroupAlgebraElement, Laurent, dot, mat_mul
 from heckedual.rootdatum import BUILTINS, weyl_group
 from heckedual.satake import (
+    HeckeExpansion,
     UnramifiedCharacter,
     compare_rank1_oracle,
     dot_act,
@@ -215,6 +216,15 @@ class TestStructurePolynomials:
         assert expansion.get((2,)) == Laurent.one()
         assert expansion.get((0,)) == Laurent({-1: 1, -2: 1})
         assert len(expansion.coeffs) == 2
+
+    def test_expansion_refuses_a_key_of_the_wrong_rank(self):
+        with pytest.raises(RankMismatchError, match="pairing of vectors of ranks 1 and 2"):
+            HeckeExpansion(PGL2, {(1, 2): Laurent.one()})
+        # zero entries are dropped, but their keys are still read
+        with pytest.raises(RankMismatchError):
+            HeckeExpansion(PGL2, {(1,): Laurent.one(), (0, 0): Laurent.zero()})
+        expansion = HeckeExpansion(PGL2, {(2.0,): Laurent.one(), (0,): Laurent.zero()})
+        assert expansion.coeffs == {(2,): Laurent.one()}
 
     def test_gl3_fundamentals_unitriangular(self):
         dd = langlands_dual_data(BUILTINS["GL3"])
