@@ -66,7 +66,7 @@ from .satake import (
 )
 
 DEFAULT_HEIGHT_CAP = 6
-ORACLE_HEIGHT = 4  # the oracle's trees grow like q^height
+ORACLE_HEIGHT = 4  # oracle's default --max-height: the largest m + n compared
 WEYL_CAP_ENV = "HECKEDUAL_MAX_WEYL"
 
 

@@ -18,7 +18,7 @@ class OmegaViolationError(ValidationError):
 
 
 class CapExceededError(HeckedualError):
-    """A resource cap (Weyl group size, tree size, height) was exceeded."""
+    """A resource cap (Weyl group size, tree depth, height) was exceeded."""
 
 
 class PoleError(HeckedualError):

@@ -61,6 +61,17 @@ def as_int(x) -> int:
     return int(x)
 
 
+def as_fraction(x) -> Fraction:
+    """An exact rational entry: a Fraction as it is, an int as a Fraction.
+    A boolean, a float or anything else is refused with a ValidationError."""
+    if isinstance(x, Fraction):
+        return x
+    if isinstance(x, int) and not isinstance(x, bool):
+        return Fraction(x)
+    shown = json.dumps(x) if isinstance(x, (bool, float)) else repr(x)
+    raise ValidationError(f"expected a Fraction or an int, got {shown}")
+
+
 def int_vector(v: Iterable) -> Vec:
     """v as a tuple of ints, its entries read by ``as_int`` in one pass."""
     return tuple([x if type(x) is int else as_int(x) for x in v])

@@ -26,7 +26,7 @@ from typing import Sequence, Union
 
 from .dualdata import LanglandsDualData
 from .errors import OmegaViolationError, PoleError, RankMismatchError, ValidationError
-from .lattice import Vec, int_vector, reflect
+from .lattice import Vec, as_fraction, int_vector, reflect
 from .rootdatum import orbit_walk
 
 # ---------------------------------------------------------------------------
@@ -214,11 +214,12 @@ class UnramifiedParameter(TorusAssignment):
 
 def make_parameter(dd: LanglandsDualData, q, base_values: Sequence[FieldElement]) -> UnramifiedParameter:
     """Build a parameter from values on the base coweight basis; the delta
-    value is q, as the modulus condition asks."""
-    q = Fraction(q)
+    value is q, as the modulus condition asks.  q and every value that is
+    not a ``QuadExt`` are read by ``as_fraction``, so the layer stays exact."""
+    q = as_fraction(q)
     if q <= 1:
         raise ValidationError(f"residue cardinality q = {q} must exceed 1")
-    base_values = tuple(base_values)
+    base_values = tuple(v if isinstance(v, QuadExt) else as_fraction(v) for v in base_values)
     if len(base_values) != dd.base.rank:
         raise ValidationError("expected one value per base coweight basis vector")
     for v in base_values:
@@ -304,11 +305,6 @@ class RFactor:
 
     q: Fraction
     inverse_roots: tuple[FieldElement, ...]
-
-    def shifted(self, steps: int = 1) -> "RFactor":
-        """Replace s by s - steps: every inverse root picks up q^steps."""
-        scale = self.q ** steps
-        return RFactor(self.q, tuple(c * scale for c in self.inverse_roots))
 
     def evaluate(self, s: float) -> float:
         """The value at s, in floats; a pole raises PoleError.

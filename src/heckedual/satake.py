@@ -51,17 +51,15 @@ No output depends on which coweight represents a class.
 
 An independent combinatorial check is provided for the rank-one adjoint
 datum: structure counts of distance spheres on the (q+1)-regular tree,
-obtained by enumerating the paths from a vertex, must match the algebraic
-expansion coefficients after an explicit monomial rescaling.
+from paths counted in closed form by their leading zeros, must match the
+algebraic expansion coefficients after an explicit monomial rescaling.
 """
 
 from __future__ import annotations
 
-import itertools
-from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property, lru_cache
+from functools import cached_property
 from typing import Sequence
 
 from .dualdata import LanglandsDualData, langlands_dual_data
@@ -74,7 +72,6 @@ from .lattice import (
     as_int,
     dot,
     int_vector,
-    reflect,
     vec_add,
     vec_sub,
     vec_sub_scaled,
@@ -92,7 +89,6 @@ from .rootdatum import (
     require_dominant_pairings,
 )
 
-DEFAULT_TREE_NODE_CAP = 2_000_000
 DEFAULT_TREE_DEPTH_CAP = 12
 
 
@@ -129,14 +125,11 @@ class UnramifiedCharacter:
 
 
 def _dot_act_simple(d: RootDatum, i: int, chi: UnramifiedCharacter) -> UnramifiedCharacter:
-    alpha = d.simple_roots[i]
-    alphavee = d.simple_coroots[i]
-    new_values = []
-    for k in range(d.rank):
-        basis = tuple(1 if c == k else 0 for c in range(d.rank))
-        c, exp = chi.value_at(reflect(basis, alpha, alphavee))
-        new_values.append((c, exp + alpha[k]))
-    return UnramifiedCharacter(d, tuple(new_values))
+    # s e_k = e_k - a_k alphavee with a_k = <alpha, e_k>, so the value (c_k, k_k)
+    # at e_k goes to (c_k C^-a_k, k_k - K a_k), (C, K) = chi(alphavee), times q^a_k
+    cv, kv = chi.value_at(d.simple_coroots[i])
+    return UnramifiedCharacter(d, tuple((Fraction(c) * cv ** -a, k - (kv - 1) * a)
+                                        for (c, k), a in zip(chi.values, d.simple_roots[i])))
 
 
 def dot_act(d: RootDatum, word: Sequence[int], chi: UnramifiedCharacter) -> UnramifiedCharacter:
@@ -280,7 +273,8 @@ def satake_image(dd: LanglandsDualData, lam: Sequence[int]) -> SphericalFunction
 class HeckeExpansion:
     """Coefficients of a product of basis elements: a map from dominant
     coweights to Z[q, q^-1], with no zero entries stored.  Each key is read
-    by ``int_vector`` and its rank checked against the datum."""
+    by ``require_dominant``, which refuses a wrong rank or a key that is not
+    dominant, and each coefficient as ``GroupAlgebraElement`` reads one."""
 
     datum: RootDatum
     coeffs: dict[Vec, Laurent]
@@ -288,8 +282,8 @@ class HeckeExpansion:
     def __post_init__(self):
         coeffs = {}
         for v, c in self.coeffs.items():
-            v = int_vector(v)
-            pairings(self.datum, v)  # refuses a wrong rank
+            v = require_dominant(self.datum, v)
+            c = c if isinstance(c, Laurent) else Laurent.term(as_int(c))
             if not c.is_zero():
                 coeffs[v] = c
         self.coeffs = coeffs
@@ -390,7 +384,7 @@ def _peel(dd: LanglandsDualData, lam: Vec, mu: Vec) -> tuple[Vec, tuple[tuple[Ve
 
 def tree_structure_constants(m: int, n: int, q: int,
                              depth_cap: int = DEFAULT_TREE_DEPTH_CAP) -> dict[int, int]:
-    """Counts on the (q+1)-regular tree, by enumerating paths.
+    """Counts on the (q+1)-regular tree, from paths counted by leading zeros.
 
     For vertices u, v at distance d, counts the w with dist(u, w) = m and
     dist(w, v) = n.  Returns one count per admissible distance d, i.e.
@@ -409,27 +403,19 @@ def tree_structure_constants(m: int, n: int, q: int,
     depth = m + n
     if depth > depth_cap:
         raise CapExceededError(f"tree depth {depth} exceeds the cap of {depth_cap}")
-    total = 1
-    level = 1
-    for _ in range(depth):
-        level = level * q if level > 1 else q + 1
-        total += level
-        if total > DEFAULT_TREE_NODE_CAP:
-            raise CapExceededError("tree size exceeds the node cap")
     zeros = _leading_zero_histogram(m, q)
     return {d: sum(count for z, count in zeros if m + d - 2 * min(z, d) == n)
             for d in range(abs(m - n), m + n + 1, 2)}
 
 
-@lru_cache(maxsize=None)
-def _leading_zero_histogram(m: int, q: int) -> tuple[tuple[int, int], ...]:
+def _leading_zero_histogram(m: int, q: int) -> list[tuple[int, int]]:
     """(z, count) pairs: how many non-backtracking paths of length m from a
-    vertex of the (q+1)-regular tree start with exactly z zero steps.  It
-    does not depend on the second radius n, so all n share one enumeration."""
-    steps = [range(q + 1)] + [range(q)] * (m - 1) if m else []
-    zeros = Counter(next((z for z, step in enumerate(path) if step), m)
-                    for path in itertools.product(*steps))
-    return tuple(zeros.items())
+    vertex of the (q+1)-regular tree start with exactly z zero steps.  The
+    first nonzero step has q choices at the start and q - 1 after a zero,
+    and every later step q (Serre, Trees, II.1)."""
+    if m == 0:
+        return [(0, 1)]
+    return [(0, q ** m)] + [(z, (q - 1) * q ** (m - z - 1)) for z in range(1, m)] + [(m, 1)]
 
 
 @dataclass(frozen=True)

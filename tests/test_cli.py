@@ -365,11 +365,9 @@ class TestDeterminismAndExitCodes:
                           "--max-height", "13")
         assert result["failures"] == 0
 
-    def test_oracle_node_cap(self, capsys):
-        code, out, err = run_cli(capsys, "oracle", "--q", "4", "--max-height", "11")
-        assert code == 3
-        assert out == ""
-        assert "tree size exceeds the node cap" in err
+    def test_oracle_q4_height_11_is_answered(self, capsys):
+        result = run_json(capsys, "oracle", "--q", "4", "--max-height", "11")
+        assert result["failures"] == 0
 
     def test_tree_depth_flag_lowers_oracle_cap(self, capsys):
         code, out, err = run_cli(capsys, "--max-tree-depth", "3", "oracle", "--q", "2",

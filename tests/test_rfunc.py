@@ -97,6 +97,31 @@ class TestParameters:
         with pytest.raises(ValidationError):
             make_parameter(DD_PGL2, 3, (Fraction(0),))
 
+    def test_int_values_are_read_as_fractions(self):
+        p = make_parameter(DD_PGL2, 3, (2,))
+        assert p.values == (Fraction(2), Fraction(3))
+        assert all(type(v) is Fraction for v in p.values) and type(p.q) is Fraction
+        tau = DualRepresentation.from_orbits(DD_PGL2, [(1, 0)])
+        roots = local_rfactor(p, tau).inverse_roots
+        assert sorted(roots) == [Fraction(1, 6), Fraction(2)]
+        assert all(type(c) is Fraction for c in roots)
+        # a Fraction is handed through as it is
+        half = Fraction(1, 2)
+        assert make_parameter(DD_PGL2, 3, (half,)).values[0] is half
+
+    @pytest.mark.parametrize("q, values, shown", [
+        (3, (0.5,), "0.5"), (3, (2.0,), "2.0"), (2.5, (Fraction(2),), "2.5"),
+        (3.0, (Fraction(2),), "3.0"), (3, ("2",), "'2'"),
+    ])
+    def test_floats_and_strings_are_refused(self, q, values, shown):
+        with pytest.raises(ValidationError, match=f"^expected a Fraction or an int, got {shown}$"):
+            make_parameter(DD_PGL2, q, values)
+
+    @pytest.mark.parametrize("q, values", [(3, (True,)), (True, (Fraction(2),)), (3, (False,))])
+    def test_booleans_are_refused(self, q, values):
+        with pytest.raises(ValidationError, match="^expected a Fraction or an int, got (true|false)$"):
+            make_parameter(DD_PGL2, q, values)
+
     def test_direct_construction_checks_delta(self):
         with pytest.raises(OmegaViolationError):
             UnramifiedParameter(DD_PGL2, (Fraction(2), Fraction(5)), Fraction(3))
@@ -232,7 +257,6 @@ class TestLocalFactors:
             lhs = local_rfactor(p, tensor_with_projection(tau))
             rhs = local_rfactor(p, tau)
             assert sorted(lhs.inverse_roots) == sorted(c * q for c in rhs.inverse_roots)
-            assert sorted(lhs.inverse_roots) == sorted(rhs.shifted(1).inverse_roots)
             s = 2.5
             assert lhs.evaluate(s) == pytest.approx(rhs.evaluate(s - 1.0))
 

@@ -1,13 +1,15 @@
 """Tests for the dot action, spherical images and the tree oracle."""
 
+import itertools
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
 
 from heckedual.dualdata import langlands_dual_data
 from heckedual.errors import CapExceededError, RankMismatchError, ValidationError
-from heckedual.lattice import GroupAlgebraElement, Laurent, dot, mat_mul
+from heckedual.lattice import GroupAlgebraElement, Laurent, dot, mat_mul, reflect
 from heckedual.rootdatum import BUILTINS, weyl_group
 from heckedual.satake import (
     HeckeExpansion,
@@ -20,6 +22,7 @@ from heckedual.satake import (
     satake_image_extended,
     structure_polynomials,
     tree_structure_constants,
+    _leading_zero_histogram,
 )
 
 from conftest import enumerate_dominant, weyl_matrices
@@ -32,6 +35,20 @@ def random_character(rng, d):
     values = tuple((Fraction(rng.randint(1, 9), rng.randint(1, 9)), rng.randint(-2, 2))
                    for _ in range(d.rank))
     return UnramifiedCharacter(d, values)
+
+
+def dot_act_by_reflected_basis(d, word, chi):
+    """Reference: each dot step evaluates chi at every reflected basis
+    vector s e_k and multiplies the value by q^<alpha, e_k>."""
+    for i in reversed(tuple(word)):
+        alpha, alphavee = d.simple_roots[i], d.simple_coroots[i]
+        values = []
+        for k in range(d.rank):
+            basis = tuple(1 if c == k else 0 for c in range(d.rank))
+            c, exp = chi.value_at(reflect(basis, alpha, alphavee))
+            values.append((c, exp + alpha[k]))
+        chi = UnramifiedCharacter(d, tuple(values))
+    return chi
 
 
 class TestDotAction:
@@ -72,6 +89,21 @@ class TestDotAction:
                 lhs = dot_act(d, by_matrix[mat_mul(mat_y[w1], mat_y[w2])], chi)
                 rhs = dot_act(d, w1, dot_act(d, w2, chi))
                 assert lhs == rhs
+
+    def test_matches_the_reflected_basis_reference(self):
+        rng = random.Random(4)
+        data = list(BUILTINS.values()) + [langlands_dual_data(d).ext for d in BUILTINS.values()]
+        for d in data:
+            words = weyl_group(d)
+            for n in range(20):
+                chi = random_character(rng, d)
+                if n % 4 < 2:  # int and float values are read as Fractions on both sides
+                    chi = UnramifiedCharacter(d, tuple((rng.randint(1, 9) / (4 if n % 4 else 1), k)
+                                                       for _, k in chi.values))
+                for w in words:
+                    got, want = dot_act(d, w, chi).values, dot_act_by_reflected_basis(d, w, chi).values
+                    assert got == want, (d.name, w)
+                    assert [tuple(map(type, v)) for v in got] == [tuple(map(type, v)) for v in want]
 
     def test_word_independence(self):
         # s1 s2 s1 = s2 s1 s2 in the rank-two symmetric group
@@ -226,6 +258,22 @@ class TestStructurePolynomials:
         expansion = HeckeExpansion(PGL2, {(2.0,): Laurent.one(), (0,): Laurent.zero()})
         assert expansion.coeffs == {(2,): Laurent.one()}
 
+    def test_expansion_reads_an_int_coefficient(self):
+        expansion = HeckeExpansion(PGL2, {(1,): 5, (3,): 0, (2,): Fraction(4, 2)})
+        assert expansion.coeffs == {(1,): Laurent.term(5), (2,): Laurent.term(2)}
+        assert expansion == HeckeExpansion(PGL2, {(1,): Laurent.term(5), (2,): Laurent.term(2)})
+
+    def test_expansion_refuses_a_boolean_coefficient(self):
+        with pytest.raises(ValidationError, match="^expected an integer, got true$"):
+            HeckeExpansion(PGL2, {(1,): True})
+
+    def test_expansion_refuses_a_key_that_is_not_dominant(self):
+        with pytest.raises(ValidationError, match=r"coweight \(-3,\) is not dominant"):
+            HeckeExpansion(PGL2, {(-3,): Laurent.one()})
+        # a zero entry's key is read too
+        with pytest.raises(ValidationError, match="not dominant"):
+            HeckeExpansion(PGL2, {(1,): Laurent.one(), (-1,): Laurent.zero()})
+
     def test_gl3_fundamentals_unitriangular(self):
         dd = langlands_dual_data(BUILTINS["GL3"])
         omega1 = (1, 0, 0)
@@ -291,6 +339,20 @@ def breadth_first_tree_counts(m, n, q):
     return counts
 
 
+def enumerated_leading_zeros(m, q):
+    """Reference: enumerate the non-backtracking paths of length m from a
+    vertex, as step sequences (q + 1 choices, then q), and count them by
+    their number of leading zero steps; sorted (z, count) pairs."""
+    steps = [range(q + 1)] + [range(q)] * (m - 1) if m else []
+    zeros = Counter(next((z for z, step in enumerate(path) if step), m)
+                    for path in itertools.product(*steps))
+    return sorted(zeros.items())
+
+
+def sphere_size(radius, q):
+    return 1 if radius == 0 else (q + 1) * q ** (radius - 1)
+
+
 class TestTreeOracle:
     @pytest.mark.parametrize("q", [2, 3, 4])
     def test_paths_match_breadth_first_tree(self, q):
@@ -298,13 +360,33 @@ class TestTreeOracle:
             for n in range(9 - m):
                 assert tree_structure_constants(m, n, q) == breadth_first_tree_counts(m, n, q)
 
-    def test_node_cap(self):
-        # the q = 4 tree of depth 10 has 1747626 vertices, of depth 11 6990506
+    def test_trees_past_the_old_node_cap(self):
+        # the q = 4 tree of depth 10 has 1747626 vertices, of depth 11 6990506;
+        # the counts are closed forms, so no tree size is refused
         counts = tree_structure_constants(5, 5, 4)
         assert counts[0] == 5 * 4 ** 4 and counts[10] == 1
-        for m, n in ((6, 5), (11, 0), (0, 11)):
-            with pytest.raises(CapExceededError, match="tree size exceeds the node cap"):
-                tree_structure_constants(m, n, 4, depth_cap=20)
+        assert tree_structure_constants(11, 0, 4, depth_cap=20) == {11: 1}
+        assert tree_structure_constants(0, 11, 4, depth_cap=20) == {11: 1}
+        counts = tree_structure_constants(6, 5, 4, depth_cap=20)
+        assert sum(c * sphere_size(d, 4) for d, c in counts.items()) == \
+            sphere_size(6, 4) * sphere_size(5, 4)
+
+    @pytest.mark.parametrize("q", range(2, 8))
+    def test_closed_form_matches_enumeration(self, q):
+        m = 0
+        while sphere_size(m, q) <= 10 ** 5:
+            assert sorted(_leading_zero_histogram(m, q)) == enumerated_leading_zeros(m, q)
+            m += 1
+        assert m >= 6
+
+    @pytest.mark.parametrize("q", range(2, 6))
+    def test_sphere_sizes_add_up(self, q):
+        # each w in S_m(u) and v in S_n(w) is counted once at d = dist(u, v)
+        for m in range(13):
+            for n in range(13 - m):
+                counts = tree_structure_constants(m, n, q)
+                assert sum(c * sphere_size(d, q) for d, c in counts.items()) == \
+                    sphere_size(m, q) * sphere_size(n, q)
 
     def test_depth_cap(self):
         with pytest.raises(CapExceededError, match="tree depth 13 exceeds the cap of 12"):
@@ -335,12 +417,8 @@ class TestTreeOracle:
         q = 3
         m, n = 2, 2
         counts = tree_structure_constants(m, n, q)
-
-        def sphere(radius):
-            return 1 if radius == 0 else (q + 1) * q ** (radius - 1)
-
-        total = sum(counts[d] * sphere(d) for d in counts)
-        assert total == sphere(m) * sphere(n)
+        total = sum(counts[d] * sphere_size(d, q) for d in counts)
+        assert total == sphere_size(m, q) * sphere_size(n, q)
 
 
 class TestOracleComparison:
@@ -363,3 +441,9 @@ class TestOracleComparison:
             report = compare_rank1_oracle(q0, 3)
             assert report.failures == ()
             assert report.observed_coefficient_ring == "Z[q]"
+
+    @pytest.mark.parametrize("q0", [2, 3, 4])
+    def test_no_failures_at_the_depth_cap(self, q0):
+        report = compare_rank1_oracle(q0, 12)
+        assert report.failures == ()
+        assert len(report.entries) == sum(min(m, n) + 1 for m in range(13) for n in range(13 - m))
