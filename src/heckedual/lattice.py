@@ -72,6 +72,21 @@ def as_fraction(x) -> Fraction:
     raise ValidationError(f"expected a Fraction or an int, got {shown}")
 
 
+def fraction_monomial(values: Iterable, exponents: Iterable[int]) -> Fraction:
+    """prod v^e over Fractions or ints v and int exponents e, as one Fraction:
+    numerators and denominators multiply as ints, swapped where e < 0, and
+    only the product is put in lowest terms."""
+    num = den = 1
+    for v, e in zip(values, exponents):
+        if e > 0:
+            num *= v.numerator ** e
+            den *= v.denominator ** e
+        elif e:
+            num *= v.denominator ** -e
+            den *= v.numerator ** -e
+    return Fraction(num, den)
+
+
 def int_vector(v: Iterable) -> Vec:
     """v as a tuple of ints, its entries read by ``as_int`` in one pass."""
     return tuple([x if type(x) is int else as_int(x) for x in v])

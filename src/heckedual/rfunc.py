@@ -20,31 +20,46 @@ from __future__ import annotations
 
 import math
 from collections import Counter
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence, Union
 
 from .dualdata import LanglandsDualData
 from .errors import OmegaViolationError, PoleError, RankMismatchError, ValidationError
-from .lattice import Vec, as_fraction, int_vector, reflect
+from .lattice import Vec, as_fraction, fraction_monomial, int_vector, reflect
 from .rootdatum import orbit_walk
 
 # ---------------------------------------------------------------------------
 # the quadratic coefficient field Q(sqrt(rad))
 
+_ZERO, _ONE = Fraction(0), Fraction(1)
+
 
 @dataclass(frozen=True)
 class QuadExt:
-    """a + b*sqrt(rad) with exact rational a, b and a fixed radicand."""
+    """a + b*sqrt(rad) with exact rational a, b and a fixed radicand.
+
+    The constructor reads a, b and rad by ``as_fraction``; every arithmetic
+    result is built by the unchecked ``_make`` from Fractions it computed."""
 
     a: Fraction
     b: Fraction
     rad: Fraction
 
     def __post_init__(self):
-        object.__setattr__(self, "a", Fraction(self.a))
-        object.__setattr__(self, "b", Fraction(self.b))
-        object.__setattr__(self, "rad", Fraction(self.rad))
+        object.__setattr__(self, "a", as_fraction(self.a))
+        object.__setattr__(self, "b", as_fraction(self.b))
+        object.__setattr__(self, "rad", as_fraction(self.rad))
+
+    @classmethod
+    def _make(cls, a: Fraction, b: Fraction, rad: Fraction) -> "QuadExt":
+        # trusted constructor: a, b and rad are Fractions
+        self = object.__new__(cls)
+        fields = self.__dict__
+        fields["a"] = a
+        fields["b"] = b
+        fields["rad"] = rad
+        return self
 
     def _coerce(self, other) -> "QuadExt":
         if isinstance(other, QuadExt):
@@ -52,14 +67,14 @@ class QuadExt:
                 raise ValidationError("mixing different quadratic extensions")
             return other
         if isinstance(other, (int, Fraction)):
-            return QuadExt(Fraction(other), Fraction(0), self.rad)
+            return QuadExt._make(Fraction(other), _ZERO, self.rad)
         return NotImplemented
 
     def __add__(self, other):
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        return QuadExt(self.a + other.a, self.b + other.b, self.rad)
+        return QuadExt._make(self.a + other.a, self.b + other.b, self.rad)
 
     __radd__ = __add__
 
@@ -67,22 +82,22 @@ class QuadExt:
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        return QuadExt(self.a - other.a, self.b - other.b, self.rad)
+        return QuadExt._make(self.a - other.a, self.b - other.b, self.rad)
 
     def __rsub__(self, other):
         return (-self).__add__(other)
 
     def __neg__(self):
-        return QuadExt(-self.a, -self.b, self.rad)
+        return QuadExt._make(-self.a, -self.b, self.rad)
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
-            return QuadExt(self.a * other, self.b * other, self.rad)
+            return QuadExt._make(self.a * other, self.b * other, self.rad)
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        return QuadExt(self.a * other.a + self.b * other.b * self.rad,
-                       self.a * other.b + self.b * other.a, self.rad)
+        return QuadExt._make(self.a * other.a + self.b * other.b * self.rad,
+                             self.a * other.b + self.b * other.a, self.rad)
 
     __rmul__ = __mul__
 
@@ -90,12 +105,12 @@ class QuadExt:
         norm = self.a * self.a - self.b * self.b * self.rad
         if norm == 0:
             raise ZeroDivisionError("inverse of zero (or of a zero divisor)")
-        return QuadExt(self.a / norm, -self.b / norm, self.rad)
+        return QuadExt._make(self.a / norm, -self.b / norm, self.rad)
 
     def __pow__(self, exp: int) -> "QuadExt":
         if exp < 0:
             return self.inverse() ** (-exp)
-        out = QuadExt(Fraction(1), Fraction(0), self.rad)
+        out = QuadExt._make(_ONE, _ZERO, self.rad)
         base = self
         while exp:
             if exp & 1:
@@ -122,7 +137,7 @@ class QuadExt:
 
     def conjugate(self) -> "QuadExt":
         """The field automorphism sending sqrt(rad) to -sqrt(rad)."""
-        return QuadExt(self.a, -self.b, self.rad)
+        return QuadExt._make(self.a, -self.b, self.rad)
 
     def __float__(self):
         return float(self.a) + float(self.b) * math.sqrt(float(self.rad))
@@ -153,15 +168,16 @@ def field_conjugate(x: FieldElement) -> FieldElement:
 
 def sqrt_of(q: Fraction) -> FieldElement:
     """A square root of q: rational when q is a perfect square, otherwise
-    the generator of the quadratic extension Q(sqrt(q))."""
-    q = Fraction(q)
+    the generator of the quadratic extension Q(sqrt(q)).  q is read by
+    ``as_fraction``."""
+    q = as_fraction(q)
     if q <= 0:
         raise ValidationError("square roots only of positive values")
     num_root = math.isqrt(q.numerator)
     den_root = math.isqrt(q.denominator)
     if num_root * num_root == q.numerator and den_root * den_root == q.denominator:
         return Fraction(num_root, den_root)
-    return QuadExt(Fraction(0), Fraction(1), q)
+    return QuadExt._make(_ZERO, _ONE, q)
 
 
 # ---------------------------------------------------------------------------
@@ -170,41 +186,69 @@ def sqrt_of(q: Fraction) -> FieldElement:
 
 @dataclass(frozen=True)
 class TorusAssignment:
-    """A multiplicative assignment on the extended coweight basis."""
+    """A multiplicative assignment on the extended coweight basis.
+
+    The constructor reads every value that is not a ``QuadExt`` by
+    ``as_fraction``; the splitting, the twist and conjugation build their
+    results from checked values by the unchecked ``_make``."""
 
     dd: LanglandsDualData
     values: tuple[FieldElement, ...]
 
+    _noun = "assignment"
+
     def __post_init__(self):
-        if len(self.values) != self.dd.ext.rank:
-            raise ValidationError("assignment needs one value per extended basis vector")
-        if any(not v for v in self.values):
-            raise ValidationError("assignment values must be nonzero")
+        values = tuple(v if isinstance(v, QuadExt) else as_fraction(v) for v in self.values)
+        object.__setattr__(self, "values", values)
+        if len(values) != self.dd.ext.rank:
+            raise ValidationError(f"{self._noun} needs one value per extended basis vector")
+        if not all(values):
+            raise ValidationError(f"{self._noun} values must be nonzero")
+
+    @classmethod
+    def _make(cls, dd: LanglandsDualData, values: tuple, **fields) -> "TorusAssignment":
+        # trusted constructor: one nonzero Fraction or QuadExt per extended
+        # basis vector, and the other fields of cls as its constructor reads them
+        self = object.__new__(cls)
+        self.__dict__.update(dd=dd, values=values, **fields)
+        return self
+
+    def _revalued(self, values: tuple) -> "TorusAssignment":
+        # the same class and other fields; trusted like _make
+        return self._make(**{**self.__dict__, "values": values})
 
     def value_at(self, ytilde: Sequence[int]) -> FieldElement:
+        """prod v_k^(y_k): the rational values as one ``fraction_monomial``,
+        then each QuadExt power, so the result is a QuadExt exactly when a
+        QuadExt value has a nonzero exponent."""
         ytilde = int_vector(ytilde)
         if len(ytilde) != len(self.values):
             raise RankMismatchError(f"value at a rank-{len(ytilde)} vector, not rank {len(self.values)}")
-        out: FieldElement = Fraction(1)
+        out: FieldElement = fraction_monomial(
+            [1 if isinstance(v, QuadExt) else v for v in self.values], ytilde)
         for v, e in zip(self.values, ytilde):
-            if e:
-                out = out * v ** e
+            if e and isinstance(v, QuadExt):
+                out = v ** e * out
         return out
 
     def delta_value(self) -> FieldElement:
         return self.values[self.dd.delta_index]
 
     def conjugate(self) -> "TorusAssignment":
-        return replace(self, values=tuple(field_conjugate(v) for v in self.values))
+        return self._revalued(tuple(field_conjugate(v) for v in self.values))
 
 
 @dataclass(frozen=True)
 class UnramifiedParameter(TorusAssignment):
-    """A torus assignment satisfying the modulus condition at delta."""
+    """A torus assignment satisfying the modulus condition at delta; q is
+    read by ``as_fraction``."""
 
     q: Fraction
 
+    _noun = "parameter"
+
     def __post_init__(self):
+        object.__setattr__(self, "q", as_fraction(self.q))
         super().__post_init__()
         if self.values[self.dd.delta_index] != self.q:
             raise OmegaViolationError(
@@ -219,14 +263,9 @@ def make_parameter(dd: LanglandsDualData, q, base_values: Sequence[FieldElement]
     q = as_fraction(q)
     if q <= 1:
         raise ValidationError(f"residue cardinality q = {q} must exceed 1")
-    base_values = tuple(v if isinstance(v, QuadExt) else as_fraction(v) for v in base_values)
     if len(base_values) != dd.base.rank:
         raise ValidationError("expected one value per base coweight basis vector")
-    for v in base_values:
-        if not v:
-            raise ValidationError("parameter values must be nonzero")
-    values = base_values + (q,)
-    return UnramifiedParameter(dd, values, q)
+    return UnramifiedParameter(dd, (*base_values, q), q)
 
 
 # ---------------------------------------------------------------------------
@@ -371,18 +410,26 @@ def split_by_sqrt(x: UnramifiedParameter, sq: FieldElement) -> TorusAssignment:
     classical assignment depends on the choice of root, exactly through
     the parity twist below.
 
-    Once sq^2 = q is checked, sq^n = q^(n // 2) * sq^(n % 2) with floor
-    division, so each value is v * q^(n // 2) times sq (n odd) or the
-    field's one sq^0 (n even), for n = -j_k.  The one keeps each value in
+    sq is read like a value: a ``QuadExt`` as it is, anything else by
+    ``as_fraction``.  Once sq^2 = q is checked, sq^n = q^(n // 2) * sq^(n % 2)
+    with floor division, so for n = -j_k each value is v * q^(n // 2), one
+    ``fraction_monomial`` when v is rational, times sq (n odd) or the
+    field's one sq^0 (n even) from the left.  The one keeps each value in
     the field of sq, and refuses a value from another extension, exactly as
     v * sq^n does.
     """
-    if sq * sq != x.q:
-        raise ValidationError(f"square root check failed: ({sq})^2 != {x.q}")
+    if not isinstance(sq, QuadExt):
+        sq = as_fraction(sq)
+    q = x.q
+    if sq * sq != q:
+        raise ValidationError(f"square root check failed: ({sq})^2 != {q}")
     one = sq ** 0
-    new_values = tuple(v * x.q ** (-jk // 2) * (sq if jk % 2 else one)
-                       for jk, v in zip(x.dd.j, x.values))
-    out = TorusAssignment(x.dd, new_values)
+    new_values = []
+    for jk, v in zip(x.dd.j, x.values):
+        half = -jk // 2
+        scaled = v * q ** half if isinstance(v, QuadExt) else fraction_monomial((v, q), (1, half))
+        new_values.append((sq if jk % 2 else one) * scaled)
+    out = TorusAssignment._make(x.dd, tuple(new_values))
     if out.delta_value() != 1:
         raise RuntimeError(f"internal: split assignment has delta value {out.delta_value()}, not 1")
     return out
@@ -390,11 +437,11 @@ def split_by_sqrt(x: UnramifiedParameter, sq: FieldElement) -> TorusAssignment:
 
 def epsilon_twist(assignment: TorusAssignment) -> TorusAssignment:
     """Multiply each basis value by the parity of the sum of positive
-    roots.  An involution; trivial exactly when the central sign is."""
+    roots.  An involution; trivial exactly when the central sign is.  t
+    vanishes at delta, so a parameter's twist is a parameter of the same q."""
     t = assignment.dd.t
-    new_values = tuple(-v if t[k] % 2 else v
-                       for k, v in enumerate(assignment.values))
-    return replace(assignment, values=new_values)
+    return assignment._revalued(tuple(-v if t[k] % 2 else v
+                                      for k, v in enumerate(assignment.values)))
 
 
 def primes_below(bound: int) -> tuple[int, ...]:

@@ -69,8 +69,10 @@ from .lattice import (
     Laurent,
     Vec,
     add_products_into,
+    as_fraction,
     as_int,
     dot,
+    fraction_monomial,
     int_vector,
     vec_add,
     vec_sub,
@@ -100,8 +102,9 @@ DEFAULT_TREE_DEPTH_CAP = 12
 class UnramifiedCharacter:
     """A character of the split torus given by its values on the coweight
     basis.  The dot action only multiplies values by powers of q, so each
-    value is a pair (c, k) meaning c*q^k with c a nonzero Fraction and k
-    read by ``as_int``.  Values extend multiplicatively."""
+    value is a pair (c, k) meaning c*q^k with c a nonzero Fraction, read by
+    ``as_fraction``, and k read by ``as_int``.  Values extend
+    multiplicatively."""
 
     datum: RootDatum
     values: tuple[tuple[Fraction, int], ...]
@@ -109,7 +112,8 @@ class UnramifiedCharacter:
     def __post_init__(self):
         if len(self.values) != self.datum.rank:
             raise ValidationError("character needs one value per coweight basis vector")
-        object.__setattr__(self, "values", tuple((c, as_int(k)) for c, k in self.values))
+        object.__setattr__(self, "values",
+                           tuple((as_fraction(c), as_int(k)) for c, k in self.values))
         if any(c == 0 for c, _ in self.values):
             raise ValidationError("character values must be nonzero")
 
@@ -117,18 +121,15 @@ class UnramifiedCharacter:
         y = int_vector(y)
         if len(y) != len(self.values):
             raise RankMismatchError(f"value at a rank-{len(y)} vector, not rank {len(self.values)}")
-        c, k = Fraction(1), 0
-        for (vc, vk), e in zip(self.values, y):
-            c *= Fraction(vc) ** e
-            k += vk * e
-        return c, k
+        return (fraction_monomial([c for c, _ in self.values], y),
+                sum(k * e for (_, k), e in zip(self.values, y)))
 
 
 def _dot_act_simple(d: RootDatum, i: int, chi: UnramifiedCharacter) -> UnramifiedCharacter:
     # s e_k = e_k - a_k alphavee with a_k = <alpha, e_k>, so the value (c_k, k_k)
     # at e_k goes to (c_k C^-a_k, k_k - K a_k), (C, K) = chi(alphavee), times q^a_k
     cv, kv = chi.value_at(d.simple_coroots[i])
-    return UnramifiedCharacter(d, tuple((Fraction(c) * cv ** -a, k - (kv - 1) * a)
+    return UnramifiedCharacter(d, tuple((c * cv ** -a, k - (kv - 1) * a)
                                         for (c, k), a in zip(chi.values, d.simple_roots[i])))
 
 

@@ -13,6 +13,7 @@ from heckedual.lattice import (
     Laurent,
     add_products_into,
     as_int,
+    fraction_monomial,
     mat_apply,
     mat_det,
     mat_identity,
@@ -91,6 +92,28 @@ class TestIntegerEntries:
         assert make_parameter(PGL2, 3, (Fraction(2),)).value_at((3.0, 1)) == 24
         with pytest.raises(ValidationError, match="^expected an integer, got true$"):
             as_int(True)
+
+
+class TestFractionMonomial:
+    def test_matches_repeated_powers(self):
+        rng = random.Random(11)
+        for _ in range(300):
+            n = rng.randint(0, 5)
+            values = [rng.choice((Fraction(rng.randint(-9, 9) or 1, rng.randint(1, 9)),
+                                  rng.choice((-3, -1, 1, 2, 7)))) for _ in range(n)]
+            exponents = [rng.randint(-4, 4) for _ in range(n)]
+            expected = Fraction(1)
+            for v, e in zip(values, exponents):
+                expected *= Fraction(v) ** e
+            got = fraction_monomial(values, exponents)
+            assert got == expected and type(got) is Fraction
+            assert (got.numerator, got.denominator) == (expected.numerator, expected.denominator)
+
+    def test_zero_to_a_negative_power(self):
+        assert fraction_monomial((Fraction(0), Fraction(2)), (1, -1)) == 0
+        assert fraction_monomial((Fraction(0),), (0,)) == 1
+        with pytest.raises(ZeroDivisionError):
+            fraction_monomial((Fraction(3), Fraction(0)), (1, -2))
 
 
 class TestLaurent:

@@ -14,6 +14,7 @@ from heckedual.rfunc import (
     DualRepresentation,
     QuadExt,
     RFactor,
+    TorusAssignment,
     UnramifiedParameter,
     contragredient_rep,
     epsilon_twist,
@@ -79,12 +80,30 @@ class TestQuadExt:
                 assert type(product) is QuadExt
                 assert (product.a, product.b, product.rad) == (expected.a, expected.b, expected.rad)
 
+    @pytest.mark.parametrize("a, b, rad, shown", [
+        (0.1, 1, 2, "0.1"), ("1/3", 1, 2, "'1/3'"), (True, 1, 2, "true"),
+        (1, 0.5, 2, "0.5"), (1, 1, 2.0, "2.0"), (1, False, 2, "false"),
+    ])
+    def test_constructor_refuses_floats_strings_and_booleans(self, a, b, rad, shown):
+        with pytest.raises(ValidationError, match=f"^expected a Fraction or an int, got {shown}$"):
+            QuadExt(a, b, rad)
+
+    def test_constructor_reads_ints_as_fractions(self):
+        x = QuadExt(1, -2, 3)
+        assert (x.a, x.b, x.rad) == (1, -2, 3)
+        assert all(type(f) is Fraction for f in (x.a, x.b, x.rad))
+        assert x == QuadExt(Fraction(1), Fraction(-2), Fraction(3))
+
     def test_sqrt_of(self):
         assert sqrt_of(Fraction(9)) == 3
         assert sqrt_of(Fraction(9, 4)) == Fraction(3, 2)
         root = sqrt_of(Fraction(2))
         assert isinstance(root, QuadExt)
         assert root * root == 2
+        assert sqrt_of(4) == 2 and type(sqrt_of(4)) is Fraction
+        for q, shown in ((2.5, "2.5"), (0.1, "0.1"), ("2", "'2'"), (True, "true")):
+            with pytest.raises(ValidationError, match=f"^expected a Fraction or an int, got {shown}$"):
+                sqrt_of(q)
 
 
 class TestParameters:
@@ -125,6 +144,30 @@ class TestParameters:
     def test_direct_construction_checks_delta(self):
         with pytest.raises(OmegaViolationError):
             UnramifiedParameter(DD_PGL2, (Fraction(2), Fraction(5)), Fraction(3))
+
+    @pytest.mark.parametrize("values, q, shown", [
+        ((0.5, Fraction(3)), Fraction(3), "0.5"),
+        ((Fraction(2), 3.0), 3.0, "3.0"),
+        ((Fraction(2), Fraction(3)), 3.0, "3.0"),
+        ((True, Fraction(3)), Fraction(3), "true"),
+    ])
+    def test_direct_construction_refuses_floats(self, values, q, shown):
+        with pytest.raises(ValidationError, match=f"^expected a Fraction or an int, got {shown}$"):
+            UnramifiedParameter(DD_PGL2, values, q)
+
+    @pytest.mark.parametrize("values, shown", [((0.5, 1), "0.5"), ((2, 1.0), "1.0"), ((True, 1), "true")])
+    def test_assignment_refuses_floats(self, values, shown):
+        with pytest.raises(ValidationError, match=f"^expected a Fraction or an int, got {shown}$"):
+            TorusAssignment(DD_PGL2, values)
+
+    def test_direct_construction_reads_ints_as_fractions(self):
+        p = UnramifiedParameter(DD_PGL2, (2, 3), 3)
+        assert p == make_parameter(DD_PGL2, 3, (2,))
+        assert all(type(v) is Fraction for v in p.values) and type(p.q) is Fraction
+        # q = 4 split by 2: 2 * 2 at the odd j_k = -1, and 4 * 4^-1 at delta
+        split = TorusAssignment(DD_PGL2, (4, 1))
+        assert split == split_by_sqrt(make_parameter(DD_PGL2, 4, (2,)), 2)
+        assert all(type(v) is Fraction for v in split.values)
 
     def test_q_is_required(self):
         with pytest.raises(TypeError):
@@ -388,6 +431,60 @@ class TestSplitting:
                     assert [str(v) for v in got] == [str(v) for v in expected]
                     assert [hash(v) for v in got] == [hash(v) for v in expected]
         assert set(exponents) <= {0}
+
+    @pytest.mark.parametrize("datum", SPLIT_DATA, ids=lambda d: d.name)
+    def test_value_at_is_the_definition(self, datum):
+        """value_at is the loop out = out * v ** e from Fraction(1), equal in
+        value, type, str and hash, on rational values, on Q(sqrt q) values
+        with a rational delta value, and on their splits; a zero divisor
+        (square q) raises ZeroDivisionError on both sides."""
+        def by_loop(values, y):
+            out = Fraction(1)
+            for v, e in zip(values, y):
+                if e:
+                    out = out * v ** e
+            return out
+
+        dd = langlands_dual_data(datum)
+        rng = random.Random(9)
+        for q in (Fraction(9), Fraction(2), Fraction(9, 4), Fraction(3, 2)):
+            gen = QuadExt(Fraction(0), Fraction(1), q)
+            rational = tuple(Fraction(rng.choice((-1, 1)) * rng.randint(1, 9), rng.randint(1, 9))
+                             for _ in range(dd.base.rank))
+            quadratic = tuple(rng.randint(1, 5) + Fraction(rng.randint(-5, 5), 3) * gen
+                              for _ in range(dd.base.rank))
+            for base_values in (rational, quadratic):
+                x = make_parameter(dd, q, base_values)
+                for a in (x, split_by_sqrt(x, gen), split_by_sqrt(x, -sqrt_of(q))):
+                    for _ in range(12):
+                        y = tuple(rng.randint(-4, 4) for _ in range(dd.ext.rank))
+                        try:
+                            expected = by_loop(a.values, y)
+                        except ZeroDivisionError:
+                            with pytest.raises(ZeroDivisionError):
+                                a.value_at(y)
+                            continue
+                        got = a.value_at(y)
+                        assert got == expected
+                        assert type(got) is type(expected)
+                        assert (str(got), hash(got)) == (str(expected), hash(expected))
+
+    def test_results_are_built_unchecked(self, monkeypatch):
+        """Past their own checks, the splitting, the twist, conjugation,
+        value_at and QuadExt arithmetic call no checked constructor."""
+        dd = langlands_dual_data(BUILTINS["SO5"])
+        gen = sqrt_of(Fraction(7))
+        x = make_parameter(dd, 7, (Fraction(2, 3), 1 - gen))
+        checked = []
+        for cls in (QuadExt, TorusAssignment, UnramifiedParameter):
+            monkeypatch.setattr(cls, "__post_init__", lambda self, cls=cls: checked.append(cls))
+        split = split_by_sqrt(x, -gen)
+        for a in (x, split):
+            epsilon_twist(a).conjugate().value_at((1, -2, 3))
+        (gen + 1) * (gen - 2) ** -3 - gen.inverse()
+        assert checked == []
+        assert type(epsilon_twist(x)) is UnramifiedParameter and epsilon_twist(x).q == x.q
+        assert type(x.conjugate()) is UnramifiedParameter and x.conjugate().q == x.q
 
     def test_int_root_splits_exactly(self):
         # int ** -n is a float, so the closed form must not raise sq itself

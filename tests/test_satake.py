@@ -97,8 +97,10 @@ class TestDotAction:
             words = weyl_group(d)
             for n in range(20):
                 chi = random_character(rng, d)
-                if n % 4 < 2:  # int and float values are read as Fractions on both sides
-                    chi = UnramifiedCharacter(d, tuple((rng.randint(1, 9) / (4 if n % 4 else 1), k)
+                if n % 4 == 0:  # int values are read as Fractions on both sides
+                    chi = UnramifiedCharacter(d, tuple((rng.randint(1, 9), k) for _, k in chi.values))
+                elif n % 4 == 1:
+                    chi = UnramifiedCharacter(d, tuple((Fraction(rng.randint(1, 9), 4), k)
                                                        for _, k in chi.values))
                 for w in words:
                     got, want = dot_act(d, w, chi).values, dot_act_by_reflected_basis(d, w, chi).values
@@ -145,6 +147,36 @@ class TestUnramifiedCharacter:
             UnramifiedCharacter(PGL2, ((Fraction(0), 3),))
         with pytest.raises(ValidationError, match="nonzero"):
             UnramifiedCharacter(BUILTINS["GL2"], ((Fraction(2), 1), (Fraction(0), 0)))
+
+    @pytest.mark.parametrize("c, shown", [(True, "true"), (0.5, "0.5"), (2.0, "2.0"), ("1/2", "'1/2'")])
+    def test_values_are_read_by_as_fraction(self, c, shown):
+        with pytest.raises(ValidationError, match=f"^expected a Fraction or an int, got {shown}$"):
+            UnramifiedCharacter(PGL2, ((c, 0),))
+        chi = UnramifiedCharacter(BUILTINS["GL2"], ((3, 1), (Fraction(1, 2), 0)))
+        assert chi.values == ((Fraction(3), 1), (Fraction(1, 2), 0))
+        assert [type(c) for c, _ in chi.values] == [Fraction, Fraction]
+
+    def test_value_at_is_the_definition(self):
+        """value_at is the loop c *= c_k ** e, k += k_k * e, equal in value,
+        type, str and hash, on every builtin and extension."""
+        rng = random.Random(10)
+        data = list(BUILTINS.values()) + [langlands_dual_data(d).ext for d in BUILTINS.values()]
+        for d in data:
+            for n in range(10):
+                chi = random_character(rng, d)
+                if n % 2:
+                    chi = UnramifiedCharacter(d, tuple((rng.choice((-1, 1)) * rng.randint(1, 9), k)
+                                                       for _, k in chi.values))
+                for _ in range(10):
+                    y = tuple(rng.randint(-4, 4) for _ in range(d.rank))
+                    c, k = Fraction(1), 0
+                    for (vc, vk), e in zip(chi.values, y):
+                        c *= vc ** e
+                        k += vk * e
+                    got = chi.value_at(y)
+                    assert got == (c, k)
+                    assert (type(got[0]), type(got[1])) == (Fraction, int)
+                    assert (str(got), hash(got)) == (str((c, k)), hash((c, k)))
 
 
 class TestLifting:
