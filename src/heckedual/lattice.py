@@ -19,6 +19,15 @@ Two kinds of values live here:
   map of the exponents, restriction to the fibre over q, and the
   Demazure-Lusztig and dot actions downstream) sums its terms through one
   routine, ``GroupAlgebraElement.collect``, which stores no zero.
+* packed exponents: ``pack`` sends an exponent v to the int
+  sum_i v_i 2^(slot i), the same Kronecker substitution in the exponents
+  of the group algebra.  It is linear, so a difference or a shift of
+  exponents is one int subtraction or add, and it is one to one while every
+  coordinate is below 2^(slot-1) in absolute value; ``pack_slot`` gives the
+  least whole number of bytes for a bound.  ``GroupAlgebraElement.packed``
+  keys the terms of an element by pack(v - origin), and the two routines of
+  the peel downstream, ``product_coefficients`` and ``add_products_into``,
+  take such keys only.
 
 Simple reflections are applied to vectors by ``reflect``, v - <a, v> b; no
 reflection matrix is built.  Integer matrices are plain tuples of row
@@ -538,11 +547,71 @@ def _packed_sum(lo1: int, n1: int, lo2: int, n2: int, bound: int) -> Laurent:
     return _packed(lo1, n1 + n2, bound)
 
 
-def add_products_into(acc: dict[Vec, Laurent], c: Laurent,
-                      terms: Iterable[tuple[Vec, Laurent]], shift: Vec) -> None:
-    """acc[v + shift] += c * e for every term (v, e), in place: one int
-    product per term, added by ``_packed_sum``.  An entry that cancels is
-    kept, as zero.
+# ---------------------------------------------------------------------------
+# packed exponents
+
+
+def pack(v: Sequence[int], slot: int) -> int:
+    """The Kronecker packing sum_i v_i 2^(slot i) of an integer vector.
+
+    It is linear, pack(v - y) = pack(v) - pack(y), and one to one on the
+    vectors whose coordinates are below 2^(slot-1) in absolute value."""
+    n = shift = 0
+    for x in v:
+        n += x << shift
+        shift += slot
+    return n
+
+
+def pack_slot(bound: int) -> int:
+    """The least whole number of bytes, as a slot width in bits, under
+    which ``pack`` is one to one on the vectors whose coordinates are at
+    most bound in absolute value."""
+    return 8 * (bound.bit_length() // 8 + 1)
+
+
+def product_coefficients(a: Mapping[int, Laurent], b: Mapping[int, Laurent],
+                         points: Iterable[int]) -> dict[int, Laurent]:
+    """Coefficients of a product of two group-algebra elements at the given
+    points only, in packed exponents: the terms of a and b keyed by
+    pack(y - o_a) and pack(z - o_b) for two origins o_a and o_b, and the
+    points and the result by pack(v - o_a - o_b), all under one slot width
+    that packs every v - y - o_b one to one.  Points no pair of terms
+    reaches are omitted; a coefficient that cancels is kept, as zero.
+
+    Each point costs one int subtraction and one lookup per term of the
+    smaller factor, instead of forming the whole product, and each pair of
+    terms that meets there one int product and one shifted int add.
+    """
+    small, large = (a, b) if len(a) <= len(b) else (b, a)
+    small_items = [(y, c._lo, c._n, c._bound) for y, c in small.items()]
+    get = large.get
+    out: dict[int, Laurent] = {}
+    for v in points:
+        lo = n = bound = 0
+        for y, clo, cn, cb in small_items:
+            d = get(v - y)
+            if d is None:
+                continue
+            plo = clo + d._lo
+            bound += cb * d._bound
+            if not n:
+                lo, n = plo, cn * d._n
+            elif plo >= lo:
+                n += cn * d._n << (plo - lo) * _SLOT
+            else:
+                n = (n << (lo - plo) * _SLOT) + cn * d._n
+                lo = plo
+        if bound:  # some pair met at v: every stored term has a bound >= 1
+            out[v] = _packed(lo, n, bound)
+    return out
+
+
+def add_products_into(acc: dict[int, Laurent], c: Laurent,
+                      terms: Iterable[tuple[int, Laurent]], shift: int) -> None:
+    """acc[k + shift] += c * e for every term (k, e), in packed exponents,
+    in place: one int add per key and one int product per term, added by
+    ``_packed_sum``.  An entry that cancels is kept, as zero.
 
     The bounds added are those of the terms times the exact norm of c, so
     that peeling, where each c is an entry of acc, does not multiply the
@@ -551,9 +620,9 @@ def add_products_into(acc: dict[Vec, Laurent], c: Laurent,
     lo, n, bound = c._lo, c._n, c._norm()
     if not n:
         return
-    get, add, shifted, zero = acc.get, operator.add, any(shift), Laurent.zero()
-    for v, e in terms:
-        k = tuple(map(add, v, shift)) if shifted else v
+    get, zero = acc.get, Laurent.zero()
+    for k, e in terms:
+        k += shift
         a = get(k, zero)
         acc[k] = _packed_sum(a._lo, a._n, lo + e._lo, n * e._n, a._bound + bound * e._bound)
 
@@ -668,41 +737,16 @@ class GroupAlgebraElement:
             return self.scale(other)
         return NotImplemented
 
-    def product_coefficients(self, other: "GroupAlgebraElement",
-                             points: Sequence[Vec]) -> dict[Vec, Laurent]:
-        """Coefficients of self * other at the given points only.  Points
-        no pair of terms reaches are omitted; a coefficient that cancels is
-        kept, as zero.
+    def width(self, origin: Vec) -> int:
+        """max |v_i - origin_i| over the exponents v, 0 for zero: per
+        coordinate, the larger distance of its maximum and its minimum."""
+        return max((max(max(xs) - o, o - min(xs)) for xs, o in zip(zip(*self._terms), origin)),
+                   default=0)
 
-        Each point costs one lookup per term of the smaller factor, instead
-        of forming the whole product, and each pair of terms that meets
-        there one int product and one shifted int add.
-        """
-        self._check_rank(other)
-        small, large = self._terms, other._terms
-        if len(small) > len(large):
-            small, large = large, small
-        small_items = [(y, c._lo, c._n, c._bound) for y, c in small.items()]
-        get, sub = large.get, operator.sub
-        out: dict[Vec, Laurent] = {}
-        for v in points:
-            lo = n = bound = 0
-            for y, clo, cn, cb in small_items:
-                d = get(tuple(map(sub, v, y)))
-                if d is None:
-                    continue
-                plo = clo + d._lo
-                bound += cb * d._bound
-                if not n:
-                    lo, n = plo, cn * d._n
-                elif plo >= lo:
-                    n += cn * d._n << (plo - lo) * _SLOT
-                else:
-                    n = (n << (lo - plo) * _SLOT) + cn * d._n
-                    lo = plo
-            if bound:  # some pair met at v: every stored term has a bound >= 1
-                out[v] = _packed(lo, n, bound)
-        return out
+    def packed(self, origin: Vec, slot: int) -> dict[int, Laurent]:
+        """The terms keyed by pack(v - origin, slot)."""
+        base = pack(origin, slot)
+        return {pack(v, slot) - base: c for v, c in self._terms.items()}
 
     def shift(self, v: Vec) -> "GroupAlgebraElement":
         """Multiply by the monomial e^v."""

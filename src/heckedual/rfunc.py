@@ -340,10 +340,26 @@ _POLE_TOLERANCE = 1e-9
 class RFactor:
     """A local factor prod (1 - c_i u)^-1 in u = q^-s, by its inverse
     roots.  The number of inverse roots is the dimension of the
-    representation."""
+    representation.
+
+    The constructor reads q by ``as_fraction`` and each inverse root as a
+    ``QuadExt`` or by ``as_fraction``; ``local_rfactor`` builds through the
+    unchecked ``_make`` from a checked parameter's values."""
 
     q: Fraction
     inverse_roots: tuple[FieldElement, ...]
+
+    def __post_init__(self):
+        object.__setattr__(self, "q", as_fraction(self.q))
+        object.__setattr__(self, "inverse_roots", tuple(
+            c if isinstance(c, QuadExt) else as_fraction(c) for c in self.inverse_roots))
+
+    @classmethod
+    def _make(cls, q: Fraction, inverse_roots: tuple[FieldElement, ...]) -> "RFactor":
+        # trusted constructor: a Fraction q and Fraction or QuadExt roots
+        self = object.__new__(cls)
+        self.__dict__.update(q=q, inverse_roots=inverse_roots)
+        return self
 
     def evaluate(self, s: float) -> float:
         """The value at s, in floats; a pole raises PoleError.
@@ -378,7 +394,7 @@ def local_rfactor(x: UnramifiedParameter, tau: DualRepresentation) -> RFactor:
     """Inverse roots are the parameter values at the weights of tau."""
     if tau.dd is not x.dd and tau.dd != x.dd:
         raise ValidationError("parameter and representation use different dual data")
-    return RFactor(x.q, tuple(x.value_at(w) for w in tau.weights))
+    return RFactor._make(x.q, tuple(x.value_at(w) for w in tau.weights))
 
 
 def partial_rfunction(places: Sequence[tuple[Fraction, UnramifiedParameter]],
@@ -416,7 +432,8 @@ def split_by_sqrt(x: UnramifiedParameter, sq: FieldElement) -> TorusAssignment:
     ``fraction_monomial`` when v is rational, times sq (n odd) or the
     field's one sq^0 (n even) from the left.  The one keeps each value in
     the field of sq, and refuses a value from another extension, exactly as
-    v * sq^n does.
+    v * sq^n does.  A rational value is placed without a product by 0 or 1
+    (``_times_root``).
     """
     if not isinstance(sq, QuadExt):
         sq = as_fraction(sq)
@@ -427,12 +444,30 @@ def split_by_sqrt(x: UnramifiedParameter, sq: FieldElement) -> TorusAssignment:
     new_values = []
     for jk, v in zip(x.dd.j, x.values):
         half = -jk // 2
-        scaled = v * q ** half if isinstance(v, QuadExt) else fraction_monomial((v, q), (1, half))
-        new_values.append((sq if jk % 2 else one) * scaled)
+        if isinstance(v, QuadExt):
+            new_values.append((sq if jk % 2 else one) * (v * q ** half))
+        else:
+            new_values.append(_times_root(sq, jk % 2, fraction_monomial((v, q), (1, half))))
     out = TorusAssignment._make(x.dd, tuple(new_values))
     if out.delta_value() != 1:
         raise RuntimeError(f"internal: split assignment has delta value {out.delta_value()}, not 1")
     return out
+
+
+def _times_root(sq: FieldElement, odd: int, r: Fraction) -> FieldElement:
+    """sq * r when odd, else sq^0 * r, for a rational r and a checked
+    square root sq of q.  sq^2 = q is rational, so a QuadExt sq is a or
+    b*sqrt(rad), its other part 0: r is multiplied neither by that 0, nor
+    by the one, nor by a b of 1 or -1 (the generator of Q(sqrt q) and its
+    negative)."""
+    if not isinstance(sq, QuadExt):
+        return sq * r if odd else r
+    if not odd:
+        return QuadExt._make(r, _ZERO, sq.rad)
+    a, b = sq.a, sq.b
+    if not b:
+        return QuadExt._make(a * r, _ZERO, sq.rad)
+    return QuadExt._make(_ZERO, r if b == 1 else -r if b == -1 else b * r, sq.rad)
 
 
 def epsilon_twist(assignment: TorusAssignment) -> TorusAssignment:

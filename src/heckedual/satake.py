@@ -36,6 +36,20 @@ those points alone and never formed whole.  The last two image checks
 make a remainder that vanishes there vanish everywhere: it is dot-invariant,
 with dominant support below lambda+mu.
 
+The peel runs on packed coweights (``lattice.pack``, a Kronecker
+substitution like ``Laurent``'s).  Each cached image of a class keys its
+terms by pack(y - rep), and a peel at top keys its points and its residual
+by pack(v - top).  pack is linear, so looking up v - y in the other factor
+is one int subtraction, and moving the image of a point nu to its place in
+the residual is one int add of pack(nu - top).  Let b bound the width
+max |y_i - rep_i| of both factors.  Every point lies in the hull of the
+orbit of top, the sum of the hulls of the orbits of lambda and mu, so
+|v_i - top_i| <= 2b, and every vector a peel compares has coordinates of
+absolute value at most 3b.  The slot width of a datum is set from its
+widest image so far, so that 3b < 2^(slot-1) and pack is one to one on
+those vectors.  A wider image raises the slot and packs the datum's images
+again.
+
 A central coweight z, <alpha_i, z> = 0 for every simple root, only shifts:
 S(lambda + z) = e^z S(lambda), and since dominance and the points below
 move with z, c^(nu+z+z')_(lambda+z, mu+z') = c^nu_(lambda, mu).  Two
@@ -59,7 +73,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
 from typing import Sequence
 
 from .dualdata import LanglandsDualData, langlands_dual_data
@@ -74,6 +87,9 @@ from .lattice import (
     dot,
     fraction_monomial,
     int_vector,
+    pack,
+    pack_slot,
+    product_coefficients,
     vec_add,
     vec_sub,
     vec_sub_scaled,
@@ -182,10 +198,18 @@ class SphericalFunction:
         return all(_dot_reflect(self.poly, alpha, alphavee) == self.poly
                    for alpha, alphavee in zip(self.datum.simple_roots, self.datum.simple_coroots))
 
-    @cached_property
-    def dominant_terms(self) -> tuple[tuple[Vec, Laurent], ...]:
-        """The terms at dominant coweights, which fix a dot-invariant element."""
-        return tuple((y, c) for y, c in self.poly.items() if is_dominant_coweight(self.datum, y))
+    def packed_terms(self, rep: Vec, slot: int) -> tuple[dict[int, Laurent],
+                                                         tuple[tuple[int, Laurent], ...]]:
+        """All terms, and the terms at dominant coweights, which fix a
+        dot-invariant element, keyed by pack(y - rep, slot): the peel's
+        view of the image of rep.  The packing last asked for is kept."""
+        kept = self.__dict__.get("_packed")
+        if kept is None or kept[0] != slot or kept[1] != rep:
+            base = pack(rep, slot)
+            dominant = tuple((pack(y, slot) - base, c) for y, c in self.poly.items()
+                             if is_dominant_coweight(self.datum, y))
+            kept = self.__dict__["_packed"] = slot, rep, (self.poly.packed(rep, slot), dominant)
+        return kept[2]
 
     def __str__(self):
         return str(self.poly)
@@ -233,6 +257,9 @@ def satake_image_extended(dd: LanglandsDualData, lam: Vec) -> GroupAlgebraElemen
 
 # (datum, pairings) -> (rep, S(rep)), rep the first coweight of the class asked for
 _images: dict[tuple[LanglandsDualData, Vec], tuple[Vec, SphericalFunction]] = {}
+# datum -> the slot width its images are packed with: 3 b < 2^(slot-1) for
+# the width b = max |y_i - rep_i| of every image of the datum built so far
+_slots: dict[LanglandsDualData, int] = {}
 
 
 def _class_image(dd: LanglandsDualData, lam: Vec, p: Vec) -> tuple[Vec, SphericalFunction]:
@@ -243,13 +270,24 @@ def _class_image(dd: LanglandsDualData, lam: Vec, p: Vec) -> tuple[Vec, Spherica
     if entry is None:
         image = SphericalFunction(satake_image_extended(dd, lam).specialize_delta(dd.delta_index),
                                   dd.base)
+        old = _slots.get(dd, 0)
+        slot = _slots[dd] = max(old, pack_slot(3 * image.poly.width(lam)))
+        if slot > old:
+            # a wider image: every image of the datum is packed again
+            for (other, _), (rep, known) in _images.items():
+                if other == dd:
+                    known.packed_terms(rep, slot)
         # with these two, a peel that is exact at the dominant points below
         # lambda+mu leaves a zero remainder everywhere (see _peel)
         if not image.is_dot_invariant():
             raise RuntimeError(f"internal: image of {lam} is not dot-invariant")
-        below = set(dominant_below(dd.base, lam))
-        for y, _ in image.dominant_terms:
-            if y not in below:
+        # the terms and the points below lambda lie within the width of the
+        # image from lambda, where the slot packs one to one
+        base = pack(lam, slot)
+        below = {pack(v, slot) - base for v in dominant_below(dd.base, lam)}
+        for k, _ in image.packed_terms(lam, slot)[1]:
+            if k not in below:
+                y = next(y for y in image.poly.support() if pack(y, slot) - base == k)
                 raise RuntimeError(f"internal: image of {lam} has dominant support {y} not below it")
         entry = _images[key] = (lam, image)
     return entry
@@ -357,21 +395,30 @@ def _peel(dd: LanglandsDualData, lam: Vec, mu: Vec) -> tuple[Vec, tuple[tuple[Ve
     is then dot-invariant with dominant support below lambda+mu, and it is
     zero exactly when the residual is.  A violation is reported as an
     internal error.
+
+    Points, residual and images are keyed by packed coweights (module
+    docstring), at the slot width of the datum when the peel starts; keys
+    turn back into coweights only as the points they were packed from.
     """
     d = dd.base
     lam, s_lam = _class_image(dd, lam, pairings(d, lam))
     mu, s_mu = _class_image(dd, mu, pairings(d, mu))
     top = vec_add(lam, mu)
+    slot = _slots[dd]
+    origin = pack(top, slot)
     points = dominant_below(d, top)
-    residual = s_lam.poly.product_coefficients(s_mu.poly, points)
+    keys = [pack(nu, slot) - origin for nu in points]
+    residual = product_coefficients(s_lam.packed_terms(lam, slot)[0],
+                                    s_mu.packed_terms(mu, slot)[0], keys)
     coeffs: dict[Vec, Laurent] = {}
-    for nu in points:
-        c = residual.get(nu)
+    for nu, k in zip(points, keys):
+        c = residual.get(k)
         if not c:
             continue
         coeffs[nu] = c
         rep, image = _class_image(dd, nu, pairings(d, nu))
-        add_products_into(residual, -c, image.dominant_terms, vec_sub(nu, rep))
+        # a term y of S(rep) lands at y + nu - rep, so at key pack(y - rep) + k
+        add_products_into(residual, -c, image.packed_terms(rep, slot)[1], k)
     if any(residual.values()):
         raise RuntimeError("internal: nonzero residual at a dominant point after peeling")
     if coeffs.get(top) != Laurent.one():

@@ -1,5 +1,6 @@
 """Tests for exact lattice and group-algebra arithmetic."""
 
+import itertools
 import random
 from fractions import Fraction
 
@@ -19,8 +20,13 @@ from heckedual.lattice import (
     mat_identity,
     mat_inverse_unimodular,
     mat_mul,
+    pack,
+    pack_slot,
+    product_coefficients,
     smith_normal_form,
     solve_integer_linear,
+    vec_add,
+    vec_sub,
 )
 from heckedual.rfunc import DualRepresentation, make_parameter
 from heckedual.rootdatum import BUILTINS, RootDatum, dominance_leq, dominant_below, require_dominant
@@ -147,23 +153,26 @@ class TestLaurent:
         rng = random.Random(29)
         for _ in range(20):
             a, b, c = (random_laurent(rng) for _ in range(3))
-            acc = {(0,): c}
-            add_products_into(acc, a, [((0,), b)], (0,))
-            assert acc[(0,)] == c + a * b
-        # shifted keys, and an entry that cancels is kept, as zero
+            acc = {0: c}
+            add_products_into(acc, a, [(0, b)], 0)
+            assert acc[0] == c + a * b
+        # shifted packed keys, (0, 3) and (1, 2) with (0, 0) at (0, 3) in
+        # one-byte slots, and an entry that cancels is kept, as zero
         acc = {}
-        add_products_into(acc, Laurent({1: 1}), [((0,), Laurent({0: 2}))], (3,))
-        add_products_into(acc, Laurent({1: -2}), [((1,), Laurent({0: 1}))], (2,))
-        assert list(acc) == [(3,)] and acc[(3,)].is_zero()
-        assert acc[(3,)] == Laurent.zero() and acc[(3,)].items() == []
+        at = pack((0, 3), 8)
+        add_products_into(acc, Laurent({1: 1}), [(pack((0, 0), 8), Laurent({0: 2}))], at)
+        add_products_into(acc, Laurent({1: -2}), [(pack((-1, 1), 8), Laurent({0: 1}))],
+                          pack((1, 2), 8))
+        assert list(acc) == [at] and acc[at].is_zero()
+        assert acc[at] == Laurent.zero() and acc[at].items() == []
 
     def test_add_products_into_cancels_a_lowest_digit(self):
         # 1 + q minus 1 leaves q: the zero digit at the bottom must go, so
         # the result is stored as Laurent's one representation of q
-        acc = {(0,): Laurent({0: 1, 1: 1})}
-        add_products_into(acc, Laurent({0: -1}), [((0,), Laurent.one())], (0,))
-        assert acc[(0,)] == Laurent({1: 1}) and hash(acc[(0,)]) == hash(Laurent({1: 1}))
-        assert acc[(0,)].items() == [(1, 1)] and acc[(0,)].min_exp() == 1
+        acc = {0: Laurent({0: 1, 1: 1})}
+        add_products_into(acc, Laurent({0: -1}), [(0, Laurent.one())], 0)
+        assert acc[0] == Laurent({1: 1}) and hash(acc[0]) == hash(Laurent({1: 1}))
+        assert acc[0].items() == [(1, 1)] and acc[0].min_exp() == 1
 
 
 def dict_sum(a, b, sign=1):
@@ -354,14 +363,61 @@ class TestGroupAlgebra:
             assert a.shift(v) == a * GroupAlgebraElement.monomial(v)
 
     def test_product_coefficients_at_points(self):
+        # both factors far from 0, their terms up to the widest a one-byte
+        # slot takes from their origins, on both sides, so the packed
+        # differences borrow across slots
         rng = random.Random(31)
-        points = [(x, y) for x in range(-4, 5) for y in range(-4, 5)]
+        width = 42  # 3 * 42 < 2^7
+        slot = pack_slot(3 * width)
+        assert slot == 8
+        corners = ((width, -width), (-width, width))
         for _ in range(10):
-            a, b = random_element(rng, 2), random_element(rng, 2)
-            found = a.product_coefficients(b, points)
+            origins, factors = [], []
+            for _ in range(2):
+                o = tuple(rng.randint(-2 ** 70, 2 ** 70) for _ in range(2))
+                offsets = corners + tuple(tuple(rng.randint(-width, width) for _ in range(2))
+                                          for _ in range(4))
+                f = ga(2, {vec_add(o, r): random_laurent(rng) for r in offsets})
+                assert f.width(o) == width
+                origins.append(o)
+                factors.append(f)
+            (oa, ob), (a, b) = origins, factors
+            top = vec_add(oa, ob)
             full = a * b
-            for v in points:
-                assert Laurent(found.get(v)) == full.coefficient(v)
+            reached = {vec_add(y, z) for y in a.support() for z in b.support()}
+            points = sorted(reached) + [
+                vec_add(top, tuple(rng.randint(-2 * width, 2 * width) for _ in range(2)))
+                for _ in range(100)]
+            keys = [pack(vec_sub(v, top), slot) for v in points]
+            found = product_coefficients(a.packed(oa, slot), b.packed(ob, slot), keys)
+            # points no pair of terms reaches are omitted
+            assert set(found) == {k for v, k in zip(points, keys) if v in reached}
+            for v, k in zip(points, keys):
+                assert Laurent(found.get(k)) == full.coefficient(v)
+
+    def test_width_is_the_farthest_coordinate_from_the_origin(self):
+        rng = random.Random(41)
+        for _ in range(20):
+            a = random_element(rng, 3)
+            o = tuple(rng.randint(-4, 4) for _ in range(3))
+            assert a.width(o) == max(abs(x - y) for v in a.support() for x, y in zip(v, o))
+        assert GroupAlgebraElement.zero(2).width((5, -5)) == 0
+
+    def test_pack_is_linear_and_one_to_one_up_to_half_a_slot(self):
+        rng = random.Random(37)
+        for bound in (0, 1, 127, 128, 2 ** 63, 2 ** 64 + 5):
+            slot = pack_slot(bound)
+            # the least whole number of bytes with bound < 2^(slot-1)
+            assert slot % 8 == 0 and 2 ** (slot - 9) <= max(bound, 1) < 2 ** (slot - 1)
+            for _ in range(20):
+                v, y = (tuple(rng.randint(-bound, bound) for _ in range(3)) for _ in range(2))
+                assert pack(vec_sub(v, y), slot) == pack(v, slot) - pack(y, slot)
+                assert (pack(v, slot) == pack(y, slot)) == (v == y)
+        # every vector of coordinates at most 127 has its own one-byte key,
+        # and one coordinate of 128 already meets another vector's key
+        keys = {pack(v, 8) for v in itertools.product(range(-127, 128), repeat=2)}
+        assert len(keys) == 255 ** 2
+        assert pack((128, -1), 8) == pack((-128, 0), 8)
 
     def test_specialize_is_ring_hom(self):
         rng = random.Random(17)

@@ -10,9 +10,17 @@ import pytest
 
 from heckedual import satake
 from heckedual.dualdata import langlands_dual_data
-from heckedual.lattice import GroupAlgebraElement, Laurent, mat_apply, vec_add
+from heckedual.lattice import (
+    GroupAlgebraElement,
+    Laurent,
+    mat_apply,
+    mat_inverse_unimodular,
+    mat_transpose,
+    vec_add,
+)
 from heckedual.rootdatum import (
     BUILTINS,
+    RootDatum,
     cartan_matrix,
     dominant_below,
     positive_roots,
@@ -60,6 +68,40 @@ def test_chamber_peel_matches_full_product(name):
     for lam in doms:
         for mu in doms:
             assert structure_polynomials(dd, lam, mu) == full_product_peel(dd, lam, mu), (lam, mu)
+
+
+def sheared(d, k):
+    """d with its coweights transported by y -> y M, M the identity minus
+    2^k on the subdiagonal, and its roots by the inverse, alpha -> M^-1
+    alpha, so every pairing is kept; and the map y -> y M on coweights."""
+    m = tuple(tuple(1 if i == j else -(1 << k) if i == j + 1 else 0 for j in range(d.rank))
+              for i in range(d.rank))
+    f, mt = mat_inverse_unimodular(m), mat_transpose(m)
+    moved = RootDatum(d.rank, [mat_apply(f, a) for a in d.simple_roots],
+                      [mat_apply(mt, c) for c in d.simple_coroots], f"{d.name}-shear{k}")
+    return moved, lambda y: mat_apply(mt, y)
+
+
+@pytest.mark.parametrize("name", ["SL3", "Sp4", "GL3", "GL2"])
+def test_expansions_are_kept_under_sheared_coweights(name, fresh_images):
+    # the relative coordinates of the sheared images grow like 2^k and pass
+    # 2^63 for the last k, so the packed keys of the peel need slots of
+    # every byte count from 1 to 9; GL3 and GL2 also shift by the centre
+    d = BUILTINS[name]
+    dd = langlands_dual_data(d)
+    doms = enumerate_dominant(d, 2)
+    want = [(lam, mu, structure_polynomials(dd, lam, mu).coeffs) for lam in doms for mu in doms]
+    seen = sorted({nu for _, _, coeffs in want for nu in coeffs} | set(doms))
+    slots = set()
+    for k in range(1, 65):
+        moved, transport = sheared(d, k)
+        dd_moved = langlands_dual_data(moved)
+        to = {y: transport(y) for y in seen}
+        for lam, mu, coeffs in want:
+            found = structure_polynomials(dd_moved, to[lam], to[mu]).coeffs
+            assert found == {to[nu]: c for nu, c in coeffs.items()}, (k, lam, mu)
+        slots.add(satake._slots[dd_moved])
+    assert slots == set(range(8, 73, 8))
 
 
 def hall_littlewood_sides(dd, lam):

@@ -237,6 +237,28 @@ class TestLocalFactors:
         factor = local_rfactor(p, tau)
         assert sorted(factor.inverse_roots) == sorted((a * 3, 1 / a))
 
+    @pytest.mark.parametrize("bad", [2.5, True, "2"], ids=["float", "bool", "str"])
+    def test_rfactor_refuses_inexact_inputs(self, bad):
+        with pytest.raises(ValidationError, match="expected a Fraction or an int"):
+            RFactor(bad, (Fraction(1, 2),))
+        with pytest.raises(ValidationError, match="expected a Fraction or an int"):
+            RFactor(Fraction(2), (Fraction(1, 2), bad))
+
+    def test_rfactor_reads_exact_inputs(self):
+        gen = sqrt_of(Fraction(2))
+        factor = RFactor(2, [3, Fraction(1, 2), gen])
+        assert factor.q == 2 and type(factor.q) is Fraction
+        assert factor.inverse_roots == (Fraction(3), Fraction(1, 2), gen)
+        assert [type(c) for c in factor.inverse_roots] == [Fraction, Fraction, QuadExt]
+
+    def test_local_rfactor_builds_unchecked(self, monkeypatch):
+        p = make_parameter(DD_PGL2, 3, (Fraction(2),))
+        tau = DualRepresentation(DD_PGL2, ((1, 1), (-1, 0)))
+        expected = local_rfactor(p, tau)
+        checked = []
+        monkeypatch.setattr(RFactor, "__post_init__", lambda self: checked.append(self))
+        assert local_rfactor(p, tau) == expected and checked == []
+
     def test_pole_detection(self):
         p = make_parameter(DD_TRIVIAL, 2, ())
         factor = local_rfactor(p, DualRepresentation.trivial(DD_TRIVIAL))
