@@ -570,6 +570,24 @@ def pack_slot(bound: int) -> int:
     return 8 * (bound.bit_length() // 8 + 1)
 
 
+def laurent_coefficients(terms: Mapping[int, int], top: int) -> dict[int, Laurent]:
+    """Monomials c q^a e^v keyed by a 2^top + k, k in [0, 2^top) the packed
+    exponent v, summed by k: one Laurent per exponent, bounded by its exact
+    norm.  Keys are distinct and coefficients nonzero ints.  In key order a
+    rises first, so the first monomial of each k has its lowest exponent."""
+    low = (1 << top) - 1
+    out: dict[int, list[int]] = {}
+    for key in sorted(terms):
+        c, a, k = terms[key], key >> top, key & low
+        found = out.get(k)
+        if found is None:
+            out[k] = [a, c, abs(c)]
+        else:
+            found[1] += c << (a - found[0]) * _SLOT
+            found[2] += abs(c)
+    return {k: Laurent._make(lo, n, norm) for k, (lo, n, norm) in out.items()}
+
+
 def product_coefficients(a: Mapping[int, Laurent], b: Mapping[int, Laurent],
                          points: Iterable[int]) -> dict[int, Laurent]:
     """Coefficients of a product of two group-algebra elements at the given

@@ -4,12 +4,13 @@ The twisted Weyl action on unramified characters (division by the modulus
 of the simple root at each reflection) linearizes on the extended lattice:
 a coweight monomial lifted to delta-height n transforms by the plain
 linear action there, and restricting the delta coordinate to q recovers
-the twisted action below.  All spherical computations therefore happen
-upstairs, where only integer delta-exponents ever occur, and are pushed
-down at the end.  One dot step, e^y -> q^-<alpha, y> e^(s y) for a simple
-reflection s (``_dot_reflect``), serves both the dot action on elements,
-folded over the reduced word of a Weyl element, and the check that an
-element is dot-invariant.
+the twisted action below.  Only integer delta-exponents occur upstairs.
+The extended coroots are (alphavee, 1), so a monomial there keeps its
+delta-exponent as a power of q below, and the symmetrization runs below
+the extension with the same result.  One dot step, e^y -> q^-<alpha, y>
+e^(s y) for a simple reflection s (``_dot_reflect``), serves both the dot
+action on elements, folded over the reduced word of a Weyl element, and
+the check that an element is dot-invariant.
 
 The image of a dominant coweight lambda is its Hall-Littlewood
 symmetrization with parameter q^-1, summed over the Weyl orbit of
@@ -28,6 +29,22 @@ reached it, and on a monomial T_i is a finite geometric sum, so nothing
 is divided.  Each image is checked once, when it is built: its top
 coefficient is 1, it is dot-invariant, and its dominant support lies
 below its coweight.
+
+The walk runs on ints (``_Keys``).  A term y of a partial sum is lambda -
+sum_j m_j alphavee_j, and each monomial c q^a e^y is one int key, packing
+m, the pairings <alpha_i, y> and, in the top digit, a, with the int c as
+its coefficient.  m and the pairings are linear in y, and every partial
+sum lies in the hull of the orbit of lambda, where both are at most <2 rho,
+lambda> in absolute value; that sets the slot of an image.  None of these
+depends on the basis of the coweights, so a sheared basis needs no wider
+slot.  Upstairs,
+e^y -> e^(y - j alphavee_i) lowers delta by j, so below it is the factor
+q^-j: one int add of j times a move per simple root, while k = <alpha_i,
+y> is one shift and mask.  The unit top, dot invariance and the dominant
+support below lambda are checked on the keys, and then each term is
+decoded once into a coordinate tuple and one Laurent.  The image on the
+extended lattice is the lift of the result: e^y at delta-exponent
+-sum_j m_j, its coefficient times q^(sum_j m_j).
 
 The products of two images expand back into images of dominant coweights
 with coefficients in Z[q, q^-1] by triangular peeling.  Peeling reads only
@@ -71,6 +88,7 @@ algebraic expansion coefficients after an explicit monomial rescaling.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
@@ -87,6 +105,8 @@ from .lattice import (
     dot,
     fraction_monomial,
     int_vector,
+    laurent_coefficients,
+    mat_identity,
     pack,
     pack_slot,
     product_coefficients,
@@ -97,9 +117,9 @@ from .lattice import (
 from .rootdatum import (
     BUILTINS,
     RootDatum,
+    cartan_matrix,
     coweight_order_key,
     dominant_below,
-    is_dominant_coweight,
     orbit_walk,
     pairings,
     positive_root_sum,
@@ -198,98 +218,212 @@ class SphericalFunction:
         return all(_dot_reflect(self.poly, alpha, alphavee) == self.poly
                    for alpha, alphavee in zip(self.datum.simple_roots, self.datum.simple_coroots))
 
-    def packed_terms(self, rep: Vec, slot: int) -> tuple[dict[int, Laurent],
-                                                         tuple[tuple[int, Laurent], ...]]:
-        """All terms, and the terms at dominant coweights, which fix a
-        dot-invariant element, keyed by pack(y - rep, slot): the peel's
-        view of the image of rep.  The packing last asked for is kept."""
-        kept = self.__dict__.get("_packed")
-        if kept is None or kept[0] != slot or kept[1] != rep:
-            base = pack(rep, slot)
-            dominant = tuple((pack(y, slot) - base, c) for y, c in self.poly.items()
-                             if is_dominant_coweight(self.datum, y))
-            kept = self.__dict__["_packed"] = slot, rep, (self.poly.packed(rep, slot), dominant)
-        return kept[2]
-
     def __str__(self):
         return str(self.poly)
 
 
-def _demazure_lusztig(elem: GroupAlgebraElement, alpha: Vec, alphavee: Vec) -> GroupAlgebraElement:
-    """The Demazure-Lusztig operator with parameter q^-1,
+class _Keys:
+    """The int keys of the monomials c q^a e^y of the walk from a dominant
+    coweight lambda with pairings p, y = lambda - sum_j m_j alphavee_j:
+
+        sum_j (m_j + B) 2^(slot j) + sum_i (<alpha_i, y> + B) 2^(slot (k+i)) + a 2^top
+
+    over the k simple roots, with B = 2^(slot-1) and top = 2 k slot.  Every
+    digit below the top lies in [0, 2^slot) while the bound, on every |m_j|
+    and |<alpha_i, y>|, is below B; a sits above them, unbounded.  A key
+    does not depend on the basis of the coweights."""
+
+    __slots__ = ("slot", "bias", "mask", "top", "shifts", "moves", "dominant", "start")
+
+    def __init__(self, d: RootDatum, p: Vec, bound: int):
+        k = len(p)
+        self.slot = slot = bound.bit_length() + 1
+        self.bias = 1 << (slot - 1)
+        self.mask = (1 << slot) - 1
+        self.top = 2 * k * slot
+        self.shifts = tuple(range(k * slot, self.top, slot))  # of the pairings
+        # y -> y - alphavee_i, which lowers delta by 1 on the extended lattice
+        # and so is q^-1 below it: m_i + 1, the pairings less the Cartan row i
+        self.moves = tuple(pack(unit + tuple(-x for x in row), slot) - (1 << self.top)
+                           for unit, row in zip(mat_identity(k), cartan_matrix(d)))
+        # y is dominant when every pairing digit has its top bit, B, set
+        self.dominant = pack((0,) * k + (self.bias,) * k, slot)
+        self.start = self.key((0,) * k, p, 0)
+
+    def key(self, m: Sequence[int], p: Sequence[int], a: int) -> int:
+        """The key of q^a e^y, y with coroot coordinates m and pairings p."""
+        return pack([x + self.bias for x in (*m, *p)], self.slot) + (a << self.top)
+
+
+def _step(keys: _Keys, i: int, terms: dict[int, int]) -> dict[int, int]:
+    """The Demazure-Lusztig operator T_i with parameter q^-1,
 
         T f = q^-1 s(f) + (1 - q^-1) (f - s(f)) / (e^alphavee - 1),
 
-    for the reflection s(e^y) = e^(y - k alphavee), k = <alpha, y>.  The
-    quotient is a finite geometric sum: e^(y - j alphavee) for j = 1..k
-    when k > 0, minus the same for j = k+1..0 when k < 0, none when k = 0.
-    """
-    def terms(y: Vec, c: Laurent):
-        k = dot(alpha, y)
-        lowered = c.shift(-1)
-        yield vec_sub_scaled(y, k, alphavee), lowered
-        rest = c - lowered if k > 0 else lowered - c
-        for j in range(min(1, k + 1), max(1, k + 1)):
-            yield vec_sub_scaled(y, j, alphavee), rest
+    on the extended lattice, restricted to q, on monomials keyed by keys.
+    With k = <alpha_i, y> and M = keys.moves[i], e^(y - j alphavee) upstairs
+    is the key of q^a e^y plus j M.  T of q^a e^y is, in keys, K + j M for
+    j = 1..k less K + j M - Q for j = 1..k-1 when k > 0; K + k M - Q, less
+    K + j M, plus K + j M - Q, for j = k+1..0 when k < 0; K - Q when k = 0
+    (Q = 2^top is the factor q).  No zero is kept."""
+    shift, mask, bias, move = keys.shifts[i], keys.mask, keys.bias, keys.moves[i]
+    q = 1 << keys.top
+    out: dict[int, int] = {}
+    get = out.get
+    for key, c in terms.items():
+        k = (key >> shift & mask) - bias
+        if k > 0:
+            for moved in range(key + move, key + k * move, move):
+                out[moved] = get(moved, 0) + c
+                moved -= q
+                out[moved] = get(moved, 0) - c
+            key += k * move
+            out[key] = get(key, 0) + c
+        elif k < 0:
+            reflected = key + k * move - q
+            out[reflected] = get(reflected, 0) + c
+            for moved in range(key, key + k * move, -move):
+                out[moved] = get(moved, 0) - c
+                moved -= q
+                out[moved] = get(moved, 0) + c
+        else:
+            key -= q
+            out[key] = get(key, 0) + c
+    return {key: c for key, c in out.items() if c}
 
-    return GroupAlgebraElement.collect(elem.rank, (terms(y, c) for y, c in elem.items()))
 
-
-def satake_image_extended(dd: LanglandsDualData, lam: Vec) -> GroupAlgebraElement:
-    """The symmetrized image on the extended lattice, before restriction,
-    summed over the orbit of (lambda, 0) as the module docstring describes;
-    it is walked breadth first, so every step has <alpha_i, mu> > 0.
-
-    Every delta-exponent in the support is an integer by construction; the
-    coefficient of e^(lambda, 0) is exactly 1.
-    """
-    lam = require_dominant(dd.base, lam)
-    ext = dd.ext
-    start = lift_exponent(lam, 0)
-    terms = {start: GroupAlgebraElement.monomial(start)}
-    for mu, i, nu in orbit_walk(ext, start):
-        terms[nu] = _demazure_lusztig(terms[mu], ext.simple_roots[i], ext.simple_coroots[i])
-    image = GroupAlgebraElement.collect(ext.rank, (t.items() for t in terms.values()))
-    if image.coefficient(start) != Laurent.one():
+def _walk(d: RootDatum, lam: Vec, p: Vec) -> tuple[_Keys, dict[int, int]]:
+    """S(lambda) restricted to q as monomials keyed by ``_Keys``, no zero
+    kept: T_u e^lambda summed over the orbit of lambda, walked breadth first
+    by ``orbit_walk``, so every step has <alpha_i, mu> > 0.  Each partial
+    sum is dropped after its last step.  The coefficient of e^lambda must be
+    exactly 1."""
+    # every partial sum lies in the hull of the orbit of lambda, where m_j
+    # <= sum_j m_j = <rho, lambda - y> <= <2 rho, lambda> and |<alpha_i, y>|
+    # <= max_beta <beta, lambda> <= <2 rho, lambda> over the positive roots
+    keys = _Keys(d, p, dot(positive_root_sum(d), lam))
+    steps = list(orbit_walk(d, lam))
+    last = {mu: n for n, (mu, _, _) in enumerate(steps)}
+    parts = {lam: {keys.start: 1}}
+    total = {keys.start: 1}
+    get = total.get
+    for n, (mu, i, nu) in enumerate(steps):
+        part = _step(keys, i, parts.pop(mu) if last[mu] == n else parts[mu])
+        if nu in last:
+            parts[nu] = part
+        for key, c in part.items():
+            total[key] = get(key, 0) + c
+    total = {key: c for key, c in total.items() if c}
+    low = (1 << keys.top) - 1
+    if [(key, c) for key, c in total.items() if key & low == keys.start] != [(keys.start, 1)]:
         raise RuntimeError(f"internal: leading coefficient at {lam} is not 1")
-    return image
+    return keys, total
 
 
-# (datum, pairings) -> (rep, S(rep)), rep the first coweight of the class asked for
-_images: dict[tuple[LanglandsDualData, Vec], tuple[Vec, SphericalFunction]] = {}
+class _Image:
+    """A cached class image: the representative rep of the class, S(rep),
+    its terms at dominant coweights, which fix a dot-invariant element,
+    and the peel's view of all terms and of those, keyed by pack(y - rep)
+    at the datum's slot (``pack_view``)."""
+
+    __slots__ = ("rep", "image", "dominant", "packed", "packed_dominant")
+
+    def __init__(self, rep: Vec, image: SphericalFunction,
+                 dominant: tuple[tuple[Vec, Laurent], ...]):
+        self.rep = rep
+        self.image = image
+        self.dominant = dominant
+
+    def pack_view(self, slot: int) -> None:
+        base = pack(self.rep, slot)
+        self.packed = self.image.poly.packed(self.rep, slot)
+        self.packed_dominant = tuple((pack(y, slot) - base, c) for y, c in self.dominant)
+
+
+def _build(d: RootDatum, lam: Vec, p: Vec) -> _Image:
+    """Walk, check and decode the image of the dominant coweight lambda.
+
+    Both checks run on the keys; with them, a peel that is exact at the
+    dominant points below lambda+mu leaves a zero remainder everywhere (see
+    _peel).  The dot step of s_i sends q^a e^y to q^(a-k) e^(y - k
+    alphavee_i), k = <alpha_i, y>, the key plus k moves[i]; it is a
+    bijection on monomials, so the image is dot-invariant exactly when every
+    monomial's partner has its coefficient.  Every term lies in lambda plus
+    the coroot lattice, where its pairings name it, so a dominant term lies
+    below lambda exactly when its pairing digits are those of a point of
+    ``dominant_below``.  Each term is then decoded once, into y and one
+    Laurent of exact norm."""
+    keys, terms = _walk(d, lam, p)
+    slot, mask, bias, top = keys.slot, keys.mask, keys.bias, keys.top
+    for shift, move in zip(keys.shifts, keys.moves):
+        if {key + ((key >> shift & mask) - bias) * move: c for key, c in terms.items()} != terms:
+            raise RuntimeError(f"internal: image of {lam} is not dot-invariant")
+    coeffs = laurent_coefficients(terms, top)
+    # y = lambda - sum_j (digit_j - B) alphavee_j over the coroot digits
+    columns = tuple(zip(*d.simple_coroots)) or ((),) * d.rank
+    origin = [x + bias * sum(column) for x, column in zip(lam, columns)]
+    m_shifts = range(0, len(p) * slot, slot)
+
+    def coweight(point: int) -> Vec:
+        digits = [point >> shift & mask for shift in m_shifts]
+        return tuple([x - sum(map(operator.mul, digits, column))
+                      for x, column in zip(origin, columns)])
+
+    pairing_digits = (1 << top) - (1 << len(p) * slot)
+    zero = (0,) * len(p)
+    below = {keys.key(zero, pairings(d, nu), 0) & pairing_digits for nu in dominant_below(d, lam)}
+    dominant = keys.dominant
+    for point in coeffs:
+        if point & dominant == dominant and point & pairing_digits not in below:
+            raise RuntimeError(f"internal: image of {lam} has dominant support "
+                               f"{coweight(point)} not below it")
+    poly, tops = {}, []
+    for point, c in coeffs.items():
+        y = coweight(point)
+        poly[y] = c
+        if point & dominant == dominant:
+            tops.append((y, c))
+    return _Image(lam, SphericalFunction(GroupAlgebraElement._make(d.rank, poly), d), tuple(tops))
+
+
+def satake_image_extended(dd: LanglandsDualData, lam: Sequence[int]) -> GroupAlgebraElement:
+    """The image on the extended lattice, before restriction: a term c e^y
+    of S(lambda) lifts to q^h c e^(y, -h), h = <rho, lambda - y> the sum of
+    the coroot coordinates of lambda - y, as the extended coroots are
+    (alphavee, 1).  Every delta-exponent is an integer by construction, and
+    the coefficient of e^(lambda, 0) is exactly 1."""
+    lam = int_vector(lam)
+    two_rho = positive_root_sum(dd.base)
+    terms = {}
+    for y, c in satake_image(dd, lam).poly.items():
+        h = dot(two_rho, vec_sub(lam, y)) // 2
+        terms[lift_exponent(y, -h)] = c.shift(h)
+    return GroupAlgebraElement._make(dd.ext.rank, terms)
+
+
+# (datum, pairings) -> the class image at rep, the first coweight of the class asked for
+_images: dict[tuple[LanglandsDualData, Vec], _Image] = {}
 # datum -> the slot width its images are packed with: 3 b < 2^(slot-1) for
 # the width b = max |y_i - rep_i| of every image of the datum built so far
 _slots: dict[LanglandsDualData, int] = {}
 
 
-def _class_image(dd: LanglandsDualData, lam: Vec, p: Vec) -> tuple[Vec, SphericalFunction]:
-    """(rep, S(rep)) for the class of the dominant coweight lambda; a new
+def _class_image(dd: LanglandsDualData, lam: Vec, p: Vec) -> _Image:
+    """The cached image of the class of the dominant coweight lambda; a new
     class is built and checked at rep = lambda."""
     key = (dd, p)
     entry = _images.get(key)
     if entry is None:
-        image = SphericalFunction(satake_image_extended(dd, lam).specialize_delta(dd.delta_index),
-                                  dd.base)
+        entry = _build(dd.base, lam, p)
         old = _slots.get(dd, 0)
-        slot = _slots[dd] = max(old, pack_slot(3 * image.poly.width(lam)))
+        slot = _slots[dd] = max(old, pack_slot(3 * entry.image.poly.width(lam)))
         if slot > old:
             # a wider image: every image of the datum is packed again
-            for (other, _), (rep, known) in _images.items():
+            for (other, _), known in _images.items():
                 if other == dd:
-                    known.packed_terms(rep, slot)
-        # with these two, a peel that is exact at the dominant points below
-        # lambda+mu leaves a zero remainder everywhere (see _peel)
-        if not image.is_dot_invariant():
-            raise RuntimeError(f"internal: image of {lam} is not dot-invariant")
-        # the terms and the points below lambda lie within the width of the
-        # image from lambda, where the slot packs one to one
-        base = pack(lam, slot)
-        below = {pack(v, slot) - base for v in dominant_below(dd.base, lam)}
-        for k, _ in image.packed_terms(lam, slot)[1]:
-            if k not in below:
-                y = next(y for y in image.poly.support() if pack(y, slot) - base == k)
-                raise RuntimeError(f"internal: image of {lam} has dominant support {y} not below it")
-        entry = _images[key] = (lam, image)
+                    known.pack_view(slot)
+        entry.pack_view(slot)
+        _images[key] = entry
     return entry
 
 
@@ -302,10 +436,10 @@ def satake_image(dd: LanglandsDualData, lam: Sequence[int]) -> SphericalFunction
     lam = int_vector(lam)
     p = pairings(dd.base, lam)
     require_dominant_pairings(lam, p)
-    rep, image = _class_image(dd, lam, p)
-    if rep == lam:
-        return image
-    return SphericalFunction(image.poly.shift(vec_sub(lam, rep)), dd.base)
+    entry = _class_image(dd, lam, p)
+    if entry.rep == lam:
+        return entry.image
+    return SphericalFunction(entry.image.poly.shift(vec_sub(lam, entry.rep)), dd.base)
 
 
 @dataclass
@@ -397,28 +531,32 @@ def _peel(dd: LanglandsDualData, lam: Vec, mu: Vec) -> tuple[Vec, tuple[tuple[Ve
     internal error.
 
     Points, residual and images are keyed by packed coweights (module
-    docstring), at the slot width of the datum when the peel starts; keys
-    turn back into coweights only as the points they were packed from.
+    docstring), at the slot width of the datum, which each cached image's
+    view is packed at; a peel that builds an image wider than the slot
+    starts again at the new one.  Keys turn back into coweights only as the
+    points they were packed from.
     """
     d = dd.base
-    lam, s_lam = _class_image(dd, lam, pairings(d, lam))
-    mu, s_mu = _class_image(dd, mu, pairings(d, mu))
-    top = vec_add(lam, mu)
+    s_lam = _class_image(dd, lam, pairings(d, lam))
+    s_mu = _class_image(dd, mu, pairings(d, mu))
+    top = vec_add(s_lam.rep, s_mu.rep)
     slot = _slots[dd]
     origin = pack(top, slot)
     points = dominant_below(d, top)
     keys = [pack(nu, slot) - origin for nu in points]
-    residual = product_coefficients(s_lam.packed_terms(lam, slot)[0],
-                                    s_mu.packed_terms(mu, slot)[0], keys)
+    residual = product_coefficients(s_lam.packed, s_mu.packed, keys)
     coeffs: dict[Vec, Laurent] = {}
     for nu, k in zip(points, keys):
         c = residual.get(k)
         if not c:
             continue
         coeffs[nu] = c
-        rep, image = _class_image(dd, nu, pairings(d, nu))
+        image = _class_image(dd, nu, pairings(d, nu))
+        if _slots[dd] != slot:
+            # the image of nu widened the slot and packed every view again
+            return _peel(dd, lam, mu)
         # a term y of S(rep) lands at y + nu - rep, so at key pack(y - rep) + k
-        add_products_into(residual, -c, image.packed_terms(rep, slot)[1], k)
+        add_products_into(residual, -c, image.packed_dominant, k)
     if any(residual.values()):
         raise RuntimeError("internal: nonzero residual at a dominant point after peeling")
     if coeffs.get(top) != Laurent.one():

@@ -4,8 +4,23 @@ from fractions import Fraction
 import pytest
 
 from heckedual import rootdatum, satake
-from heckedual.lattice import dot, mat_identity, mat_mul, mat_transpose, vec_sub, vec_sub_scaled
-from heckedual.rootdatum import coweight_order_key, is_dominant_coweight, pairings, require_dominant
+from heckedual.lattice import (
+    GroupAlgebraElement,
+    dot,
+    mat_identity,
+    mat_mul,
+    mat_transpose,
+    vec_sub,
+    vec_sub_scaled,
+)
+from heckedual.rootdatum import (
+    coweight_order_key,
+    is_dominant_coweight,
+    orbit_walk,
+    pairings,
+    require_dominant,
+)
+from heckedual.satake import lift_exponent
 
 
 def simple_reflection_x(d, i):
@@ -112,6 +127,43 @@ def dominant_below_by_box(d, lam):
             found.append(nu)
     found.sort(key=lambda v: coweight_order_key(d, v))
     return tuple(found)
+
+
+def demazure_lusztig(elem, alpha, alphavee):
+    """The Demazure-Lusztig operator with parameter q^-1,
+
+        T f = q^-1 s(f) + (1 - q^-1) (f - s(f)) / (e^alphavee - 1),
+
+    for the reflection s(e^y) = e^(y - k alphavee), k = <alpha, y>, on
+    coordinate tuples and Laurent coefficients: the reference for the
+    packed walk of ``satake``.  The quotient is a finite geometric sum:
+    e^(y - j alphavee) for j = 1..k when k > 0, minus the same for j =
+    k+1..0 when k < 0, none when k = 0."""
+    def terms(y, c):
+        k = dot(alpha, y)
+        lowered = c.shift(-1)
+        yield vec_sub_scaled(y, k, alphavee), lowered
+        rest = c - lowered if k > 0 else lowered - c
+        for j in range(min(1, k + 1), max(1, k + 1)):
+            yield vec_sub_scaled(y, j, alphavee), rest
+
+    return GroupAlgebraElement.collect(elem.rank, (terms(y, c) for y, c in elem.items()))
+
+
+def reference_image_extended(dd, lam):
+    """The image of lam on the extended lattice by the tuple walk: T_u
+    e^(lam, 0) summed over the orbit of (lam, 0), walked breadth first."""
+    ext = dd.ext
+    start = lift_exponent(lam, 0)
+    terms = {start: GroupAlgebraElement.monomial(start)}
+    for mu, i, nu in orbit_walk(ext, start):
+        terms[nu] = demazure_lusztig(terms[mu], ext.simple_roots[i], ext.simple_coroots[i])
+    return GroupAlgebraElement.collect(ext.rank, (t.items() for t in terms.values()))
+
+
+def reference_image(dd, lam):
+    """The image of lam by the tuple walk, restricted to q."""
+    return reference_image_extended(dd, lam).specialize_delta(dd.delta_index)
 
 
 @pytest.fixture

@@ -27,7 +27,7 @@ from heckedual.satake import (
     structure_polynomials,
 )
 
-from conftest import enumerate_dominant
+from conftest import enumerate_dominant, reference_image
 
 # one simple root, centre {v : v0 + 2 v1 + 3 v2 = 0} of rank 2, containing
 # no coordinate axis
@@ -50,20 +50,15 @@ def pairings(d, v):
     return tuple(dot(alpha, v) for alpha in d.simple_roots)
 
 
-def cold_image(dd, lam):
-    """The image of lam built by the orbit walk, no cache involved."""
-    return satake_image_extended(dd, lam).specialize_delta(dd.delta_index)
-
-
 def cold_expansion(dd, lam, mu):
-    """Peel the whole product of two cold images with cold images."""
-    product = cold_image(dd, lam) * cold_image(dd, mu)
+    """Peel the whole product of two reference images with reference images."""
+    product = reference_image(dd, lam) * reference_image(dd, mu)
     coeffs = {}
     for nu in dominant_below(dd.base, vec_add(lam, mu)):
         c = product.coefficient(nu)
         if not c.is_zero():
             coeffs[nu] = c
-            product = product - cold_image(dd, nu).scale(c)
+            product = product - reference_image(dd, nu).scale(c)
     assert product.is_zero()
     return HeckeExpansion(dd.base, coeffs)
 
@@ -79,8 +74,8 @@ def test_representative_is_canonical(d, fresh_images):
         for g in CENTRE_GENERATORS[d.name]:
             for sign in (1, -1):
                 shifted = vec_add(lam, vec_scale(sign, g))
-                assert satake_image(dd, shifted).poly == cold_image(dd, shifted), (lam, shifted)
-        assert satake_image(dd, lam).poly == cold_image(dd, lam), lam
+                assert satake_image(dd, shifted).poly == reference_image(dd, shifted), (lam, shifted)
+        assert satake_image(dd, lam).poly == reference_image(dd, lam), lam
     assert len(satake._images) == len({pairings(d, lam) for lam in doms})
     if d is TORUS:
         assert len(satake._images) == 1
@@ -90,15 +85,15 @@ def test_torus_reduces_to_zero(fresh_images):
     # with no roots every coweight is central: it falls into the class of 0,
     # its image is e^v, and a product of two is the basis element of the sum
     dd = langlands_dual_data(TORUS)
-    one = cold_image(dd, (0, 0))
+    one = reference_image(dd, (0, 0))
     for v in itertools.product(range(-3, 4), repeat=2):
         assert pairings(TORUS, v) == pairings(TORUS, (0, 0)) == ()
-        assert satake_image(dd, v).poly == one.shift(v) == cold_image(dd, v), v
+        assert satake_image(dd, v).poly == one.shift(v) == reference_image(dd, v), v
         assert structure_polynomials(dd, v, (1, -2)) == cold_expansion(dd, v, (1, -2)), v
     assert len(satake._images) == 1
     assert len(satake._expansions) == 1
     trivial = langlands_dual_data(TRIVIAL)
-    assert satake_image(trivial, ()).poly == cold_image(trivial, ())
+    assert satake_image(trivial, ()).poly == reference_image(trivial, ())
     assert len(satake._images) == 2
 
 
@@ -137,8 +132,8 @@ def test_shifted_image_is_shifted_cold_image(name, fresh_images):
     for lam in doms:
         for z in shifts:
             shifted = vec_add(lam, z)
-            assert satake_image(dd, shifted).poly == cold_image(dd, shifted), (lam, z)
-            assert satake_image(dd, shifted).poly == cold_image(dd, lam).shift(z)
+            assert satake_image(dd, shifted).poly == reference_image(dd, shifted), (lam, z)
+            assert satake_image(dd, shifted).poly == reference_image(dd, lam).shift(z)
     # one cached image per class, no shifted copies
     assert len(satake._images) == len({pairings(dd.base, lam) for lam in doms})
 
@@ -174,7 +169,7 @@ def test_caches_do_not_depend_on_the_order_of_filling(name, fresh_images):
     coweights = [vec_add(lam, g) for lam in doms] + list(doms)
     pairs = ([(vec_add(lam, g), mu) for lam in doms for mu in doms]
              + [(lam, mu) for lam in doms for mu in doms])
-    images = {lam: cold_image(dd, lam) for lam in coweights}
+    images = {lam: reference_image(dd, lam) for lam in coweights}
     expansions = {pair: cold_expansion(dd, *pair) for pair in pairs}
     for order in (1, -1):
         satake._images.clear()
@@ -241,7 +236,7 @@ def test_cached_image_is_frozen():
     with pytest.raises(dataclasses.FrozenInstanceError):
         image.poly = image.poly.shift((5,))
     assert satake_image(dd, (2,)) is image
-    assert image.poly == cold_image(dd, (2,))
+    assert image.poly == reference_image(dd, (2,))
 
 
 def test_equal_datum_hits_the_caches(fresh_images):

@@ -1,6 +1,6 @@
-"""The chamber-only peel and the orbit-walk symmetrizer against the
-whole-product computations they replace, the Hecke relations the orbit
-walk relies on, pinned images, and the tripwires that make the
+"""The chamber-only peel and the packed orbit walk against the
+whole-product and tuple computations they replace, the Hecke relations the
+orbit walk relies on, pinned images, and the tripwires that make the
 chamber-only remainder check as strong as the whole one."""
 
 import hashlib
@@ -16,14 +16,19 @@ from heckedual.lattice import (
     mat_apply,
     mat_inverse_unimodular,
     mat_transpose,
+    pack,
     vec_add,
 )
 from heckedual.rootdatum import (
     BUILTINS,
+    TRIVIAL,
     RootDatum,
     cartan_matrix,
     dominant_below,
+    is_dominant_coweight,
+    pairings,
     positive_roots,
+    require_valid,
     stabilizer_poincare,
     weyl_group,
 )
@@ -37,9 +42,15 @@ from heckedual.satake import (
     structure_polynomials,
 )
 
-from conftest import enumerate_dominant, weyl_matrices
+from conftest import (
+    demazure_lusztig,
+    enumerate_dominant,
+    reference_image_extended,
+    weyl_matrices,
+)
 
 DD_PGL2 = langlands_dual_data(BUILTINS["PGL2"])
+TORUS = require_valid(RootDatum(2, (), (), "torus"))
 
 
 def full_product_peel(dd, lam, mu):
@@ -104,6 +115,34 @@ def test_expansions_are_kept_under_sheared_coweights(name, fresh_images):
     assert slots == set(range(8, 73, 8))
 
 
+@pytest.mark.parametrize("name", ["SL3", "Sp4", "GL3"])
+def test_images_are_kept_under_sheared_coweights(name, monkeypatch, fresh_images):
+    # the walk keys a term by its coroot coordinates and pairings, which the
+    # shear keeps, so its slot for each class is the one at k = 1 while the
+    # coordinates of the images grow like 2^k
+    d = BUILTINS[name]
+    doms = enumerate_dominant(d, 2)
+    want = {lam: satake_image(langlands_dual_data(d), lam).poly.items() for lam in doms}
+    real, slots = satake._walk, {}
+
+    def walk(d, lam, p):
+        keys, terms = real(d, lam, p)
+        slots[d, p] = keys.slot
+        return keys, terms
+
+    monkeypatch.setattr(satake, "_walk", walk)
+    first = None
+    for k in range(1, 65):
+        moved, transport = sheared(d, k)
+        dd_moved = langlands_dual_data(moved)
+        for lam in doms:
+            found = satake_image(dd_moved, transport(lam)).poly
+            assert found == GroupAlgebraElement(d.rank, {transport(y): c for y, c in want[lam]}), (k, lam)
+        walked = {p: slot for (datum, p), slot in slots.items() if datum == moved}
+        first = first or walked
+        assert walked == first, k
+
+
 def hall_littlewood_sides(dd, lam):
     """Both sides of S(lambda) * Delta * W_lambda(q^-1) = sum_w Delta/w(Delta)
     * w(e^(lambda,0) N), with Delta = prod (1 - e^-betavee) and N = prod
@@ -156,7 +195,7 @@ BRAID_LENGTH = {0: 2, 1: 3, 2: 4, 3: 6}  # by a_ij * a_ji
 @pytest.mark.parametrize("name", sorted(BUILTINS))
 def test_demazure_lusztig_hecke_relations(name):
     ext = langlands_dual_data(BUILTINS[name]).ext
-    ops = [lambda f, a=alpha, av=alphavee: satake._demazure_lusztig(f, a, av)
+    ops = [lambda f, a=alpha, av=alphavee: demazure_lusztig(f, a, av)
            for alpha, alphavee in zip(ext.simple_roots, ext.simple_coroots)]
     cartan = cartan_matrix(ext)
     rng = random.Random(4242)
@@ -190,6 +229,20 @@ def test_images_pinned():
     assert digest.hexdigest() == PINNED_IMAGES
 
 
+@pytest.mark.parametrize("d", [*BUILTINS.values(), TRIVIAL, TORUS], ids=lambda d: d.name)
+def test_images_match_the_tuple_walk(d, fresh_images):
+    # the packed walk against the tuple walk, and the dominant terms the
+    # build reports against those of the image
+    dd = langlands_dual_data(d)
+    for lam in enumerate_dominant(d, 6 if d.rank <= 2 else 4):
+        extended = reference_image_extended(dd, lam)
+        assert satake_image_extended(dd, lam) == extended, lam
+        assert satake_image(dd, lam).poly == extended.specialize_delta(dd.delta_index), lam
+        entry = satake._images[dd, pairings(d, lam)]
+        assert dict(entry.dominant) == {y: c for y, c in entry.image.poly.items()
+                                        if is_dominant_coweight(d, y)}, lam
+
+
 def dot_invariant_by_lookups(d, elem):
     """For every simple reflection s and every term c e^y, the coefficient
     at s y = y - <alpha, y> alphavee is q^-<alpha, y> c."""
@@ -219,75 +272,91 @@ def test_is_dot_invariant_matches_dot_action(name):
     assert seen == {True, False}
 
 
-def corrupt_extended(monkeypatch, extra):
-    """Make the symmetrizer return its true result plus extra(dd, lam)."""
-    real = satake.satake_image_extended
+def corrupt_walk(monkeypatch, extra):
+    """Make the walk return its true monomials plus extra(keys), past its
+    unit-top check."""
+    real = satake._walk
 
-    def corrupted(dd, lam):
-        return real(dd, lam) + extra(dd, lam)
+    def corrupted(d, lam, p):
+        keys, terms = real(d, lam, p)
+        for key, c in extra(keys).items():
+            terms[key] = terms.get(key, 0) + c
+        return keys, terms
 
-    monkeypatch.setattr(satake, "satake_image_extended", corrupted)
+    monkeypatch.setattr(satake, "_walk", corrupted)
 
 
 def test_image_not_dot_invariant_raises(monkeypatch, fresh_images):
-    # the image of 1 is e[1] + q^-1 e[-1]; change the coefficient at -1 only
-    corrupt_extended(monkeypatch,
-                     lambda dd, lam: GroupAlgebraElement.monomial(lift_exponent((-1,), 0)))
+    # the image of 1 is e[1] + q^-1 e[-1]; change the coefficient at -1 only,
+    # the coweight 1 - alphavee of coroot coordinate 1 and pairing -1
+    corrupt_walk(monkeypatch, lambda keys: {keys.key((1,), (-1,), 0): 1})
     with pytest.raises(RuntimeError, match="not dot-invariant"):
         satake_image(DD_PGL2, (1,))
 
 
 def test_image_dominant_support_not_below_raises(monkeypatch, fresh_images):
-    # adding the whole image of 2 keeps dot-invariance, but 2 is not <= 0
-    corrupt_extended(monkeypatch,
-                     lambda dd, lam: satake_image_extended(dd, (2,)))
+    # adding the whole image of 2 keeps dot-invariance, but 2 is not <= 0;
+    # the walk from 0 is given keys with room for the orbit of 2, where y
+    # has coroot coordinate -y/2 and pairing y
+    two = satake_image(DD_PGL2, (2,)).poly
+
+    def walk(d, lam, p):
+        keys = satake._Keys(d, p, 2)
+        terms = {keys.start: 1}
+        for (y,), c in two.items():
+            for a, x in c.items():
+                terms[keys.key((-y // 2,), (y,), a)] = x
+        return keys, terms
+
+    monkeypatch.setattr(satake, "_walk", walk)
     with pytest.raises(RuntimeError, match="not below"):
         satake_image(DD_PGL2, (0,))
+
+
+def corrupt_view(dd, rep, corruption):
+    """Make the peel's view of the cached image of rep that of
+    corruption(S(rep)), past the image's build checks."""
+    entry = satake._images[dd, pairings(dd.base, rep)]
+    poly = corruption(entry.image.poly)
+    slot = satake._slots[dd]
+    entry.packed = poly.packed(rep, slot)
+    entry.packed_dominant = tuple((pack(y, slot) - pack(rep, slot), c) for y, c in poly.items()
+                                  if is_dominant_coweight(dd.base, y))
 
 
 @pytest.mark.parametrize("corruption", [
     lambda poly: poly.scale(2),
     lambda poly: poly + GroupAlgebraElement.monomial((2,)),
 ], ids=["top-coefficient-2", "point-above-nu"])
-def test_peel_residual_nonzero_raises(monkeypatch, fresh_images, corruption):
+def test_peel_residual_nonzero_raises(fresh_images, corruption):
     # S(1)^2 = S(2) + (q^-1 + q^-2) S(0): corrupt S(0) past its build checks,
-    # in the lookup by class that the peel reads
-    real = satake._class_image
-
-    def class_image(dd, lam, pairings):
-        rep, found = real(dd, lam, pairings)
-        if rep != (0,):
-            return rep, found
-        return rep, SphericalFunction(corruption(found.poly), found.datum)
-
-    monkeypatch.setattr(satake, "_class_image", class_image)
+    # in the view that the peel reads
+    for lam in ((0,), (1,), (2,)):
+        satake_image(DD_PGL2, lam)
+    corrupt_view(DD_PGL2, (0,), corruption)
     with pytest.raises(RuntimeError, match="nonzero residual"):
         structure_polynomials(DD_PGL2, (1,), (1,))
 
 
-def test_peel_top_not_one_raises(monkeypatch, fresh_images):
+def test_peel_top_not_one_raises(fresh_images):
     # 2 S(1) * 2 S(1) = 4 S(2) + 4 (q^-1 + q^-2) S(0) peels to a zero
     # residual, so only the unit-top check sees it
-    real = satake._class_image
-
-    def class_image(dd, lam, pairings):
-        rep, found = real(dd, lam, pairings)
-        if rep != (1,):
-            return rep, found
-        return rep, SphericalFunction(found.poly.scale(2), found.datum)
-
-    monkeypatch.setattr(satake, "_class_image", class_image)
+    for lam in ((0,), (1,), (2,)):
+        satake_image(DD_PGL2, lam)
+    corrupt_view(DD_PGL2, (1,), lambda poly: poly.scale(2))
     with pytest.raises(RuntimeError, match="top coefficient is not 1"):
         structure_polynomials(DD_PGL2, (1,), (1,))
 
 
 def test_image_top_not_one_raises(monkeypatch, fresh_images):
-    # a Demazure-Lusztig step that also hands e^(1,0) back to the start
-    real = satake._demazure_lusztig
+    # a Demazure-Lusztig step that also hands e^1 back to the start
+    real = satake._step
 
-    def corrupted(elem, alpha, alphavee):
-        return real(elem, alpha, alphavee) + GroupAlgebraElement.monomial(lift_exponent((1,), 0))
+    def corrupted(keys, i, terms):
+        out = real(keys, i, terms)
+        out[keys.start] = out.get(keys.start, 0) + 1
+        return out
 
-    monkeypatch.setattr(satake, "_demazure_lusztig", corrupted)
+    monkeypatch.setattr(satake, "_step", corrupted)
     with pytest.raises(RuntimeError, match="leading coefficient at \\(1,\\) is not 1"):
         satake_image(DD_PGL2, (1,))
