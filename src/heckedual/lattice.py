@@ -24,10 +24,18 @@ Two kinds of values live here:
   of the group algebra.  It is linear, so a difference or a shift of
   exponents is one int subtraction or add, and it is one to one while every
   coordinate is below 2^(slot-1) in absolute value; ``pack_slot`` gives the
-  least whole number of bytes for a bound.  ``GroupAlgebraElement.packed``
-  keys the terms of an element by pack(v - origin), and the two routines of
-  the peel downstream, ``product_coefficients`` and ``add_products_into``,
-  take such keys only.
+  least whole number of bytes for a bound.
+* t-ints: a polynomial sum_i c_i t^i in t = q^-1 as the one int
+  sum_i c_i 2^(64 i), with no lowest exponent beside it.  Sums and products
+  of polynomials are sums and products of their ints, exactly, a power of
+  t is a shift (``t_times``), and ``t_laurent`` reads one back into a
+  Laurent, times a power of q, while a bound on the norms of what was
+  summed and multiplied shows that every coefficient fits its digit
+  (``require_digits_fit``).  ``laurent_coefficients`` gives each
+  coefficient of a walk as a Laurent and, over its highest power of q, as
+  a t-int; the two routines of the peel downstream,
+  ``product_coefficients`` and ``add_products_into``, take t-ints keyed by
+  packed exponents, and the caller carries the bound.
 
 Simple reflections are applied to vectors by ``reflect``, v - <a, v> b; no
 reflection matrix is built.  Integer matrices are plain tuples of row
@@ -514,23 +522,17 @@ def _signed_sum(parts: list[tuple[str, str]]) -> str:
     return ("-" if sign == "-" else "") + first + "".join(f" {s} {body}" for s, body in rest)
 
 
+def require_digits_fit(bound: int) -> None:
+    """An internal RuntimeError unless a bound on the norm sum_k |c_k| of a
+    packed int shows that every coefficient fits its digit."""
+    if bound >= _HALF:
+        raise RuntimeError(f"internal: coefficient bound {bound} reaches half a {_SLOT}-bit slot")
+
+
 def _read(n: int, bound: int) -> int:
     """N, once its bound shows that every coefficient fits its digit."""
-    if bound >= _HALF:
-        raise RuntimeError(f"internal: Laurent coefficient bound {bound} "
-                           f"reaches half a {_SLOT}-bit slot")
+    require_digits_fit(bound)
     return n
-
-
-def _packed(lo: int, n: int, bound: int) -> Laurent:
-    """q^lo N as a Laurent of the given bound, lo raised past the zero
-    digits at the bottom of N."""
-    if n and not n & _MASK:
-        # a zero lowest digit, which only the bound shows to be 0
-        n = _read(n, bound)
-        zeros = ((n & -n).bit_length() - 1) // _SLOT
-        lo, n = lo + zeros, n >> zeros * _SLOT
-    return Laurent._make(lo if n else 0, n, bound)
 
 
 def _packed_sum(lo1: int, n1: int, lo2: int, n2: int, bound: int) -> Laurent:
@@ -544,7 +546,13 @@ def _packed_sum(lo1: int, n1: int, lo2: int, n2: int, bound: int) -> Laurent:
         return Laurent._make(lo1, n1 + (n2 << (lo2 - lo1) * _SLOT), bound)
     if lo1 > lo2:
         return Laurent._make(lo2, (n1 << (lo1 - lo2) * _SLOT) + n2, bound)
-    return _packed(lo1, n1 + n2, bound)
+    n = n1 + n2
+    if n and not n & _MASK:
+        # a zero lowest digit, which only the bound shows to be 0
+        n = _read(n, bound)
+        zeros = ((n & -n).bit_length() - 1) // _SLOT
+        lo1, n = lo1 + zeros, n >> zeros * _SLOT
+    return Laurent._make(lo1 if n else 0, n, bound)
 
 
 # ---------------------------------------------------------------------------
@@ -570,79 +578,93 @@ def pack_slot(bound: int) -> int:
     return 8 * (bound.bit_length() // 8 + 1)
 
 
-def laurent_coefficients(terms: Mapping[int, int], top: int) -> dict[int, Laurent]:
+def laurent_coefficients(terms: Mapping[int, int],
+                         top: int) -> dict[int, tuple[Laurent, int, int, int]]:
     """Monomials c q^a e^v keyed by a 2^top + k, k in [0, 2^top) the packed
-    exponent v, summed by k: one Laurent per exponent, bounded by its exact
-    norm.  Keys are distinct and coefficients nonzero ints.  In key order a
-    rises first, so the first monomial of each k has its lowest exponent."""
+    exponent v, summed by k: per exponent, the coefficient as one Laurent
+    bounded by its exact norm, its highest exponent hi, q^-hi times it as a
+    t-int (q^a goes to the digit hi - a) and its norm.  Keys are distinct
+    and coefficients nonzero ints.  In key order a rises first, so the
+    first monomial of each k has its lowest exponent and the last its
+    highest: each t-int is built by Horner's rule."""
     low = (1 << top) - 1
     out: dict[int, list[int]] = {}
     for key in sorted(terms):
         c, a, k = terms[key], key >> top, key & low
         found = out.get(k)
         if found is None:
-            out[k] = [a, c, abs(c)]
+            out[k] = [a, c, a, c, abs(c)]
         else:
             found[1] += c << (a - found[0]) * _SLOT
-            found[2] += abs(c)
-    return {k: Laurent._make(lo, n, norm) for k, (lo, n, norm) in out.items()}
+            found[3] = (found[3] << (a - found[2]) * _SLOT) + c
+            found[2] = a
+            found[4] += abs(c)
+    return {k: (Laurent._make(lo, n, norm), hi, t, norm) for k, (lo, n, hi, t, norm) in out.items()}
 
 
-def product_coefficients(a: Mapping[int, Laurent], b: Mapping[int, Laurent],
-                         points: Iterable[int]) -> dict[int, Laurent]:
-    """Coefficients of a product of two group-algebra elements at the given
-    points only, in packed exponents: the terms of a and b keyed by
-    pack(y - o_a) and pack(z - o_b) for two origins o_a and o_b, and the
-    points and the result by pack(v - o_a - o_b), all under one slot width
-    that packs every v - y - o_b one to one.  Points no pair of terms
+def t_laurent(n: int, power: int, bound: int) -> tuple[Laurent, int]:
+    """q^power times the polynomial of the t-int n, as a Laurent in q, and
+    its exact norm, read once bound, on the norm, shows that every
+    coefficient fits its digit.  Digit i is the coefficient of
+    q^(power - i), so the Laurent's digits run the other way."""
+    n = _read(n, bound)
+    m = norm = digits = 0
+    while n:
+        c = n & _MASK
+        if c >= _HALF:
+            c -= 1 << _SLOT
+        n = (n - c) >> _SLOT
+        m = (m << _SLOT) + c
+        norm += abs(c)
+        digits += 1
+    return Laurent._make(power + 1 - digits if m else 0, m, norm), norm
+
+
+def t_times(n: int, i: int) -> int:
+    """t^i times the t-int n, for i >= 0: one shift by i digits."""
+    return n << i * _SLOT
+
+
+def product_coefficients(a: Mapping[int, int], b: Mapping[int, int],
+                         points: Iterable[int]) -> dict[int, int]:
+    """Coefficients of a product of two group-algebra elements over Z[t] at
+    the given points only, as t-ints in packed exponents: the terms of a and
+    b keyed by pack(y - o_a) and pack(z - o_b) for two origins o_a and o_b,
+    and the points and the result by pack(v - o_a - o_b), all under one slot
+    width that packs every v - y - o_b one to one.  Points no pair of terms
     reaches are omitted; a coefficient that cancels is kept, as zero.
 
     Each point costs one int subtraction and one lookup per term of the
     smaller factor, instead of forming the whole product, and each pair of
-    terms that meets there one int product and one shifted int add.
+    terms that meets there one int product and one int add.  The caller
+    bounds the norms: at most min(|a|_1 max|b|, |b|_1 max|a|) per point.
     """
     small, large = (a, b) if len(a) <= len(b) else (b, a)
-    small_items = [(y, c._lo, c._n, c._bound) for y, c in small.items()]
+    small_items = list(small.items())
     get = large.get
-    out: dict[int, Laurent] = {}
+    out: dict[int, int] = {}
     for v in points:
-        lo = n = bound = 0
-        for y, clo, cn, cb in small_items:
-            d = get(v - y)
-            if d is None:
-                continue
-            plo = clo + d._lo
-            bound += cb * d._bound
-            if not n:
-                lo, n = plo, cn * d._n
-            elif plo >= lo:
-                n += cn * d._n << (plo - lo) * _SLOT
-            else:
-                n = (n << (lo - plo) * _SLOT) + cn * d._n
-                lo = plo
-        if bound:  # some pair met at v: every stored term has a bound >= 1
-            out[v] = _packed(lo, n, bound)
+        n, met = 0, False
+        for y, c in small_items:
+            e = get(v - y)
+            if e is not None:
+                n += c * e
+                met = True
+        if met:
+            out[v] = n
     return out
 
 
-def add_products_into(acc: dict[int, Laurent], c: Laurent,
-                      terms: Iterable[tuple[int, Laurent]], shift: int) -> None:
-    """acc[k + shift] += c * e for every term (k, e), in packed exponents,
-    in place: one int add per key and one int product per term, added by
-    ``_packed_sum``.  An entry that cancels is kept, as zero.
-
-    The bounds added are those of the terms times the exact norm of c, so
-    that peeling, where each c is an entry of acc, does not multiply the
-    bounds along its chains of subtractions.
-    """
-    lo, n, bound = c._lo, c._n, c._norm()
-    if not n:
-        return
-    get, zero = acc.get, Laurent.zero()
+def add_products_into(acc: dict[int, int], c: int, terms: Iterable[tuple[int, int]],
+                      shift: int) -> None:
+    """acc[k + shift] += c * e for every term (k, e), t-ints in packed
+    exponents, in place: one int add per key and one int product per term.
+    An entry that cancels is kept, as zero.  Each entry's norm grows by at
+    most |c|_1 max |e|_1, which the caller adds to its bound."""
+    get = acc.get
     for k, e in terms:
         k += shift
-        a = get(k, zero)
-        acc[k] = _packed_sum(a._lo, a._n, lo + e._lo, n * e._n, a._bound + bound * e._bound)
+        acc[k] = get(k, 0) + c * e
 
 
 # ---------------------------------------------------------------------------
@@ -760,11 +782,6 @@ class GroupAlgebraElement:
         coordinate, the larger distance of its maximum and its minimum."""
         return max((max(max(xs) - o, o - min(xs)) for xs, o in zip(zip(*self._terms), origin)),
                    default=0)
-
-    def packed(self, origin: Vec, slot: int) -> dict[int, Laurent]:
-        """The terms keyed by pack(v - origin, slot)."""
-        base = pack(origin, slot)
-        return {pack(v, slot) - base: c for v, c in self._terms.items()}
 
     def shift(self, v: Vec) -> "GroupAlgebraElement":
         """Multiply by the monomial e^v."""

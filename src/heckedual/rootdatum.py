@@ -331,24 +331,32 @@ def dominant_below(d: RootDatum, lam: Sequence[int]) -> tuple[Vec, ...]:
     breadth-first walk down from lam by the positive coroots that keeps the
     dominant points reaches them all, as every cover among dominant weights
     is a positive root (Stembridge, Adv. Math. 136, 1998)."""
-    return _dominant_below(d, int_vector(lam))
+    return _dominant_below(d, int_vector(lam))[0]
 
 
 @lru_cache(maxsize=None)
-def _dominant_below(d: RootDatum, lam: Vec) -> tuple[Vec, ...]:
+def _dominant_below(d: RootDatum, lam: Vec) -> tuple[tuple[Vec, ...], tuple[Vec, ...],
+                                                     tuple[int, ...]]:
+    """The points nu of ``dominant_below``, for a lam of ints, with their
+    pairings and their depths <rho, lam - nu>, index by index: the walk
+    computes all three, a positive coroot betavee being <rho, betavee>
+    deep."""
     p = pairings(d, lam)
     require_dominant_pairings(lam, p)  # on a miss only: a refusal is never cached
-    steps = [(betavee, pairings(d, betavee)) for betavee in _facts(d).coroots]
+    facts = _facts(d)
+    steps = [(betavee, pairings(d, betavee), dot(facts.two_rho, betavee) // 2)
+             for betavee in facts.coroots]
     seen = {lam}
-    queue = [(lam, p)]
-    for mu, p in queue:  # the queue grows as it is read
-        for betavee, c in steps:
+    queue = [(lam, p, 0)]
+    for mu, p, depth in queue:  # the queue grows as it is read
+        for betavee, c, height in steps:
             if all(map(operator.ge, p, c)):  # mu - betavee is dominant
                 nu = vec_sub(mu, betavee)
                 if nu not in seen:
                     seen.add(nu)
-                    queue.append((nu, vec_sub(p, c)))
-    return tuple(sorted((nu for nu, _ in queue), key=lambda v: coweight_order_key(d, v)))
+                    queue.append((nu, vec_sub(p, c), depth + height))
+    queue.sort(key=lambda point: coweight_order_key(d, point[0]))
+    return tuple(zip(*queue))
 
 
 def stabilizer_poincare(d: RootDatum, lam: Sequence[int]) -> Laurent:

@@ -42,9 +42,10 @@ e^y -> e^(y - j alphavee_i) lowers delta by j, so below it is the factor
 q^-j: one int add of j times a move per simple root, while k = <alpha_i,
 y> is one shift and mask.  The unit top, dot invariance and the dominant
 support below lambda are checked on the keys, and then each term is
-decoded once into a coordinate tuple and one Laurent.  The image on the
-extended lattice is the lift of the result: e^y at delta-exponent
--sum_j m_j, its coefficient times q^(sum_j m_j).
+decoded once into a coordinate tuple, one Laurent and the t-int of its
+lift (below).  The image on the extended lattice is the lift of the
+result: e^y at delta-exponent -sum_j m_j, its coefficient times
+q^(sum_j m_j).
 
 The products of two images expand back into images of dominant coweights
 with coefficients in Z[q, q^-1] by triangular peeling.  Peeling reads only
@@ -66,6 +67,30 @@ absolute value at most 3b.  The slot width of a datum is set from its
 widest image so far, so that 3b < 2^(slot-1) and pack is one to one on
 those vectors.  A wider image raises the slot and packs the datum's images
 again.
+
+The peel's coefficients are plain ints, in t = q^-1.  A term c e^y of an
+image S(lambda) lifts to the extended lattice with the coefficient q^h c,
+h = <rho, lambda - y>.  Upstairs the walk starts at 1 and each T_i has
+coefficients q^-1 and 1 - q^-1, so every lifted coefficient lies in Z[t]
+(Macdonald, III), and the image upstairs is W-invariant, so the lift is
+constant on each W-orbit.  h is linear in y: the pairs of terms of
+S(lambda) and S(mu) that meet at a point v, and the image of nu moved to
+v, all carry the one factor q^<rho, top - v> between their coefficients
+and their lifts.  So the peel runs on lifts: a view holds each lifted
+coefficient as its t-int (``lattice``), sum_i c_i 2^(64 i) for the
+coefficient c_i of q^-i, one int per orbit, and a product term is one int
+product and one int add, with no exponent to align.  The residual at v
+holds the lift of the product's coefficient there, and the coefficient of
+nu is its residual value times q^-<rho, top - nu>, the depth that
+``rootdatum`` hands out with each point below top.  Each image carries the
+sum and the largest of the norms sum_i |c_i| of its coefficients, which
+the lift keeps.  One running bound per peel covers every residual value:
+it starts at min(|a|_1 max|b|, |b|_1 max|a|) over the two factors, and
+each peeled c adds |c| times the largest norm in S(nu).  A residual value
+is read (the zero test, the decode, the last test) only while the bound is
+below 2^63, so every digit holds its coefficient; otherwise the peel
+raises an internal error.  A coefficient becomes a Laurent only as it is
+put into the expansion, and that decode gives its exact norm.
 
 A central coweight z, <alpha_i, z> = 0 for every simple root, only shifts:
 S(lambda + z) = e^z S(lambda), and since dominance and the points below
@@ -110,6 +135,9 @@ from .lattice import (
     pack,
     pack_slot,
     product_coefficients,
+    require_digits_fit,
+    t_laurent,
+    t_times,
     vec_add,
     vec_sub,
     vec_sub_scaled,
@@ -118,8 +146,8 @@ from .rootdatum import (
     BUILTINS,
     RootDatum,
     cartan_matrix,
+    _dominant_below,
     coweight_order_key,
-    dominant_below,
     orbit_walk,
     pairings,
     positive_root_sum,
@@ -321,23 +349,32 @@ def _walk(d: RootDatum, lam: Vec, p: Vec) -> tuple[_Keys, dict[int, int]]:
 
 
 class _Image:
-    """A cached class image: the representative rep of the class, S(rep),
-    its terms at dominant coweights, which fix a dot-invariant element,
-    and the peel's view of all terms and of those, keyed by pack(y - rep)
-    at the datum's slot (``pack_view``)."""
+    """A cached class image: the representative rep of the class, S(rep)
+    from its terms y -> Laurent, its terms at dominant coweights, which fix
+    a dot-invariant element, the t-ints of the lifts of the terms in their
+    order, the sum and the largest of the norms of the coefficients, and
+    the peel's view of all terms and of the dominant ones, those t-ints
+    keyed by pack(y - rep) at the datum's slot (``pack_view``)."""
 
-    __slots__ = ("rep", "image", "dominant", "packed", "packed_dominant")
+    __slots__ = ("rep", "terms", "image", "dominant", "ts", "norm", "peak",
+                 "packed", "packed_dominant")
 
-    def __init__(self, rep: Vec, image: SphericalFunction,
-                 dominant: tuple[tuple[Vec, Laurent], ...]):
+    def __init__(self, d: RootDatum, rep: Vec, terms: dict[Vec, Laurent],
+                 dominant: tuple[tuple[Vec, Laurent], ...], ts: tuple[int, ...],
+                 norm: int, peak: int):
         self.rep = rep
-        self.image = image
+        self.terms = terms
+        self.image = SphericalFunction(GroupAlgebraElement._make(d.rank, terms), d)
         self.dominant = dominant
+        self.ts = ts
+        self.norm = norm
+        self.peak = peak
 
     def pack_view(self, slot: int) -> None:
         base = pack(self.rep, slot)
-        self.packed = self.image.poly.packed(self.rep, slot)
-        self.packed_dominant = tuple((pack(y, slot) - base, c) for y, c in self.dominant)
+        packed = self.packed = {pack(y, slot) - base: t for y, t in zip(self.terms, self.ts)}
+        keys = [pack(y, slot) - base for y, _ in self.dominant]
+        self.packed_dominant = tuple(zip(keys, map(packed.__getitem__, keys)))
 
 
 def _build(d: RootDatum, lam: Vec, p: Vec) -> _Image:
@@ -351,8 +388,9 @@ def _build(d: RootDatum, lam: Vec, p: Vec) -> _Image:
     monomial's partner has its coefficient.  Every term lies in lambda plus
     the coroot lattice, where its pairings name it, so a dominant term lies
     below lambda exactly when its pairing digits are those of a point of
-    ``dominant_below``.  Each term is then decoded once, into y and one
-    Laurent of exact norm."""
+    ``dominant_below``.  Each term is then decoded once, into y, one
+    Laurent of exact norm and its lift q^h c, h = <rho, lambda - y>, as a
+    t-int, which must lie in Z[q^-1] (module docstring)."""
     keys, terms = _walk(d, lam, p)
     slot, mask, bias, top = keys.slot, keys.mask, keys.bias, keys.top
     for shift, move in zip(keys.shifts, keys.moves):
@@ -363,27 +401,40 @@ def _build(d: RootDatum, lam: Vec, p: Vec) -> _Image:
     columns = tuple(zip(*d.simple_coroots)) or ((),) * d.rank
     origin = [x + bias * sum(column) for x, column in zip(lam, columns)]
     m_shifts = range(0, len(p) * slot, slot)
+    m_bias = bias * len(p)
 
-    def coweight(point: int) -> Vec:
+    def coweight(point: int) -> tuple[Vec, int]:
+        """y and its depth h = <rho, lambda - y>, the sum of its m_j."""
         digits = [point >> shift & mask for shift in m_shifts]
         return tuple([x - sum(map(operator.mul, digits, column))
-                      for x, column in zip(origin, columns)])
+                      for x, column in zip(origin, columns)]), sum(digits) - m_bias
 
     pairing_digits = (1 << top) - (1 << len(p) * slot)
     zero = (0,) * len(p)
-    below = {keys.key(zero, pairings(d, nu), 0) & pairing_digits for nu in dominant_below(d, lam)}
+    below = {keys.key(zero, p_nu, 0) & pairing_digits for p_nu in _dominant_below(d, lam)[1]}
     dominant = keys.dominant
     for point in coeffs:
         if point & dominant == dominant and point & pairing_digits not in below:
             raise RuntimeError(f"internal: image of {lam} has dominant support "
-                               f"{coweight(point)} not below it")
-    poly, tops = {}, []
-    for point, c in coeffs.items():
-        y = coweight(point)
+                               f"{coweight(point)[0]} not below it")
+    poly, ts, tops = {}, [], []
+    total = peak = 0
+    shared: dict[int, int] = {}
+    for point, (c, hi, t, norm) in coeffs.items():
+        y, h = coweight(point)
+        if hi + h > 0:
+            raise RuntimeError(f"internal: coefficient {c} at {y} of the image of {lam} "
+                               f"lifts to q^{hi + h}")
         poly[y] = c
+        # the lift q^h c as a t-int, equal on each W-orbit: one int per orbit
+        t = t_times(t, -hi - h)
+        ts.append(shared.setdefault(t, t))
+        total += norm
+        if norm > peak:
+            peak = norm
         if point & dominant == dominant:
             tops.append((y, c))
-    return _Image(lam, SphericalFunction(GroupAlgebraElement._make(d.rank, poly), d), tuple(tops))
+    return _Image(d, lam, poly, tuple(tops), tuple(ts), total, peak)
 
 
 def satake_image_extended(dd: LanglandsDualData, lam: Sequence[int]) -> GroupAlgebraElement:
@@ -499,10 +550,19 @@ def structure_polynomials(dd: LanglandsDualData, lam: Sequence[int], mu: Sequenc
     d = dd.base
     lam = int_vector(lam)
     mu = int_vector(mu)
+    if len(lam) != d.rank or len(mu) != d.rank:
+        for v in (lam, mu):
+            pairings(d, v)  # refuses the wrong rank
+    # the datum of dual data is valid, so its simple roots have its rank and
+    # each pairing is read from them with no further check
+    mul = operator.mul
+    p_lam = tuple([sum(map(mul, alpha, lam)) for alpha in d.simple_roots])
+    p_mu = tuple([sum(map(mul, alpha, mu)) for alpha in d.simple_roots])
     top = vec_add(lam, mu)
-    p_lam, p_mu = pairings(d, lam), pairings(d, mu)
-    for v, p in ((top, vec_add(p_lam, p_mu)), (lam, p_lam), (mu, p_mu)):
-        require_dominant_pairings(v, p)
+    if min(p_lam, default=0) < 0 or min(p_mu, default=0) < 0:
+        # top is dominant when both are; a refusal names top first
+        for v, p in ((top, vec_add(p_lam, p_mu)), (lam, p_lam), (mu, p_mu)):
+            require_dominant_pairings(v, p)
     key = (dd, p_lam, p_mu) if p_lam <= p_mu else (dd, p_mu, p_lam)
     entry = _expansions.get(key)
     if entry is None:
@@ -511,7 +571,8 @@ def structure_polynomials(dd: LanglandsDualData, lam: Sequence[int], mu: Sequenc
     if top == top0:
         return HeckeExpansion._make(d, dict(items))
     z = vec_sub(top, top0)
-    return HeckeExpansion._make(d, {vec_add(nu, z): c for nu, c in items})
+    add = operator.add  # vec_add inlined: one shift per term of every hit
+    return HeckeExpansion._make(d, {tuple(map(add, nu, z)): c for nu, c in items})
 
 
 def _peel(dd: LanglandsDualData, lam: Vec, mu: Vec) -> tuple[Vec, tuple[tuple[Vec, Laurent], ...]]:
@@ -534,7 +595,10 @@ def _peel(dd: LanglandsDualData, lam: Vec, mu: Vec) -> tuple[Vec, tuple[tuple[Ve
     docstring), at the slot width of the datum, which each cached image's
     view is packed at; a peel that builds an image wider than the slot
     starts again at the new one.  Keys turn back into coweights only as the
-    points they were packed from.
+    points they were packed from.  Coefficients are the t-ints of their
+    lifts, each read only under the peel's bound on the norms of the
+    residual and decoded into a Laurent only as it is put into the
+    expansion (module docstring).
     """
     d = dd.base
     s_lam = _class_image(dd, lam, pairings(d, lam))
@@ -542,21 +606,28 @@ def _peel(dd: LanglandsDualData, lam: Vec, mu: Vec) -> tuple[Vec, tuple[tuple[Ve
     top = vec_add(s_lam.rep, s_mu.rep)
     slot = _slots[dd]
     origin = pack(top, slot)
-    points = dominant_below(d, top)
+    points, point_pairings, depths = _dominant_below(d, top)
     keys = [pack(nu, slot) - origin for nu in points]
     residual = product_coefficients(s_lam.packed, s_mu.packed, keys)
+    # a bound on the norm of every residual value, checked as soon as it
+    # grows, so that each read below (the zero test, the decode and the
+    # last test) happens under it
+    bound = min(s_lam.norm * s_mu.peak, s_mu.norm * s_lam.peak)
+    require_digits_fit(bound)
     coeffs: dict[Vec, Laurent] = {}
-    for nu, k in zip(points, keys):
-        c = residual.get(k)
-        if not c:
+    for nu, p, h, k in zip(points, point_pairings, depths, keys):
+        n = residual.get(k)
+        if not n:
             continue
-        coeffs[nu] = c
-        image = _class_image(dd, nu, pairings(d, nu))
+        coeffs[nu], norm = t_laurent(n, -h, bound)
+        image = _class_image(dd, nu, p)
         if _slots[dd] != slot:
             # the image of nu widened the slot and packed every view again
             return _peel(dd, lam, mu)
+        bound += norm * image.peak
+        require_digits_fit(bound)
         # a term y of S(rep) lands at y + nu - rep, so at key pack(y - rep) + k
-        add_products_into(residual, -c, image.packed_dominant, k)
+        add_products_into(residual, -n, image.packed_dominant, k)
     if any(residual.values()):
         raise RuntimeError("internal: nonzero residual at a dominant point after peeling")
     if coeffs.get(top) != Laurent.one():

@@ -15,6 +15,7 @@ from heckedual.lattice import (
     add_products_into,
     as_int,
     fraction_monomial,
+    laurent_coefficients,
     mat_apply,
     mat_det,
     mat_identity,
@@ -25,6 +26,8 @@ from heckedual.lattice import (
     product_coefficients,
     smith_normal_form,
     solve_integer_linear,
+    t_laurent,
+    t_times,
     vec_add,
     vec_sub,
 )
@@ -39,6 +42,16 @@ def ga(rank, terms):
 
 def random_laurent(rng, size=3, span=3):
     return Laurent({rng.randint(-span, span): rng.randint(-4, 4) for _ in range(size)})
+
+
+def random_t_laurent(rng, size=3, span=3):
+    """A random polynomial in q^-1."""
+    return Laurent({-rng.randint(0, span): rng.randint(-4, 4) for _ in range(size)})
+
+
+def t_int(c):
+    """The t-int of a polynomial in q^-1: the coefficient of q^-i in digit i."""
+    return sum(v << -k * 64 for k, v in c.items())
 
 
 def random_element(rng, rank, terms=3):
@@ -152,27 +165,56 @@ class TestLaurent:
     def test_add_products_into_accumulates(self):
         rng = random.Random(29)
         for _ in range(20):
-            a, b, c = (random_laurent(rng) for _ in range(3))
-            acc = {0: c}
-            add_products_into(acc, a, [(0, b)], 0)
-            assert acc[0] == c + a * b
+            a, b, c = (random_t_laurent(rng) for _ in range(3))
+            acc = {0: t_int(c)}
+            add_products_into(acc, t_int(a), [(0, t_int(b))], 0)
+            assert t_laurent(acc[0], 0, 1 << 20)[0] == c + a * b
         # shifted packed keys, (0, 3) and (1, 2) with (0, 0) at (0, 3) in
         # one-byte slots, and an entry that cancels is kept, as zero
         acc = {}
         at = pack((0, 3), 8)
-        add_products_into(acc, Laurent({1: 1}), [(pack((0, 0), 8), Laurent({0: 2}))], at)
-        add_products_into(acc, Laurent({1: -2}), [(pack((-1, 1), 8), Laurent({0: 1}))],
+        add_products_into(acc, t_int(Laurent({-1: 1})), [(pack((0, 0), 8), 2)], at)
+        add_products_into(acc, t_int(Laurent({-1: -2})), [(pack((-1, 1), 8), 1)],
                           pack((1, 2), 8))
-        assert list(acc) == [at] and acc[at].is_zero()
-        assert acc[at] == Laurent.zero() and acc[at].items() == []
+        assert list(acc) == [at] and acc[at] == 0
+        zero, norm = t_laurent(acc[at], 0, 4)
+        assert zero == Laurent.zero() and zero.items() == [] and norm == 0
 
     def test_add_products_into_cancels_a_lowest_digit(self):
-        # 1 + q minus 1 leaves q: the zero digit at the bottom must go, so
-        # the result is stored as Laurent's one representation of q
-        acc = {0: Laurent({0: 1, 1: 1})}
-        add_products_into(acc, Laurent({0: -1}), [(0, Laurent.one())], 0)
-        assert acc[0] == Laurent({1: 1}) and hash(acc[0]) == hash(Laurent({1: 1}))
-        assert acc[0].items() == [(1, 1)] and acc[0].min_exp() == 1
+        # 1 + q^-1 minus q^-1 leaves 1, and minus 1 leaves q^-1: the zero
+        # digit the cancellation leaves must go, so each result decodes to
+        # Laurent's one representation of what is left
+        for minus, left in ((Laurent({-1: 1}), Laurent.one()), (Laurent.one(), Laurent({-1: 1}))):
+            acc = {0: t_int(Laurent({0: 1, -1: 1}))}
+            add_products_into(acc, -t_int(minus), [(0, 1)], 0)
+            found, norm = t_laurent(acc[0], 0, 3)
+            assert found == left and hash(found) == hash(left) and norm == 1
+            assert found.items() == left.items() and found.min_exp() == left.min_exp()
+
+    def test_t_laurent_reads_back_every_digit(self):
+        # three coefficients of norm up to just under half a slot, so most
+        # digits borrow from the next, at a power of q that moves them; the
+        # bound trips at half a slot before reading
+        rng = random.Random(43)
+        room = ((1 << 63) - 1) // 3
+        for _ in range(50):
+            c = Laurent({-k: rng.randint(-room, room) for k in rng.sample(range(6), 3)})
+            power = rng.randint(-4, 4)
+            found, norm = t_laurent(t_int(c), power, (1 << 63) - 1)
+            assert found == c.shift(power) and norm == sum(abs(x) for _, x in c.items())
+            assert t_times(t_int(c), 3) == t_int(c.shift(-3))
+        assert t_laurent(0, 5, 0) == (Laurent.zero(), 0)
+        with pytest.raises(RuntimeError, match="half a 64-bit slot"):
+            t_laurent(1, 0, 1 << 63)
+
+    def test_laurent_coefficients_give_both_views(self):
+        # monomials c q^a e^k keyed by a 2^8 + k: each k gets its Laurent,
+        # its highest exponent hi, q^-hi times it as a t-int and its norm
+        terms = {(-2 << 8) + 3: 5, (0 << 8) + 3: -1, (-1 << 8) + 7: 2, (2 << 8) + 9: 1}
+        assert laurent_coefficients(terms, 8) == {
+            3: (Laurent({-2: 5, 0: -1}), 0, t_int(Laurent({-2: 5, 0: -1})), 6),
+            7: (Laurent({-1: 2}), -1, 2, 2),
+            9: (Laurent({2: 1}), 2, 1, 1)}
 
 
 def dict_sum(a, b, sign=1):
@@ -365,7 +407,7 @@ class TestGroupAlgebra:
     def test_product_coefficients_at_points(self):
         # both factors far from 0, their terms up to the widest a one-byte
         # slot takes from their origins, on both sides, so the packed
-        # differences borrow across slots
+        # differences borrow across slots; coefficients in q^-1, as t-ints
         rng = random.Random(31)
         width = 42  # 3 * 42 < 2^7
         slot = pack_slot(3 * width)
@@ -377,7 +419,7 @@ class TestGroupAlgebra:
                 o = tuple(rng.randint(-2 ** 70, 2 ** 70) for _ in range(2))
                 offsets = corners + tuple(tuple(rng.randint(-width, width) for _ in range(2))
                                           for _ in range(4))
-                f = ga(2, {vec_add(o, r): random_laurent(rng) for r in offsets})
+                f = ga(2, {vec_add(o, r): random_t_laurent(rng) for r in offsets})
                 assert f.width(o) == width
                 origins.append(o)
                 factors.append(f)
@@ -389,11 +431,14 @@ class TestGroupAlgebra:
                 vec_add(top, tuple(rng.randint(-2 * width, 2 * width) for _ in range(2)))
                 for _ in range(100)]
             keys = [pack(vec_sub(v, top), slot) for v in points]
-            found = product_coefficients(a.packed(oa, slot), b.packed(ob, slot), keys)
+            views = [{pack(vec_sub(y, o), slot): t_int(c) for y, c in f.items()}
+                     for f, o in ((a, oa), (b, ob))]
+            found = product_coefficients(*views, keys)
             # points no pair of terms reaches are omitted
             assert set(found) == {k for v, k in zip(points, keys) if v in reached}
             for v, k in zip(points, keys):
-                assert Laurent(found.get(k)) == full.coefficient(v)
+                got = t_laurent(found[k], 0, 1 << 20)[0] if k in found else Laurent.zero()
+                assert got == full.coefficient(v)
 
     def test_width_is_the_farthest_coordinate_from_the_origin(self):
         rng = random.Random(41)

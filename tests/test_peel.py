@@ -5,6 +5,7 @@ chamber-only remainder check as strong as the whole one."""
 
 import hashlib
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -27,6 +28,7 @@ from heckedual.rootdatum import (
     dominant_below,
     is_dominant_coweight,
     pairings,
+    positive_root_sum,
     positive_roots,
     require_valid,
     stabilizer_poincare,
@@ -229,6 +231,27 @@ def test_images_pinned():
     assert digest.hexdigest() == PINNED_IMAGES
 
 
+@pytest.mark.parametrize("name", sorted(BUILTINS))
+def test_images_lie_in_z_of_q_inverse_and_are_orbit_sums_at_q_one(name):
+    # with t = q^-1, every coefficient of S(lambda) is a polynomial in t,
+    # and so is every coefficient of its lift to the extended lattice,
+    # which the peel's t-ints rest on; at q = 1 the image is the sum of e^y
+    # over the orbit of lambda (Macdonald, Symmetric Functions and Hall
+    # Polynomials, III: P_lambda(x; 1) = m_lambda); the orbit is taken by
+    # the Weyl matrices, not by the walk
+    d = BUILTINS[name]
+    dd = langlands_dual_data(d)
+    mats = [weyl_matrices(d, w)[1] for w in weyl_group(d)]
+    for lam in enumerate_dominant(d, 4 if d.rank <= 2 else 3):
+        poly = satake_image(dd, lam).poly
+        assert all(k <= 0 for _, c in poly.items() for k, _ in c.items()), lam
+        lifted = satake_image_extended(dd, lam)
+        assert all(k <= 0 for _, c in lifted.items() for k, _ in c.items()), lam
+        at_one = {y: c.evaluate(Fraction(1)) for y, c in poly.items()}
+        orbit = {mat_apply(m, lam) for m in mats}
+        assert {y: v for y, v in at_one.items() if v} == dict.fromkeys(orbit, 1), lam
+
+
 @pytest.mark.parametrize("d", [*BUILTINS.values(), TRIVIAL, TORUS], ids=lambda d: d.name)
 def test_images_match_the_tuple_walk(d, fresh_images):
     # the packed walk against the tuple walk, and the dominant terms the
@@ -294,6 +317,14 @@ def test_image_not_dot_invariant_raises(monkeypatch, fresh_images):
         satake_image(DD_PGL2, (1,))
 
 
+def test_image_lift_with_a_positive_power_raises(monkeypatch, fresh_images):
+    # adding q e[1] + e[-1] keeps dot-invariance and the top coefficient's
+    # unit term, but the coefficients at 1 and at -1 lift to q + 1
+    corrupt_walk(monkeypatch, lambda keys: {keys.key((0,), (1,), 1): 1, keys.key((1,), (-1,), 0): 1})
+    with pytest.raises(RuntimeError, match="internal: coefficient .* of the image of \\(1,\\) lifts to q\\^1"):
+        satake_image(DD_PGL2, (1,))
+
+
 def test_image_dominant_support_not_below_raises(monkeypatch, fresh_images):
     # adding the whole image of 2 keeps dot-invariance, but 2 is not <= 0;
     # the walk from 0 is given keys with room for the orbit of 2, where y
@@ -315,13 +346,23 @@ def test_image_dominant_support_not_below_raises(monkeypatch, fresh_images):
 
 def corrupt_view(dd, rep, corruption):
     """Make the peel's view of the cached image of rep that of
-    corruption(S(rep)), past the image's build checks."""
+    corruption(S(rep)), past the image's build checks: the lift q^h c of
+    each coefficient c at y, h = <rho, rep - y>, as a t-int keyed at the
+    datum's slot, and the norms the peel bounds them by."""
     entry = satake._images[dd, pairings(dd.base, rep)]
     poly = corruption(entry.image.poly)
     slot = satake._slots[dd]
-    entry.packed = poly.packed(rep, slot)
-    entry.packed_dominant = tuple((pack(y, slot) - pack(rep, slot), c) for y, c in poly.items()
-                                  if is_dominant_coweight(dd.base, y))
+    two_rho, base = positive_root_sum(dd.base), pack(rep, slot)
+    view, dominant = {}, []
+    for y, c in poly.items():
+        lifted = c.shift(sum(a * (x - z) for a, x, z in zip(two_rho, rep, y)) // 2)
+        key = pack(y, slot) - base
+        view[key] = sum(x << -a * 64 for a, x in lifted.items())
+        if is_dominant_coweight(dd.base, y):
+            dominant.append((key, view[key]))
+    entry.packed, entry.packed_dominant = view, tuple(dominant)
+    norms = [sum(abs(x) for _, x in c.items()) for _, c in poly.items()]
+    entry.norm, entry.peak = sum(norms), max(norms)
 
 
 @pytest.mark.parametrize("corruption", [
@@ -345,6 +386,19 @@ def test_peel_top_not_one_raises(fresh_images):
         satake_image(DD_PGL2, lam)
     corrupt_view(DD_PGL2, (1,), lambda poly: poly.scale(2))
     with pytest.raises(RuntimeError, match="top coefficient is not 1"):
+        structure_polynomials(DD_PGL2, (1,), (1,))
+
+
+@pytest.mark.parametrize("rep", [(1,), (0,)], ids=["factor", "peeled"])
+def test_peel_bound_past_half_a_slot_raises(fresh_images, rep):
+    # S(1)^2 = S(2) + (q^-1 + q^-2) S(0), with S(1) or S(0) times 2^62 in
+    # the view: the bound passes 2^63 at the start, or when q^-1 + q^-2 is
+    # peeled at 0, and the peel stops before it reads a residual value
+    # under it, which would find a nonzero residual or a top other than 1
+    for lam in ((0,), (1,), (2,)):
+        satake_image(DD_PGL2, lam)
+    corrupt_view(DD_PGL2, rep, lambda poly: poly.scale(1 << 62))
+    with pytest.raises(RuntimeError, match="internal: coefficient bound .* half a 64-bit slot"):
         structure_polynomials(DD_PGL2, (1,), (1,))
 
 
