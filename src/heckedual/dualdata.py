@@ -18,9 +18,8 @@ input.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .errors import ValidationError
 from .lattice import (
@@ -34,6 +33,7 @@ from .lattice import (
     vec_sub,
 )
 from .rootdatum import (
+    FrozenRecord,
     RootDatum,
     positive_root_sum,
     positive_roots,
@@ -74,8 +74,7 @@ def epsilon_of(d: RootDatum) -> tuple[int, Vec]:
     return order, t
 
 
-@dataclass(frozen=True)
-class LanglandsDualData:
+class LanglandsDualData(FrozenRecord):
     """A datum's extension and its dual-side structure data.
 
     The extension ext has rank one more than base, simple roots (alpha, 0),
@@ -84,26 +83,16 @@ class LanglandsDualData:
     extended character lattice, the central cocharacter i and the
     projection character p are both the delta vector of the extended
     cocharacter lattice, and epsilon_order records whether the central sign
-    is trivial.  Equality ignores names, as the datum's does.
+    is trivial.  Equality ignores names, as the datum's does.  The hash is
+    computed once: the image and expansion caches take it on every lookup.
     """
 
-    base: RootDatum
-    ext: RootDatum
-    r: Vec
-    t: Vec
-    j: Vec
-    i: Vec
-    p: Vec
-    epsilon_order: int
+    __slots__ = _fields = ("base", "ext", "r", "t", "j", "i", "p", "epsilon_order")
 
-    def __post_init__(self):
-        # the image and expansion caches hash their keys on every lookup,
-        # and the generated hash would walk all the nested fields each time
-        object.__setattr__(self, "_hash", hash((self.base, self.ext, self.r, self.t, self.j,
-                                                self.i, self.p, self.epsilon_order)))
-
-    def __hash__(self):
-        return self._hash
+    def __init__(self, base: RootDatum, ext: RootDatum, r: Vec, t: Vec, j: Vec, i: Vec,
+                 p: Vec, epsilon_order: int):
+        values = (base, ext, r, t, j, i, p, epsilon_order)
+        self._init(values, values)
 
     @property
     def delta_index(self) -> int:
@@ -151,8 +140,7 @@ def _dual_data(d: RootDatum, name: str) -> LanglandsDualData:
 # the order-two quotient presentation of the dual-side group
 
 
-@dataclass(frozen=True)
-class KernelElement:
+class KernelElement(NamedTuple):
     """Generator of the kernel of the two-fold covering, as computed from
     lattice data: a sign on the split factor and a parity functional on
     coweights (the central sign epsilon)."""
@@ -166,8 +154,7 @@ class KernelElement:
         return f"({self.gm_component}, {eps})"
 
 
-@dataclass(frozen=True)
-class QuotientDecomposition:
+class QuotientDecomposition(NamedTuple):
     cokernel_invariants: tuple[int, ...]
     kernel: KernelElement
 

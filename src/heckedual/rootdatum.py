@@ -27,7 +27,6 @@ import itertools
 import math
 import operator
 from collections import Counter
-from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Iterator, NamedTuple, Optional, Sequence
 
@@ -49,12 +48,49 @@ from .lattice import (
 )
 
 DEFAULT_WEYL_CAP = 10 ** 6
+DEFAULT_TREE_DEPTH_CAP = 12  # cap on the tree depth of satake's rank-one oracle
 _ROOT_CAP = 20000
 _ISO_SEARCH_BOUND = 6  # kernel coefficients tried per direction by datum_isomorphic
 
 
-@dataclass(frozen=True)
-class RootDatum:
+class FrozenRecord:
+    """An immutable record with ``__slots__``: the fields named in
+    ``_fields`` are set once, by ``_init``, and print, pickle and copy in
+    that order.  Equality compares the key given to ``_init``, hashed there
+    once."""
+
+    __slots__ = ("_key", "_hash")
+    _fields: tuple[str, ...] = ()
+
+    def _init(self, values: tuple, key: tuple) -> None:
+        for name, value in zip(self._fields, values):
+            object.__setattr__(self, name, value)
+        object.__setattr__(self, "_key", key)
+        object.__setattr__(self, "_hash", hash(key))
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._key == other._key
+
+    def __hash__(self):
+        return self._hash
+
+    def __repr__(self):
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{type(self).__qualname__}({fields})"
+
+    def __reduce__(self):
+        return type(self), tuple(getattr(self, name) for name in self._fields)
+
+
+class RootDatum(FrozenRecord):
     """A based root datum presented on the lattice Z^rank.
 
     The name is a label only; it does not take part in equality, so dual
@@ -63,19 +99,13 @@ class RootDatum:
     every ``_facts`` lookup takes it.
     """
 
-    rank: int
-    simple_roots: tuple[Vec, ...]
-    simple_coroots: tuple[Vec, ...]
-    name: str = field(default="", compare=False)
+    __slots__ = _fields = ("rank", "simple_roots", "simple_coroots", "name")
 
-    def __post_init__(self):
-        object.__setattr__(self, "rank", as_int(self.rank))
-        object.__setattr__(self, "simple_roots", tuple(map(int_vector, self.simple_roots)))
-        object.__setattr__(self, "simple_coroots", tuple(map(int_vector, self.simple_coroots)))
-        object.__setattr__(self, "_hash", hash((self.rank, self.simple_roots, self.simple_coroots)))
-
-    def __hash__(self):
-        return self._hash
+    def __init__(self, rank: int, simple_roots: Sequence[Sequence[int]],
+                 simple_coroots: Sequence[Sequence[int]], name: str = ""):
+        key = (as_int(rank), tuple(map(int_vector, simple_roots)),
+               tuple(map(int_vector, simple_coroots)))
+        self._init(key + (name,), key)
 
     @property
     def semisimple_rank(self) -> int:

@@ -144,6 +144,7 @@ from .lattice import (
 )
 from .rootdatum import (
     BUILTINS,
+    DEFAULT_TREE_DEPTH_CAP,
     RootDatum,
     cartan_matrix,
     _dominant_below,
@@ -154,8 +155,6 @@ from .rootdatum import (
     require_dominant,
     require_dominant_pairings,
 )
-
-DEFAULT_TREE_DEPTH_CAP = 12
 
 
 # ---------------------------------------------------------------------------

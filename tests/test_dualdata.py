@@ -1,6 +1,5 @@
 """Tests for the extended datum, rho-type weights and the central sign."""
 
-import dataclasses
 import json
 
 import pytest
@@ -9,6 +8,7 @@ from heckedual import dualdata, rootdatum
 from heckedual.cli import main
 from heckedual.dualdata import (
     KernelElement,
+    LanglandsDualData,
     decompose_quotient,
     epsilon_of,
     langlands_dual_data,
@@ -288,7 +288,8 @@ class TestQuotient:
     def test_smith_form_epsilon_is_cross_checked(self):
         for d in BUILTINS.values():
             dd = langlands_dual_data(d)
-            wrong = dataclasses.replace(dd, epsilon_order=3 - dd.epsilon_order)
+            wrong = LanglandsDualData(dd.base, dd.ext, dd.r, dd.t, dd.j, dd.i, dd.p,
+                                      epsilon_order=3 - dd.epsilon_order)
             with pytest.raises(RuntimeError, match="^internal: Smith-form epsilon"):
                 decompose_quotient(wrong)
 

@@ -1,13 +1,12 @@
 """Tests for parameters, local factors, the splitting and the sign twist."""
 
-import dataclasses
 import math
 import random
 from fractions import Fraction
 
 import pytest
 
-from heckedual.dualdata import langlands_dual_data
+from heckedual.dualdata import LanglandsDualData, langlands_dual_data
 from heckedual.errors import OmegaViolationError, PoleError, RankMismatchError, ValidationError
 from heckedual.rootdatum import BUILTINS, TRIVIAL
 from heckedual.rfunc import (
@@ -372,7 +371,9 @@ class TestSplitting:
     def test_delta_value_is_cross_checked(self):
         # a j whose delta entry is not 2 leaves delta value q^-1 after the
         # split, which trips the check, also under -O
-        wrong = dataclasses.replace(DD_PGL2, j=DD_PGL2.j[:-1] + (4,))
+        dd = DD_PGL2
+        wrong = LanglandsDualData(dd.base, dd.ext, dd.r, dd.t, dd.j[:-1] + (4,), dd.i, dd.p,
+                                  dd.epsilon_order)
         p = make_parameter(wrong, 9, (Fraction(2),))
         with pytest.raises(RuntimeError, match="^internal: split assignment has delta value 1/9"):
             split_by_sqrt(p, Fraction(3))
