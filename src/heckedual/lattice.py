@@ -19,12 +19,14 @@ Two kinds of values live here:
   map of the exponents, restriction to the fibre over q, and the
   Demazure-Lusztig and dot actions downstream) sums its terms through one
   routine, ``GroupAlgebraElement.collect``, which stores no zero.
-* packed exponents: ``pack`` sends an exponent v to the int
-  sum_i v_i 2^(slot i), the same Kronecker substitution in the exponents
-  of the group algebra.  It is linear, so a difference or a shift of
-  exponents is one int subtraction or add, and it is one to one while every
+* packed vectors: ``pack`` sends an integer vector v to the int
+  sum_i v_i 2^(slot i), the same Kronecker substitution, here on a linear
+  image of the exponents of the group algebra (the peel packs the pairings
+  of a coweight with the simple roots).  It is linear, so a difference or
+  a shift is one int subtraction or add, and it is one to one while every
   coordinate is below 2^(slot-1) in absolute value; ``pack_slot`` gives the
-  least whole number of bytes for a bound.
+  least whole number of bytes for a bound, and ``repack`` moves a packed
+  vector to a wider slot.
 * t-ints: a polynomial sum_i c_i t^i in t = q^-1 as the one int
   sum_i c_i 2^(64 i), with no lowest exponent beside it.  Sums and products
   of polynomials are sums and products of their ints, exactly, a power of
@@ -35,7 +37,7 @@ Two kinds of values live here:
   coefficient of a walk as a Laurent and, over its highest power of q, as
   a t-int; the two routines of the peel downstream,
   ``product_coefficients`` and ``add_products_into``, take t-ints keyed by
-  packed exponents, and the caller carries the bound.
+  packed vectors, and the caller carries the bound.
 
 Simple reflections are applied to vectors by ``reflect``, v - <a, v> b; no
 reflection matrix is built.  Integer matrices are plain tuples of row
@@ -578,6 +580,16 @@ def pack_slot(bound: int) -> int:
     return 8 * (bound.bit_length() // 8 + 1)
 
 
+def repack(n: int, slot: int, wider: int) -> int:
+    """pack(v, wider) for n = pack(v, slot), each |v_i| < 2^(slot-1): v is
+    read back as the balanced digits of n, lowest first."""
+    half, mask, v = 1 << (slot - 1), (1 << slot) - 1, []
+    while n:
+        v.append(((n + half) & mask) - half)
+        n = (n - v[-1]) >> slot
+    return pack(v, wider)
+
+
 def laurent_coefficients(terms: Mapping[int, int],
                          top: int) -> dict[int, tuple[Laurent, int, int, int]]:
     """Monomials c q^a e^v keyed by a 2^top + k, k in [0, 2^top) the packed
@@ -628,11 +640,11 @@ def t_times(n: int, i: int) -> int:
 def product_coefficients(a: Mapping[int, int], b: Mapping[int, int],
                          points: Iterable[int]) -> dict[int, int]:
     """Coefficients of a product of two group-algebra elements over Z[t] at
-    the given points only, as t-ints in packed exponents: the terms of a and
-    b keyed by pack(y - o_a) and pack(z - o_b) for two origins o_a and o_b,
-    and the points and the result by pack(v - o_a - o_b), all under one slot
-    width that packs every v - y - o_b one to one.  Points no pair of terms
-    reaches are omitted; a coefficient that cancels is kept, as zero.
+    the given points only, as t-ints keyed by packed vectors: a term y of
+    a and a term z of b meet at a point v exactly when key(v) - key(y) =
+    key(z), as for pack of a linear map that is one to one on the exponents,
+    at a slot that packs each difference one to one.  Points no pair of
+    terms reaches are omitted; a coefficient that cancels is kept, as zero.
 
     Each point costs one int subtraction and one lookup per term of the
     smaller factor, instead of forming the whole product, and each pair of
@@ -655,15 +667,13 @@ def product_coefficients(a: Mapping[int, int], b: Mapping[int, int],
     return out
 
 
-def add_products_into(acc: dict[int, int], c: int, terms: Iterable[tuple[int, int]],
-                      shift: int) -> None:
-    """acc[k + shift] += c * e for every term (k, e), t-ints in packed
-    exponents, in place: one int add per key and one int product per term.
-    An entry that cancels is kept, as zero.  Each entry's norm grows by at
-    most |c|_1 max |e|_1, which the caller adds to its bound."""
+def add_products_into(acc: dict[int, int], c: int, terms: Iterable[tuple[int, int]]) -> None:
+    """acc[k] += c * e for every term (k, e), t-ints in packed vectors, in
+    place: one int add per key and one int product per term.  An entry
+    that cancels is kept, as zero.  Each entry's norm grows by at most
+    |c|_1 max |e|_1, which the caller adds to its bound."""
     get = acc.get
     for k, e in terms:
-        k += shift
         acc[k] = get(k, 0) + c * e
 
 
@@ -776,12 +786,6 @@ class GroupAlgebraElement:
         if isinstance(other, (int, Laurent)):
             return self.scale(other)
         return NotImplemented
-
-    def width(self, origin: Vec) -> int:
-        """max |v_i - origin_i| over the exponents v, 0 for zero: per
-        coordinate, the larger distance of its maximum and its minimum."""
-        return max((max(max(xs) - o, o - min(xs)) for xs, o in zip(zip(*self._terms), origin)),
-                   default=0)
 
     def shift(self, v: Vec) -> "GroupAlgebraElement":
         """Multiply by the monomial e^v."""

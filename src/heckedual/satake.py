@@ -35,17 +35,17 @@ sum_j m_j alphavee_j, and each monomial c q^a e^y is one int key, packing
 m, the pairings <alpha_i, y> and, in the top digit, a, with the int c as
 its coefficient.  m and the pairings are linear in y, and every partial
 sum lies in the hull of the orbit of lambda, where both are at most <2 rho,
-lambda> in absolute value; that sets the slot of an image.  None of these
-depends on the basis of the coweights, so a sheared basis needs no wider
-slot.  Upstairs,
-e^y -> e^(y - j alphavee_i) lowers delta by j, so below it is the factor
-q^-j: one int add of j times a move per simple root, while k = <alpha_i,
-y> is one shift and mask.  The unit top, dot invariance and the dominant
-support below lambda are checked on the keys, and then each term is
-decoded once into a coordinate tuple, one Laurent and the t-int of its
-lift (below).  The image on the extended lattice is the lift of the
-result: e^y at delta-exponent -sum_j m_j, its coefficient times
-q^(sum_j m_j).
+lambda> in absolute value; the slot is the peel's for a top of lambda
+(below), so the pairing digits less their bias are a term's peel key.
+None of these depends on the basis of the coweights, so a sheared basis
+needs no wider slot.  Upstairs, e^y -> e^(y - j alphavee_i) lowers delta
+by j, so below it is the factor q^-j: one int add of j times a move per
+simple root, while k = <alpha_i, y> is one shift and mask.  The unit top,
+dot invariance and the dominant support below lambda are checked on the
+keys, and then each term is decoded once into a coordinate tuple, one
+Laurent, the t-int of its lift (below) and its peel key.  The image on
+the extended lattice is the lift of the result: e^y at delta-exponent
+-sum_j m_j, its coefficient times q^(sum_j m_j).
 
 The products of two images expand back into images of dominant coweights
 with coefficients in Z[q, q^-1] by triangular peeling.  Peeling reads only
@@ -54,19 +54,19 @@ those points alone and never formed whole.  The last two image checks
 make a remainder that vanishes there vanish everywhere: it is dot-invariant,
 with dominant support below lambda+mu.
 
-The peel runs on packed coweights (``lattice.pack``, a Kronecker
-substitution like ``Laurent``'s).  Each cached image of a class keys its
-terms by pack(y - rep), and a peel at top keys its points and its residual
-by pack(v - top).  pack is linear, so looking up v - y in the other factor
-is one int subtraction, and moving the image of a point nu to its place in
-the residual is one int add of pack(nu - top).  Let b bound the width
-max |y_i - rep_i| of both factors.  Every point lies in the hull of the
-orbit of top, the sum of the hulls of the orbits of lambda and mu, so
-|v_i - top_i| <= 2b, and every vector a peel compares has coordinates of
-absolute value at most 3b.  The slot width of a datum is set from its
-widest image so far, so that 3b < 2^(slot-1) and pack is one to one on
-those vectors.  A wider image raises the slot and packs the datum's images
-again.
+The peel keys every term, point and residual entry by its pairings
+(<alpha_i, y>)_i, packed (``lattice.pack``, a Kronecker substitution like
+``Laurent``'s).  Every coweight a peel at top meets lies in top minus the
+coroot lattice, where the pairings are linear and one to one, as the
+Cartan matrix is invertible; they do not depend on the basis, and a
+central shift leaves them alone.  So looking up v - y in the other factor
+is one int subtraction, and a term y of the cached image of nu's class
+lands in the residual at its own key, with no shift.  A compared pairing
+is a point's, at most <2 rho, top>, less a term's, at most <2 rho, nu> <=
+<2 rho, top>, so the slot pack_slot(2 <2 rho, top>) is one to one on
+them, and it is known before any image is built.  Every image a peel
+reads, of lambda, mu or a nu <= top, is built at its own slot, at most
+the peel's, and a wider read repacks its keys once (``_Image``).
 
 The peel's coefficients are plain ints, in t = q^-1.  A term c e^y of an
 image S(lambda) lifts to the extended lattice with the coefficient q^h c,
@@ -116,6 +116,7 @@ from __future__ import annotations
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from typing import Sequence
 
 from .dualdata import LanglandsDualData, langlands_dual_data
@@ -135,6 +136,7 @@ from .lattice import (
     pack,
     pack_slot,
     product_coefficients,
+    repack,
     require_digits_fit,
     t_laurent,
     t_times,
@@ -255,16 +257,16 @@ class _Keys:
 
         sum_j (m_j + B) 2^(slot j) + sum_i (<alpha_i, y> + B) 2^(slot (k+i)) + a 2^top
 
-    over the k simple roots, with B = 2^(slot-1) and top = 2 k slot.  Every
-    digit below the top lies in [0, 2^slot) while the bound, on every |m_j|
-    and |<alpha_i, y>|, is below B; a sits above them, unbounded.  A key
-    does not depend on the basis of the coweights."""
+    over the k simple roots, with B = 2^(slot-1), top = 2 k slot and slot
+    pack_slot(2 bound), bound = <2 rho, lambda> >= every |m_j| and
+    |<alpha_i, y>|, so every digit below the top lies in [0, 2^slot); a
+    sits above them, unbounded.  A key does not depend on the basis."""
 
     __slots__ = ("slot", "bias", "mask", "top", "shifts", "moves", "dominant", "start")
 
     def __init__(self, d: RootDatum, p: Vec, bound: int):
         k = len(p)
-        self.slot = slot = bound.bit_length() + 1
+        self.slot = slot = pack_slot(2 * bound)
         self.bias = 1 << (slot - 1)
         self.mask = (1 << slot) - 1
         self.top = 2 * k * slot
@@ -348,32 +350,33 @@ def _walk(d: RootDatum, lam: Vec, p: Vec) -> tuple[_Keys, dict[int, int]]:
 
 
 class _Image:
-    """A cached class image: the representative rep of the class, S(rep)
-    from its terms y -> Laurent, its terms at dominant coweights, which fix
-    a dot-invariant element, the t-ints of the lifts of the terms in their
-    order, the sum and the largest of the norms of the coefficients, and
-    the peel's view of all terms and of the dominant ones, those t-ints
-    keyed by pack(y - rep) at the datum's slot (``pack_view``)."""
+    """A cached class image: the representative rep of the class, S(rep),
+    the sum and the largest of the norms of its coefficients, and the
+    peel's views by slot: the packed pairings of every term y -> the t-int
+    of its lift, and those items at dominant y, which fix a dot-invariant
+    element.  The build gives the view at its own slot; a peel reads one
+    as wide or wider, <2 rho, rep> <= <2 rho, top>, repacked once."""
 
-    __slots__ = ("rep", "terms", "image", "dominant", "ts", "norm", "peak",
-                 "packed", "packed_dominant")
+    __slots__ = ("rep", "image", "norm", "peak", "views")
 
     def __init__(self, d: RootDatum, rep: Vec, terms: dict[Vec, Laurent],
-                 dominant: tuple[tuple[Vec, Laurent], ...], ts: tuple[int, ...],
+                 views: dict[int, tuple[dict[int, int], tuple[tuple[int, int], ...]]],
                  norm: int, peak: int):
         self.rep = rep
-        self.terms = terms
         self.image = SphericalFunction(GroupAlgebraElement._make(d.rank, terms), d)
-        self.dominant = dominant
-        self.ts = ts
         self.norm = norm
         self.peak = peak
+        self.views = views
 
-    def pack_view(self, slot: int) -> None:
-        base = pack(self.rep, slot)
-        packed = self.packed = {pack(y, slot) - base: t for y, t in zip(self.terms, self.ts)}
-        keys = [pack(y, slot) - base for y, _ in self.dominant]
-        self.packed_dominant = tuple(zip(keys, map(packed.__getitem__, keys)))
+    def view(self, slot: int) -> tuple[dict[int, int], tuple[tuple[int, int], ...]]:
+        found = self.views.get(slot)
+        if found is None:
+            own = min(self.views)
+            view, dominant = self.views[own]
+            found = self.views[slot] = (
+                {repack(k, own, slot): t for k, t in view.items()},
+                tuple((repack(k, own, slot), t) for k, t in dominant))
+        return found
 
 
 def _build(d: RootDatum, lam: Vec, p: Vec) -> _Image:
@@ -387,9 +390,10 @@ def _build(d: RootDatum, lam: Vec, p: Vec) -> _Image:
     monomial's partner has its coefficient.  Every term lies in lambda plus
     the coroot lattice, where its pairings name it, so a dominant term lies
     below lambda exactly when its pairing digits are those of a point of
-    ``dominant_below``.  Each term is then decoded once, into y, one
-    Laurent of exact norm and its lift q^h c, h = <rho, lambda - y>, as a
-    t-int, which must lie in Z[q^-1] (module docstring)."""
+    ``dominant_below``; that is checked as each term is decoded, once,
+    into y, one Laurent of exact norm, its lift q^h c, h = <rho, lambda -
+    y>, as a t-int, which must lie in Z[q^-1] (module docstring), and its
+    peel key, the pairing digits less their bias."""
     keys, terms = _walk(d, lam, p)
     slot, mask, bias, top = keys.slot, keys.mask, keys.bias, keys.top
     for shift, move in zip(keys.shifts, keys.moves):
@@ -399,7 +403,8 @@ def _build(d: RootDatum, lam: Vec, p: Vec) -> _Image:
     # y = lambda - sum_j (digit_j - B) alphavee_j over the coroot digits
     columns = tuple(zip(*d.simple_coroots)) or ((),) * d.rank
     origin = [x + bias * sum(column) for x, column in zip(lam, columns)]
-    m_shifts = range(0, len(p) * slot, slot)
+    m_bits = len(p) * slot
+    m_shifts = range(0, m_bits, slot)
     m_bias = bias * len(p)
 
     def coweight(point: int) -> tuple[Vec, int]:
@@ -408,32 +413,32 @@ def _build(d: RootDatum, lam: Vec, p: Vec) -> _Image:
         return tuple([x - sum(map(operator.mul, digits, column))
                       for x, column in zip(origin, columns)]), sum(digits) - m_bias
 
-    pairing_digits = (1 << top) - (1 << len(p) * slot)
-    zero = (0,) * len(p)
-    below = {keys.key(zero, p_nu, 0) & pairing_digits for p_nu in _dominant_below(d, lam)[1]}
+    # a point's pairing digits less their bias: pack((<alpha_i, y>)_i, slot)
+    p_bias = pack((bias,) * len(p), slot)
+    below = {pack(p_nu, slot) for p_nu in _dominant_below(d, lam)[1]}
     dominant = keys.dominant
-    for point in coeffs:
-        if point & dominant == dominant and point & pairing_digits not in below:
-            raise RuntimeError(f"internal: image of {lam} has dominant support "
-                               f"{coweight(point)[0]} not below it")
-    poly, ts, tops = {}, [], []
+    poly, view, tops = {}, {}, []
     total = peak = 0
     shared: dict[int, int] = {}
     for point, (c, hi, t, norm) in coeffs.items():
         y, h = coweight(point)
+        key = (point >> m_bits) - p_bias
+        at_dominant = point & dominant == dominant
+        if at_dominant and key not in below:
+            raise RuntimeError(f"internal: image of {lam} has dominant support {y} not below it")
         if hi + h > 0:
             raise RuntimeError(f"internal: coefficient {c} at {y} of the image of {lam} "
                                f"lifts to q^{hi + h}")
         poly[y] = c
         # the lift q^h c as a t-int, equal on each W-orbit: one int per orbit
         t = t_times(t, -hi - h)
-        ts.append(shared.setdefault(t, t))
+        t = view[key] = shared.setdefault(t, t)
         total += norm
         if norm > peak:
             peak = norm
-        if point & dominant == dominant:
-            tops.append((y, c))
-    return _Image(d, lam, poly, tuple(tops), tuple(ts), total, peak)
+        if at_dominant:
+            tops.append((key, t))
+    return _Image(d, lam, poly, {slot: (view, tuple(tops))}, total, peak)
 
 
 def satake_image_extended(dd: LanglandsDualData, lam: Sequence[int]) -> GroupAlgebraElement:
@@ -453,9 +458,6 @@ def satake_image_extended(dd: LanglandsDualData, lam: Sequence[int]) -> GroupAlg
 
 # (datum, pairings) -> the class image at rep, the first coweight of the class asked for
 _images: dict[tuple[LanglandsDualData, Vec], _Image] = {}
-# datum -> the slot width its images are packed with: 3 b < 2^(slot-1) for
-# the width b = max |y_i - rep_i| of every image of the datum built so far
-_slots: dict[LanglandsDualData, int] = {}
 
 
 def _class_image(dd: LanglandsDualData, lam: Vec, p: Vec) -> _Image:
@@ -464,16 +466,7 @@ def _class_image(dd: LanglandsDualData, lam: Vec, p: Vec) -> _Image:
     key = (dd, p)
     entry = _images.get(key)
     if entry is None:
-        entry = _build(dd.base, lam, p)
-        old = _slots.get(dd, 0)
-        slot = _slots[dd] = max(old, pack_slot(3 * entry.image.poly.width(lam)))
-        if slot > old:
-            # a wider image: every image of the datum is packed again
-            for (other, _), known in _images.items():
-                if other == dd:
-                    known.pack_view(slot)
-        entry.pack_view(slot)
-        _images[key] = entry
+        entry = _images[key] = _build(dd.base, lam, p)
     return entry
 
 
@@ -574,6 +567,14 @@ def structure_polynomials(dd: LanglandsDualData, lam: Sequence[int], mu: Sequenc
     return HeckeExpansion._make(d, {tuple(map(add, nu, z)): c for nu, c in items})
 
 
+@lru_cache(maxsize=None)
+def _peel_keys(d: RootDatum, top: Vec) -> tuple[int, tuple[int, ...]]:
+    """The slot of a peel at top, pack_slot(2 <2 rho, top>), and the packed
+    pairings of the points of ``dominant_below(top)``, index by index."""
+    slot = pack_slot(2 * dot(positive_root_sum(d), top))
+    return slot, tuple([pack(p, slot) for p in _dominant_below(d, top)[1]])
+
+
 def _peel(dd: LanglandsDualData, lam: Vec, mu: Vec) -> tuple[Vec, tuple[tuple[Vec, Laurent], ...]]:
     """(top, expansion of S(lambda0) S(mu0)), lambda0 and mu0 the cached
     representatives of the classes of two dominant coweights lambda and mu,
@@ -590,24 +591,20 @@ def _peel(dd: LanglandsDualData, lam: Vec, mu: Vec) -> tuple[Vec, tuple[tuple[Ve
     zero exactly when the residual is.  A violation is reported as an
     internal error.
 
-    Points, residual and images are keyed by packed coweights (module
-    docstring), at the slot width of the datum, which each cached image's
-    view is packed at; a peel that builds an image wider than the slot
-    starts again at the new one.  Keys turn back into coweights only as the
-    points they were packed from.  Coefficients are the t-ints of their
-    lifts, each read only under the peel's bound on the norms of the
-    residual and decoded into a Laurent only as it is put into the
-    expansion (module docstring).
+    Points, residual and images are keyed by their packed pairings at the
+    slot of top (module docstring), at which each image's view is read.
+    Keys turn back into coweights only as the points whose pairings they
+    pack.  Coefficients are the t-ints of their lifts, each read only under
+    the peel's bound on the norms of the residual and decoded into a
+    Laurent only as it is put into the expansion (module docstring).
     """
     d = dd.base
     s_lam = _class_image(dd, lam, pairings(d, lam))
     s_mu = _class_image(dd, mu, pairings(d, mu))
     top = vec_add(s_lam.rep, s_mu.rep)
-    slot = _slots[dd]
-    origin = pack(top, slot)
     points, point_pairings, depths = _dominant_below(d, top)
-    keys = [pack(nu, slot) - origin for nu in points]
-    residual = product_coefficients(s_lam.packed, s_mu.packed, keys)
+    slot, keys = _peel_keys(d, top)
+    residual = product_coefficients(s_lam.view(slot)[0], s_mu.view(slot)[0], keys)
     # a bound on the norm of every residual value, checked as soon as it
     # grows, so that each read below (the zero test, the decode and the
     # last test) happens under it
@@ -620,13 +617,10 @@ def _peel(dd: LanglandsDualData, lam: Vec, mu: Vec) -> tuple[Vec, tuple[tuple[Ve
             continue
         coeffs[nu], norm = t_laurent(n, -h, bound)
         image = _class_image(dd, nu, p)
-        if _slots[dd] != slot:
-            # the image of nu widened the slot and packed every view again
-            return _peel(dd, lam, mu)
         bound += norm * image.peak
         require_digits_fit(bound)
-        # a term y of S(rep) lands at y + nu - rep, so at key pack(y - rep) + k
-        add_products_into(residual, -n, image.packed_dominant, k)
+        # a term y of S(rep) lands at y + nu - rep, which has its pairings
+        add_products_into(residual, -n, image.view(slot)[1])
     if any(residual.values()):
         raise RuntimeError("internal: nonzero residual at a dominant point after peeling")
     if coeffs.get(top) != Laurent.one():

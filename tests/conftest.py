@@ -168,10 +168,9 @@ def reference_image(dd, lam):
 
 @pytest.fixture
 def fresh_images():
-    """Empty the image cache, the slot widths it is packed with and the
-    expansion memo around a test, so it builds and peels cold (and leaves
-    no corrupted image behind)."""
-    caches = (satake._images, satake._slots, satake._expansions)
+    """Empty the image cache and the expansion memo around a test, so it
+    builds and peels cold (and leaves no corrupted image behind)."""
+    caches = (satake._images, satake._expansions)
     for cache in caches:
         cache.clear()
     yield

@@ -24,6 +24,7 @@ from heckedual.lattice import (
     pack,
     pack_slot,
     product_coefficients,
+    repack,
     smith_normal_form,
     solve_integer_linear,
     t_laurent,
@@ -167,15 +168,14 @@ class TestLaurent:
         for _ in range(20):
             a, b, c = (random_t_laurent(rng) for _ in range(3))
             acc = {0: t_int(c)}
-            add_products_into(acc, t_int(a), [(0, t_int(b))], 0)
+            add_products_into(acc, t_int(a), [(0, t_int(b))])
             assert t_laurent(acc[0], 0, 1 << 20)[0] == c + a * b
-        # shifted packed keys, (0, 3) and (1, 2) with (0, 0) at (0, 3) in
-        # one-byte slots, and an entry that cancels is kept, as zero
+        # packed keys in one-byte slots, (0, 3) and (-1, 1) + (1, 2) meeting
+        # at one key, and an entry that cancels is kept, as zero
         acc = {}
         at = pack((0, 3), 8)
-        add_products_into(acc, t_int(Laurent({-1: 1})), [(pack((0, 0), 8), 2)], at)
-        add_products_into(acc, t_int(Laurent({-1: -2})), [(pack((-1, 1), 8), 1)],
-                          pack((1, 2), 8))
+        add_products_into(acc, t_int(Laurent({-1: 1})), [(at, 2)])
+        add_products_into(acc, t_int(Laurent({-1: -2})), [(pack((-1, 1), 8) + pack((1, 2), 8), 1)])
         assert list(acc) == [at] and acc[at] == 0
         zero, norm = t_laurent(acc[at], 0, 4)
         assert zero == Laurent.zero() and zero.items() == [] and norm == 0
@@ -186,7 +186,7 @@ class TestLaurent:
         # Laurent's one representation of what is left
         for minus, left in ((Laurent({-1: 1}), Laurent.one()), (Laurent.one(), Laurent({-1: 1}))):
             acc = {0: t_int(Laurent({0: 1, -1: 1}))}
-            add_products_into(acc, -t_int(minus), [(0, 1)], 0)
+            add_products_into(acc, -t_int(minus), [(0, 1)])
             found, norm = t_laurent(acc[0], 0, 3)
             assert found == left and hash(found) == hash(left) and norm == 1
             assert found.items() == left.items() and found.min_exp() == left.min_exp()
@@ -420,7 +420,7 @@ class TestGroupAlgebra:
                 offsets = corners + tuple(tuple(rng.randint(-width, width) for _ in range(2))
                                           for _ in range(4))
                 f = ga(2, {vec_add(o, r): random_t_laurent(rng) for r in offsets})
-                assert f.width(o) == width
+                assert max(abs(x - z) for y in f.support() for x, z in zip(y, o)) == width
                 origins.append(o)
                 factors.append(f)
             (oa, ob), (a, b) = origins, factors
@@ -440,14 +440,6 @@ class TestGroupAlgebra:
                 got = t_laurent(found[k], 0, 1 << 20)[0] if k in found else Laurent.zero()
                 assert got == full.coefficient(v)
 
-    def test_width_is_the_farthest_coordinate_from_the_origin(self):
-        rng = random.Random(41)
-        for _ in range(20):
-            a = random_element(rng, 3)
-            o = tuple(rng.randint(-4, 4) for _ in range(3))
-            assert a.width(o) == max(abs(x - y) for v in a.support() for x, y in zip(v, o))
-        assert GroupAlgebraElement.zero(2).width((5, -5)) == 0
-
     def test_pack_is_linear_and_one_to_one_up_to_half_a_slot(self):
         rng = random.Random(37)
         for bound in (0, 1, 127, 128, 2 ** 63, 2 ** 64 + 5):
@@ -463,6 +455,17 @@ class TestGroupAlgebra:
         keys = {pack(v, 8) for v in itertools.product(range(-127, 128), repeat=2)}
         assert len(keys) == 255 ** 2
         assert pack((128, -1), 8) == pack((-128, 0), 8)
+
+    def test_repack_moves_every_coordinate_to_the_wider_slot(self):
+        # coordinates up to just under half a slot, trailing zeros included,
+        # so most digits borrow from the next
+        rng = random.Random(47)
+        for slot, wider in ((8, 8), (8, 16), (16, 72), (64, 128)):
+            bound = (1 << (slot - 1)) - 1
+            corners = [(bound, -bound, 0), (-bound, bound, bound), (0, 0, -bound), (0, 0, 0)]
+            for v in corners + [tuple(rng.randint(-bound, bound) for _ in range(3))
+                                for _ in range(30)]:
+                assert repack(pack(v, slot), slot, wider) == pack(v, wider), (slot, wider, v)
 
     def test_specialize_is_ring_hom(self):
         rng = random.Random(17)

@@ -83,6 +83,29 @@ def test_chamber_peel_matches_full_product(name):
             assert structure_polynomials(dd, lam, mu) == full_product_peel(dd, lam, mu), (lam, mu)
 
 
+@pytest.mark.parametrize("order", ["small-first", "large-first"])
+@pytest.mark.parametrize("name, pairs, wide, top, narrow", [
+    ("PGL2", [((3,), (2,)), ((20,), (10,)), ((40,), (30,))], [(40,), (30,), (20,), (62,)],
+     (70,), (3,)),
+    ("PGL3", [((2, 1), (1, 0)), ((20, 0), (1, 0)), ((20, 0), (0, 12))], [(20, 0), (0, 12), (8, 0)],
+     (20, 12), (2, 1)),
+], ids=["PGL2", "PGL3"])
+def test_peel_reads_images_at_a_wider_slot(name, pairs, wide, top, narrow, order, fresh_images):
+    # the last product peels at a top with 2 <2 rho, top> >= 128, so at a
+    # 16-bit slot, and reads images built at 8 bits there: PGL2's (40) x (30)
+    # at 70, and PGL3's (20, 0) x (0, 12) at (20, 12), where both pairings of
+    # each key move; the smaller products read some of the same images at 8
+    # bits, before or after.  Images are named by their pairings.
+    dd = langlands_dual_data(BUILTINS[name])
+    if order == "large-first":
+        pairs = pairs[::-1]
+    found = [structure_polynomials(dd, lam, mu) for lam, mu in pairs]
+    assert found == [full_product_peel(dd, lam, mu) for lam, mu in pairs]
+    slots = {p: set(entry.views) for (_, p), entry in satake._images.items()}
+    assert all(slots[p] == {8, 16} for p in wide), slots
+    assert slots[top] == {16} and slots[narrow] == {8}
+
+
 def sheared(d, k):
     """d with its coweights transported by y -> y M, M the identity minus
     2^k on the subdiagonal, and its roots by the inverse, alpha -> M^-1
@@ -97,15 +120,15 @@ def sheared(d, k):
 
 @pytest.mark.parametrize("name", ["SL3", "Sp4", "GL3", "GL2"])
 def test_expansions_are_kept_under_sheared_coweights(name, fresh_images):
-    # the relative coordinates of the sheared images grow like 2^k and pass
-    # 2^63 for the last k, so the packed keys of the peel need slots of
-    # every byte count from 1 to 9; GL3 and GL2 also shift by the centre
+    # the coordinates of the sheared images grow like 2^k and pass 2^63 for
+    # the last k, but the peel keys terms by their pairings, which the shear
+    # keeps, so every view of every image is at one byte; GL3 and GL2 also
+    # shift by the centre
     d = BUILTINS[name]
     dd = langlands_dual_data(d)
     doms = enumerate_dominant(d, 2)
     want = [(lam, mu, structure_polynomials(dd, lam, mu).coeffs) for lam in doms for mu in doms]
     seen = sorted({nu for _, _, coeffs in want for nu in coeffs} | set(doms))
-    slots = set()
     for k in range(1, 65):
         moved, transport = sheared(d, k)
         dd_moved = langlands_dual_data(moved)
@@ -113,8 +136,9 @@ def test_expansions_are_kept_under_sheared_coweights(name, fresh_images):
         for lam, mu, coeffs in want:
             found = structure_polynomials(dd_moved, to[lam], to[mu]).coeffs
             assert found == {to[nu]: c for nu, c in coeffs.items()}, (k, lam, mu)
-        slots.add(satake._slots[dd_moved])
-    assert slots == set(range(8, 73, 8))
+        slots = {slot for (datum, _), entry in satake._images.items() if datum == dd_moved
+                 for slot in entry.views}
+        assert slots == {8}, k
 
 
 @pytest.mark.parametrize("name", ["SL3", "Sp4", "GL3"])
@@ -262,8 +286,8 @@ def test_images_match_the_tuple_walk(d, fresh_images):
         assert satake_image_extended(dd, lam) == extended, lam
         assert satake_image(dd, lam).poly == extended.specialize_delta(dd.delta_index), lam
         entry = satake._images[dd, pairings(d, lam)]
-        assert dict(entry.dominant) == {y: c for y, c in entry.image.poly.items()
-                                        if is_dominant_coweight(d, y)}, lam
+        (slot, (view, dominant)), = entry.views.items()
+        assert (view, dict(dominant)) == lifted_view(dd, lam, entry.image.poly, slot), lam
 
 
 def dot_invariant_by_lookups(d, elem):
@@ -344,23 +368,30 @@ def test_image_dominant_support_not_below_raises(monkeypatch, fresh_images):
         satake_image(DD_PGL2, (0,))
 
 
-def corrupt_view(dd, rep, corruption):
-    """Make the peel's view of the cached image of rep that of
-    corruption(S(rep)), past the image's build checks: the lift q^h c of
-    each coefficient c at y, h = <rho, rep - y>, as a t-int keyed at the
-    datum's slot, and the norms the peel bounds them by."""
-    entry = satake._images[dd, pairings(dd.base, rep)]
-    poly = corruption(entry.image.poly)
-    slot = satake._slots[dd]
-    two_rho, base = positive_root_sum(dd.base), pack(rep, slot)
-    view, dominant = {}, []
+def lifted_view(dd, rep, poly, slot):
+    """The peel's view of poly as an image of rep: the lift q^h c of each
+    coefficient c at y, h = <rho, rep - y>, as a t-int keyed by the pairings
+    of y packed at slot, and the same at the dominant y only."""
+    two_rho = positive_root_sum(dd.base)
+    view, dominant = {}, {}
     for y, c in poly.items():
         lifted = c.shift(sum(a * (x - z) for a, x, z in zip(two_rho, rep, y)) // 2)
-        key = pack(y, slot) - base
+        key = pack(pairings(dd.base, y), slot)
         view[key] = sum(x << -a * 64 for a, x in lifted.items())
         if is_dominant_coweight(dd.base, y):
-            dominant.append((key, view[key]))
-    entry.packed, entry.packed_dominant = view, tuple(dominant)
+            dominant[key] = view[key]
+    return view, dominant
+
+
+def corrupt_view(dd, rep, corruption):
+    """Make the peel's view of the cached image of rep that of
+    corruption(S(rep)), past the image's build checks, at the slot it is
+    read at, and the norms the peel bounds them by."""
+    entry = satake._images[dd, pairings(dd.base, rep)]
+    poly = corruption(entry.image.poly)
+    (slot,) = entry.views
+    view, dominant = lifted_view(dd, rep, poly, slot)
+    entry.views = {slot: (view, tuple(dominant.items()))}
     norms = [sum(abs(x) for _, x in c.items()) for _, c in poly.items()]
     entry.norm, entry.peak = sum(norms), max(norms)
 
