@@ -6,12 +6,9 @@ two vector lists" and no separate pairing type is needed.
 
 Two kinds of values live here:
 
-* ``Laurent``: integer Laurent polynomials in one variable q, each packed
-  into one Python int with a 64-bit slot per coefficient (Kronecker
-  substitution), so that a product is one int product.  The int is read
-  only while a bound carried on the sum of the coefficients' absolute
-  values is below 2^63, half a slot; otherwise reading raises an
-  internal RuntimeError.
+* ``Laurent``: integer Laurent polynomials in one variable q, each its
+  lowest exponent and the tuple of its coefficients as Python ints, so sums
+  and products are plain coefficient loops, exact at any size.
 * ``GroupAlgebraElement``: finitely supported Z[q,q^-1]-combinations of
   lattice monomials e^v with v in Z^n; the carrier for spherical functions
   and characters of dual-group representations.  Every operation that can
@@ -20,24 +17,25 @@ Two kinds of values live here:
   Demazure-Lusztig and dot actions downstream) sums its terms through one
   routine, ``GroupAlgebraElement.collect``, which stores no zero.
 * packed vectors: ``pack`` sends an integer vector v to the int
-  sum_i v_i 2^(slot i), the same Kronecker substitution, here on a linear
-  image of the exponents of the group algebra (the peel packs the pairings
+  sum_i v_i 2^(slot i), a Kronecker substitution, here on a linear image
+  of the exponents of the group algebra (the peel packs the pairings
   of a coweight with the simple roots).  It is linear, so a difference or
   a shift is one int subtraction or add, and it is one to one while every
   coordinate is below 2^(slot-1) in absolute value; ``pack_slot`` gives the
   least whole number of bytes for a bound, and ``repack`` moves a packed
   vector to a wider slot.
 * t-ints: a polynomial sum_i c_i t^i in t = q^-1 as the one int
-  sum_i c_i 2^(64 i), with no lowest exponent beside it.  Sums and products
-  of polynomials are sums and products of their ints, exactly, a power of
-  t is a shift (``t_times``), and ``t_laurent`` reads one back into a
-  Laurent, times a power of q, while a bound on the norms of what was
-  summed and multiplied shows that every coefficient fits its digit
-  (``require_digits_fit``).  ``laurent_coefficients`` gives each
-  coefficient of a walk as a Laurent and, over its highest power of q, as
-  a t-int; the two routines of the peel downstream,
-  ``product_coefficients`` and ``add_products_into``, take t-ints keyed by
-  packed vectors, and the caller carries the bound.
+  sum_i c_i 2^(64 i), with no lowest exponent beside it, the only packed
+  polynomial here.  Sums and products of polynomials are sums and products
+  of their ints, exactly, a power of t is a shift (``t_times``), and
+  ``t_laurent`` reads one back into a Laurent, times a power of q, while a
+  bound on the norms of what was summed and multiplied shows that every
+  coefficient fits its digit (``require_digits_fit``).
+  ``laurent_coefficients`` gives each coefficient of a walk as a Laurent
+  and, over its highest power of q, as a t-int, both in one pass; the two
+  routines of the peel downstream, ``product_coefficients`` and
+  ``add_products_into``, take t-ints keyed by packed vectors, and the
+  caller carries the bound.
 
 Simple reflections are applied to vectors by ``reflect``, v - <a, v> b; no
 reflection matrix is built.  Integer matrices are plain tuples of row
@@ -343,56 +341,42 @@ def solve_integer_linear(mat: Sequence[Sequence[int]], rhs: Sequence[int]):
 # ---------------------------------------------------------------------------
 # Laurent polynomials in q
 
-_SLOT = 64  # bits per coefficient in a packed Laurent
-_MASK = (1 << _SLOT) - 1
-_HALF = 1 << (_SLOT - 1)
-
 
 class Laurent:
-    """Integer Laurent polynomial in one variable, packed into one int.
+    """Integer Laurent polynomial in one variable.
 
-    sum_k c_k q^k is stored as lo, the lowest exponent with c_k != 0, and
-    N = sum_k c_k 2^(64 (k - lo)), whose 64-bit digits are read back as
-    balanced digits in [-2^63, 2^63).  Products and shifted sums of
-    Laurents are then one int product and one shifted int add
-    (Kronecker substitution; Harvey, J. Symbolic Comput. 44, 2009).
-
-    Each value also carries an upper bound on its norm sum_k |c_k|: sums
-    add the bounds and products multiply them.  While the bound is below
-    2^63 every coefficient fits its digit, so N is read (equality, zero
-    tests, decoding) only then, and otherwise reading raises an internal
-    RuntimeError.  A sum or product of two Laurents whose bound reaches
-    2^63 takes the exact norms of its operands instead, so a long chain of
-    arithmetic trips only when its values grow that large.  The zero
-    polynomial is lo = N = 0, so representations are unique and equality
-    is structural.
+    sum_k c_k q^k is stored as lo, its lowest exponent, and the tuple
+    (c_lo, c_lo+1, ..., c_hi) of Python ints, whose first and last entries
+    are nonzero.  The zero polynomial is lo = 0 and (), so representations
+    are unique and equality is structural.  Sums and products are plain
+    loops over the coefficients, exact at any size.
     """
 
-    __slots__ = ("_lo", "_n", "_bound")
+    __slots__ = ("_lo", "_coeffs")
 
     def __init__(self, coeffs: Mapping[int, int] | None = None):
         terms = [(k, v) for k, v in map(int_vector, (coeffs or {}).items()) if v]
         lo = min((k for k, _ in terms), default=0)
-        self._lo = lo
-        self._n = sum(v << (k - lo) * _SLOT for k, v in terms)
-        self._bound = sum(abs(v) for _, v in terms)
+        out = [0] * (max((k for k, _ in terms), default=lo) - lo + 1)
+        for k, v in terms:
+            out[k - lo] += v
+        self._lo, self._coeffs = _normal(lo, out)
 
     @classmethod
-    def _make(cls, lo: int, n: int, bound: int) -> "Laurent":
-        # trusted constructor: lo is the lowest exponent, or 0 when n == 0
+    def _make(cls, lo: int, coeffs: tuple[int, ...]) -> "Laurent":
+        # trusted constructor: coeffs has nonzero ends, and lo is 0 when it is ()
         self = object.__new__(cls)
         self._lo = lo
-        self._n = n
-        self._bound = bound
+        self._coeffs = coeffs
         return self
 
     @classmethod
     def zero(cls) -> "Laurent":
-        return cls._make(0, 0, 0)
+        return cls._make(0, ())
 
     @classmethod
     def one(cls) -> "Laurent":
-        return cls._make(0, 1, 1)
+        return cls._make(0, (1,))
 
     @classmethod
     def term(cls, coeff: int, exp: int = 0) -> "Laurent":
@@ -400,30 +384,13 @@ class Laurent:
 
     @classmethod
     def q_power(cls, exp: int) -> "Laurent":
-        return cls._make(exp, 1, 1)
-
-    def _exact(self) -> int:
-        return _read(self._n, self._bound)
+        return cls._make(exp, (1,))
 
     def is_zero(self) -> bool:
-        return not self._exact()
+        return not self._coeffs
 
     def items(self) -> list[tuple[int, int]]:
-        out = []
-        n, k = self._exact(), self._lo
-        while n:
-            c = n & _MASK
-            if c >= _HALF:
-                c -= 1 << _SLOT
-            if c:
-                out.append((k, c))
-            n = (n - c) >> _SLOT
-            k += 1
-        return out
-
-    def _norm(self) -> int:
-        """sum_k |c_k|, exactly."""
-        return sum(abs(c) for _, c in self.items())
+        return [(k, c) for k, c in enumerate(self._coeffs, self._lo) if c]
 
     def min_exp(self) -> int:
         if self.is_zero():
@@ -442,10 +409,18 @@ class Laurent:
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        bound = self._bound + other._bound
-        if bound >= _HALF:
-            bound = self._norm() + other._norm()
-        return _packed_sum(self._lo, self._n, other._lo, sign * other._n, bound)
+        a, b = self._coeffs, other._coeffs
+        if not b:
+            return self
+        if not a:
+            return other if sign > 0 else -other
+        la, lb = self._lo, other._lo
+        lo = min(la, lb)
+        out = [0] * (max(la + len(a), lb + len(b)) - lo)
+        out[la - lo:la - lo + len(a)] = a
+        for i, c in enumerate(b, lb - lo):
+            out[i] += sign * c
+        return Laurent._make(*_normal(lo, out))
 
     def __add__(self, other):
         return self._add(other, 1)
@@ -459,37 +434,52 @@ class Laurent:
         return (-self).__add__(other)
 
     def __neg__(self):
-        return Laurent._make(self._lo, -self._n, self._bound)
+        return Laurent._make(self._lo, tuple([-c for c in self._coeffs]))
 
     def __mul__(self, other):
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        bound = self._bound * other._bound
-        if bound >= _HALF:
-            bound = self._norm() * other._norm()
-        n = self._n * other._n
-        return Laurent._make(self._lo + other._lo if n else 0, n, bound)
+        a, b = self._coeffs, other._coeffs
+        if not a or not b:
+            return Laurent.zero()
+        if len(a) > len(b):
+            a, b = b, a
+        if len(a) == 1:
+            out = [a[0] * y for y in b]
+        else:
+            out = [0] * (len(a) + len(b) - 1)
+            for i, x in enumerate(a):
+                for j, y in enumerate(b, i):
+                    out[j] += x * y
+        # each end is the product of two nonzero ends, so nonzero
+        return Laurent._make(self._lo + other._lo, tuple(out))
 
     __rmul__ = __mul__
 
     def __eq__(self, other):
+        if isinstance(other, bool):
+            # as_int refuses a bool, which hashes like 0 or 1: unequal, not an error
+            return NotImplemented
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        return self._exact() == other._exact() and self._lo == other._lo
+        return self._lo == other._lo and self._coeffs == other._coeffs
 
     def __hash__(self):
-        return hash((self._lo, self._exact()))
+        # a constant equals its int, so it hashes like it
+        if self._lo or len(self._coeffs) > 1:
+            return hash((self._lo, self._coeffs))
+        return hash(self._coeffs[0]) if self._coeffs else 0
 
     def __bool__(self):
         return not self.is_zero()
 
     def shift(self, exp: int) -> "Laurent":
         """Multiply by q^exp."""
-        if not self._n:
+        if not self._coeffs:
             return self
-        return Laurent._make(self._lo + exp, self._n, self._bound)
+        return Laurent._make(self._lo + exp, self._coeffs)
 
     def evaluate(self, x: Fraction) -> Fraction:
         terms = self.items()
@@ -524,41 +514,19 @@ def _signed_sum(parts: list[tuple[str, str]]) -> str:
     return ("-" if sign == "-" else "") + first + "".join(f" {s} {body}" for s, body in rest)
 
 
-def require_digits_fit(bound: int) -> None:
-    """An internal RuntimeError unless a bound on the norm sum_k |c_k| of a
-    packed int shows that every coefficient fits its digit."""
-    if bound >= _HALF:
-        raise RuntimeError(f"internal: coefficient bound {bound} reaches half a {_SLOT}-bit slot")
-
-
-def _read(n: int, bound: int) -> int:
-    """N, once its bound shows that every coefficient fits its digit."""
-    require_digits_fit(bound)
-    return n
-
-
-def _packed_sum(lo1: int, n1: int, lo2: int, n2: int, bound: int) -> Laurent:
-    """q^lo1 N1 + q^lo2 N2 as a Laurent of the given bound, where each part
-    is zero or has its lowest exponent at its lo."""
-    if not n1:
-        return Laurent._make(lo2 if n2 else 0, n2, bound)
-    if not n2:
-        return Laurent._make(lo1, n1, bound)
-    if lo1 < lo2:
-        return Laurent._make(lo1, n1 + (n2 << (lo2 - lo1) * _SLOT), bound)
-    if lo1 > lo2:
-        return Laurent._make(lo2, (n1 << (lo1 - lo2) * _SLOT) + n2, bound)
-    n = n1 + n2
-    if n and not n & _MASK:
-        # a zero lowest digit, which only the bound shows to be 0
-        n = _read(n, bound)
-        zeros = ((n & -n).bit_length() - 1) // _SLOT
-        lo1, n = lo1 + zeros, n >> zeros * _SLOT
-    return Laurent._make(lo1 if n else 0, n, bound)
+def _normal(lo: int, coeffs: list[int]) -> tuple[int, tuple[int, ...]]:
+    """q^lo (c_0 + c_1 q + ...) as Laurent stores it: the zeros at both ends
+    of the coefficients dropped, and (0, ()) for zero."""
+    i, j = 0, len(coeffs)
+    while i < j and not coeffs[i]:
+        i += 1
+    while j > i and not coeffs[j - 1]:
+        j -= 1
+    return (lo + i, tuple(coeffs[i:j])) if i < j else (0, ())
 
 
 # ---------------------------------------------------------------------------
-# packed exponents
+# packed exponents and t-ints
 
 
 def pack(v: Sequence[int], slot: int) -> int:
@@ -590,46 +558,62 @@ def repack(n: int, slot: int, wider: int) -> int:
     return pack(v, wider)
 
 
-def laurent_coefficients(terms: Mapping[int, int],
-                         top: int) -> dict[int, tuple[Laurent, int, int, int]]:
+_SLOT = 64  # bits per digit of a t-int
+_MASK = (1 << _SLOT) - 1
+_HALF = 1 << (_SLOT - 1)
+
+
+def laurent_coefficients(terms: Mapping[int, int], top: int) -> dict[int, tuple[Laurent, int]]:
     """Monomials c q^a e^v keyed by a 2^top + k, k in [0, 2^top) the packed
     exponent v, summed by k: per exponent, the coefficient as one Laurent
-    bounded by its exact norm, its highest exponent hi, q^-hi times it as a
-    t-int (q^a goes to the digit hi - a) and its norm.  Keys are distinct
-    and coefficients nonzero ints.  In key order a rises first, so the
-    first monomial of each k has its lowest exponent and the last its
-    highest: each t-int is built by Horner's rule."""
+    and, with hi its highest exponent, q^-hi times it as a t-int (q^a goes
+    to the digit hi - a).  Keys are distinct and coefficients nonzero ints.
+    In key order a rises first, so the first monomial of each k has its
+    lowest exponent and the last its highest: the coefficients are
+    appended in order, and each t-int is built by Horner's rule."""
     low = (1 << top) - 1
-    out: dict[int, list[int]] = {}
+    out: dict[int, list] = {}
     for key in sorted(terms):
         c, a, k = terms[key], key >> top, key & low
         found = out.get(k)
         if found is None:
-            out[k] = [a, c, a, c, abs(c)]
+            out[k] = [a, [c], c]
         else:
-            found[1] += c << (a - found[0]) * _SLOT
-            found[3] = (found[3] << (a - found[2]) * _SLOT) + c
-            found[2] = a
-            found[4] += abs(c)
-    return {k: (Laurent._make(lo, n, norm), hi, t, norm) for k, (lo, n, hi, t, norm) in out.items()}
+            lo, coeffs, t = found
+            gap = a - lo - len(coeffs)  # the zero coefficients below q^a
+            coeffs += [0] * gap
+            coeffs.append(c)
+            found[2] = (t << (gap + 1) * _SLOT) + c
+    return {k: (Laurent._make(lo, tuple(coeffs)), t) for k, (lo, coeffs, t) in out.items()}
+
+
+def require_digits_fit(bound: int) -> None:
+    """An internal RuntimeError unless a bound on the norm sum_i |c_i| of a
+    t-int shows that every coefficient fits its digit."""
+    if bound >= _HALF:
+        raise RuntimeError(f"internal: coefficient bound {bound} reaches half a {_SLOT}-bit slot")
 
 
 def t_laurent(n: int, power: int, bound: int) -> tuple[Laurent, int]:
     """q^power times the polynomial of the t-int n, as a Laurent in q, and
     its exact norm, read once bound, on the norm, shows that every
     coefficient fits its digit.  Digit i is the coefficient of
-    q^(power - i), so the Laurent's digits run the other way."""
-    n = _read(n, bound)
-    m = norm = digits = 0
+    q^(power - i), so the Laurent's coefficients run the other way."""
+    require_digits_fit(bound)
+    digits = []
     while n:
         c = n & _MASK
         if c >= _HALF:
             c -= 1 << _SLOT
         n = (n - c) >> _SLOT
-        m = (m << _SLOT) + c
-        norm += abs(c)
-        digits += 1
-    return Laurent._make(power + 1 - digits if m else 0, m, norm), norm
+        digits.append(c)
+    # the highest digit is nonzero, but the lowest may be 0: drop those
+    while digits and not digits[0]:
+        del digits[0]
+        power -= 1
+    digits.reverse()
+    lo = power + 1 - len(digits) if digits else 0
+    return Laurent._make(lo, tuple(digits)), sum(map(abs, digits))
 
 
 def t_times(n: int, i: int) -> int:

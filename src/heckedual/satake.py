@@ -55,11 +55,11 @@ make a remainder that vanishes there vanish everywhere: it is dot-invariant,
 with dominant support below lambda+mu.
 
 The peel keys every term, point and residual entry by its pairings
-(<alpha_i, y>)_i, packed (``lattice.pack``, a Kronecker substitution like
-``Laurent``'s).  Every coweight a peel at top meets lies in top minus the
-coroot lattice, where the pairings are linear and one to one, as the
-Cartan matrix is invertible; they do not depend on the basis, and a
-central shift leaves them alone.  So looking up v - y in the other factor
+(<alpha_i, y>)_i, packed (``lattice.pack``, a Kronecker substitution, as
+for the peel's t-ints).  Every coweight a peel at top meets lies in top
+minus the coroot lattice, where the pairings are linear and one to one,
+as the Cartan matrix is invertible; they do not depend on the basis, and
+a central shift leaves them alone.  So looking up v - y in the other factor
 is one int subtraction, and a term y of the cached image of nu's class
 lands in the residual at its own key, with no shift.  A compared pairing
 is a point's, at most <2 rho, top>, less a term's, at most <2 rho, nu> <=
@@ -391,9 +391,9 @@ def _build(d: RootDatum, lam: Vec, p: Vec) -> _Image:
     the coroot lattice, where its pairings name it, so a dominant term lies
     below lambda exactly when its pairing digits are those of a point of
     ``dominant_below``; that is checked as each term is decoded, once,
-    into y, one Laurent of exact norm, its lift q^h c, h = <rho, lambda -
-    y>, as a t-int, which must lie in Z[q^-1] (module docstring), and its
-    peel key, the pairing digits less their bias."""
+    into y, one Laurent, its lift q^h c, h = <rho, lambda - y>, as a
+    t-int, which must lie in Z[q^-1] (module docstring), and its peel key,
+    the pairing digits less their bias."""
     keys, terms = _walk(d, lam, p)
     slot, mask, bias, top = keys.slot, keys.mask, keys.bias, keys.top
     for shift, move in zip(keys.shifts, keys.moves):
@@ -420,8 +420,10 @@ def _build(d: RootDatum, lam: Vec, p: Vec) -> _Image:
     poly, view, tops = {}, {}, []
     total = peak = 0
     shared: dict[int, int] = {}
-    for point, (c, hi, t, norm) in coeffs.items():
+    for point, (c, t) in coeffs.items():
         y, h = coweight(point)
+        cs = c._coeffs
+        hi = c._lo + len(cs) - 1
         key = (point >> m_bits) - p_bias
         at_dominant = point & dominant == dominant
         if at_dominant and key not in below:
@@ -433,6 +435,7 @@ def _build(d: RootDatum, lam: Vec, p: Vec) -> _Image:
         # the lift q^h c as a t-int, equal on each W-orbit: one int per orbit
         t = t_times(t, -hi - h)
         t = view[key] = shared.setdefault(t, t)
+        norm = sum(map(abs, cs))
         total += norm
         if norm > peak:
             peak = norm
@@ -644,8 +647,10 @@ def tree_structure_constants(m: int, n: int, q: int,
     path from u: q + 1 choices for the first step, q for each later one.
     Taking v to be the all-zero path of length d, the paths to w and to v
     share their first min(z, d) steps, z the number of leading zeros of
-    w's path, so dist(w, v) = m + d - 2 min(z, d).
+    w's path, so dist(w, v) = m + d - 2 min(z, d).  Each argument is read
+    by ``as_int``.
     """
+    m, n, q, depth_cap = map(as_int, (m, n, q, depth_cap))
     if q < 2:
         raise ValidationError("tree oracle needs q >= 2")
     if m < 0 or n < 0:
@@ -712,8 +717,10 @@ def compare_rank1_oracle(q0: int, max_height: int,
     expansion coefficient rescaled by q^dot(t, lambda + mu' - nu) and
     evaluated at q = q0 must equal the tree count at the matching
     distance; mismatches are collected, not raised.  The deepest tree is
-    max_height, refused up front when it exceeds depth_cap.
+    max_height, refused up front when it exceeds depth_cap.  Each argument
+    is read by ``as_int``.
     """
+    q0, max_height, depth_cap = map(as_int, (q0, max_height, depth_cap))
     if max_height > depth_cap:
         raise CapExceededError(f"tree depth {max_height} exceeds the cap of {depth_cap}")
     dd = langlands_dual_data(BUILTINS["PGL2"])

@@ -1,6 +1,7 @@
 """Tests for exact lattice and group-algebra arithmetic."""
 
 import itertools
+import math
 import random
 from fractions import Fraction
 
@@ -34,7 +35,14 @@ from heckedual.lattice import (
 )
 from heckedual.rfunc import DualRepresentation, make_parameter
 from heckedual.rootdatum import BUILTINS, RootDatum, dominance_leq, dominant_below, require_dominant
-from heckedual.satake import HeckeExpansion, UnramifiedCharacter, satake_image, structure_polynomials
+from heckedual.satake import (
+    HeckeExpansion,
+    UnramifiedCharacter,
+    compare_rank1_oracle,
+    satake_image,
+    structure_polynomials,
+    tree_structure_constants,
+)
 
 
 def ga(rank, terms):
@@ -94,11 +102,20 @@ class TestIntegerEntries:
         lambda x: UnramifiedCharacter(BUILTINS["PGL2"], ((Fraction(2), x),)),
         lambda x: dominant_below(BUILTINS["PGL2"], (x,)),
         lambda x: HeckeExpansion(BUILTINS["PGL2"], {(x,): Laurent.one()}),
+        lambda x: tree_structure_constants(x, 1, 2),
+        lambda x: tree_structure_constants(1, x, 2),
+        lambda x: tree_structure_constants(2, 1, x),
+        lambda x: tree_structure_constants(1, 1, 2, depth_cap=x),
+        lambda x: compare_rank1_oracle(x, 2),
+        lambda x: compare_rank1_oracle(3, x),
+        lambda x: compare_rank1_oracle(3, 2, depth_cap=x),
     ], ids=["datum-entry", "datum-rank", "require-dominant", "satake-image", "lhs", "rhs",
             "dual-representation", "from-orbits", "exponent", "coefficient",
             "laurent-coefficient", "laurent-exponent", "laurent-term", "scale", "coefficient-at",
             "expansion-get", "dominance-lower", "dominance-upper", "parameter-value",
-            "character-value", "character-exponent", "dominant-below", "hecke-expansion-key"])
+            "character-value", "character-exponent", "dominant-below", "hecke-expansion-key",
+            "tree-m", "tree-n", "tree-q", "tree-depth-cap", "oracle-q", "oracle-height",
+            "oracle-depth-cap"])
     def test_fraction_is_refused_not_truncated(self, call, x, shown):
         with pytest.raises(ValidationError, match=f"^expected an integer, got {shown}$"):
             call(x)
@@ -140,6 +157,16 @@ class TestLaurent:
     def test_normalization_drops_zeros(self):
         assert Laurent({0: 0, 2: 1}) == Laurent({2: 1})
         assert Laurent({3: 0}).is_zero()
+
+    def test_a_constant_hashes_like_its_int(self):
+        # a constant equals its int, so sets and dicts must take one for the other
+        assert Laurent.one() == 1 and len({Laurent.one(), 1}) == 1
+        assert {3: "x"}.get(Laurent.term(3)) == "x"
+        for c in (0, 1, -1, -2, 7, 1 << 70, -(1 << 70)):
+            assert Laurent.term(c) == c and hash(Laurent.term(c)) == hash(c)
+        # a bool is not read as an integer, so it meets a constant of its hash
+        # as an unequal key
+        assert Laurent.one() != True and len({True, Laurent.one(), False, Laurent.zero()}) == 4
 
     def test_arithmetic(self):
         a = Laurent({1: 2, -1: 1})
@@ -208,13 +235,16 @@ class TestLaurent:
             t_laurent(1, 0, 1 << 63)
 
     def test_laurent_coefficients_give_both_views(self):
-        # monomials c q^a e^k keyed by a 2^8 + k: each k gets its Laurent,
-        # its highest exponent hi, q^-hi times it as a t-int and its norm
+        # monomials c q^a e^k keyed by a 2^8 + k: each k gets its Laurent
+        # and, hi its highest exponent, q^-hi times it as a t-int; k = 3 has
+        # no q^-1, which both views hold as a zero coefficient
         terms = {(-2 << 8) + 3: 5, (0 << 8) + 3: -1, (-1 << 8) + 7: 2, (2 << 8) + 9: 1}
-        assert laurent_coefficients(terms, 8) == {
-            3: (Laurent({-2: 5, 0: -1}), 0, t_int(Laurent({-2: 5, 0: -1})), 6),
-            7: (Laurent({-1: 2}), -1, 2, 2),
-            9: (Laurent({2: 1}), 2, 1, 1)}
+        found = laurent_coefficients(terms, 8)
+        assert found == {
+            3: (Laurent({-2: 5, 0: -1}), t_int(Laurent({-2: 5, 0: -1}))),
+            7: (Laurent({-1: 2}), 2),
+            9: (Laurent({2: 1}), 1)}
+        assert found[3][0].items() == [(-2, 5), (0, -1)] and found[3][0].min_exp() == -2
 
 
 def dict_sum(a, b, sign=1):
@@ -233,16 +263,17 @@ def dict_product(a, b):
 
 
 def edge_laurent(rng):
-    """One to three terms whose coefficients reach near half a slot, with
-    norm below 2^63 - 1."""
+    """One to three terms whose coefficients reach near 2^63, with norm
+    below 2^63 - 1."""
     exps = rng.sample(range(-5, 6), rng.randint(1, 3))
     room = ((1 << 63) - 2) // len(exps)
     return Laurent({e: rng.randint(1, room) * rng.choice((-1, 1)) for e in exps})
 
 
 class TestPackedLaurent:
-    """Laurent is packed into one int; every result must match a plain
-    {exponent: coefficient} computation."""
+    """Laurent is its lowest exponent and a tuple of int coefficients; every
+    result must match a plain {exponent: coefficient} computation, at any
+    size of coefficient."""
 
     def check(self, x, expected):
         assert x.items() == sorted(expected.items())
@@ -300,21 +331,50 @@ class TestPackedLaurent:
         self.check(Laurent({0: 1 << 31}) * Laurent({0: (1 << 31) - 1, 5: -3}),
                    {0: (1 << 62) - (1 << 31), 5: -3 << 31})
 
-    def test_bound_at_half_a_slot_trips(self):
-        reads = (lambda x: x.items(), lambda x: x.is_zero(), bool, hash, str,
-                 lambda x: x == Laurent.zero(), lambda x: x.min_exp())
+    def test_values_past_half_a_slot_are_exact(self):
+        # each has norm 2^63, past what a 64-bit digit holds: all five decode
+        # exactly, to the two values they are
         big = Laurent({0: 1 << 62})
-        # each has norm 2^63: the first would decode correctly, the others
-        # would not, and the bound cannot tell them apart
-        for x in (Laurent({0: 1 << 62, 1: 1 << 62}), Laurent({0: 1 << 63}),
-                  big + big, big * 2, big - (-big)):
-            for read in reads:
-                with pytest.raises(RuntimeError, match="half a 64-bit slot"):
-                    read(x)
+        two = Laurent({0: 1 << 62, 1: 1 << 62})
+        self.check(two, {0: 1 << 62, 1: 1 << 62})
+        assert str(two) == "4611686018427387904*q + 4611686018427387904"
+        for x in (Laurent({0: 1 << 63}), big + big, big * 2, big - (-big)):
+            self.check(x, {0: 1 << 63})
+            assert x and x != Laurent.zero() and str(x) == "9223372036854775808"
+
+    def test_arithmetic_past_two_to_the_63_matches_dicts(self):
+        rng = random.Random(53)
+        for _ in range(100):
+            a, b = (Laurent({e: rng.randint(-(1 << bits), 1 << bits)
+                             for e in rng.sample(range(-5, 6), rng.randint(1, 4))})
+                    for bits in (70, 200))
+            da, db = dict(a.items()), dict(b.items())
+            self.check(a + b, dict_sum(da, db))
+            self.check(a - b, dict_sum(da, db, -1))
+            self.check(a * b, dict_product(da, db))
+            self.check(a * a - a * a, {})
+
+    def test_group_algebra_power_past_two_to_the_63(self):
+        # (1 + q)^70 and (1 + q e^1)^70: the middle binomials pass 2^63, the
+        # first as a Laurent product, the second as sums where terms meet
+        binomials = {k: math.comb(70, k) for k in range(71)}
+        assert binomials[35] > 1 << 63
+        reference = {0: 1}
+        for _ in range(70):
+            reference = dict_product(reference, {0: 1, 1: 1})
+        assert reference == binomials
+        a = GroupAlgebraElement.monomial((1,), Laurent({0: 1, 1: 1}))
+        b = GroupAlgebraElement.one(1) + GroupAlgebraElement.monomial((1,), Laurent.q_power(1))
+        pa, pb = a, b
+        for _ in range(69):
+            pa, pb = pa * a, pb * b
+        assert pa.items() == [((70,), Laurent(reference))]
+        assert pb.items() == [((k,), Laurent.term(c, k)) for k, c in sorted(reference.items())]
 
     def test_loose_bounds_take_exact_norms(self):
-        # y * x - y * (x - 1) == y: the bounds multiply by 2 |x|_1 + 1 = 9
-        # per step and pass 2^63 long before the end, the norms do not
+        # y * x - y * (x - 1) == y, sixty times over: a bound on the norms
+        # that multiplied by 2 |x|_1 + 1 = 9 per step would pass 2^63 long
+        # before the end, while the norms themselves stay put
         x = Laurent({-1: 1, 2: -3})
         y = Laurent({0: 2, 1: -1})
         for _ in range(60):
