@@ -62,15 +62,24 @@ WEYL_CAP_ENV = "HECKEDUAL_MAX_WEYL"
 # datum documents
 
 
+def _json_int(text: str) -> int:
+    # CPython's default limit on the digits of an int read from text (3.11 on), on every version
+    if len(text.lstrip("-")) > 4300:
+        raise ValidationError("malformed JSON: an integer literal of more than 4300 digits")
+    return int(text)
+
+
 def parse_datum(doc: bytes | str) -> RootDatum:
     """Parse and validate a JSON datum document; RootDatum reads its
     entries, refusing a boolean or a fractional number."""
     try:
-        data = json.loads(doc.decode("utf-8") if isinstance(doc, bytes) else doc)
+        data = json.loads(doc.decode("utf-8") if isinstance(doc, bytes) else doc, parse_int=_json_int)
     except UnicodeDecodeError as exc:
         raise ValidationError(f"datum document is not UTF-8: {exc}") from None
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # a JSONDecodeError, or int() under a lower digit limit
         raise ValidationError(f"malformed JSON: {exc}") from None
+    except RecursionError:
+        raise ValidationError("malformed JSON: arrays or objects nested too deeply") from None
     if not isinstance(data, dict):
         raise ValidationError("datum document must be a JSON object")
     try:

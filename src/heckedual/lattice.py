@@ -27,15 +27,14 @@ Two kinds of values live here:
 * t-ints: a polynomial sum_i c_i t^i in t = q^-1 as the one int
   sum_i c_i 2^(64 i), with no lowest exponent beside it, the only packed
   polynomial here.  Sums and products of polynomials are sums and products
-  of their ints, exactly, a power of t is a shift (``t_times``), and
-  ``t_laurent`` reads one back into a Laurent, times a power of q, while a
-  bound on the norms of what was summed and multiplied shows that every
-  coefficient fits its digit (``require_digits_fit``).
-  ``laurent_coefficients`` gives each coefficient of a walk as a Laurent
-  and, over its highest power of q, as a t-int, both in one pass; the two
-  routines of the peel downstream, ``product_coefficients`` and
-  ``add_products_into``, take t-ints keyed by packed vectors, and the
-  caller carries the bound.
+  of their ints, exactly, and a term c t^i is c shifted by i digits.
+  ``t_laurent``, the one decoder, reads a t-int back into a Laurent, times
+  a power of q, while a bound on the norms of what was summed and
+  multiplied shows that every coefficient fits its digit
+  (``require_digits_fit``).  The image walk builds the lift of each
+  coefficient as a t-int from its monomials; the two routines of the peel
+  downstream, ``product_coefficients`` and ``add_products_into``, take
+  t-ints keyed by packed vectors, and the caller carries the bound.
 
 Simple reflections are applied to vectors by ``reflect``, v - <a, v> b; no
 reflection matrix is built.  Integer matrices are plain tuples of row
@@ -398,9 +397,11 @@ class Laurent:
         return self._lo
 
     def _coerce(self, other):
+        """A scalar operand as a Laurent: an int, float or Fraction is read by
+        ``as_int``, which refuses a bool or a fractional value."""
         if isinstance(other, Laurent):
             return other
-        if isinstance(other, int):
+        if isinstance(other, (int, float, Fraction)):
             return Laurent({0: other})
         return NotImplemented
 
@@ -461,7 +462,10 @@ class Laurent:
         if isinstance(other, bool):
             # as_int refuses a bool, which hashes like 0 or 1: unequal, not an error
             return NotImplemented
-        other = self._coerce(other)
+        try:
+            other = self._coerce(other)
+        except ValidationError:
+            return False  # a fractional value, which as_int refuses
         if other is NotImplemented:
             return NotImplemented
         return self._lo == other._lo and self._coeffs == other._coeffs
@@ -563,30 +567,6 @@ _MASK = (1 << _SLOT) - 1
 _HALF = 1 << (_SLOT - 1)
 
 
-def laurent_coefficients(terms: Mapping[int, int], top: int) -> dict[int, tuple[Laurent, int]]:
-    """Monomials c q^a e^v keyed by a 2^top + k, k in [0, 2^top) the packed
-    exponent v, summed by k: per exponent, the coefficient as one Laurent
-    and, with hi its highest exponent, q^-hi times it as a t-int (q^a goes
-    to the digit hi - a).  Keys are distinct and coefficients nonzero ints.
-    In key order a rises first, so the first monomial of each k has its
-    lowest exponent and the last its highest: the coefficients are
-    appended in order, and each t-int is built by Horner's rule."""
-    low = (1 << top) - 1
-    out: dict[int, list] = {}
-    for key in sorted(terms):
-        c, a, k = terms[key], key >> top, key & low
-        found = out.get(k)
-        if found is None:
-            out[k] = [a, [c], c]
-        else:
-            lo, coeffs, t = found
-            gap = a - lo - len(coeffs)  # the zero coefficients below q^a
-            coeffs += [0] * gap
-            coeffs.append(c)
-            found[2] = (t << (gap + 1) * _SLOT) + c
-    return {k: (Laurent._make(lo, tuple(coeffs)), t) for k, (lo, coeffs, t) in out.items()}
-
-
 def require_digits_fit(bound: int) -> None:
     """An internal RuntimeError unless a bound on the norm sum_i |c_i| of a
     t-int shows that every coefficient fits its digit."""
@@ -614,11 +594,6 @@ def t_laurent(n: int, power: int, bound: int) -> tuple[Laurent, int]:
     digits.reverse()
     lo = power + 1 - len(digits) if digits else 0
     return Laurent._make(lo, tuple(digits)), sum(map(abs, digits))
-
-
-def t_times(n: int, i: int) -> int:
-    """t^i times the t-int n, for i >= 0: one shift by i digits."""
-    return n << i * _SLOT
 
 
 def product_coefficients(a: Mapping[int, int], b: Mapping[int, int],
@@ -756,7 +731,7 @@ class GroupAlgebraElement:
         return GroupAlgebraElement._make(self.rank, {v: -c for v, c in self._terms.items()})
 
     def __mul__(self, other):
-        if isinstance(other, (int, Laurent)):
+        if isinstance(other, (int, float, Fraction, Laurent)):
             return self.scale(other)
         if not isinstance(other, GroupAlgebraElement):
             return NotImplemented
@@ -767,7 +742,7 @@ class GroupAlgebraElement:
         return GroupAlgebraElement.collect(self.rank, [terms])
 
     def __rmul__(self, other):
-        if isinstance(other, (int, Laurent)):
+        if isinstance(other, (int, float, Fraction, Laurent)):
             return self.scale(other)
         return NotImplemented
 

@@ -30,22 +30,22 @@ is divided.  Each image is checked once, when it is built: its top
 coefficient is 1, it is dot-invariant, and its dominant support lies
 below its coweight.
 
-The walk runs on ints (``_Keys``).  A term y of a partial sum is lambda -
-sum_j m_j alphavee_j, and each monomial c q^a e^y is one int key, packing
-m, the pairings <alpha_i, y> and, in the top digit, a, with the int c as
-its coefficient.  m and the pairings are linear in y, and every partial
-sum lies in the hull of the orbit of lambda, where both are at most <2 rho,
-lambda> in absolute value; the slot is the peel's for a top of lambda
-(below), so the pairing digits less their bias are a term's peel key.
-None of these depends on the basis of the coweights, so a sheared basis
-needs no wider slot.  Upstairs, e^y -> e^(y - j alphavee_i) lowers delta
-by j, so below it is the factor q^-j: one int add of j times a move per
-simple root, while k = <alpha_i, y> is one shift and mask.  The unit top,
-dot invariance and the dominant support below lambda are checked on the
-keys, and then each term is decoded once into a coordinate tuple, one
-Laurent, the t-int of its lift (below) and its peel key.  The image on
-the extended lattice is the lift of the result: e^y at delta-exponent
--sum_j m_j, its coefficient times q^(sum_j m_j).
+The walk runs upstairs, on ints (``_Keys``).  A term y of a partial sum
+is lambda - sum_j m_j alphavee_j, at delta-exponent -h, h = sum_j m_j,
+and each monomial c q^a e^(y, -h) is one int key, packing m, the pairings
+<alpha_i, y> and, in the top digit, a, with the int c as its coefficient.
+m and the pairings are linear in y, and every partial sum lies in the hull
+of the orbit of lambda, where both are at most <2 rho, lambda> in absolute
+value; the slot is the peel's for a top of lambda (below), so the pairing
+digits less their bias are a term's peel key.  None of these depends on
+the basis of the coweights, so a sheared basis needs no wider slot.  An
+extended coroot (alphavee_i, 1) is a move, one int add that leaves a
+alone, while k = <alpha_i, y> is one shift and mask.  The unit top, dot
+invariance and the dominant support below lambda are checked on the keys,
+and the keys hold the lifts (below), so the build keeps only what the
+peel reads.  ``satake_image`` decodes an image once per class, on
+request: each dominant coefficient by ``lattice.t_laurent``, the one
+decoder, and the rest of its orbit by the dot step.
 
 The products of two images expand back into images of dominant coweights
 with coefficients in Z[q, q^-1] by triangular peeling.  Peeling reads only
@@ -73,10 +73,11 @@ image S(lambda) lifts to the extended lattice with the coefficient q^h c,
 h = <rho, lambda - y>.  Upstairs the walk starts at 1 and each T_i has
 coefficients q^-1 and 1 - q^-1, so every lifted coefficient lies in Z[t]
 (Macdonald, III), and the image upstairs is W-invariant, so the lift is
-constant on each W-orbit.  h is linear in y: the pairs of terms of
-S(lambda) and S(mu) that meet at a point v, and the image of nu moved to
-v, all carry the one factor q^<rho, top - v> between their coefficients
-and their lifts.  So the peel runs on lifts: a view holds each lifted
+constant on each W-orbit.  A term lifts to the sum of c t^-a over the
+monomials c q^a of the walk at its y, and a > 0 is an internal error.  h
+is linear in y: the pairs of terms of S(lambda) and S(mu) that meet at a
+point v, and the image of nu moved to v, all carry the one factor
+q^<rho, top - v> between their coefficients and their lifts.  So the peel runs on lifts: a view holds each lifted
 coefficient as its t-int (``lattice``), sum_i c_i 2^(64 i) for the
 coefficient c_i of q^-i, one int per orbit, and a product term is one int
 product and one int add, with no exponent to align.  The residual at v
@@ -122,6 +123,7 @@ from typing import Sequence
 from .dualdata import LanglandsDualData, langlands_dual_data
 from .errors import CapExceededError, RankMismatchError, ValidationError
 from .lattice import (
+    _SLOT,
     GroupAlgebraElement,
     Laurent,
     Vec,
@@ -131,7 +133,6 @@ from .lattice import (
     dot,
     fraction_monomial,
     int_vector,
-    laurent_coefficients,
     mat_identity,
     pack,
     pack_slot,
@@ -139,7 +140,6 @@ from .lattice import (
     repack,
     require_digits_fit,
     t_laurent,
-    t_times,
     vec_add,
     vec_sub,
     vec_sub_scaled,
@@ -252,15 +252,17 @@ class SphericalFunction:
 
 
 class _Keys:
-    """The int keys of the monomials c q^a e^y of the walk from a dominant
-    coweight lambda with pairings p, y = lambda - sum_j m_j alphavee_j:
+    """The int keys of the monomials c q^a e^(y, -h) of the walk from a
+    dominant coweight lambda with pairings p, y = lambda - sum_j m_j
+    alphavee_j and h = sum_j m_j:
 
         sum_j (m_j + B) 2^(slot j) + sum_i (<alpha_i, y> + B) 2^(slot (k+i)) + a 2^top
 
     over the k simple roots, with B = 2^(slot-1), top = 2 k slot and slot
     pack_slot(2 bound), bound = <2 rho, lambda> >= every |m_j| and
-    |<alpha_i, y>|, so every digit below the top lies in [0, 2^slot); a
-    sits above them, unbounded.  A key does not depend on the basis."""
+    |<alpha_i, y>|, so every digit below the top lies in [0, 2^slot); a,
+    a power of q in a lift, sits above them, unbounded.  A key does not
+    depend on the basis."""
 
     __slots__ = ("slot", "bias", "mask", "top", "shifts", "moves", "dominant", "start")
 
@@ -271,17 +273,23 @@ class _Keys:
         self.mask = (1 << slot) - 1
         self.top = 2 * k * slot
         self.shifts = tuple(range(k * slot, self.top, slot))  # of the pairings
-        # y -> y - alphavee_i, which lowers delta by 1 on the extended lattice
-        # and so is q^-1 below it: m_i + 1, the pairings less the Cartan row i
-        self.moves = tuple(pack(unit + tuple(-x for x in row), slot) - (1 << self.top)
+        # y -> y - alphavee_i, the extended coroot upstairs: m_i + 1, the
+        # pairings less the Cartan row i; h rises by 1 and a stays
+        self.moves = tuple(pack(unit + tuple(-x for x in row), slot)
                            for unit, row in zip(mat_identity(k), cartan_matrix(d)))
         # y is dominant when every pairing digit has its top bit, B, set
         self.dominant = pack((0,) * k + (self.bias,) * k, slot)
         self.start = self.key((0,) * k, p, 0)
 
     def key(self, m: Sequence[int], p: Sequence[int], a: int) -> int:
-        """The key of q^a e^y, y with coroot coordinates m and pairings p."""
+        """The key of q^a e^(y, -h), y with coroot coordinates m and pairings p."""
         return pack([x + self.bias for x in (*m, *p)], self.slot) + (a << self.top)
+
+    def coweight(self, d: RootDatum, lam: Vec, key: int) -> Vec:
+        """y = lambda - sum_j m_j alphavee_j of a key, read for a message only."""
+        for shift, alphavee in zip(range(0, self.top // 2, self.slot), d.simple_coroots):
+            lam = vec_sub_scaled(lam, (key >> shift & self.mask) - self.bias, alphavee)
+        return lam
 
 
 def _step(keys: _Keys, i: int, terms: dict[int, int]) -> dict[int, int]:
@@ -289,12 +297,12 @@ def _step(keys: _Keys, i: int, terms: dict[int, int]) -> dict[int, int]:
 
         T f = q^-1 s(f) + (1 - q^-1) (f - s(f)) / (e^alphavee - 1),
 
-    on the extended lattice, restricted to q, on monomials keyed by keys.
-    With k = <alpha_i, y> and M = keys.moves[i], e^(y - j alphavee) upstairs
-    is the key of q^a e^y plus j M.  T of q^a e^y is, in keys, K + j M for
-    j = 1..k less K + j M - Q for j = 1..k-1 when k > 0; K + k M - Q, less
-    K + j M, plus K + j M - Q, for j = k+1..0 when k < 0; K - Q when k = 0
-    (Q = 2^top is the factor q).  No zero is kept."""
+    on the extended lattice, on monomials keyed by keys.  With k = <alpha_i,
+    y> and M = keys.moves[i], q^a e^((y, -h) - j (alphavee, 1)) is the key
+    K of q^a e^(y, -h) plus j M.  T of it is, in keys, K + j M for j = 1..k
+    less K + j M - Q for j = 1..k-1 when k > 0; K + k M - Q, less K + j M,
+    plus K + j M - Q, for j = k+1..0 when k < 0; K - Q when k = 0 (Q =
+    2^top is the factor q).  No zero is kept."""
     shift, mask, bias, move = keys.shifts[i], keys.mask, keys.bias, keys.moves[i]
     q = 1 << keys.top
     out: dict[int, int] = {}
@@ -322,11 +330,11 @@ def _step(keys: _Keys, i: int, terms: dict[int, int]) -> dict[int, int]:
 
 
 def _walk(d: RootDatum, lam: Vec, p: Vec) -> tuple[_Keys, dict[int, int]]:
-    """S(lambda) restricted to q as monomials keyed by ``_Keys``, no zero
-    kept: T_u e^lambda summed over the orbit of lambda, walked breadth first
-    by ``orbit_walk``, so every step has <alpha_i, mu> > 0.  Each partial
-    sum is dropped after its last step.  The coefficient of e^lambda must be
-    exactly 1."""
+    """S(lambda) on the extended lattice as monomials keyed by ``_Keys``, no
+    zero kept: T_u e^(lambda, 0) summed over the orbit of lambda, walked
+    breadth first by ``orbit_walk``, so every step has <alpha_i, mu> > 0.
+    Each partial sum is dropped after its last step.  The coefficient of
+    e^(lambda, 0) must be exactly 1."""
     # every partial sum lies in the hull of the orbit of lambda, where m_j
     # <= sum_j m_j = <rho, lambda - y> <= <2 rho, lambda> and |<alpha_i, y>|
     # <= max_beta <beta, lambda> <= <2 rho, lambda> over the positive roots
@@ -350,23 +358,45 @@ def _walk(d: RootDatum, lam: Vec, p: Vec) -> tuple[_Keys, dict[int, int]]:
 
 
 class _Image:
-    """A cached class image: the representative rep of the class, S(rep),
-    the sum and the largest of the norms of its coefficients, and the
-    peel's views by slot: the packed pairings of every term y -> the t-int
-    of its lift, and those items at dominant y, which fix a dot-invariant
-    element.  The build gives the view at its own slot; a peel reads one
-    as wide or wider, <2 rho, rep> <= <2 rho, top>, repacked once."""
+    """A cached class image: the representative rep of the class, the sum
+    and the largest of the norms of its coefficients, and the peel's views
+    by slot: the packed pairings of every term y -> the t-int of its lift,
+    and those items at dominant y, which fix a dot-invariant element.  The
+    build gives the view at its own slot; a peel reads one as wide or
+    wider, <2 rho, rep> <= <2 rho, top>, repacked once.  S(rep) itself is
+    decoded from the dominant items at the own slot on its first read."""
 
-    __slots__ = ("rep", "image", "norm", "peak", "views")
+    __slots__ = ("datum", "rep", "norm", "peak", "views", "_image")
 
-    def __init__(self, d: RootDatum, rep: Vec, terms: dict[Vec, Laurent],
+    def __init__(self, d: RootDatum, rep: Vec,
                  views: dict[int, tuple[dict[int, int], tuple[tuple[int, int], ...]]],
                  norm: int, peak: int):
+        self.datum = d
         self.rep = rep
-        self.image = SphericalFunction(GroupAlgebraElement._make(d.rank, terms), d)
         self.norm = norm
         self.peak = peak
         self.views = views
+        self._image = None
+
+    @property
+    def image(self) -> SphericalFunction:
+        """S(rep), each orbit filled from its dominant nu, whose lift is q^h c
+        at the depth h of nu, by c(s_i mu) = q^-<alpha_i, mu> c(mu)."""
+        if self._image is None:
+            d, own = self.datum, min(self.views)
+            lifts = dict(self.views[own][1])
+            terms: dict[Vec, Laurent] = {}
+            for nu, p, depth in zip(*_dominant_below(d, self.rep)):
+                t = lifts.get(pack(p, own))
+                if t is None:
+                    continue
+                c = terms[nu] = t_laurent(t, -depth, self.peak)[0]
+                ks = {nu: 0}
+                for mu, i, y in orbit_walk(d, nu):
+                    k = ks[y] = ks[mu] + dot(d.simple_roots[i], mu)
+                    terms[y] = c.shift(-k)
+            self._image = SphericalFunction(GroupAlgebraElement._make(d.rank, terms), d)
+        return self._image
 
     def view(self, slot: int) -> tuple[dict[int, int], tuple[tuple[int, int], ...]]:
         found = self.views.get(slot)
@@ -380,68 +410,52 @@ class _Image:
 
 
 def _build(d: RootDatum, lam: Vec, p: Vec) -> _Image:
-    """Walk, check and decode the image of the dominant coweight lambda.
+    """Walk and check the image of the dominant coweight lambda into the
+    peel's view of it, with no decode.
 
     Both checks run on the keys; with them, a peel that is exact at the
     dominant points below lambda+mu leaves a zero remainder everywhere (see
-    _peel).  The dot step of s_i sends q^a e^y to q^(a-k) e^(y - k
-    alphavee_i), k = <alpha_i, y>, the key plus k moves[i]; it is a
+    _peel).  The dot step of s_i sends the lift q^a e^(y, -h) to q^a
+    e^(s_i y, -h - k), k = <alpha_i, y>, the key plus k moves[i]; it is a
     bijection on monomials, so the image is dot-invariant exactly when every
-    monomial's partner has its coefficient.  Every term lies in lambda plus
-    the coroot lattice, where its pairings name it, so a dominant term lies
-    below lambda exactly when its pairing digits are those of a point of
-    ``dominant_below``; that is checked as each term is decoded, once,
-    into y, one Laurent, its lift q^h c, h = <rho, lambda - y>, as a
-    t-int, which must lie in Z[q^-1] (module docstring), and its peel key,
-    the pairing digits less their bias."""
+    monomial's partner has its coefficient.  Each monomial c q^a then adds
+    c t^-a into the t-int of its point's lift, which must lie in Z[q^-1]
+    (module docstring), and |c| into its norm.  Every term lies in lambda
+    plus the coroot lattice, where its pairings name it, so its peel key is
+    its pairing digits less their bias, and a dominant term lies below
+    lambda exactly when that key packs the pairings of a point of
+    ``dominant_below``."""
     keys, terms = _walk(d, lam, p)
     slot, mask, bias, top = keys.slot, keys.mask, keys.bias, keys.top
     for shift, move in zip(keys.shifts, keys.moves):
         if {key + ((key >> shift & mask) - bias) * move: c for key, c in terms.items()} != terms:
             raise RuntimeError(f"internal: image of {lam} is not dot-invariant")
-    coeffs = laurent_coefficients(terms, top)
-    # y = lambda - sum_j (digit_j - B) alphavee_j over the coroot digits
-    columns = tuple(zip(*d.simple_coroots)) or ((),) * d.rank
-    origin = [x + bias * sum(column) for x, column in zip(lam, columns)]
-    m_bits = len(p) * slot
-    m_shifts = range(0, m_bits, slot)
-    m_bias = bias * len(p)
-
-    def coweight(point: int) -> tuple[Vec, int]:
-        """y and its depth h = <rho, lambda - y>, the sum of its m_j."""
-        digits = [point >> shift & mask for shift in m_shifts]
-        return tuple([x - sum(map(operator.mul, digits, column))
-                      for x, column in zip(origin, columns)]), sum(digits) - m_bias
-
-    # a point's pairing digits less their bias: pack((<alpha_i, y>)_i, slot)
+    low = (1 << top) - 1
+    lifts: dict[int, int] = {}
+    norms: dict[int, int] = {}
+    for key, c in terms.items():
+        a, point = key >> top, key & low
+        if a > 0:
+            raise RuntimeError(f"internal: coefficient at {keys.coweight(d, lam, point)} of the "
+                               f"image of {lam} lifts to q^{a} (times {c})")
+        lifts[point] = lifts.get(point, 0) + (c << -a * _SLOT)
+        norms[point] = norms.get(point, 0) + abs(c)
+    m_bits = top // 2
     p_bias = pack((bias,) * len(p), slot)
     below = {pack(p_nu, slot) for p_nu in _dominant_below(d, lam)[1]}
     dominant = keys.dominant
-    poly, view, tops = {}, {}, []
-    total = peak = 0
+    view, tops = {}, []
     shared: dict[int, int] = {}
-    for point, (c, t) in coeffs.items():
-        y, h = coweight(point)
-        cs = c._coeffs
-        hi = c._lo + len(cs) - 1
+    for point, t in lifts.items():
         key = (point >> m_bits) - p_bias
-        at_dominant = point & dominant == dominant
-        if at_dominant and key not in below:
-            raise RuntimeError(f"internal: image of {lam} has dominant support {y} not below it")
-        if hi + h > 0:
-            raise RuntimeError(f"internal: coefficient {c} at {y} of the image of {lam} "
-                               f"lifts to q^{hi + h}")
-        poly[y] = c
-        # the lift q^h c as a t-int, equal on each W-orbit: one int per orbit
-        t = t_times(t, -hi - h)
+        # the lift is equal on each W-orbit: one int per orbit
         t = view[key] = shared.setdefault(t, t)
-        norm = sum(map(abs, cs))
-        total += norm
-        if norm > peak:
-            peak = norm
-        if at_dominant:
+        if point & dominant == dominant:
+            if key not in below:
+                raise RuntimeError(f"internal: image of {lam} has dominant support "
+                                   f"{keys.coweight(d, lam, point)} not below it")
             tops.append((key, t))
-    return _Image(d, lam, poly, {slot: (view, tuple(tops))}, total, peak)
+    return _Image(d, lam, {slot: (view, tuple(tops))}, sum(norms.values()), max(norms.values()))
 
 
 def satake_image_extended(dd: LanglandsDualData, lam: Sequence[int]) -> GroupAlgebraElement:

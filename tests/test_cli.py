@@ -285,6 +285,32 @@ class TestDeterminismAndExitCodes:
         assert out == ""
         assert err.startswith("validation error: ") and err.count("\n") == 1
 
+    @pytest.mark.parametrize("doc, message", [
+        (b'{"rank": ' + b"9" * 5001 + b"}", "an integer literal of more than 4300 digits"),
+        (b"[" * 100000, "nested too deeply"),
+    ], ids=["5001-digit-rank", "100000-brackets"])
+    @pytest.mark.parametrize("where", ["file", "stdin"])
+    def test_malformed_document_is_validation(self, tmp_path, capsys, monkeypatch, doc, message, where):
+        # past the int digit limit, and past the decoder's recursion limit
+        source = tmp_path / "datum.json"
+        source.write_bytes(doc)
+        if where == "stdin":
+            monkeypatch.setattr(sys, "stdin", io.TextIOWrapper(io.BytesIO(doc), encoding="utf-8"))
+            source = "-"
+        code, out, err = run_cli(capsys, "roots", str(source))
+        assert code == 2
+        assert out == ""
+        assert err.startswith("validation error: malformed JSON: ") and err.count("\n") == 1
+        assert message in err
+
+    def test_integer_literal_at_the_digit_limit_is_read(self):
+        # 4300 digits, with or without a sign, still read: the root entry
+        # reaches the datum's checks, which name its pairing
+        for literal in ("9" * 4300, "-" + "9" * 4300):
+            doc = '{"rank": 1, "simple_roots": [[' + literal + ']], "simple_coroots": [[1]]}'
+            with pytest.raises(ValidationError, match="pairing <alpha_0, alphavee_0> = " + literal):
+                parse_datum(doc)
+
     def test_file_datum_accepted(self, tmp_path, capsys):
         doc = tmp_path / "gl2.json"
         doc.write_text(json.dumps(emit_datum(BUILTINS["GL2"])))

@@ -16,7 +16,6 @@ from heckedual.lattice import (
     add_products_into,
     as_int,
     fraction_monomial,
-    laurent_coefficients,
     mat_apply,
     mat_det,
     mat_identity,
@@ -29,7 +28,6 @@ from heckedual.lattice import (
     smith_normal_form,
     solve_integer_linear,
     t_laurent,
-    t_times,
     vec_add,
     vec_sub,
 )
@@ -109,13 +107,19 @@ class TestIntegerEntries:
         lambda x: compare_rank1_oracle(x, 2),
         lambda x: compare_rank1_oracle(3, x),
         lambda x: compare_rank1_oracle(3, 2, depth_cap=x),
+        lambda x: Laurent.one() + x,
+        lambda x: x - Laurent.one(),
+        lambda x: Laurent.one() * x,
+        lambda x: GroupAlgebraElement.monomial((1,)) * x,
+        lambda x: x * GroupAlgebraElement.monomial((1,)),
     ], ids=["datum-entry", "datum-rank", "require-dominant", "satake-image", "lhs", "rhs",
             "dual-representation", "from-orbits", "exponent", "coefficient",
             "laurent-coefficient", "laurent-exponent", "laurent-term", "scale", "coefficient-at",
             "expansion-get", "dominance-lower", "dominance-upper", "parameter-value",
             "character-value", "character-exponent", "dominant-below", "hecke-expansion-key",
             "tree-m", "tree-n", "tree-q", "tree-depth-cap", "oracle-q", "oracle-height",
-            "oracle-depth-cap"])
+            "oracle-depth-cap", "laurent-add", "laurent-rsub", "laurent-mul", "element-mul",
+            "element-rmul"])
     def test_fraction_is_refused_not_truncated(self, call, x, shown):
         with pytest.raises(ValidationError, match=f"^expected an integer, got {shown}$"):
             call(x)
@@ -167,6 +171,31 @@ class TestLaurent:
         # a bool is not read as an integer, so it meets a constant of its hash
         # as an unequal key
         assert Laurent.one() != True and len({True, Laurent.one(), False, Laurent.zero()}) == 4
+
+    def test_scalar_operands_follow_as_int(self):
+        # an integral float or Fraction works as its int, in both operand
+        # orders, and equals the constant it reads as
+        a = Laurent({1: 2, -1: 1})
+        m = GroupAlgebraElement.monomial((1,), a)
+        for x in (3.0, Fraction(6, 2)):
+            assert a + x == x + a == a + 3 and a - x == a - 3 and x - a == 3 - a
+            assert a * x == x * a == a * 3 and m * x == x * m == m * 3
+            assert Laurent.term(3) == x and x == Laurent.term(3) and hash(Laurent.term(3)) == hash(x)
+            assert Laurent.term(3) in {x} and x in {Laurent.term(3)}
+        assert Laurent.one() + 1.0 == 2 and Laurent.one() == 1.0 and Laurent.zero() == -0.0
+        # a fractional value or a bool is refused in arithmetic, is unequal to
+        # every Laurent, and does not make == raise
+        for x in (0.5, Fraction(1, 2), float("inf"), float("nan")):
+            assert Laurent.one() != x and x != Laurent.one() and not Laurent.zero() == x
+        for x in (True, False):
+            assert Laurent.term(int(x)) != x and x != Laurent.term(int(x))
+            for call in (lambda: a + x, lambda: x * a, lambda: m * x, lambda: x * m):
+                with pytest.raises(ValidationError, match="^expected an integer, got (true|false)$"):
+                    call()
+        # anything else is no scalar
+        with pytest.raises(TypeError):
+            a + "1"
+        assert a != "1" and a != None
 
     def test_arithmetic(self):
         a = Laurent({1: 2, -1: 1})
@@ -229,22 +258,9 @@ class TestLaurent:
             power = rng.randint(-4, 4)
             found, norm = t_laurent(t_int(c), power, (1 << 63) - 1)
             assert found == c.shift(power) and norm == sum(abs(x) for _, x in c.items())
-            assert t_times(t_int(c), 3) == t_int(c.shift(-3))
         assert t_laurent(0, 5, 0) == (Laurent.zero(), 0)
         with pytest.raises(RuntimeError, match="half a 64-bit slot"):
             t_laurent(1, 0, 1 << 63)
-
-    def test_laurent_coefficients_give_both_views(self):
-        # monomials c q^a e^k keyed by a 2^8 + k: each k gets its Laurent
-        # and, hi its highest exponent, q^-hi times it as a t-int; k = 3 has
-        # no q^-1, which both views hold as a zero coefficient
-        terms = {(-2 << 8) + 3: 5, (0 << 8) + 3: -1, (-1 << 8) + 7: 2, (2 << 8) + 9: 1}
-        found = laurent_coefficients(terms, 8)
-        assert found == {
-            3: (Laurent({-2: 5, 0: -1}), t_int(Laurent({-2: 5, 0: -1}))),
-            7: (Laurent({-1: 2}), 2),
-            9: (Laurent({2: 1}), 1)}
-        assert found[3][0].items() == [(-2, 5), (0, -1)] and found[3][0].min_exp() == -2
 
 
 def dict_sum(a, b, sign=1):

@@ -47,6 +47,7 @@ from heckedual.satake import (
 from conftest import (
     demazure_lusztig,
     enumerate_dominant,
+    reference_image,
     reference_image_extended,
     weyl_matrices,
 )
@@ -290,6 +291,36 @@ def test_images_match_the_tuple_walk(d, fresh_images):
         assert (view, dict(dominant)) == lifted_view(dd, lam, entry.image.poly, slot), lam
 
 
+@pytest.mark.parametrize("name, lam, mu", [("PGL2", (40,), (30,)), ("Sp4", (2, 1), (1, 1))])
+def test_products_decode_no_image(fresh_images, name, lam, mu):
+    # the peel reads only the views, so no cached image holds its Laurents
+    structure_polynomials(langlands_dual_data(BUILTINS[name]), lam, mu)
+    assert satake._images and all(entry._image is None for entry in satake._images.values())
+
+
+def test_image_read_wider_first_decodes_from_its_own_slot(fresh_images):
+    # PGL2's (40) x (30) peels at two bytes and reads the images below it,
+    # built at one byte, at two; each decodes later from its own slot
+    structure_polynomials(DD_PGL2, (40,), (30,))
+    wider = {entry.rep: entry for entry in satake._images.values() if len(entry.views) == 2}
+    assert {(10,), (20,), (30,)} <= set(wider)
+    decoded = {nu: satake_image(DD_PGL2, nu) for nu in wider}
+    assert all(entry._image is decoded[nu] for nu, entry in wider.items())
+    satake._images.clear()
+    for nu, image in decoded.items():
+        assert image == satake_image(DD_PGL2, nu), nu
+        assert image.poly == reference_image(DD_PGL2, nu), nu
+
+
+def test_image_decode_runs_under_the_digit_bound(fresh_images):
+    # the decode reads each dominant t-int under the image's peak norm
+    structure_polynomials(DD_PGL2, (1,), (1,))
+    entry = satake._images[DD_PGL2, (1,)]
+    entry.peak = 1 << 63
+    with pytest.raises(RuntimeError, match="internal: coefficient bound .* half a 64-bit slot"):
+        satake_image(DD_PGL2, (1,))
+
+
 def dot_invariant_by_lookups(d, elem):
     """For every simple reflection s and every term c e^y, the coefficient
     at s y = y - <alpha, y> alphavee is q^-<alpha, y> c."""
@@ -335,16 +366,18 @@ def corrupt_walk(monkeypatch, extra):
 
 def test_image_not_dot_invariant_raises(monkeypatch, fresh_images):
     # the image of 1 is e[1] + q^-1 e[-1]; change the coefficient at -1 only,
-    # the coweight 1 - alphavee of coroot coordinate 1 and pairing -1
-    corrupt_walk(monkeypatch, lambda keys: {keys.key((1,), (-1,), 0): 1})
+    # the coweight 1 - alphavee of coroot coordinate 1 and pairing -1, by 1,
+    # which lifts to q there
+    corrupt_walk(monkeypatch, lambda keys: {keys.key((1,), (-1,), 1): 1})
     with pytest.raises(RuntimeError, match="not dot-invariant"):
         satake_image(DD_PGL2, (1,))
 
 
 def test_image_lift_with_a_positive_power_raises(monkeypatch, fresh_images):
     # adding q e[1] + e[-1] keeps dot-invariance and the top coefficient's
-    # unit term, but the coefficients at 1 and at -1 lift to q + 1
-    corrupt_walk(monkeypatch, lambda keys: {keys.key((0,), (1,), 1): 1, keys.key((1,), (-1,), 0): 1})
+    # unit term, but the coefficients at 1 and at -1 lift to q + 1; the keys
+    # hold the lifts, so both extra monomials are keyed at q^1
+    corrupt_walk(monkeypatch, lambda keys: {keys.key((0,), (1,), 1): 1, keys.key((1,), (-1,), 1): 1})
     with pytest.raises(RuntimeError, match="internal: coefficient .* of the image of \\(1,\\) lifts to q\\^1"):
         satake_image(DD_PGL2, (1,))
 
@@ -352,7 +385,7 @@ def test_image_lift_with_a_positive_power_raises(monkeypatch, fresh_images):
 def test_image_dominant_support_not_below_raises(monkeypatch, fresh_images):
     # adding the whole image of 2 keeps dot-invariance, but 2 is not <= 0;
     # the walk from 0 is given keys with room for the orbit of 2, where y
-    # has coroot coordinate -y/2 and pairing y
+    # has coroot coordinate m = -y/2 and pairing y, and q^a lifts to q^(a+m)
     two = satake_image(DD_PGL2, (2,)).poly
 
     def walk(d, lam, p):
@@ -360,7 +393,7 @@ def test_image_dominant_support_not_below_raises(monkeypatch, fresh_images):
         terms = {keys.start: 1}
         for (y,), c in two.items():
             for a, x in c.items():
-                terms[keys.key((-y // 2,), (y,), a)] = x
+                terms[keys.key((-y // 2,), (y,), a - y // 2)] = x
         return keys, terms
 
     monkeypatch.setattr(satake, "_walk", walk)
