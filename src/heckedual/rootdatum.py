@@ -26,6 +26,7 @@ from __future__ import annotations
 import itertools
 import math
 import operator
+import sys
 from collections import Counter
 from functools import lru_cache
 from typing import Iterator, NamedTuple, Optional, Sequence
@@ -137,6 +138,8 @@ def validate_datum(d: RootDatum) -> list[str]:
     issues: list[str] = []
     if d.rank < 0:
         return [f"negative rank {d.rank}"]
+    if d.rank > sys.maxsize:
+        return [f"rank {d.rank} exceeds the longest tuple, {sys.maxsize}"]
     for label, vectors in (("root", d.simple_roots), ("coroot", d.simple_coroots)):
         for v in vectors:
             if len(v) != d.rank:

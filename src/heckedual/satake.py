@@ -31,21 +31,20 @@ coefficient is 1, it is dot-invariant, and its dominant support lies
 below its coweight.
 
 The walk runs upstairs, on ints (``_Keys``).  A term y of a partial sum
-is lambda - sum_j m_j alphavee_j, at delta-exponent -h, h = sum_j m_j,
-and each monomial c q^a e^(y, -h) is one int key, packing m, the pairings
-<alpha_i, y> and, in the top digit, a, with the int c as its coefficient.
-m and the pairings are linear in y, and every partial sum lies in the hull
-of the orbit of lambda, where both are at most <2 rho, lambda> in absolute
-value; the slot is the peel's for a top of lambda (below), so the pairing
-digits less their bias are a term's peel key.  None of these depends on
-the basis of the coweights, so a sheared basis needs no wider slot.  An
-extended coroot (alphavee_i, 1) is a move, one int add that leaves a
-alone, while k = <alpha_i, y> is one shift and mask.  The unit top, dot
-invariance and the dominant support below lambda are checked on the keys,
-and the keys hold the lifts (below), so the build keeps only what the
-peel reads.  ``satake_image`` decodes an image once per class, on
-request: each dominant coefficient by ``lattice.t_laurent``, the one
-decoder, and the rest of its orbit by the dot step.
+lies in lambda minus the coroot lattice, where its pairings <alpha_i, y>
+name it, and so its delta-exponent -h, h = <rho, lambda - y>, one to one
+(below).  Each monomial c q^a e^(y, -h) is one int key, the peel key of y
+plus a bias in every digit, and a on top, with the int c as its
+coefficient.  Every pairing of a partial sum is at most <2 rho, lambda> in
+absolute value, so the walk packs at the peel's slot for a top of lambda
+(``_peel_keys``), whatever the basis of the coweights.  An extended coroot
+(alphavee_i, 1) is a move, one int add that leaves a alone, while k =
+<alpha_i, y> is one shift and mask.  The unit top, dot invariance and the
+dominant support below lambda are checked on the keys, and the keys hold
+the lifts (below), so the build keeps only what the peel reads.
+``satake_image`` decodes an image once per class, on request: each
+dominant coefficient by ``lattice.t_laurent``, the one decoder, and the
+rest of its orbit by the dot step.
 
 The products of two images expand back into images of dominant coweights
 with coefficients in Z[q, q^-1] by triangular peeling.  Peeling reads only
@@ -63,10 +62,10 @@ a central shift leaves them alone.  So looking up v - y in the other factor
 is one int subtraction, and a term y of the cached image of nu's class
 lands in the residual at its own key, with no shift.  A compared pairing
 is a point's, at most <2 rho, top>, less a term's, at most <2 rho, nu> <=
-<2 rho, top>, so the slot pack_slot(2 <2 rho, top>) is one to one on
-them, and it is known before any image is built.  Every image a peel
-reads, of lambda, mu or a nu <= top, is built at its own slot, at most
-the peel's, and a wider read repacks its keys once (``_Image``).
+<2 rho, top>, so the slot pack_slot(2 <2 rho, top>) in ``_peel_keys`` is
+one to one on them, and known before any image is built.  Every image a
+peel reads, of lambda, mu or a nu <= top, is built at its own slot, at
+most the peel's, and a wider read repacks its keys once (``_Image``).
 
 The peel's coefficients are plain ints, in t = q^-1.  A term c e^y of an
 image S(lambda) lifts to the extended lattice with the coefficient q^h c,
@@ -133,7 +132,6 @@ from .lattice import (
     dot,
     fraction_monomial,
     int_vector,
-    mat_identity,
     pack,
     pack_slot,
     product_coefficients,
@@ -251,45 +249,54 @@ class SphericalFunction:
         return str(self.poly)
 
 
+@lru_cache(maxsize=None)
+def _peel_keys(d: RootDatum, top: Vec) -> tuple[int, tuple[int, ...]]:
+    """The one slot table: the slot of every key at top, pack_slot(2 <2 rho,
+    top>), and the packed pairings of the points of ``dominant_below(top)``,
+    index by index.  A peel at top keys its points by them; the walk, the
+    build and the decode of the image of top read their slot and dominant
+    points here."""
+    slot = pack_slot(2 * dot(positive_root_sum(d), top))
+    return slot, tuple([pack(p, slot) for p in _dominant_below(d, top)[1]])
+
+
 class _Keys:
     """The int keys of the monomials c q^a e^(y, -h) of the walk from a
-    dominant coweight lambda with pairings p, y = lambda - sum_j m_j
-    alphavee_j and h = sum_j m_j:
+    dominant coweight lambda with pairings p, y in lambda minus the coroot
+    lattice and h = <rho, lambda - y>:
 
-        sum_j (m_j + B) 2^(slot j) + sum_i (<alpha_i, y> + B) 2^(slot (k+i)) + a 2^top
+        sum_i (<alpha_i, y> + B) 2^(slot i) + a 2^top
 
-    over the k simple roots, with B = 2^(slot-1), top = 2 k slot and slot
-    pack_slot(2 bound), bound = <2 rho, lambda> >= every |m_j| and
-    |<alpha_i, y>|, so every digit below the top lies in [0, 2^slot); a,
-    a power of q in a lift, sits above them, unbounded.  A key does not
-    depend on the basis."""
+    over the k simple roots, with B = 2^(slot-1), top = k slot and the slot
+    of lambda in ``_peel_keys``, B > 2 <2 rho, lambda>.  Every partial sum
+    lies in the hull of the orbit of lambda, where |<alpha_i, y>| <=
+    max_beta <beta, lambda> <= <2 rho, lambda> over the positive roots, so
+    every digit below the top lies in [0, 2^slot); a, a power of q in a
+    lift, sits above them, unbounded.  A key less ``dominant``, the packed
+    biases, is the peel key of y."""
 
-    __slots__ = ("slot", "bias", "mask", "top", "shifts", "moves", "dominant", "start")
+    __slots__ = ("slot", "bias", "mask", "top", "moves", "dominant", "start")
 
-    def __init__(self, d: RootDatum, p: Vec, bound: int):
+    def __init__(self, d: RootDatum, lam: Vec, p: Vec):
         k = len(p)
-        self.slot = slot = pack_slot(2 * bound)
+        self.slot = slot = _peel_keys(d, lam)[0]
         self.bias = 1 << (slot - 1)
         self.mask = (1 << slot) - 1
-        self.top = 2 * k * slot
-        self.shifts = tuple(range(k * slot, self.top, slot))  # of the pairings
-        # y -> y - alphavee_i, the extended coroot upstairs: m_i + 1, the
-        # pairings less the Cartan row i; h rises by 1 and a stays
-        self.moves = tuple(pack(unit + tuple(-x for x in row), slot)
-                           for unit, row in zip(mat_identity(k), cartan_matrix(d)))
-        # y is dominant when every pairing digit has its top bit, B, set
-        self.dominant = pack((0,) * k + (self.bias,) * k, slot)
-        self.start = self.key((0,) * k, p, 0)
+        self.top = k * slot
+        # y -> y - alphavee_i, the extended coroot upstairs: the pairings
+        # less the Cartan row i; h rises by 1 and a stays
+        self.moves = tuple(-pack(row, slot) for row in cartan_matrix(d))
+        # y is dominant when every digit has its top bit, B, set
+        self.dominant = pack((self.bias,) * k, slot)
+        self.start = self.key(p, 0)
 
-    def key(self, m: Sequence[int], p: Sequence[int], a: int) -> int:
-        """The key of q^a e^(y, -h), y with coroot coordinates m and pairings p."""
-        return pack([x + self.bias for x in (*m, *p)], self.slot) + (a << self.top)
+    def key(self, p: Sequence[int], a: int) -> int:
+        """The key of q^a e^(y, -h), y with pairings p."""
+        return pack([x + self.bias for x in p], self.slot) + (a << self.top)
 
-    def coweight(self, d: RootDatum, lam: Vec, key: int) -> Vec:
-        """y = lambda - sum_j m_j alphavee_j of a key, read for a message only."""
-        for shift, alphavee in zip(range(0, self.top // 2, self.slot), d.simple_coroots):
-            lam = vec_sub_scaled(lam, (key >> shift & self.mask) - self.bias, alphavee)
-        return lam
+    def pairings(self, key: int) -> Vec:
+        """The pairings of the point of a key, read for a message only."""
+        return tuple((key >> shift & self.mask) - self.bias for shift in range(0, self.top, self.slot))
 
 
 def _step(keys: _Keys, i: int, terms: dict[int, int]) -> dict[int, int]:
@@ -303,7 +310,7 @@ def _step(keys: _Keys, i: int, terms: dict[int, int]) -> dict[int, int]:
     less K + j M - Q for j = 1..k-1 when k > 0; K + k M - Q, less K + j M,
     plus K + j M - Q, for j = k+1..0 when k < 0; K - Q when k = 0 (Q =
     2^top is the factor q).  No zero is kept."""
-    shift, mask, bias, move = keys.shifts[i], keys.mask, keys.bias, keys.moves[i]
+    shift, mask, bias, move = i * keys.slot, keys.mask, keys.bias, keys.moves[i]
     q = 1 << keys.top
     out: dict[int, int] = {}
     get = out.get
@@ -335,10 +342,7 @@ def _walk(d: RootDatum, lam: Vec, p: Vec) -> tuple[_Keys, dict[int, int]]:
     breadth first by ``orbit_walk``, so every step has <alpha_i, mu> > 0.
     Each partial sum is dropped after its last step.  The coefficient of
     e^(lambda, 0) must be exactly 1."""
-    # every partial sum lies in the hull of the orbit of lambda, where m_j
-    # <= sum_j m_j = <rho, lambda - y> <= <2 rho, lambda> and |<alpha_i, y>|
-    # <= max_beta <beta, lambda> <= <2 rho, lambda> over the positive roots
-    keys = _Keys(d, p, dot(positive_root_sum(d), lam))
+    keys = _Keys(d, lam, p)
     steps = list(orbit_walk(d, lam))
     last = {mu: n for n, (mu, _, _) in enumerate(steps)}
     parts = {lam: {keys.start: 1}}
@@ -383,11 +387,13 @@ class _Image:
         """S(rep), each orbit filled from its dominant nu, whose lift is q^h c
         at the depth h of nu, by c(s_i mu) = q^-<alpha_i, mu> c(mu)."""
         if self._image is None:
-            d, own = self.datum, min(self.views)
-            lifts = dict(self.views[own][1])
+            d = self.datum
+            slot, below = _peel_keys(d, self.rep)
+            lifts = dict(self.views[slot][1])
             terms: dict[Vec, Laurent] = {}
-            for nu, p, depth in zip(*_dominant_below(d, self.rep)):
-                t = lifts.get(pack(p, own))
+            points, _, depths = _dominant_below(d, self.rep)
+            for nu, depth, key in zip(points, depths, below):
+                t = lifts.get(key)
                 if t is None:
                     continue
                 c = terms[nu] = t_laurent(t, -depth, self.peak)[0]
@@ -420,14 +426,13 @@ def _build(d: RootDatum, lam: Vec, p: Vec) -> _Image:
     bijection on monomials, so the image is dot-invariant exactly when every
     monomial's partner has its coefficient.  Each monomial c q^a then adds
     c t^-a into the t-int of its point's lift, which must lie in Z[q^-1]
-    (module docstring), and |c| into its norm.  Every term lies in lambda
-    plus the coroot lattice, where its pairings name it, so its peel key is
-    its pairing digits less their bias, and a dominant term lies below
-    lambda exactly when that key packs the pairings of a point of
-    ``dominant_below``."""
+    (module docstring), and |c| into its norm.  A point's peel key is the
+    point less ``keys.dominant``, and a dominant term lies below lambda
+    exactly when that key is one of the dominant points of lambda in
+    ``_peel_keys``."""
     keys, terms = _walk(d, lam, p)
     slot, mask, bias, top = keys.slot, keys.mask, keys.bias, keys.top
-    for shift, move in zip(keys.shifts, keys.moves):
+    for shift, move in zip(range(0, top, slot), keys.moves):
         if {key + ((key >> shift & mask) - bias) * move: c for key, c in terms.items()} != terms:
             raise RuntimeError(f"internal: image of {lam} is not dot-invariant")
     low = (1 << top) - 1
@@ -436,24 +441,22 @@ def _build(d: RootDatum, lam: Vec, p: Vec) -> _Image:
     for key, c in terms.items():
         a, point = key >> top, key & low
         if a > 0:
-            raise RuntimeError(f"internal: coefficient at {keys.coweight(d, lam, point)} of the "
+            raise RuntimeError(f"internal: coefficient at pairings {keys.pairings(point)} of the "
                                f"image of {lam} lifts to q^{a} (times {c})")
         lifts[point] = lifts.get(point, 0) + (c << -a * _SLOT)
         norms[point] = norms.get(point, 0) + abs(c)
-    m_bits = top // 2
-    p_bias = pack((bias,) * len(p), slot)
-    below = {pack(p_nu, slot) for p_nu in _dominant_below(d, lam)[1]}
+    below = set(_peel_keys(d, lam)[1])
     dominant = keys.dominant
     view, tops = {}, []
     shared: dict[int, int] = {}
     for point, t in lifts.items():
-        key = (point >> m_bits) - p_bias
+        key = point - dominant
         # the lift is equal on each W-orbit: one int per orbit
         t = view[key] = shared.setdefault(t, t)
         if point & dominant == dominant:
             if key not in below:
-                raise RuntimeError(f"internal: image of {lam} has dominant support "
-                                   f"{keys.coweight(d, lam, point)} not below it")
+                raise RuntimeError(f"internal: image of {lam} has dominant support at pairings "
+                                   f"{keys.pairings(point)} not below it")
             tops.append((key, t))
     return _Image(d, lam, {slot: (view, tuple(tops))}, sum(norms.values()), max(norms.values()))
 
@@ -575,7 +578,7 @@ def structure_polynomials(dd: LanglandsDualData, lam: Sequence[int], mu: Sequenc
     key = (dd, p_lam, p_mu) if p_lam <= p_mu else (dd, p_mu, p_lam)
     entry = _expansions.get(key)
     if entry is None:
-        entry = _expansions[key] = _peel(dd, lam, mu)
+        entry = _expansions[key] = _peel(dd, lam, p_lam, mu, p_mu)
     top0, items = entry
     if top == top0:
         return HeckeExpansion._make(d, dict(items))
@@ -584,18 +587,11 @@ def structure_polynomials(dd: LanglandsDualData, lam: Sequence[int], mu: Sequenc
     return HeckeExpansion._make(d, {tuple(map(add, nu, z)): c for nu, c in items})
 
 
-@lru_cache(maxsize=None)
-def _peel_keys(d: RootDatum, top: Vec) -> tuple[int, tuple[int, ...]]:
-    """The slot of a peel at top, pack_slot(2 <2 rho, top>), and the packed
-    pairings of the points of ``dominant_below(top)``, index by index."""
-    slot = pack_slot(2 * dot(positive_root_sum(d), top))
-    return slot, tuple([pack(p, slot) for p in _dominant_below(d, top)[1]])
-
-
-def _peel(dd: LanglandsDualData, lam: Vec, mu: Vec) -> tuple[Vec, tuple[tuple[Vec, Laurent], ...]]:
+def _peel(dd: LanglandsDualData, lam: Vec, p_lam: Vec, mu: Vec,
+          p_mu: Vec) -> tuple[Vec, tuple[tuple[Vec, Laurent], ...]]:
     """(top, expansion of S(lambda0) S(mu0)), lambda0 and mu0 the cached
-    representatives of the classes of two dominant coweights lambda and mu,
-    and top = lambda0 + mu0.
+    representatives of the classes of two dominant coweights lambda and mu
+    with pairings p_lam and p_mu, and top = lambda0 + mu0.
 
     The product is strictly triangular, and peeling reads it only at the
     dominant coweights nu <= lambda+mu.  So its coefficients are computed
@@ -616,8 +612,8 @@ def _peel(dd: LanglandsDualData, lam: Vec, mu: Vec) -> tuple[Vec, tuple[tuple[Ve
     Laurent only as it is put into the expansion (module docstring).
     """
     d = dd.base
-    s_lam = _class_image(dd, lam, pairings(d, lam))
-    s_mu = _class_image(dd, mu, pairings(d, mu))
+    s_lam = _class_image(dd, lam, p_lam)
+    s_mu = _class_image(dd, mu, p_mu)
     top = vec_add(s_lam.rep, s_mu.rep)
     points, point_pairings, depths = _dominant_below(d, top)
     slot, keys = _peel_keys(d, top)

@@ -185,8 +185,8 @@ def test_expansion_is_commutative(name):
     # both orders peeled without the memo: the product, not the key, commutes
     dd = langlands_dual_data(BUILTINS[name])
     reps = {pairings(dd.base, lam): lam for lam in enumerate_dominant(dd.base, 2)}
-    for lam, mu in itertools.combinations(sorted(reps.values()), 2):
-        assert satake._peel(dd, lam, mu) == satake._peel(dd, mu, lam), (lam, mu)
+    for (p, lam), (r, mu) in itertools.combinations(sorted(reps.items(), key=lambda pv: pv[1]), 2):
+        assert satake._peel(dd, lam, p, mu, r) == satake._peel(dd, mu, r, lam, p), (lam, mu)
 
 
 def times(dd, expansion, mu, left):

@@ -52,6 +52,7 @@ class TestDatumDocuments:
         ([1, 2], "datum document must be a JSON object"),
         ({"rank": "two"}, "bad datum document: invalid literal"),
         ({"rank": -1}, "negative rank -1"),
+        ({"rank": 10 ** 30}, f"rank {10 ** 30} exceeds the longest tuple"),
         ({"rank": 2, "simple_roots": [[1]], "simple_coroots": [[2, 0]]},
          "simple root (1,) has length 1, expected rank 2"),
         ({"rank": 1, "simple_roots": [[2]], "simple_coroots": []},
@@ -75,7 +76,7 @@ class TestDatumDocuments:
          "bad datum document: expected an integer, got true"),
         ({"name": "X", "rank": 1, "simple_roots": [[2]], "simple_coroots": [[float("inf")]]},
          "bad datum document: expected an integer, got Infinity"),
-    ], ids=["non-object", "bad-field", "negative-rank", "wrong-length", "count-mismatch",
+    ], ids=["non-object", "bad-field", "negative-rank", "huge-rank", "wrong-length", "count-mismatch",
             "more-roots-than-rank", "cartan-zeros", "not-finite-type", "fractional-rank",
             "fractional-entry", "boolean-entry", "boolean-rank", "infinite-entry"])
     def test_invalid_document_is_validation(self, tmp_path, capsys, doc, message):

@@ -144,9 +144,9 @@ def test_expansions_are_kept_under_sheared_coweights(name, fresh_images):
 
 @pytest.mark.parametrize("name", ["SL3", "Sp4", "GL3"])
 def test_images_are_kept_under_sheared_coweights(name, monkeypatch, fresh_images):
-    # the walk keys a term by its coroot coordinates and pairings, which the
-    # shear keeps, so its slot for each class is the one at k = 1 while the
-    # coordinates of the images grow like 2^k
+    # the walk keys a term by its pairings, which the shear keeps, so its
+    # slot for each class is the one at k = 1 while the coordinates of the
+    # images grow like 2^k
     d = BUILTINS[name]
     doms = enumerate_dominant(d, 2)
     want = {lam: satake_image(langlands_dual_data(d), lam).poly.items() for lam in doms}
@@ -291,6 +291,21 @@ def test_images_match_the_tuple_walk(d, fresh_images):
         assert (view, dict(dominant)) == lifted_view(dd, lam, entry.image.poly, slot), lam
 
 
+@pytest.mark.parametrize("d", [*BUILTINS.values(), TRIVIAL, TORUS], ids=lambda d: d.name)
+def test_walk_keys_are_peel_keys_with_a_lift_on_top(d):
+    # a walk key is the peel key of its point plus the packed biases, with
+    # the lift exponent in the digit above the k pairings, at the slot of
+    # the one slot table
+    for lam in enumerate_dominant(d, 3):
+        p = pairings(d, lam)
+        keys, terms = satake._walk(d, lam, p)
+        (slot, (view, _)), = satake._build(d, lam, p).views.items()
+        assert keys.top == len(p) * keys.slot, lam
+        assert keys.slot == slot == satake._peel_keys(d, lam)[0], lam
+        low = (1 << keys.top) - 1
+        assert {(key & low) - keys.dominant for key in terms} == set(view), lam
+
+
 @pytest.mark.parametrize("name, lam, mu", [("PGL2", (40,), (30,)), ("Sp4", (2, 1), (1, 1))])
 def test_products_decode_no_image(fresh_images, name, lam, mu):
     # the peel reads only the views, so no cached image holds its Laurents
@@ -366,9 +381,8 @@ def corrupt_walk(monkeypatch, extra):
 
 def test_image_not_dot_invariant_raises(monkeypatch, fresh_images):
     # the image of 1 is e[1] + q^-1 e[-1]; change the coefficient at -1 only,
-    # the coweight 1 - alphavee of coroot coordinate 1 and pairing -1, by 1,
-    # which lifts to q there
-    corrupt_walk(monkeypatch, lambda keys: {keys.key((1,), (-1,), 1): 1})
+    # the coweight 1 - alphavee of pairing -1, by 1, which lifts to q there
+    corrupt_walk(monkeypatch, lambda keys: {keys.key((-1,), 1): 1})
     with pytest.raises(RuntimeError, match="not dot-invariant"):
         satake_image(DD_PGL2, (1,))
 
@@ -377,23 +391,23 @@ def test_image_lift_with_a_positive_power_raises(monkeypatch, fresh_images):
     # adding q e[1] + e[-1] keeps dot-invariance and the top coefficient's
     # unit term, but the coefficients at 1 and at -1 lift to q + 1; the keys
     # hold the lifts, so both extra monomials are keyed at q^1
-    corrupt_walk(monkeypatch, lambda keys: {keys.key((0,), (1,), 1): 1, keys.key((1,), (-1,), 1): 1})
+    corrupt_walk(monkeypatch, lambda keys: {keys.key((1,), 1): 1, keys.key((-1,), 1): 1})
     with pytest.raises(RuntimeError, match="internal: coefficient .* of the image of \\(1,\\) lifts to q\\^1"):
         satake_image(DD_PGL2, (1,))
 
 
 def test_image_dominant_support_not_below_raises(monkeypatch, fresh_images):
     # adding the whole image of 2 keeps dot-invariance, but 2 is not <= 0;
-    # the walk from 0 is given keys with room for the orbit of 2, where y
-    # has coroot coordinate m = -y/2 and pairing y, and q^a lifts to q^(a+m)
+    # the slot of 0 has room for the orbit of 2, where y has pairing y and
+    # q^a lifts to q^(a+h), h = <rho, 0 - y> = -y/2
     two = satake_image(DD_PGL2, (2,)).poly
 
     def walk(d, lam, p):
-        keys = satake._Keys(d, p, 2)
+        keys = satake._Keys(d, lam, p)
         terms = {keys.start: 1}
         for (y,), c in two.items():
             for a, x in c.items():
-                terms[keys.key((-y // 2,), (y,), a - y // 2)] = x
+                terms[keys.key((y,), a - y // 2)] = x
         return keys, terms
 
     monkeypatch.setattr(satake, "_walk", walk)

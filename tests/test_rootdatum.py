@@ -3,6 +3,7 @@
 import hashlib
 import itertools
 import random
+import sys
 from fractions import Fraction
 from types import SimpleNamespace
 
@@ -128,6 +129,12 @@ class TestValidation:
         for name, d in BUILTINS.items():
             assert validate_datum(d) == [], name
         assert validate_datum(TRIVIAL) == []
+
+    def test_rank_past_the_longest_tuple_rejected(self):
+        # a tuple of that rank cannot be made, so no coweight of it can
+        assert validate_datum(RootDatum(sys.maxsize, (), ())) == []
+        assert validate_datum(RootDatum(sys.maxsize + 1, (), ())) == [
+            f"rank {sys.maxsize + 1} exceeds the longest tuple, {sys.maxsize}"]
 
     def test_pgl2_valid(self):
         assert validate_datum(RootDatum(1, ((1,),), ((2,),))) == []
