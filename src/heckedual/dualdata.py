@@ -91,8 +91,7 @@ class LanglandsDualData(FrozenRecord):
 
     def __init__(self, base: RootDatum, ext: RootDatum, r: Vec, t: Vec, j: Vec, i: Vec,
                  p: Vec, epsilon_order: int):
-        values = (base, ext, r, t, j, i, p, epsilon_order)
-        self._init(values, values)
+        self._init(base, ext, r, t, j, i, p, epsilon_order)
 
     @property
     def delta_index(self) -> int:

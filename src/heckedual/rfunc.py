@@ -20,14 +20,13 @@ from __future__ import annotations
 
 import math
 from collections import Counter
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence, Union
 
 from .dualdata import LanglandsDualData
 from .errors import OmegaViolationError, PoleError, RankMismatchError, ValidationError
 from .lattice import Vec, as_fraction, fraction_monomial, int_vector, reflect
-from .rootdatum import orbit_walk
+from .rootdatum import FrozenRecord, orbit_walk
 
 # ---------------------------------------------------------------------------
 # the quadratic coefficient field Q(sqrt(rad))
@@ -35,21 +34,20 @@ from .rootdatum import orbit_walk
 _ZERO, _ONE = Fraction(0), Fraction(1)
 
 
-@dataclass(frozen=True)
-class QuadExt:
+class QuadExt(FrozenRecord):
     """a + b*sqrt(rad) with exact rational a, b and a fixed radicand.
 
     The constructor reads a, b and rad by ``as_fraction``; every arithmetic
-    result is built by the unchecked ``_make`` from Fractions it computed."""
+    result is built by the unchecked ``_make`` from Fractions it computed.
+    Equality and the hash are its own: a rational element equals its
+    Fraction."""
 
-    a: Fraction
-    b: Fraction
-    rad: Fraction
+    _fields = ("a", "b", "rad")
 
-    def __post_init__(self):
-        object.__setattr__(self, "a", as_fraction(self.a))
-        object.__setattr__(self, "b", as_fraction(self.b))
-        object.__setattr__(self, "rad", as_fraction(self.rad))
+    def __init__(self, a: Fraction, b: Fraction, rad: Fraction):
+        object.__setattr__(self, "a", as_fraction(a))
+        object.__setattr__(self, "b", as_fraction(b))
+        object.__setattr__(self, "rad", as_fraction(rad))
 
     @classmethod
     def _make(cls, a: Fraction, b: Fraction, rad: Fraction) -> "QuadExt":
@@ -184,26 +182,24 @@ def sqrt_of(q: Fraction) -> FieldElement:
 # parameters and assignments on the extended coweight lattice
 
 
-@dataclass(frozen=True)
-class TorusAssignment:
+class TorusAssignment(FrozenRecord):
     """A multiplicative assignment on the extended coweight basis.
 
     The constructor reads every value that is not a ``QuadExt`` by
     ``as_fraction``; the splitting, the twist and conjugation build their
     results from checked values by the unchecked ``_make``."""
 
-    dd: LanglandsDualData
-    values: tuple[FieldElement, ...]
-
+    _fields = ("dd", "values")
     _noun = "assignment"
 
-    def __post_init__(self):
-        values = tuple(v if isinstance(v, QuadExt) else as_fraction(v) for v in self.values)
-        object.__setattr__(self, "values", values)
-        if len(values) != self.dd.ext.rank:
+    def __init__(self, dd: LanglandsDualData, values: Sequence[FieldElement]):
+        values = tuple(v if isinstance(v, QuadExt) else as_fraction(v) for v in values)
+        if len(values) != dd.ext.rank:
             raise ValidationError(f"{self._noun} needs one value per extended basis vector")
         if not all(values):
             raise ValidationError(f"{self._noun} values must be nonzero")
+        object.__setattr__(self, "dd", dd)
+        object.__setattr__(self, "values", values)
 
     @classmethod
     def _make(cls, dd: LanglandsDualData, values: tuple, **fields) -> "TorusAssignment":
@@ -238,22 +234,20 @@ class TorusAssignment:
         return self._revalued(tuple(field_conjugate(v) for v in self.values))
 
 
-@dataclass(frozen=True)
 class UnramifiedParameter(TorusAssignment):
     """A torus assignment satisfying the modulus condition at delta; q is
     read by ``as_fraction``."""
 
-    q: Fraction
-
+    _fields = ("dd", "values", "q")
     _noun = "parameter"
 
-    def __post_init__(self):
-        object.__setattr__(self, "q", as_fraction(self.q))
-        super().__post_init__()
-        if self.values[self.dd.delta_index] != self.q:
+    def __init__(self, dd: LanglandsDualData, values: Sequence[FieldElement], q: Fraction):
+        q = as_fraction(q)
+        super().__init__(dd, values)
+        if self.values[dd.delta_index] != q:
             raise OmegaViolationError(
-                f"(omega) violated: delta value {self.values[self.dd.delta_index]}"
-                f" differs from q = {self.q}")
+                f"(omega) violated: delta value {self.values[dd.delta_index]} differs from q = {q}")
+        object.__setattr__(self, "q", q)
 
 
 def make_parameter(dd: LanglandsDualData, q, base_values: Sequence[FieldElement]) -> UnramifiedParameter:
@@ -272,30 +266,25 @@ def make_parameter(dd: LanglandsDualData, q, base_values: Sequence[FieldElement]
 # representations of the dual-side group, by weight multiset
 
 
-@dataclass(frozen=True)
-class DualRepresentation:
+class DualRepresentation(FrozenRecord):
     """A finite weight multiset in the extended coweight lattice, stable
     under the extended Weyl action."""
 
-    dd: LanglandsDualData
-    weights: tuple[Vec, ...]
+    _fields = ("dd", "weights")
 
-    def __post_init__(self):
-        object.__setattr__(self, "weights",
-                           tuple(sorted(map(int_vector, self.weights))))
-        rank = self.dd.ext.rank
-        for w in self.weights:
-            if len(w) != rank:
+    def __init__(self, dd: LanglandsDualData, weights: Sequence[Sequence[int]]):
+        weights = tuple(sorted(map(int_vector, weights)))
+        ext = dd.ext
+        for w in weights:
+            if len(w) != ext.rank:
                 raise ValidationError(f"weight {w} has wrong rank")
-        if not self._is_stable():
+        # stable under every simple reflection, which generate the group
+        counter = Counter(weights)
+        if not all(Counter(reflect(wt, alpha, alphavee) for wt in weights) == counter
+                   for alpha, alphavee in zip(ext.simple_roots, ext.simple_coroots)):
             raise ValidationError("weight multiset is not Weyl stable")
-
-    def _is_stable(self) -> bool:
-        """Stable under every simple reflection, which generate the group."""
-        ext = self.dd.ext
-        counter = Counter(self.weights)
-        return all(Counter(reflect(wt, alpha, alphavee) for wt in self.weights) == counter
-                   for alpha, alphavee in zip(ext.simple_roots, ext.simple_coroots))
+        object.__setattr__(self, "dd", dd)
+        object.__setattr__(self, "weights", weights)
 
     @property
     def dimension(self) -> int:
@@ -323,7 +312,9 @@ def tensor_with_projection(tau: DualRepresentation) -> DualRepresentation:
 
 def contragredient_rep(dd: LanglandsDualData, tau: DualRepresentation) -> DualRepresentation:
     """The twisted dual: weights delta - w.  An involution, since delta is
-    Weyl fixed."""
+    Weyl fixed.  tau must be a representation of dd's group."""
+    if tau.dd is not dd and tau.dd != dd:
+        raise ValidationError("representation and target use different dual data")
     delta = dd.i
     return DualRepresentation(dd, tuple(
         tuple(a - b for a, b in zip(delta, wt)) for wt in tau.weights))
@@ -336,8 +327,7 @@ def contragredient_rep(dd: LanglandsDualData, tau: DualRepresentation) -> DualRe
 _POLE_TOLERANCE = 1e-9
 
 
-@dataclass(frozen=True)
-class RFactor:
+class RFactor(FrozenRecord):
     """A local factor prod (1 - c_i u)^-1 in u = q^-s, by its inverse
     roots.  The number of inverse roots is the dimension of the
     representation.
@@ -346,13 +336,12 @@ class RFactor:
     ``QuadExt`` or by ``as_fraction``; ``local_rfactor`` builds through the
     unchecked ``_make`` from a checked parameter's values."""
 
-    q: Fraction
-    inverse_roots: tuple[FieldElement, ...]
+    _fields = ("q", "inverse_roots")
 
-    def __post_init__(self):
-        object.__setattr__(self, "q", as_fraction(self.q))
+    def __init__(self, q: Fraction, inverse_roots: Sequence[FieldElement]):
+        object.__setattr__(self, "q", as_fraction(q))
         object.__setattr__(self, "inverse_roots", tuple(
-            c if isinstance(c, QuadExt) else as_fraction(c) for c in self.inverse_roots))
+            c if isinstance(c, QuadExt) else as_fraction(c) for c in inverse_roots))
 
     @classmethod
     def _make(cls, q: Fraction, inverse_roots: tuple[FieldElement, ...]) -> "RFactor":
@@ -401,12 +390,14 @@ def partial_rfunction(places: Sequence[tuple[Fraction, UnramifiedParameter]],
                       tau: DualRepresentation, s: float) -> float:
     """Finite product of local factor values, accumulated left to right.
 
+    Each place's q is read by ``as_fraction`` and must be its parameter's.
     A pole at any place is reported with the offending residue cardinality
     rather than propagating a bare division error.
     """
     value = 1.0
     for q_v, param in places:
-        if Fraction(q_v) != param.q:
+        q_v = as_fraction(q_v)
+        if q_v != param.q:
             raise ValidationError(f"place lists q = {q_v} but its parameter has q = {param.q}")
         try:
             value *= local_rfactor(param, tau).evaluate(s)

@@ -55,19 +55,22 @@ _ISO_SEARCH_BOUND = 6  # kernel coefficients tried per direction by datum_isomor
 
 
 class FrozenRecord:
-    """An immutable record with ``__slots__``: the fields named in
-    ``_fields`` are set once, by ``_init``, and print, pickle and copy in
-    that order.  Equality compares the key given to ``_init``, hashed there
-    once."""
+    """An immutable record: the fields named in ``_fields`` are set once, at
+    construction, by ``object.__setattr__`` (a trusted constructor of a
+    record without ``__slots__`` may write its ``__dict__``), and print,
+    pickle and copy in that order.  Equality holds within one class and
+    compares ``_key()``, the fields unless a subclass narrows it; the hash
+    is that of ``_key()``, computed on first use and kept."""
 
-    __slots__ = ("_key", "_hash")
+    __slots__ = ("_hash",)
     _fields: tuple[str, ...] = ()
 
-    def _init(self, values: tuple, key: tuple) -> None:
+    def _init(self, *values) -> None:
         for name, value in zip(self._fields, values):
             object.__setattr__(self, name, value)
-        object.__setattr__(self, "_key", key)
-        object.__setattr__(self, "_hash", hash(key))
+
+    def _key(self) -> tuple:
+        return tuple(getattr(self, name) for name in self._fields)
 
     def __setattr__(self, name, value):
         raise AttributeError(f"cannot assign to field {name!r}")
@@ -78,10 +81,15 @@ class FrozenRecord:
     def __eq__(self, other):
         if other.__class__ is not self.__class__:
             return NotImplemented
-        return self._key == other._key
+        return self._key() == other._key()
 
     def __hash__(self):
-        return self._hash
+        try:
+            return self._hash
+        except AttributeError:
+            value = hash(self._key())
+            object.__setattr__(self, "_hash", value)
+            return value
 
     def __repr__(self):
         fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
@@ -104,9 +112,11 @@ class RootDatum(FrozenRecord):
 
     def __init__(self, rank: int, simple_roots: Sequence[Sequence[int]],
                  simple_coroots: Sequence[Sequence[int]], name: str = ""):
-        key = (as_int(rank), tuple(map(int_vector, simple_roots)),
-               tuple(map(int_vector, simple_coroots)))
-        self._init(key + (name,), key)
+        self._init(as_int(rank), tuple(map(int_vector, simple_roots)),
+                   tuple(map(int_vector, simple_coroots)), name)
+
+    def _key(self) -> tuple:
+        return self.rank, self.simple_roots, self.simple_coroots
 
     @property
     def semisimple_rank(self) -> int:

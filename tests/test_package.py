@@ -59,10 +59,13 @@ print(json.dumps({{"code": code, "stdout": out.getvalue(), "loaded": loaded}}))
     (None, []),
     (["roots", "SL3"], []),
     (["dualdata", "GL3"], ["heckedual.dualdata"]),
-    (["split", "SO5", "--q", "7", "--values", "2,3"],
-     ["heckedual.dualdata", "heckedual.rfunc", "dataclasses"]),
+    (["split", "SO5", "--q", "7", "--values", "2,3"], ["heckedual.dualdata", "heckedual.rfunc"]),
     (["mult", "PGL2", "--lhs", "1", "--rhs", "1"],
      ["heckedual.dualdata", "heckedual.satake", "dataclasses"]),
+    (["rfactor", "PGL2", "--weights", "1,1;-1,0", "--values", "2", "--q", "3", "--s", "2"],
+     ["heckedual.dualdata", "heckedual.rfunc"]),
+    (["euler", "--trivial", "--primes-below", "100", "--s", "2"],
+     ["heckedual.dualdata", "heckedual.rfunc"]),
 ])
 def test_cli_loads_only_the_layers_it_runs(capsys, argv, loaded):
     fresh = run_fresh(CLI_SCRIPT, json.dumps(argv))

@@ -1,6 +1,8 @@
 """Tests for parameters, local factors, the splitting and the sign twist."""
 
+import copy
 import math
+import pickle
 import random
 from fractions import Fraction
 
@@ -8,7 +10,7 @@ import pytest
 
 from heckedual.dualdata import LanglandsDualData, langlands_dual_data
 from heckedual.errors import OmegaViolationError, PoleError, RankMismatchError, ValidationError
-from heckedual.rootdatum import BUILTINS, TRIVIAL
+from heckedual.rootdatum import BUILTINS, TRIVIAL, RootDatum
 from heckedual.rfunc import (
     DualRepresentation,
     QuadExt,
@@ -214,6 +216,16 @@ class TestRepresentations:
                 tau = DualRepresentation.from_orbits(dd, seeds)
                 assert contragredient_rep(dd, contragredient_rep(dd, tau)) == tau
 
+    def test_contragredient_refuses_other_dual_data(self):
+        # PGL2's trivial weight (0, 0) read against SL2's delta would give
+        # ((0, 1),), a representation of neither group
+        tau = DualRepresentation.trivial(DD_PGL2)
+        with pytest.raises(ValidationError, match="different dual data"):
+            contragredient_rep(langlands_dual_data(BUILTINS["SL2"]), tau)
+        # equal dual data under another name is the same group
+        renamed = langlands_dual_data(RootDatum(1, ((1,),), ((2,),), "renamed"))
+        assert contragredient_rep(renamed, tau) == contragredient_rep(DD_PGL2, tau)
+
 
 class TestLocalFactors:
     def test_trivial_rep_zeta_factor(self):
@@ -255,7 +267,7 @@ class TestLocalFactors:
         tau = DualRepresentation(DD_PGL2, ((1, 1), (-1, 0)))
         expected = local_rfactor(p, tau)
         checked = []
-        monkeypatch.setattr(RFactor, "__post_init__", lambda self: checked.append(self))
+        monkeypatch.setattr(RFactor, "__init__", lambda self, *args: checked.append(self))
         assert local_rfactor(p, tau) == expected and checked == []
 
     def test_pole_detection(self):
@@ -346,6 +358,15 @@ class TestEulerProducts:
         tau = DualRepresentation.trivial(DD_TRIVIAL)
         with pytest.raises(ValidationError):
             partial_rfunction(((Fraction(3), p),), tau, 2.0)
+
+    @pytest.mark.parametrize("bad", ["2", 2.0, True])
+    def test_place_q_is_read_exactly(self, bad):
+        p = make_parameter(DD_TRIVIAL, 2, ())
+        tau = DualRepresentation.trivial(DD_TRIVIAL)
+        with pytest.raises(ValidationError, match="expected a Fraction or an int"):
+            partial_rfunction(((bad, p),), tau, 2.0)
+        assert partial_rfunction(((2, p),), tau, 2.0) == partial_rfunction(
+            ((Fraction(2), p),), tau, 2.0)
 
     def test_pole_names_place(self):
         p = make_parameter(DD_TRIVIAL, 2, ())
@@ -500,7 +521,7 @@ class TestSplitting:
         x = make_parameter(dd, 7, (Fraction(2, 3), 1 - gen))
         checked = []
         for cls in (QuadExt, TorusAssignment, UnramifiedParameter):
-            monkeypatch.setattr(cls, "__post_init__", lambda self, cls=cls: checked.append(cls))
+            monkeypatch.setattr(cls, "__init__", lambda self, *args, cls=cls: checked.append(cls))
         split = split_by_sqrt(x, -gen)
         for a in (x, split):
             epsilon_twist(a).conjugate().value_at((1, -2, 3))
@@ -535,3 +556,99 @@ class TestSplitting:
         split = split_by_sqrt(p, root)
         assert split.conjugate() != split
         assert split.conjugate() == epsilon_twist(split)
+
+
+# ---------------------------------------------------------------------------
+# the contract of the five records, as for the datum-path records in
+# test_package.py
+
+GEN3 = sqrt_of(Fraction(3))
+TRIVIAL_DD_REPR = (
+    "LanglandsDualData(base=RootDatum(rank=0, simple_roots=(), simple_coroots=(), name='trivial'),"
+    " ext=RootDatum(rank=1, simple_roots=(), simple_coroots=(), name='trivial~'), r=(1,), t=(0,),"
+    " j=(2,), i=(1,), p=(1,), epsilon_order=1)")
+GEN3_REPR = "QuadExt(a=Fraction(0, 1), b=Fraction(1, 1), rad=Fraction(3, 1))"
+# each record, its keyword construction and its repr, captured when the
+# records were dataclasses
+RECORDS = [
+    (QuadExt(1, Fraction(-2, 3), 7),
+     lambda: QuadExt(rad=7, b=Fraction(-2, 3), a=1),
+     "QuadExt(a=Fraction(1, 1), b=Fraction(-2, 3), rad=Fraction(7, 1))"),
+    (TorusAssignment(DD_TRIVIAL, (GEN3,)),
+     lambda: TorusAssignment(values=[GEN3], dd=DD_TRIVIAL),
+     f"TorusAssignment(dd={TRIVIAL_DD_REPR}, values=({GEN3_REPR},))"),
+    (UnramifiedParameter(DD_TRIVIAL, (3,), 3),
+     lambda: UnramifiedParameter(q=Fraction(3), values=[Fraction(3)], dd=DD_TRIVIAL),
+     f"UnramifiedParameter(dd={TRIVIAL_DD_REPR}, values=(Fraction(3, 1),), q=Fraction(3, 1))"),
+    (DualRepresentation.trivial(DD_TRIVIAL),
+     lambda: DualRepresentation(weights=[[0]], dd=DD_TRIVIAL),
+     f"DualRepresentation(dd={TRIVIAL_DD_REPR}, weights=((0,),))"),
+    (RFactor(3, (2, GEN3)),
+     lambda: RFactor(inverse_roots=[Fraction(2), GEN3], q=Fraction(3)),
+     f"RFactor(q=Fraction(3, 1), inverse_roots=(Fraction(2, 1), {GEN3_REPR}))"),
+]
+RECORD_IDS = [type(record).__name__ for record, _, _ in RECORDS]
+FIELDS = {QuadExt: ("a", "b", "rad"), TorusAssignment: ("dd", "values"),
+          UnramifiedParameter: ("dd", "values", "q"), DualRepresentation: ("dd", "weights"),
+          RFactor: ("q", "inverse_roots")}
+
+
+def field_tuple(record) -> tuple:
+    return tuple(getattr(record, name) for name in FIELDS[type(record)])
+
+
+@pytest.mark.parametrize("record, by_keyword, text", RECORDS, ids=RECORD_IDS)
+class TestRecords:
+    def test_repr(self, record, by_keyword, text):
+        assert repr(record) == text
+
+    def test_keyword_construction_is_equal_with_equal_hash(self, record, by_keyword, text):
+        other = by_keyword()
+        assert other is not record
+        assert other == record and hash(other) == hash(record)
+        assert not other != record
+
+    def test_hash_is_that_of_the_fields(self, record, by_keyword, text):
+        assert hash(record) == hash(field_tuple(record))
+
+    @pytest.mark.parametrize("field", ["a", "dd", "values", "q", "weights", "extra"])
+    def test_immutable(self, record, by_keyword, text, field):
+        with pytest.raises(AttributeError):
+            setattr(record, field, 0)
+        with pytest.raises(AttributeError):
+            delattr(record, field)
+        assert repr(record) == text
+
+    def test_pickle_and_copy_round_trip(self, record, by_keyword, text):
+        for other in (pickle.loads(pickle.dumps(record)), copy.deepcopy(record),
+                      copy.copy(record)):
+            assert type(other) is type(record)
+            assert other == record and hash(other) == hash(record)
+            assert repr(other) == text
+
+
+def test_records_of_different_classes_differ():
+    values = (Fraction(3),)
+    assignment = TorusAssignment(DD_TRIVIAL, values)
+    parameter = UnramifiedParameter(DD_TRIVIAL, values, 3)
+    assert assignment != parameter and parameter != assignment
+    assert not assignment == parameter
+    assert assignment == TorusAssignment(DD_TRIVIAL, parameter.values)
+
+
+def test_a_derived_record_hashes_its_own_fields():
+    # the kept hash of a record must not pass to the records built from it
+    x = make_parameter(DD_PGL2, 7, (Fraction(2),))
+    hash(x)
+    split = split_by_sqrt(x, sqrt_of(Fraction(7)))
+    hash(split)
+    for derived in (x.conjugate(), epsilon_twist(x), epsilon_twist(split), split.conjugate()):
+        assert hash(derived) == hash(field_tuple(derived))
+
+
+def test_quad_ext_equals_its_rational_value():
+    rational = QuadExt(Fraction(5, 2), 0, 3)
+    assert rational == Fraction(5, 2) and Fraction(5, 2) == rational
+    assert hash(rational) == hash(Fraction(5, 2))
+    assert QuadExt(2, 0, 7) == 2 and hash(QuadExt(2, 0, 7)) == hash(2)
+    assert GEN3 != QuadExt(0, 1, 2) and GEN3 != 3
