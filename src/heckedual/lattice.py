@@ -88,18 +88,20 @@ def as_fraction(x) -> Fraction:
     raise ValidationError(f"expected a Fraction or an int, got {shown}")
 
 
-def fraction_monomial(values: Iterable, exponents: Iterable[int]) -> Fraction:
-    """prod v^e over Fractions or ints v and int exponents e, as one Fraction:
-    numerators and denominators multiply as ints, swapped where e < 0, and
-    only the product is put in lowest terms."""
+def fraction_monomial(pairs: Iterable[tuple[int, int]], exponents: Iterable[int]) -> Fraction:
+    """prod (n/d)^e over pre-read (numerator, denominator) int pairs and int
+    exponents e, as one Fraction: numerators and denominators multiply as
+    ints, swapped where e < 0, and only the product is put in lowest terms.
+    A caller that evaluates many monomials in the same values reads their
+    pairs once."""
     num = den = 1
-    for v, e in zip(values, exponents):
+    for (n, d), e in zip(pairs, exponents):
         if e > 0:
-            num *= v.numerator ** e
-            den *= v.denominator ** e
+            num *= n ** e
+            den *= d ** e
         elif e:
-            num *= v.denominator ** -e
-            den *= v.numerator ** -e
+            num *= d ** -e
+            den *= n ** -e
     return Fraction(num, den)
 
 

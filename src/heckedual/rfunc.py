@@ -202,16 +202,18 @@ class TorusAssignment(FrozenRecord):
         object.__setattr__(self, "values", values)
 
     @classmethod
-    def _make(cls, dd: LanglandsDualData, values: tuple, **fields) -> "TorusAssignment":
+    def _make(cls, dd: LanglandsDualData, values: tuple) -> "TorusAssignment":
         # trusted constructor: one nonzero Fraction or QuadExt per extended
-        # basis vector, and the other fields of cls as its constructor reads them
+        # basis vector
         self = object.__new__(cls)
-        self.__dict__.update(dd=dd, values=values, **fields)
+        fields = self.__dict__
+        fields["dd"] = dd
+        fields["values"] = values
         return self
 
     def _revalued(self, values: tuple) -> "TorusAssignment":
         # the same class and other fields; trusted like _make
-        return self._make(**{**self.__dict__, "values": values})
+        return self._make(self.dd, values)
 
     def value_at(self, ytilde: Sequence[int]) -> FieldElement:
         """prod v_k^(y_k): the rational values as one ``fraction_monomial``,
@@ -220,11 +222,17 @@ class TorusAssignment(FrozenRecord):
         ytilde = int_vector(ytilde)
         if len(ytilde) != len(self.values):
             raise RankMismatchError(f"value at a rank-{len(ytilde)} vector, not rank {len(self.values)}")
-        out: FieldElement = fraction_monomial(
-            [1 if isinstance(v, QuadExt) else v for v in self.values], ytilde)
-        for v, e in zip(self.values, ytilde):
-            if e and isinstance(v, QuadExt):
-                out = v ** e * out
+        return self._values_at((ytilde,))[0]
+
+    def _values_at(self, rows: Sequence[Vec]) -> list[FieldElement]:
+        # value_at at each checked row of the right rank, reading the
+        # rational values' pairs once
+        pairs = [(1, 1) if isinstance(v, QuadExt) else (v.numerator, v.denominator)
+                 for v in self.values]
+        out: list[FieldElement] = [fraction_monomial(pairs, y) for y in rows]
+        for k, v in enumerate(self.values):
+            if isinstance(v, QuadExt):
+                out = [v ** y[k] * c if y[k] else c for y, c in zip(rows, out)]
         return out
 
     def delta_value(self) -> FieldElement:
@@ -248,6 +256,12 @@ class UnramifiedParameter(TorusAssignment):
             raise OmegaViolationError(
                 f"(omega) violated: delta value {self.values[dd.delta_index]} differs from q = {q}")
         object.__setattr__(self, "q", q)
+
+    def _revalued(self, values: tuple) -> "UnramifiedParameter":
+        # the twist and conjugation keep the delta value, so q
+        out = super()._revalued(values)
+        out.__dict__["q"] = self.q
+        return out
 
 
 def make_parameter(dd: LanglandsDualData, q, base_values: Sequence[FieldElement]) -> UnramifiedParameter:
@@ -347,7 +361,9 @@ class RFactor(FrozenRecord):
     def _make(cls, q: Fraction, inverse_roots: tuple[FieldElement, ...]) -> "RFactor":
         # trusted constructor: a Fraction q and Fraction or QuadExt roots
         self = object.__new__(cls)
-        self.__dict__.update(q=q, inverse_roots=inverse_roots)
+        fields = self.__dict__
+        fields["q"] = q
+        fields["inverse_roots"] = inverse_roots
         return self
 
     def evaluate(self, s: float) -> float:
@@ -380,10 +396,13 @@ class RFactor(FrozenRecord):
 
 
 def local_rfactor(x: UnramifiedParameter, tau: DualRepresentation) -> RFactor:
-    """Inverse roots are the parameter values at the weights of tau."""
+    """Inverse roots are the parameter values at the weights of tau, which
+    tau read as ints of the extended rank: in one pass, x's rational values
+    read once as (numerator, denominator) pairs, one ``fraction_monomial``
+    per weight, then each ``QuadExt`` power, exactly as ``value_at``."""
     if tau.dd is not x.dd and tau.dd != x.dd:
         raise ValidationError("parameter and representation use different dual data")
-    return RFactor._make(x.q, tuple(x.value_at(w) for w in tau.weights))
+    return RFactor._make(x.q, tuple(x._values_at(tau.weights)))
 
 
 def partial_rfunction(places: Sequence[tuple[Fraction, UnramifiedParameter]],
@@ -418,47 +437,42 @@ def split_by_sqrt(x: UnramifiedParameter, sq: FieldElement) -> TorusAssignment:
     the parity twist below.
 
     sq is read like a value: a ``QuadExt`` as it is, anything else by
-    ``as_fraction``.  Once sq^2 = q is checked, sq^n = q^(n // 2) * sq^(n % 2)
-    with floor division, so for n = -j_k each value is v * q^(n // 2), one
-    ``fraction_monomial`` when v is rational, times sq (n odd) or the
-    field's one sq^0 (n even) from the left.  The one keeps each value in
-    the field of sq, and refuses a value from another extension, exactly as
-    v * sq^n does.  A rational value is placed without a product by 0 or 1
-    (``_times_root``).
+    ``as_fraction``.  sq = a + b*sqrt(rad) (b = 0 if rational) squares to q
+    exactly when a*b = 0 and a^2 + b^2*rad = q, decided on integer
+    numerators and denominators with no product in the field.  Then sq^n =
+    q^(n // 2) * sq^(n % 2), so for n = -j_k a rational v goes to one
+    ``fraction_monomial`` c^(n % 2) * v * q^(n // 2), c the nonzero part of
+    sq, placed at sqrt(rad) if n is odd and b is not 0.  A ``QuadExt`` v
+    goes to sq or the field's one sq^0 times v * q^(n // 2), which refuses
+    a value from another extension exactly as v * sq^n does.
     """
-    if not isinstance(sq, QuadExt):
-        sq = as_fraction(sq)
+    if isinstance(sq, QuadExt):
+        a, b, rad = sq.a, sq.b, sq.rad
+    else:
+        sq = a = as_fraction(sq)
+        b, rad = _ZERO, None
+    c, s = (b, rad) if b else (a, _ONE)
     q = x.q
-    if sq * sq != q:
+    cn, cd, qn, qd = c.numerator, c.denominator, q.numerator, q.denominator
+    if (a and b) or cn * cn * s.numerator * qd != qn * cd * cd * s.denominator:
         raise ValidationError(f"square root check failed: ({sq})^2 != {q}")
-    one = sq ** 0
     new_values = []
     for jk, v in zip(x.dd.j, x.values):
-        half = -jk // 2
+        half, odd = -jk // 2, jk % 2
         if isinstance(v, QuadExt):
-            new_values.append((sq if jk % 2 else one) * (v * q ** half))
+            new_values.append((sq if odd else sq ** 0) * (v * q ** half))
+            continue
+        r = fraction_monomial(((cn, cd), (v.numerator, v.denominator), (qn, qd)), (odd, 1, half))
+        if rad is None:
+            new_values.append(r)
+        elif odd and b:
+            new_values.append(QuadExt._make(_ZERO, r, rad))
         else:
-            new_values.append(_times_root(sq, jk % 2, fraction_monomial((v, q), (1, half))))
+            new_values.append(QuadExt._make(r, _ZERO, rad))
     out = TorusAssignment._make(x.dd, tuple(new_values))
     if out.delta_value() != 1:
         raise RuntimeError(f"internal: split assignment has delta value {out.delta_value()}, not 1")
     return out
-
-
-def _times_root(sq: FieldElement, odd: int, r: Fraction) -> FieldElement:
-    """sq * r when odd, else sq^0 * r, for a rational r and a checked
-    square root sq of q.  sq^2 = q is rational, so a QuadExt sq is a or
-    b*sqrt(rad), its other part 0: r is multiplied neither by that 0, nor
-    by the one, nor by a b of 1 or -1 (the generator of Q(sqrt q) and its
-    negative)."""
-    if not isinstance(sq, QuadExt):
-        return sq * r if odd else r
-    if not odd:
-        return QuadExt._make(r, _ZERO, sq.rad)
-    a, b = sq.a, sq.b
-    if not b:
-        return QuadExt._make(a * r, _ZERO, sq.rad)
-    return QuadExt._make(_ZERO, r if b == 1 else -r if b == -1 else b * r, sq.rad)
 
 
 def epsilon_twist(assignment: TorusAssignment) -> TorusAssignment:

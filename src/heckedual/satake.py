@@ -184,7 +184,7 @@ class UnramifiedCharacter:
         y = int_vector(y)
         if len(y) != len(self.values):
             raise RankMismatchError(f"value at a rank-{len(y)} vector, not rank {len(self.values)}")
-        return (fraction_monomial([c for c, _ in self.values], y),
+        return (fraction_monomial([(c.numerator, c.denominator) for c, _ in self.values], y),
                 sum(k * e for (_, k), e in zip(self.values, y)))
 
 

@@ -146,15 +146,15 @@ class TestFractionMonomial:
             expected = Fraction(1)
             for v, e in zip(values, exponents):
                 expected *= Fraction(v) ** e
-            got = fraction_monomial(values, exponents)
+            got = fraction_monomial([(v.numerator, v.denominator) for v in values], exponents)
             assert got == expected and type(got) is Fraction
             assert (got.numerator, got.denominator) == (expected.numerator, expected.denominator)
 
     def test_zero_to_a_negative_power(self):
-        assert fraction_monomial((Fraction(0), Fraction(2)), (1, -1)) == 0
-        assert fraction_monomial((Fraction(0),), (0,)) == 1
+        assert fraction_monomial(((0, 1), (2, 1)), (1, -1)) == 0
+        assert fraction_monomial(((0, 1),), (0,)) == 1
         with pytest.raises(ZeroDivisionError):
-            fraction_monomial((Fraction(3), Fraction(0)), (1, -2))
+            fraction_monomial(((3, 1), (0, 1)), (1, -2))
 
 
 class TestLaurent:

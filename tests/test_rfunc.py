@@ -270,6 +270,37 @@ class TestLocalFactors:
         monkeypatch.setattr(RFactor, "__init__", lambda self, *args: checked.append(self))
         assert local_rfactor(p, tau) == expected and checked == []
 
+    @pytest.mark.parametrize("datum", SPLIT_DATA, ids=lambda d: d.name)
+    def test_local_rfactor_is_value_at(self, datum):
+        """Each inverse root is the parameter's value_at the weight, equal in
+        value, type, str and hash, on rational and Q(sqrt q) values, square
+        q included; a zero divisor to a negative power raises on both sides."""
+        dd = langlands_dual_data(datum)
+        rng = random.Random(12)
+        for q in (Fraction(9), Fraction(2), Fraction(9, 4), Fraction(3, 2)):
+            gen = QuadExt(Fraction(0), Fraction(1), q)
+            rational = tuple(Fraction(rng.choice((-1, 1)) * rng.randint(1, 9), rng.randint(1, 9))
+                             for _ in range(dd.base.rank))
+            quadratic = tuple(rng.randint(1, 5) + Fraction(rng.randint(-5, 5), 3) * gen
+                              for _ in range(dd.base.rank))
+            for base_values in (rational, quadratic):
+                x = make_parameter(dd, q, base_values)
+                for _ in range(4):
+                    seeds = [tuple(rng.randint(-2, 2) for _ in range(dd.ext.rank))
+                             for _ in range(rng.randint(1, 3))]
+                    tau = DualRepresentation.from_orbits(dd, seeds)
+                    try:
+                        expected = [x.value_at(w) for w in tau.weights]
+                    except ZeroDivisionError:
+                        with pytest.raises(ZeroDivisionError):
+                            local_rfactor(x, tau)
+                        continue
+                    got = local_rfactor(x, tau).inverse_roots
+                    assert list(got) == expected
+                    assert [type(c) for c in got] == [type(c) for c in expected]
+                    assert [str(c) for c in got] == [str(c) for c in expected]
+                    assert [hash(c) for c in got] == [hash(c) for c in expected]
+
     def test_pole_detection(self):
         p = make_parameter(DD_TRIVIAL, 2, ())
         factor = local_rfactor(p, DualRepresentation.trivial(DD_TRIVIAL))
@@ -403,6 +434,35 @@ class TestSplitting:
         p = make_parameter(DD_PGL2, 9, (Fraction(2),))
         with pytest.raises(ValidationError):
             split_by_sqrt(p, Fraction(2))
+
+    def test_square_check_is_the_product(self):
+        """split_by_sqrt refuses a root exactly when sq * sq != q, with the
+        same message: rational roots, and QuadExt roots with a zero, a
+        nonzero or a negative part, a radicand that is a square, not q, or
+        0, for square, non-square, fractional and negative q."""
+        rng = random.Random(13)
+        parts = (0, 0, 1, -1, 2, -3, Fraction(1, 2), Fraction(-3, 2), Fraction(5, 3))
+        outcomes = set()
+        for q in (Fraction(9), Fraction(2), Fraction(7), Fraction(9, 4), Fraction(3, 2),
+                  Fraction(-3)):
+            x = UnramifiedParameter(DD_PGL2, (Fraction(2), q), q)
+            roots = [sqrt_of(abs(q)), -sqrt_of(abs(q)), Fraction(3), -3, Fraction(3, 2)]
+            for _ in range(60):
+                a, b = rng.choice(parts), rng.choice(parts)
+                rad = rng.choice((q, 4 * q, q / 4, q / b ** 2 if b else q, Fraction(9),
+                                  Fraction(4), Fraction(2), Fraction(0), Fraction(-3)))
+                roots += [QuadExt(a, b, rad), QuadExt(0, b, rad), QuadExt(a, 0, rad)]
+            for sq in roots:
+                square = sq * sq
+                refused = square != q
+                outcomes.add(refused)
+                if refused:
+                    with pytest.raises(ValidationError) as caught:
+                        split_by_sqrt(x, sq)
+                    assert str(caught.value) == f"square root check failed: ({sq})^2 != {q}"
+                else:
+                    assert split_by_sqrt(x, sq).delta_value() == 1
+        assert outcomes == {True, False}
 
     def test_epsilon_twist_involution(self):
         p = make_parameter(DD_PGL2, 4, (Fraction(7),))
