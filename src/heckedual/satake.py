@@ -89,8 +89,10 @@ it starts at min(|a|_1 max|b|, |b|_1 max|a|) over the two factors, and
 each peeled c adds |c| times the largest norm in S(nu).  A residual value
 is read (the zero test, the decode, the last test) only while the bound is
 below 2^63, so every digit holds its coefficient; otherwise the peel
-raises an internal error.  A coefficient becomes a Laurent only as it is
-put into the expansion, and that decode gives its exact norm.
+raises an internal error.  Each distinct lifted coefficient, with its
+depth, is decoded into a Laurent and its exact norm once per process
+(``_decoded``), and every read of that decode, the first included, comes
+under the bound of the peel that reads it.
 
 A central coweight z, <alpha_i, z> = 0 for every simple root, only shifts:
 S(lambda + z) = e^z S(lambda), and since dominance and the points below
@@ -122,6 +124,7 @@ from typing import Sequence
 from .dualdata import LanglandsDualData, langlands_dual_data
 from .errors import CapExceededError, RankMismatchError, ValidationError
 from .lattice import (
+    _HALF,
     _SLOT,
     GroupAlgebraElement,
     Laurent,
@@ -552,6 +555,10 @@ class HeckeExpansion:
 # classes, their pairings in sorted order
 _expansions: dict[tuple[LanglandsDualData, Vec, Vec], tuple[Vec, tuple[tuple[Vec, Laurent], ...]]] = {}
 
+# (t-int, depth h) -> t_laurent of the t-int at q^-h: each peeled coefficient
+# decoded once, read only under a peel's bound
+_decoded: dict[tuple[int, int], tuple[Laurent, int]] = {}
+
 
 def structure_polynomials(dd: LanglandsDualData, lam: Sequence[int], mu: Sequence[int]) -> HeckeExpansion:
     """Expand the product of two basis images in the basis again.
@@ -608,8 +615,9 @@ def _peel(dd: LanglandsDualData, lam: Vec, p_lam: Vec, mu: Vec,
     slot of top (module docstring), at which each image's view is read.
     Keys turn back into coweights only as the points whose pairings they
     pack.  Coefficients are the t-ints of their lifts, each read only under
-    the peel's bound on the norms of the residual and decoded into a
-    Laurent only as it is put into the expansion (module docstring).
+    the peel's bound on the norms of the residual; each distinct one, with
+    its depth, is decoded into a Laurent once per process (module
+    docstring).
     """
     d = dd.base
     s_lam = _class_image(dd, lam, p_lam)
@@ -624,16 +632,21 @@ def _peel(dd: LanglandsDualData, lam: Vec, p_lam: Vec, mu: Vec,
     bound = min(s_lam.norm * s_mu.peak, s_mu.norm * s_lam.peak)
     require_digits_fit(bound)
     coeffs: dict[Vec, Laurent] = {}
+    images, decoded, get = _images, _decoded, residual.get
     for nu, p, h, k in zip(points, point_pairings, depths, keys):
-        n = residual.get(k)
+        n = get(k)
         if not n:
             continue
-        coeffs[nu], norm = t_laurent(n, -h, bound)
-        image = _class_image(dd, nu, p)
+        found = decoded.get((n, h))
+        if found is None:
+            found = decoded[n, h] = t_laurent(n, -h, bound)
+        coeffs[nu], norm = found
+        image = images.get((dd, p)) or _class_image(dd, nu, p)
         bound += norm * image.peak
-        require_digits_fit(bound)
+        if bound >= _HALF:
+            require_digits_fit(bound)
         # a term y of S(rep) lands at y + nu - rep, which has its pairings
-        add_products_into(residual, -n, image.view(slot)[1])
+        add_products_into(residual, -n, (image.views.get(slot) or image.view(slot))[1])
     if any(residual.values()):
         raise RuntimeError("internal: nonzero residual at a dominant point after peeling")
     if coeffs.get(top) != Laurent.one():

@@ -168,9 +168,10 @@ def reference_image(dd, lam):
 
 @pytest.fixture
 def fresh_images():
-    """Empty the image cache and the expansion memo around a test, so it
-    builds and peels cold (and leaves no corrupted image behind)."""
-    caches = (satake._images, satake._expansions)
+    """Empty the image cache, the expansion memo and the memo of decoded
+    coefficients around a test, so it builds, peels and decodes cold (and
+    leaves no corrupted image behind)."""
+    caches = (satake._images, satake._expansions, satake._decoded)
     for cache in caches:
         cache.clear()
     yield

@@ -5,6 +5,7 @@ chamber-only remainder check as strong as the whole one."""
 
 import hashlib
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -75,13 +76,58 @@ def full_product_peel(dd, lam, mu):
     return HeckeExpansion(dd.base, coeffs)
 
 
+def same_coefficients(found, want):
+    """Equal expansions whose coefficients also agree in hash, items and
+    lowest exponent."""
+    assert found == want
+    for nu, c in found.coeffs.items():
+        w = want.coeffs[nu]
+        assert (hash(c), c.items(), c.min_exp()) == (hash(w), w.items(), w.min_exp()), nu
+
+
 @pytest.mark.parametrize("name", sorted(BUILTINS))
-def test_chamber_peel_matches_full_product(name):
+def test_chamber_peel_matches_full_product(name, monkeypatch, fresh_images):
+    # every pair is peeled with an empty memo of decoded coefficients, and
+    # again after every other pair has filled the memo; one pass over all
+    # pairs decodes each memo key once
     dd = langlands_dual_data(BUILTINS[name])
     doms = enumerate_dominant(dd.base, 2)
-    for lam in doms:
-        for mu in doms:
-            assert structure_polynomials(dd, lam, mu) == full_product_peel(dd, lam, mu), (lam, mu)
+    pairs = [(lam, mu) for lam in doms for mu in doms]
+    if name == "GL3":
+        pairs.append(((5, 4, 3), (-1, -2, -3)))  # (2, 1, 0) x (1, 0, -1) moved by the centre
+    want = [full_product_peel(dd, lam, mu) for lam, mu in pairs]
+    real, decodes = satake.t_laurent, []
+
+    def t_laurent(n, power, bound):
+        decodes.append((n, -power))
+        return real(n, power, bound)
+
+    def peel(lam, mu):
+        satake._expansions.clear()
+        return structure_polynomials(dd, lam, mu)
+
+    # the reference peels decoded every image the peel reads, so each call
+    # seen from here on is a decode of the peel
+    monkeypatch.setattr(satake, "t_laurent", t_laurent)
+    cold, keys = [], []
+    for (lam, mu), expansion in zip(pairs, want):
+        satake._decoded.clear()
+        decodes.clear()
+        cold.append(peel(lam, mu))
+        same_coefficients(cold[-1], expansion)
+        keys.append(set(decodes))
+        assert len(decodes) == len(keys[-1]), (lam, mu)
+    satake._decoded.clear()
+    decodes.clear()
+    for lam, mu in pairs:
+        peel(lam, mu)
+    assert len(decodes) == len(set(decodes))
+    assert set(decodes) == set().union(*keys) == set(satake._decoded)
+    shared = Counter(key for own in keys for key in own)
+    for (lam, mu), own, expansion in zip(pairs, keys, cold):
+        alone = {key: satake._decoded.pop(key) for key in own if shared[key] == 1}
+        same_coefficients(peel(lam, mu), expansion)
+        satake._decoded.update(alone)
 
 
 @pytest.mark.parametrize("order", ["small-first", "large-first"])
@@ -467,14 +513,21 @@ def test_peel_top_not_one_raises(fresh_images):
         structure_polynomials(DD_PGL2, (1,), (1,))
 
 
-@pytest.mark.parametrize("rep", [(1,), (0,)], ids=["factor", "peeled"])
-def test_peel_bound_past_half_a_slot_raises(fresh_images, rep):
+@pytest.mark.parametrize("rep, memo", [((1,), "cold"), ((0,), "cold"), ((1,), "warm"), ((0,), "warm")],
+                         ids=["factor", "peeled", "factor-warm", "peeled-warm"])
+def test_peel_bound_past_half_a_slot_raises(fresh_images, rep, memo):
     # S(1)^2 = S(2) + (q^-1 + q^-2) S(0), with S(1) or S(0) times 2^62 in
     # the view: the bound passes 2^63 at the start, or when q^-1 + q^-2 is
     # peeled at 0, and the peel stops before it reads a residual value
-    # under it, which would find a nonzero residual or a top other than 1
+    # under it, which would find a nonzero residual or a top other than 1;
+    # warm, the uncorrupted product was peeled first, so its coefficients
+    # are in the memo of decodes
     for lam in ((0,), (1,), (2,)):
         satake_image(DD_PGL2, lam)
+    if memo == "warm":
+        structure_polynomials(DD_PGL2, (1,), (1,))
+        assert satake._decoded
+        satake._expansions.clear()
     corrupt_view(DD_PGL2, rep, lambda poly: poly.scale(1 << 62))
     with pytest.raises(RuntimeError, match="internal: coefficient bound .* half a 64-bit slot"):
         structure_polynomials(DD_PGL2, (1,), (1,))
