@@ -16,25 +16,6 @@ Two kinds of values live here:
   map of the exponents, restriction to the fibre over q, and the
   Demazure-Lusztig and dot actions downstream) sums its terms through one
   routine, ``GroupAlgebraElement.collect``, which stores no zero.
-* packed vectors: ``pack`` sends an integer vector v to the int
-  sum_i v_i 2^(slot i), a Kronecker substitution, here on a linear image
-  of the exponents of the group algebra (the peel packs the pairings
-  of a coweight with the simple roots).  It is linear, so a difference or
-  a shift is one int subtraction or add, and it is one to one while every
-  coordinate is below 2^(slot-1) in absolute value; ``pack_slot`` gives the
-  least whole number of bytes for a bound, and ``repack`` moves a packed
-  vector to a wider slot.
-* t-ints: a polynomial sum_i c_i t^i in t = q^-1 as the one int
-  sum_i c_i 2^(64 i), with no lowest exponent beside it, the only packed
-  polynomial here.  Sums and products of polynomials are sums and products
-  of their ints, exactly, and a term c t^i is c shifted by i digits.
-  ``t_laurent``, the one decoder, reads a t-int back into a Laurent, times
-  a power of q, while a bound on the norms of what was summed and
-  multiplied shows that every coefficient fits its digit
-  (``require_digits_fit``).  The image walk builds the lift of each
-  coefficient as a t-int from its monomials; the two routines of the peel
-  downstream, ``product_coefficients`` and ``add_products_into``, take
-  t-ints keyed by packed vectors, and the caller carries the bound.
 
 Simple reflections are applied to vectors by ``reflect``, v - <a, v> b; no
 reflection matrix is built.  Integer matrices are plain tuples of row
@@ -529,113 +510,6 @@ def _normal(lo: int, coeffs: list[int]) -> tuple[int, tuple[int, ...]]:
     while j > i and not coeffs[j - 1]:
         j -= 1
     return (lo + i, tuple(coeffs[i:j])) if i < j else (0, ())
-
-
-# ---------------------------------------------------------------------------
-# packed exponents and t-ints
-
-
-def pack(v: Sequence[int], slot: int) -> int:
-    """The Kronecker packing sum_i v_i 2^(slot i) of an integer vector.
-
-    It is linear, pack(v - y) = pack(v) - pack(y), and one to one on the
-    vectors whose coordinates are below 2^(slot-1) in absolute value."""
-    n = shift = 0
-    for x in v:
-        n += x << shift
-        shift += slot
-    return n
-
-
-def pack_slot(bound: int) -> int:
-    """The least whole number of bytes, as a slot width in bits, under
-    which ``pack`` is one to one on the vectors whose coordinates are at
-    most bound in absolute value."""
-    return 8 * (bound.bit_length() // 8 + 1)
-
-
-def repack(n: int, slot: int, wider: int) -> int:
-    """pack(v, wider) for n = pack(v, slot), each |v_i| < 2^(slot-1): v is
-    read back as the balanced digits of n, lowest first."""
-    half, mask, v = 1 << (slot - 1), (1 << slot) - 1, []
-    while n:
-        v.append(((n + half) & mask) - half)
-        n = (n - v[-1]) >> slot
-    return pack(v, wider)
-
-
-_SLOT = 64  # bits per digit of a t-int
-_MASK = (1 << _SLOT) - 1
-_HALF = 1 << (_SLOT - 1)
-
-
-def require_digits_fit(bound: int) -> None:
-    """An internal RuntimeError unless a bound on the norm sum_i |c_i| of a
-    t-int shows that every coefficient fits its digit."""
-    if bound >= _HALF:
-        raise RuntimeError(f"internal: coefficient bound {bound} reaches half a {_SLOT}-bit slot")
-
-
-def t_laurent(n: int, power: int, bound: int) -> tuple[Laurent, int]:
-    """q^power times the polynomial of the t-int n, as a Laurent in q, and
-    its exact norm, read once bound, on the norm, shows that every
-    coefficient fits its digit.  Digit i is the coefficient of
-    q^(power - i), so the Laurent's coefficients run the other way."""
-    require_digits_fit(bound)
-    digits = []
-    while n:
-        c = n & _MASK
-        if c >= _HALF:
-            c -= 1 << _SLOT
-        n = (n - c) >> _SLOT
-        digits.append(c)
-    # the highest digit is nonzero, but the lowest may be 0: drop those
-    while digits and not digits[0]:
-        del digits[0]
-        power -= 1
-    digits.reverse()
-    lo = power + 1 - len(digits) if digits else 0
-    return Laurent._make(lo, tuple(digits)), sum(map(abs, digits))
-
-
-def product_coefficients(a: Mapping[int, int], b: Mapping[int, int],
-                         points: Iterable[int]) -> dict[int, int]:
-    """Coefficients of a product of two group-algebra elements over Z[t] at
-    the given points only, as t-ints keyed by packed vectors: a term y of
-    a and a term z of b meet at a point v exactly when key(v) - key(y) =
-    key(z), as for pack of a linear map that is one to one on the exponents,
-    at a slot that packs each difference one to one.  Points no pair of
-    terms reaches are omitted; a coefficient that cancels is kept, as zero.
-
-    Each point costs one int subtraction and one lookup per term of the
-    smaller factor, instead of forming the whole product, and each pair of
-    terms that meets there one int product and one int add.  The caller
-    bounds the norms: at most min(|a|_1 max|b|, |b|_1 max|a|) per point.
-    """
-    small, large = (a, b) if len(a) <= len(b) else (b, a)
-    small_items = list(small.items())
-    get = large.get
-    out: dict[int, int] = {}
-    for v in points:
-        n, met = 0, False
-        for y, c in small_items:
-            e = get(v - y)
-            if e is not None:
-                n += c * e
-                met = True
-        if met:
-            out[v] = n
-    return out
-
-
-def add_products_into(acc: dict[int, int], c: int, terms: Iterable[tuple[int, int]]) -> None:
-    """acc[k] += c * e for every term (k, e), t-ints in packed vectors, in
-    place: one int add per key and one int product per term.  An entry
-    that cancels is kept, as zero.  Each entry's norm grows by at most
-    |c|_1 max |e|_1, which the caller adds to its bound."""
-    get = acc.get
-    for k, e in terms:
-        acc[k] = get(k, 0) + c * e
 
 
 # ---------------------------------------------------------------------------

@@ -485,12 +485,14 @@ def epsilon_twist(assignment: TorusAssignment) -> TorusAssignment:
 
 
 def primes_below(bound: int) -> tuple[int, ...]:
-    """Primes below the bound, by sieve (for partial Euler products)."""
+    """Primes below the bound, by sieve (for partial Euler products).  The
+    sieve is a zeroed bytearray that marks composites with 1, so a bound
+    too large to allocate fails with a plain MemoryError."""
     if bound <= 2:
         return ()
-    sieve = bytearray([1]) * bound
-    sieve[0] = sieve[1] = 0
+    composite = bytearray(bound)
+    composite[0] = composite[1] = 1
     for p in range(2, math.isqrt(bound - 1) + 1):
-        if sieve[p]:
-            sieve[p * p::p] = bytearray(len(sieve[p * p::p]))
-    return tuple(p for p in range(bound) if sieve[p])
+        if not composite[p]:
+            composite[p * p::p] = b"\x01" * len(range(p * p, bound, p))
+    return tuple(p for p in range(bound) if not composite[p])

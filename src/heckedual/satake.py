@@ -43,8 +43,8 @@ absolute value, so the walk packs at the peel's slot for a top of lambda
 dominant support below lambda are checked on the keys, and the keys hold
 the lifts (below), so the build keeps only what the peel reads.
 ``satake_image`` decodes an image once per class, on request: each
-dominant coefficient by ``lattice.t_laurent``, the one decoder, and the
-rest of its orbit by the dot step.
+dominant coefficient by ``t_laurent``, the one decoder, and the rest of
+its orbit by the dot step.
 
 The products of two images expand back into images of dominant coweights
 with coefficients in Z[q, q^-1] by triangular peeling.  Peeling reads only
@@ -54,18 +54,20 @@ make a remainder that vanishes there vanish everywhere: it is dot-invariant,
 with dominant support below lambda+mu.
 
 The peel keys every term, point and residual entry by its pairings
-(<alpha_i, y>)_i, packed (``lattice.pack``, a Kronecker substitution, as
-for the peel's t-ints).  Every coweight a peel at top meets lies in top
-minus the coroot lattice, where the pairings are linear and one to one,
-as the Cartan matrix is invertible; they do not depend on the basis, and
-a central shift leaves them alone.  So looking up v - y in the other factor
-is one int subtraction, and a term y of the cached image of nu's class
-lands in the residual at its own key, with no shift.  A compared pairing
-is a point's, at most <2 rho, top>, less a term's, at most <2 rho, nu> <=
-<2 rho, top>, so the slot pack_slot(2 <2 rho, top>) in ``_peel_keys`` is
-one to one on them, and known before any image is built.  Every image a
-peel reads, of lambda, mu or a nu <= top, is built at its own slot, at
-most the peel's, and a wider read repacks its keys once (``_Image``).
+(<alpha_i, y>)_i, packed (``pack``, a Kronecker substitution, as for the
+peel's t-ints).  This module decides both packed formats, keys and t-ints,
+and ``unpack`` is the one reader of their balanced digits.  Every coweight
+a peel at top meets lies in top minus the coroot lattice, where the
+pairings are linear and one to one, as the Cartan matrix is invertible;
+they do not depend on the basis, and a central shift leaves them alone.
+So looking up v - y in the other factor is one int subtraction, and a term
+y of the cached image of nu's class lands in the residual at its own key,
+with no shift.  A compared pairing is a point's, at most <2 rho, top>,
+less a term's, at most <2 rho, nu> <= <2 rho, top>, so the slot
+pack_slot(2 <2 rho, top>) in ``_peel_keys`` is one to one on them, and
+known before any image is built.  Every image a peel reads, of lambda, mu
+or a nu <= top, is built at its own slot, at most the peel's, and a wider
+read repacks its keys once (``_Image``).
 
 The peel's coefficients are plain ints, in t = q^-1.  A term c e^y of an
 image S(lambda) lifts to the extended lattice with the coefficient q^h c,
@@ -76,13 +78,14 @@ constant on each W-orbit.  A term lifts to the sum of c t^-a over the
 monomials c q^a of the walk at its y, and a > 0 is an internal error.  h
 is linear in y: the pairs of terms of S(lambda) and S(mu) that meet at a
 point v, and the image of nu moved to v, all carry the one factor
-q^<rho, top - v> between their coefficients and their lifts.  So the peel runs on lifts: a view holds each lifted
-coefficient as its t-int (``lattice``), sum_i c_i 2^(64 i) for the
-coefficient c_i of q^-i, one int per orbit, and a product term is one int
-product and one int add, with no exponent to align.  The residual at v
-holds the lift of the product's coefficient there, and the coefficient of
-nu is its residual value times q^-<rho, top - nu>, the depth that
-``rootdatum`` hands out with each point below top.  Each image carries the
+q^<rho, top - v> between their coefficients and their lifts.  So the peel
+runs on lifts: a view holds each lifted coefficient as its t-int, sum_i
+c_i 2^(64 i) for the coefficient c_i of q^-i, one int per orbit, and a
+product term is one int product and one int add, with no exponent to
+align (a term c t^i is c shifted by i digits).  The residual at v holds
+the lift of the product's coefficient there, and the coefficient of nu is
+its residual value times q^-<rho, top - nu>, the depth that ``rootdatum``
+hands out with each point below top.  Each image carries the
 sum and the largest of the norms sum_i |c_i| of its coefficients, which
 the lift keeps.  One running bound per peel covers every residual value:
 it starts at min(|a|_1 max|b|, |b|_1 max|a|) over the two factors, and
@@ -119,28 +122,19 @@ import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Sequence
+from typing import Iterable, Mapping, Sequence
 
 from .dualdata import LanglandsDualData, langlands_dual_data
 from .errors import CapExceededError, RankMismatchError, ValidationError
 from .lattice import (
-    _HALF,
-    _SLOT,
     GroupAlgebraElement,
     Laurent,
     Vec,
-    add_products_into,
     as_fraction,
     as_int,
     dot,
     fraction_monomial,
     int_vector,
-    pack,
-    pack_slot,
-    product_coefficients,
-    repack,
-    require_digits_fit,
-    t_laurent,
     vec_add,
     vec_sub,
     vec_sub_scaled,
@@ -231,6 +225,115 @@ def lift_exponent(y: Sequence[int], n: int) -> Vec:
 
 
 # ---------------------------------------------------------------------------
+# packed vectors and t-ints
+
+
+def pack(v: Sequence[int], slot: int) -> int:
+    """The Kronecker packing sum_i v_i 2^(slot i) of an integer vector.
+
+    It is linear, pack(v - y) = pack(v) - pack(y), and one to one on the
+    vectors whose coordinates are below 2^(slot-1) in absolute value, which
+    ``unpack`` reads back."""
+    n = shift = 0
+    for x in v:
+        n += x << shift
+        shift += slot
+    return n
+
+
+def pack_slot(bound: int) -> int:
+    """The least whole number of bytes, as a slot width in bits, under
+    which ``pack`` is one to one on the vectors whose coordinates are at
+    most bound in absolute value."""
+    return 8 * (bound.bit_length() // 8 + 1)
+
+
+def unpack(n: int, slot: int) -> list[int]:
+    """The balanced digits of n in base 2^slot, lowest first, each in
+    [-2^(slot-1), 2^(slot-1)), up to the highest nonzero one: v less its
+    trailing zeros for n = pack(v, slot), each |v_i| < 2^(slot-1)."""
+    half, mask, v = 1 << (slot - 1), (1 << slot) - 1, []
+    while n:
+        c = n & mask
+        if c >= half:
+            c -= mask + 1
+        v.append(c)
+        n = (n - c) >> slot
+    return v
+
+
+def repack(n: int, slot: int, wider: int) -> int:
+    """pack(v, wider) for n = pack(v, slot), each |v_i| < 2^(slot-1)."""
+    return pack(unpack(n, slot), wider)
+
+
+_SLOT = 64  # bits per digit of a t-int
+_HALF = 1 << (_SLOT - 1)
+
+
+def require_digits_fit(bound: int) -> None:
+    """An internal RuntimeError unless a bound on the norm sum_i |c_i| of a
+    t-int shows that every coefficient fits its digit."""
+    if bound >= _HALF:
+        raise RuntimeError(f"internal: coefficient bound {bound} reaches half a {_SLOT}-bit slot")
+
+
+def t_laurent(n: int, power: int, bound: int) -> tuple[Laurent, int]:
+    """q^power times the polynomial of the t-int n, as a Laurent in q, and
+    its exact norm, read once bound, on the norm, shows that every
+    coefficient fits its digit.  Digit i is the coefficient of
+    q^(power - i), so the Laurent's coefficients run the other way."""
+    require_digits_fit(bound)
+    coeffs = unpack(n, _SLOT)
+    lo = power + 1 - len(coeffs)
+    coeffs.reverse()  # from the lowest power of q up
+    # the highest digit, now first, is nonzero, but the lowest may be 0
+    while coeffs and not coeffs[-1]:
+        coeffs.pop()
+    return Laurent._make(lo if coeffs else 0, tuple(coeffs)), sum(map(abs, coeffs))
+
+
+def product_coefficients(a: Mapping[int, int], b: Mapping[int, int],
+                         points: Iterable[int]) -> dict[int, int]:
+    """Coefficients of a product of two group-algebra elements over Z[t] at
+    the given points only, as t-ints keyed by packed vectors: a term y of
+    a and a term z of b meet at a point v exactly when key(v) - key(y) =
+    key(z), as for pack of a linear map that is one to one on the exponents,
+    at a slot that packs each difference one to one.  Points no pair of
+    terms reaches are omitted; a coefficient that cancels is kept, as zero.
+
+    Each point costs one int subtraction and one lookup per term of the
+    smaller factor, instead of forming the whole product, and each pair of
+    terms that meets there one int product and one int add.  The caller
+    bounds the norms: at most min(|a|_1 max|b|, |b|_1 max|a|) per point.
+    """
+    small, large = (a, b) if len(a) <= len(b) else (b, a)
+    small_items = list(small.items())
+    get = large.get
+    out: dict[int, int] = {}
+    for v in points:
+        n, met = 0, False
+        for y, c in small_items:
+            e = get(v - y)
+            if e is not None:
+                n += c * e
+                met = True
+        if met:
+            out[v] = n
+    return out
+
+
+def add_products_into(acc: dict[int, int], c: int, terms: Iterable[tuple[int, int]]) -> None:
+    """acc[k] += c * e for every term (k, e), t-ints in packed vectors, in
+    place: one int add per key and one int product per term.  An entry
+    that cancels is kept, as zero.  Each entry's norm grows by at most
+    |c|_1 max |e|_1, which the caller adds to its bound."""
+    get = acc.get
+    for k, e in terms:
+        acc[k] = get(k, 0) + c * e
+
+
+# ---------------------------------------------------------------------------
 # spherical expansions
 
 
@@ -297,9 +400,11 @@ class _Keys:
         """The key of q^a e^(y, -h), y with pairings p."""
         return pack([x + self.bias for x in p], self.slot) + (a << self.top)
 
-    def pairings(self, key: int) -> Vec:
-        """The pairings of the point of a key, read for a message only."""
-        return tuple((key >> shift & self.mask) - self.bias for shift in range(0, self.top, self.slot))
+    def pairings(self, point: int) -> Vec:
+        """The pairings of a key with no power of q on top, read for a
+        message only."""
+        p = unpack(point - self.dominant, self.slot)
+        return tuple(p + [0] * (self.top // self.slot - len(p)))
 
 
 def _step(keys: _Keys, i: int, terms: dict[int, int]) -> dict[int, int]:

@@ -2,6 +2,7 @@
 
 import io
 import json
+import random
 import sys
 
 import pytest
@@ -493,3 +494,91 @@ class TestDeterminismAndExitCodes:
         # is 1 / ((1 - q^(1-s)) (1 - q^-s)); at s = 3 that is 32/21 * 243/208
         assert result["places"] == ["2", "3"]
         assert result["value"] == pytest.approx(32 / 21 * 243 / 208, rel=1e-12)
+
+
+PREFIXES = {1: "usage error: ", 2: "validation error: ", 3: "resource cap: ", 4: "numeric error: "}
+
+
+def datum_calls(path: str, rank: int) -> list[list[str]]:
+    """Every datum subcommand on the document at path, with fixed small
+    arguments for a datum of the given rank."""
+    zeros, twos = ",".join(["0"] * rank), ",".join(["2"] * rank)
+    calls = [[command, path] for command in ("dual", "roots", "weyl", "rho", "extend", "epsilon",
+                                             "dualdata")]
+    return calls + [
+        ["satake", path, "--coweight", zeros],
+        ["mult", path, "--lhs", zeros, "--rhs", zeros],
+        ["rfactor", path, "--weights", zeros + ",1", "--values", twos, "--q", "3", "--s", "2"],
+        ["euler", path, "--places", "2", "--s", "2"],
+        ["split", path, "--q", "9", "--values", twos],
+    ]
+
+
+def malformed_documents(rng: random.Random) -> list[tuple[str, int, str]]:
+    """(builtin, its rank, document): each field of a builtin's JSON
+    document dropped, retyped, nested or duplicated, and huge ints and
+    floats as the rank or as a root entry, each change made on a builtin
+    that rng draws."""
+    retyped = ['"1"', "2.5", "true", "null", "[[1, [2]], []]"]
+    huge = ["1" + "0" * 30, "-" + "9" * 4300, "1e308", "-1e400", "NaN"]
+    out = []
+
+    def emit(change):
+        name = rng.choice(sorted(BUILTINS))
+        values = {k: json.dumps(v) for k, v in emit_datum(BUILTINS[name]).items()}
+        items = change(values)
+        out.append((name, BUILTINS[name].rank, "{" + ", ".join(f'"{k}": {v}' for k, v in items) + "}"))
+
+    def put(field, text):
+        return lambda values: [(k, text if k == field else v) for k, v in values.items()]
+
+    for field in ("name", "rank", "simple_roots", "simple_coroots"):
+        emit(lambda values: [(k, v) for k, v in values.items() if k != field])
+        for text in retyped:
+            emit(put(field, text))
+        emit(lambda values: [(k, f"[{v}]" if k == field else v) for k, v in values.items()])
+        # duplicated: the same value first, and last, where it wins, the
+        # same value again or a retyped one
+        text = rng.choice(retyped + [None])
+        emit(lambda values: [(field, values[field])] + list(values.items())
+             + [(field, values[field] if text is None else text)])
+    for text in huge:
+        if rng.random() < 0.5:
+            emit(put("rank", text))
+            continue
+        field = rng.choice(("simple_roots", "simple_coroots"))
+
+        def entry(values):
+            rows = json.loads(values[field])
+            row = rng.choice(rows)
+            row[rng.randrange(len(row))] = "HUGE"
+            return put(field, json.dumps(rows).replace('"HUGE"', text))(values)
+        emit(entry)
+    return out
+
+
+class TestMalformedDocuments:
+    """Every datum subcommand on malformed datum documents, in process:
+    an exit code of the contract, one stderr line with its prefix on a
+    refusal and no traceback, and byte-identical JSON for a document that
+    is read."""
+
+    def test_malformed_documents_keep_the_exit_code_contract(self, tmp_path, capsys):
+        read = 0
+        for n, (name, rank, doc) in enumerate(malformed_documents(random.Random(61))):
+            path = tmp_path / f"{n}.json"
+            path.write_text(doc)
+            for argv in datum_calls(str(path), rank):
+                seen = (name, doc, argv)
+                code, out, err = run_cli(capsys, "--format", "json", *argv)
+                assert code in range(5), seen
+                if code:
+                    assert out == "" and err.count("\n") == 1, (seen, err)
+                    assert err.startswith(PREFIXES[code]) and "Traceback" not in err, (seen, err)
+                    continue
+                assert err == "" and out.count("\n") == 1, seen
+                assert run_cli(capsys, "--format", "json", *argv) == (0, out, ""), seen
+                read += 1
+        # some documents are still read: a duplicate of an equal value, a
+        # retyped name
+        assert read

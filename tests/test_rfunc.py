@@ -384,6 +384,13 @@ class TestEulerProducts:
         value = partial_rfunction(places, tau, 2.0)
         assert abs(value - math.pi ** 2 / 6) < 0.01
 
+    def test_primes_below_is_trial_division(self):
+        # 0, 1, 2, squares and prime squares, where a sieve that flips its
+        # flags would be off by one
+        primes = [p for p in range(2, 300) if all(p % d for d in range(2, p))]
+        for n in range(301):
+            assert primes_below(n) == tuple(p for p in primes if p < n), n
+
     def test_mismatched_place(self):
         p = make_parameter(DD_TRIVIAL, 2, ())
         tau = DualRepresentation.trivial(DD_TRIVIAL)
