@@ -20,9 +20,9 @@ Two kinds of values live here:
 Simple reflections are applied to vectors by ``reflect``, v - <a, v> b; no
 reflection matrix is built.  Integer matrices are plain tuples of row
 tuples.  The module also provides the exact linear algebra used elsewhere,
-on two elimination routines.  Determinants, unimodular inverses and ranks
-run on one fraction-free Gauss-Jordan routine (``_row_reduce``); linear
-solving runs on the Smith normal form with unimodular transforms
+on two elimination routines.  Determinants run on forward fraction-free
+elimination (``mat_det``, Bareiss); unimodular inverses and linear solving
+run on the Smith normal form with unimodular transforms
 (``smith_normal_form``), over Z.
 
 Everything is immutable after construction and every operation is pure,
@@ -142,61 +142,38 @@ def mat_transpose(m: IntMatrix) -> IntMatrix:
     return tuple(zip(*m))
 
 
-def _row_reduce(rows: list[list[int]], ncols: int) -> tuple[list[int], int]:
-    """Gauss-Jordan elimination of integer rows on their first ncols columns,
-    in place and fraction-free (Bareiss).
-
-    Any further columns ride along as an augmented block.  Returns the pivot
-    columns and the determinant of the first ncols columns when they are
-    square (zero when a column has no pivot).  Afterwards every row is d
-    times the row that Gauss-Jordan over Q leaves, d being the common value
-    at the pivots.  Each entry stays a minor of the input, so every
-    division is exact.
-    """
-    pivots: list[int] = []
-    prev, sign = 1, 1
-    for c in range(ncols):
-        r = len(pivots)
-        for p in range(r, len(rows)):
-            if rows[p][c]:
-                break
-        else:
-            continue
-        if p != r:
-            rows[r], rows[p] = rows[p], rows[r]
-            sign = -sign
-        top = rows[r]
-        pivot = top[c]
-        for i, row in enumerate(rows):
-            if i != r:
-                f = row[c]
-                rows[i] = [(pivot * x - f * y) // prev for x, y in zip(row, top)]
-        prev = pivot
-        pivots.append(c)
-    return pivots, sign * prev if len(pivots) == ncols else 0
-
-
 def mat_det(m: IntMatrix) -> int:
-    """Determinant of a square integer matrix, exactly."""
-    return _row_reduce([list(row) for row in m], len(m))[1]
+    """Determinant of a square integer matrix, exactly, by forward
+    fraction-free elimination (Bareiss) with row exchanges.  Each entry
+    stays a minor of the input, so every division is exact; a column with
+    no pivot gives 0 at once."""
+    rows = [list(row) for row in m]
+    n = len(rows)
+    prev, sign = 1, 1
+    for c in range(n):
+        p = next((i for i in range(c, n) if rows[i][c]), None)
+        if p is None:
+            return 0
+        if p != c:
+            rows[c], rows[p] = rows[p], rows[c]
+            sign = -sign
+        top = rows[c]
+        pivot = top[c]
+        for i in range(c + 1, n):
+            f = rows[i][c]
+            rows[i] = [(pivot * x - f * y) // prev for x, y in zip(rows[i], top)]
+        prev = pivot
+    return sign * prev
 
 
 def mat_inverse_unimodular(m: IntMatrix) -> IntMatrix:
-    """Inverse of an integer matrix with determinant +-1."""
-    n = len(m)
-    aug = [list(row) + [int(i == j) for j in range(n)] for i, row in enumerate(m)]
-    _, det = _row_reduce(aug, n)
+    """Inverse of an integer matrix with determinant +-1: with S M T = I
+    its Smith normal form, M^-1 = T S."""
+    det = mat_det(m)
     if det not in (1, -1):
         raise ValueError(f"matrix of determinant {det} is not unimodular")
-    # the left block is now d * I with d = +-1, and 1/d = d
-    return tuple(tuple(row[i] * x for x in row[n:]) for i, row in enumerate(aug))
-
-
-def int_rank(vectors: Sequence[Sequence[int]]) -> int:
-    """Rank of the span of the given vectors."""
-    if not vectors:
-        return 0
-    return len(_row_reduce([list(v) for v in vectors], len(vectors[0]))[0])
+    _, s, t = smith_normal_form(m)
+    return mat_mul(t, s)
 
 
 # ---------------------------------------------------------------------------

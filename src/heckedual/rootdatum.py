@@ -38,7 +38,6 @@ from .lattice import (
     Vec,
     as_int,
     dot,
-    int_rank,
     int_vector,
     mat_det,
     mat_identity,
@@ -173,10 +172,10 @@ def validate_datum(d: RootDatum) -> list[str]:
                     issues.append(f"off-diagonal Cartan entry C[{i}][{j}] = {c[i][j]} > 0")
                 if (c[i][j] == 0) != (c[j][i] == 0):
                     issues.append(f"Cartan entries C[{i}][{j}], C[{j}][{i}] disagree on vanishing")
-    if int_rank(d.simple_roots) != k:
-        issues.append("simple roots are linearly dependent")
-    if int_rank(d.simple_coroots) != k:
-        issues.append("simple coroots are linearly dependent")
+    for label, vectors in (("roots", d.simple_roots), ("coroots", d.simple_coroots)):
+        # the Gram determinant is the sum of the squares of the k x k minors
+        if mat_det(tuple(tuple(dot(a, b) for b in vectors) for a in vectors)) == 0:
+            issues.append(f"simple {label} are linearly dependent")
     if issues:
         return issues
     if not _is_finite_type_cartan(c):

@@ -60,7 +60,7 @@ def enumerate_dominant(d, height):
 
 def fraction_gauss_jordan(rows, ncols):
     """Reduced row echelon form over Fraction, pivoting on the first
-    nonzero entry: the elimination the fraction-free routine replaced."""
+    nonzero entry: the elimination under ``solve_fraction``."""
     rows = [[Fraction(x) for x in row] for row in rows]
     pivots = []
     for c in range(ncols):

@@ -41,7 +41,8 @@ class TestDatumDocuments:
             parse_datum(doc)
 
     def test_integral_entries_still_read_by_int(self):
-        doc = json.dumps({"name": "PGL2", "rank": 1.0, "simple_roots": [["1"]],
+        # a string entry is refused (TestMalformedDocuments)
+        doc = json.dumps({"name": "PGL2", "rank": 1.0, "simple_roots": [[1.0]],
                           "simple_coroots": [[2.0]]})
         assert parse_datum(doc) == BUILTINS["PGL2"]
 
@@ -51,7 +52,7 @@ class TestDatumDocuments:
 
     @pytest.mark.parametrize("doc, message", [
         ([1, 2], "datum document must be a JSON object"),
-        ({"rank": "two"}, "bad datum document: invalid literal"),
+        ({"rank": "two"}, 'bad datum document: rank holds a string, "two"'),
         ({"rank": -1}, "negative rank -1"),
         ({"rank": 10 ** 30}, f"rank {10 ** 30} exceeds the longest tuple"),
         ({"rank": 2, "simple_roots": [[1]], "simple_coroots": [[2, 0]]},
@@ -582,3 +583,25 @@ class TestMalformedDocuments:
         # some documents are still read: a duplicate of an equal value, a
         # retyped name
         assert read
+
+    @pytest.mark.parametrize("field, value", [
+        ("rank", '"1"'),
+        ("simple_roots", '"1"'),
+        ("simple_roots", '["1"]'),
+        ("simple_roots", '[["1"]]'),
+    ], ids=["rank", "vector-list", "vector", "entry"])
+    @pytest.mark.parametrize("where", ["file", "stdin"])
+    def test_string_for_a_number_or_a_vector_is_refused(self, tmp_path, capsys, monkeypatch,
+                                                        field, value, where):
+        # each was read as PGL2 once: a string is iterated by character,
+        # and each character read by int()
+        fields = {"name": '"PGL2"', "rank": "1", "simple_roots": "[[1]]", "simple_coroots": "[[2]]"}
+        fields[field] = value
+        doc = ("{" + ", ".join(f'"{k}": {v}' for k, v in fields.items()) + "}").encode()
+        source = tmp_path / "datum.json"
+        source.write_bytes(doc)
+        if where == "stdin":
+            monkeypatch.setattr(sys, "stdin", io.TextIOWrapper(io.BytesIO(doc), encoding="utf-8"))
+            source = "-"
+        assert run_cli(capsys, "roots", str(source)) == (
+            2, "", f'validation error: bad datum document: {field} holds a string, "1"\n')

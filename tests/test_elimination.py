@@ -1,10 +1,10 @@
-"""Exhaustive checks of the shared exact elimination routines.
+"""Exhaustive checks of the exact elimination routines.
 
-Every determinant, rank and unimodular inverse runs on one fraction-free
-Gauss-Jordan routine.  These tests compare it with independent
-definitions: the Leibniz expansion, a forward-only integer elimination,
-Gauss-Jordan over Fraction (in conftest), and the
-symmetrize-then-Sylvester finite-type test.
+Determinants run on forward fraction-free elimination (``mat_det``),
+unimodular inverses on the Smith normal form, and the independence of
+simple roots on the Gram determinant.  These tests compare them with
+independent definitions: the Leibniz expansion, a forward-only integer
+elimination, and the symmetrize-then-Sylvester finite-type test.
 """
 
 import itertools
@@ -14,17 +14,8 @@ from typing import Optional
 
 import pytest
 
-from heckedual.lattice import (
-    _row_reduce,
-    int_rank,
-    mat_det,
-    mat_identity,
-    mat_inverse_unimodular,
-    mat_mul,
-)
-from heckedual.rootdatum import _is_finite_type_cartan
-
-from conftest import fraction_gauss_jordan
+from heckedual.lattice import mat_det, mat_identity, mat_inverse_unimodular, mat_mul
+from heckedual.rootdatum import RootDatum, _is_finite_type_cartan, validate_datum
 
 
 def permutation_sign(perm) -> int:
@@ -77,37 +68,46 @@ def test_det_rank_and_inverse_exhaustive():
         n = len(m)
         det = mat_det(m)
         assert det == leibniz_det(m), m
-        rank = int_rank(m)
-        assert rank == nonzero_rows_after_elimination(m), m
-        assert (rank == n) == (det != 0), m
+        assert (nonzero_rows_after_elimination(m) == n) == (det != 0), m
         if det in (1, -1):
             unimodular += 1
             assert mat_mul(m, mat_inverse_unimodular(m)) == mat_identity(n), m
     assert unimodular > 0
 
 
-def test_row_reduce_is_a_multiple_of_fraction_gauss_jordan():
-    # rectangular, rank-deficient and augmented systems beyond the square
-    # sets above: every row ends as d times the reduced row over Q
-    rng = random.Random(7)
-    for _ in range(600):
-        n, m = rng.randint(1, 5), rng.randint(1, 6)
-        basis = [[rng.randint(-3, 3) for _ in range(m)] for _ in range(rng.randint(1, n))]
-        rows = [[sum(rng.randint(-2, 2) * b[j] for b in basis) for j in range(m)]
-                for _ in range(n)]
-        ncols = rng.randint(0, m)
-        expected_pivots, expected = fraction_gauss_jordan(rows, ncols)
-        pivots, _ = _row_reduce(rows, ncols)
-        assert pivots == expected_pivots
-        d = rows[0][pivots[0]] if pivots else 1
-        for row, reduced in zip(rows, expected):
-            assert row == [d * x for x in reduced]
+def random_vectors(rng, k: int, n: int):
+    """k seeded vectors in Z^n; half the time combinations of fewer than k."""
+    span = rng.randint(1, k - 1) if k > 1 and rng.random() < 0.5 else k
+    basis = [tuple(rng.randint(-2, 2) for _ in range(n)) for _ in range(span)]
+    if span == k:
+        return tuple(basis)
+    return tuple(tuple(sum(rng.randint(-2, 2) * b[j] for b in basis) for j in range(n))
+                 for _ in range(k))
+
+
+def test_independence_against_forward_elimination():
+    # k <= 4 vectors in Z^n, n <= 5, with k > n and rank-deficient sets;
+    # only the dependence messages are compared
+    rng = random.Random(37)
+    seen = {(True, True): 0, (True, False): 0, (False, True): 0, (False, False): 0}
+    for _ in range(1500):
+        k, n = rng.randint(1, 4), rng.randint(1, 5)
+        roots, coroots = random_vectors(rng, k, n), random_vectors(rng, k, n)
+        issues = validate_datum(RootDatum(n, roots, coroots))
+        for label, vectors in (("roots", roots), ("coroots", coroots)):
+            dependent = nonzero_rows_after_elimination(vectors) < k
+            assert (f"simple {label} are linearly dependent" in issues) == dependent, (roots, coroots)
+            seen[k > n, dependent] += 1
+    assert seen[True, False] == 0 and min(seen[True, True], seen[False, True], seen[False, False]) > 100
+    # the roots' message comes before the coroots'
+    issues = validate_datum(RootDatum(2, ((1, 1), (2, 2)), ((1, 0), (3, 0))))
+    assert issues[-2:] == ["simple roots are linearly dependent", "simple coroots are linearly dependent"]
 
 
 def test_inverse_rejects_non_unimodular():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^matrix of determinant 2 is not unimodular$"):
         mat_inverse_unimodular(((2, 0), (0, 1)))
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^matrix of determinant 0 is not unimodular$"):
         mat_inverse_unimodular(((1, 2), (2, 4)))
 
 

@@ -13,6 +13,7 @@ from heckedual.lattice import (
     GroupAlgebraElement,
     Laurent,
     as_int,
+    dot,
     fraction_monomial,
     mat_apply,
     mat_det,
@@ -457,6 +458,23 @@ class TestCollect:
         x = ga(2, {(0, 1): 1, (0, 0): Laurent.term(-1, 1)})
         spec = x.specialize_delta(1)
         assert spec.is_zero() and spec.rank == 1
+
+
+@pytest.mark.parametrize("call, error, message", [
+    (lambda: dot((1, 2), (1,)), RankMismatchError, "pairing of vectors of ranks 2 and 1"),
+    (lambda: mat_apply(((1, 2),), (1,)), RankMismatchError, "matrix of width 2 applied to rank 1"),
+    (lambda: Laurent({-1: 1, 0: 1}).evaluate(Fraction(0)), ZeroDivisionError,
+     "negative q-power evaluated at 0"),
+    (lambda: ga(2, {(1,): 1}), RankMismatchError, "exponent (1,) in a rank-2 algebra"),
+    (lambda: GroupAlgebraElement.monomial((1, 0)).specialize_delta(2), ValueError,
+     "invalid delta index 2 for rank 2"),
+    (lambda: GroupAlgebraElement.monomial((1, 0)).specialize_delta(-1), ValueError,
+     "invalid delta index -1 for rank 2"),
+], ids=["dot", "mat_apply", "evaluate-at-0", "exponent-rank", "delta-index-2", "delta-index--1"])
+def test_refusals(call, error, message):
+    with pytest.raises(error) as info:
+        call()
+    assert type(info.value) is error and str(info.value) == message
 
 
 class TestIntegerLinearAlgebra:

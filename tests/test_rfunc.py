@@ -719,3 +719,19 @@ def test_quad_ext_equals_its_rational_value():
     assert hash(rational) == hash(Fraction(5, 2))
     assert QuadExt(2, 0, 7) == 2 and hash(QuadExt(2, 0, 7)) == hash(2)
     assert GEN3 != QuadExt(0, 1, 2) and GEN3 != 3
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: local_rfactor(make_parameter(DD_PGL2, 3, (2,)), DualRepresentation.trivial(DD_TRIVIAL)),
+     "parameter and representation use different dual data"),
+    (lambda: make_parameter(DD_PGL2, 3, (2, 2)), "expected one value per base coweight basis vector"),
+    (lambda: TorusAssignment(DD_PGL2, (2,)), "assignment needs one value per extended basis vector"),
+    (lambda: DualRepresentation(DD_PGL2, ((1,),)), "weight (1,) has wrong rank"),
+    (lambda: sqrt_of(0), "square roots only of positive values"),
+    (lambda: sqrt_of(Fraction(-4)), "square roots only of positive values"),
+], ids=["rfactor-of-other-dual-data", "parameter-values", "assignment-length", "weight-rank",
+        "sqrt-of-0", "sqrt-of-negative"])
+def test_refusals(call, message):
+    with pytest.raises(ValidationError) as info:
+        call()
+    assert type(info.value) is ValidationError and str(info.value) == message

@@ -7,6 +7,7 @@ from fractions import Fraction
 
 import pytest
 
+from heckedual import satake
 from heckedual.dualdata import langlands_dual_data
 from heckedual.errors import CapExceededError, RankMismatchError, ValidationError
 from heckedual.lattice import GroupAlgebraElement, Laurent, dot, mat_mul, reflect
@@ -49,6 +50,18 @@ def dot_act_by_reflected_basis(d, word, chi):
             values.append((c, exp + alpha[k]))
         chi = UnramifiedCharacter(d, tuple(values))
     return chi
+
+
+@pytest.mark.parametrize("call, error, message", [
+    (lambda: dot_act_poly(PGL2, (0,), GroupAlgebraElement.monomial((1, 0))),
+     ValidationError, "element rank does not match the datum"),
+    (lambda: dot_act_poly(PGL2, (0,), GroupAlgebraElement.monomial(())),
+     ValidationError, "element rank does not match the datum"),
+], ids=["dot_act_poly-rank-2", "dot_act_poly-rank-0"])
+def test_refusals(call, error, message):
+    with pytest.raises(error) as info:
+        call()
+    assert type(info.value) is error and str(info.value) == message
 
 
 class TestDotAction:
@@ -306,6 +319,17 @@ class TestStructurePolynomials:
         with pytest.raises(ValidationError, match="not dominant"):
             HeckeExpansion(PGL2, {(1,): Laurent.one(), (-1,): Laurent.zero()})
 
+    @pytest.mark.parametrize("lam, mu, named", [
+        ((-3,), (1,), (-2,)),  # the top first
+        ((-1,), (3,), (-1,)),  # top (2,) is dominant: lambda next
+        ((1,), (-1,), (-1,)),
+    ], ids=["top", "lambda", "mu"])
+    def test_refusal_names_the_top_first_and_caches_nothing(self, lam, mu, named):
+        expansions, images = dict(satake._expansions), dict(satake._images)
+        with pytest.raises(ValidationError, match=rf"^coweight \({named[0]},\) is not dominant$"):
+            structure_polynomials(DD_PGL2, lam, mu)
+        assert satake._expansions == expansions and satake._images == images
+
     def test_gl3_fundamentals_unitriangular(self):
         dd = langlands_dual_data(BUILTINS["GL3"])
         omega1 = (1, 0, 0)
@@ -473,6 +497,29 @@ class TestOracleComparison:
             report = compare_rank1_oracle(q0, 3)
             assert report.failures == ()
             assert report.observed_coefficient_ring == "Z[q]"
+
+    def test_planted_coefficients_are_reported(self, monkeypatch):
+        real = satake.structure_polynomials
+
+        def planted(dd, lam, mu):
+            expansion = real(dd, lam, mu)
+            if (lam, mu) != ((1,), (1,)):
+                return expansion
+            # distance 3 is not a path length from (1,) x (1,), and q^-1 at
+            # distance 2 rescales by q^0 to a negative exponent
+            coeffs = {**expansion.coeffs, (3,): Laurent.one(), (2,): Laurent({-1: 1})}
+            return HeckeExpansion(PGL2, coeffs)
+
+        monkeypatch.setattr(satake, "structure_polynomials", planted)
+        report = compare_rank1_oracle(2, 2)
+        cells = {(e.m, e.n, e.d): e for e in report.failures}
+        assert set(cells) == {(1, 1, 3), (1, 1, 2)}
+        assert cells[1, 1, 3].tree_count == 0 and cells[1, 1, 3].algebra_value == 1
+        assert not cells[1, 1, 2].rescaled_integral and cells[1, 1, 2].algebra_value == Fraction(1, 2)
+        assert report.observed_coefficient_ring == "Z[q, q^-1]"
+        monkeypatch.undo()
+        report = compare_rank1_oracle(2, 2)
+        assert report.failures == () and report.observed_coefficient_ring == "Z[q]"
 
     @pytest.mark.parametrize("q0", [2, 3, 4])
     def test_no_failures_at_the_depth_cap(self, q0):
