@@ -69,19 +69,22 @@ def _json_int(text: str) -> int:
     return int(text)
 
 
-def _refuse_string(field: str, value, depth: int) -> None:
-    # RootDatum would iterate a string by character and read each one by int()
-    if isinstance(value, str):
-        raise ValidationError(f"bad datum document: {field} holds a string, {json.dumps(value)}")
+def _refuse_misread(field: str, value, depth: int) -> None:
+    # RootDatum would iterate a string by character and read each one by
+    # int(), and an object where a vector list or a vector belongs by its keys
+    if isinstance(value, str) or depth and isinstance(value, dict):
+        kind = "a string" if isinstance(value, str) else "an object"
+        raise ValidationError(f"bad datum document: {field} holds {kind}, {json.dumps(value)}")
     if depth and isinstance(value, list):
         for x in value:
-            _refuse_string(field, x, depth - 1)
+            _refuse_misread(field, x, depth - 1)
 
 
 def parse_datum(doc: bytes | str) -> RootDatum:
     """Parse and validate a JSON datum document; RootDatum reads its
     entries, refusing a boolean or a fractional number.  A string where a
-    number or a vector belongs is refused here."""
+    number or a vector belongs, and an object where a vector list or a
+    vector belongs, are refused here."""
     try:
         data = json.loads(doc.decode("utf-8") if isinstance(doc, bytes) else doc, parse_int=_json_int)
     except UnicodeDecodeError as exc:
@@ -93,7 +96,7 @@ def parse_datum(doc: bytes | str) -> RootDatum:
     if not isinstance(data, dict):
         raise ValidationError("datum document must be a JSON object")
     for field, depth in (("rank", 0), ("simple_roots", 2), ("simple_coroots", 2)):
-        _refuse_string(field, data.get(field), depth)
+        _refuse_misread(field, data.get(field), depth)
     try:
         datum = RootDatum(
             data["rank"],

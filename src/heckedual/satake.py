@@ -42,9 +42,10 @@ absolute value, so the walk packs at the peel's slot for a top of lambda
 <alpha_i, y> is one shift and mask.  The unit top, dot invariance and the
 dominant support below lambda are checked on the keys, and the keys hold
 the lifts (below), so the build keeps only what the peel reads.
-``satake_image`` decodes an image once per class, on request: each
-dominant coefficient by ``t_laurent``, the one decoder, and the rest of
-its orbit by the dot step.
+``satake_image`` decodes an image once per class, on request, and only its
+dominant coefficients, each by ``t_laurent``, the one decoder: they fix
+the image (``SphericalFunction``), whose orbits are filled by the dot step
+only when read.
 
 The products of two images expand back into images of dominant coweights
 with coefficients in Z[q, q^-1] by triangular peeling.  Peeling reads only
@@ -105,9 +106,10 @@ coweights differ by a central one exactly when they have the same pairings
 exactly when its pairings are >= 0; so one pass over the simple roots both
 validates a coweight and names its class.  Images are built, checked and
 cached once per class, at the first coweight of the class asked for, and
-handed out shifted to the others; a product is peeled, with both of its
-checks, once per unordered pair of classes, which is exact because the
-group algebra is commutative, and its expansion is handed out shifted.
+handed out to the others with their dominant coefficients shifted; a
+product is peeled, with both of its checks, once per unordered pair of
+classes, which is exact because the group algebra is commutative, and its
+expansion is handed out shifted.
 No output depends on which coweight represents a class.
 
 An independent combinatorial check is provided for the rank-one adjoint
@@ -121,7 +123,7 @@ from __future__ import annotations
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from typing import Iterable, Mapping, Sequence
 
 from .dualdata import LanglandsDualData, langlands_dual_data
@@ -339,11 +341,27 @@ def add_products_into(acc: dict[int, int], c: int, terms: Iterable[tuple[int, in
 
 @dataclass(frozen=True)
 class SphericalFunction:
-    """A dot-invariant element of the coweight group algebra.  Frozen,
-    since the image cache hands out the same instance to every caller."""
+    """A dot-invariant element of the coweight group algebra, stored by its
+    coefficients at the dominant coweights, which fix it: its expansion in
+    the orbit sums m_nu (Macdonald, Symmetric Functions and Hall
+    Polynomials, III.2).  Equality and hash read the datum and those
+    coefficients.  Frozen, since the image cache hands out the same
+    instance to every caller; the whole element, ``poly``, is filled on its
+    first read."""
 
-    poly: GroupAlgebraElement
     datum: RootDatum
+    dominant: GroupAlgebraElement
+
+    @cached_property
+    def poly(self) -> GroupAlgebraElement:
+        """Each orbit filled from its dominant coweight nu by the dot step,
+        c(s_i mu) = q^-<alpha_i, mu> c(mu), along the walk from nu."""
+        d, terms = self.datum, {}
+        for nu, c in self.dominant.items():
+            terms[nu] = c
+            for mu, i, y in orbit_walk(d, nu):
+                terms[y] = terms[mu].shift(-dot(d.simple_roots[i], mu))
+        return GroupAlgebraElement._make(d.rank, terms)
 
     def is_dot_invariant(self) -> bool:
         """Invariance under the dot step of every simple reflection, which
@@ -475,8 +493,9 @@ class _Image:
     by slot: the packed pairings of every term y -> the t-int of its lift,
     and those items at dominant y, which fix a dot-invariant element.  The
     build gives the view at its own slot; a peel reads one as wide or
-    wider, <2 rho, rep> <= <2 rho, top>, repacked once.  S(rep) itself is
-    decoded from the dominant items at the own slot on its first read."""
+    wider, <2 rho, rep> <= <2 rho, top>, repacked once.  S(rep) itself, by
+    its dominant coefficients, is decoded from the dominant items at the
+    own slot on its first read, and fills no orbit."""
 
     __slots__ = ("datum", "rep", "norm", "peak", "views", "_image")
 
@@ -492,24 +511,15 @@ class _Image:
 
     @property
     def image(self) -> SphericalFunction:
-        """S(rep), each orbit filled from its dominant nu, whose lift is q^h c
-        at the depth h of nu, by c(s_i mu) = q^-<alpha_i, mu> c(mu)."""
+        """S(rep) by its dominant coefficients, each decoded from its lift q^h
+        c at the depth h of its point."""
         if self._image is None:
-            d = self.datum
-            slot, below = _peel_keys(d, self.rep)
+            slot, below = _peel_keys(self.datum, self.rep)
             lifts = dict(self.views[slot][1])
-            terms: dict[Vec, Laurent] = {}
-            points, _, depths = _dominant_below(d, self.rep)
-            for nu, depth, key in zip(points, depths, below):
-                t = lifts.get(key)
-                if t is None:
-                    continue
-                c = terms[nu] = t_laurent(t, -depth, self.peak)[0]
-                ks = {nu: 0}
-                for mu, i, y in orbit_walk(d, nu):
-                    k = ks[y] = ks[mu] + dot(d.simple_roots[i], mu)
-                    terms[y] = c.shift(-k)
-            self._image = SphericalFunction(GroupAlgebraElement._make(d.rank, terms), d)
+            points, _, depths = _dominant_below(self.datum, self.rep)
+            terms = {nu: t_laurent(lifts[key], -depth, self.peak)[0]
+                     for nu, depth, key in zip(points, depths, below) if key in lifts}
+            self._image = SphericalFunction(self.datum, GroupAlgebraElement._make(self.datum.rank, terms))
         return self._image
 
     def view(self, slot: int) -> tuple[dict[int, int], tuple[tuple[int, int], ...]]:
@@ -610,7 +620,7 @@ def satake_image(dd: LanglandsDualData, lam: Sequence[int]) -> SphericalFunction
     entry = _class_image(dd, lam, p)
     if entry.rep == lam:
         return entry.image
-    return SphericalFunction(entry.image.poly.shift(vec_sub(lam, entry.rep)), dd.base)
+    return SphericalFunction(dd.base, entry.image.dominant.shift(vec_sub(lam, entry.rep)))
 
 
 @dataclass

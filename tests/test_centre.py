@@ -11,13 +11,14 @@ import pytest
 from heckedual import dualdata, satake
 from heckedual.dualdata import langlands_dual_data
 from heckedual.errors import RankMismatchError
-from heckedual.lattice import Laurent, dot, vec_add, vec_scale
+from heckedual.lattice import GroupAlgebraElement, Laurent, dot, vec_add, vec_scale
 from heckedual.rootdatum import (
     BUILTINS,
     TRIVIAL,
     RootDatum,
     dominance_leq,
     dominant_below,
+    is_dominant_coweight,
     require_valid,
 )
 from heckedual.satake import (
@@ -136,6 +137,24 @@ def test_shifted_image_is_shifted_cold_image(name, fresh_images):
             assert satake_image(dd, shifted).poly == reference_image(dd, lam).shift(z)
     # one cached image per class, no shifted copies
     assert len(satake._images) == len({pairings(dd.base, lam) for lam in doms})
+
+
+@pytest.mark.parametrize("d", list(BUILTINS.values()), ids=lambda d: d.name)
+def test_images_are_stored_by_their_dominant_coefficients(d, fresh_images):
+    # an image holds its coefficients at the dominant coweights, those of
+    # the tuple walk, and fills no orbit until poly is read; an image handed
+    # out at another member of a class has its dominant coefficients shifted
+    dd = langlands_dual_data(d)
+    shifts = [vec_scale(k, g) for g in CENTRE_GENERATORS[d.name] for k in (-2, -1, 1, 3)]
+    for lam in enumerate_dominant(d, 3):
+        image = satake_image(dd, lam)
+        assert "poly" not in vars(image), lam
+        want = {y: c for y, c in reference_image(dd, lam).items() if is_dominant_coweight(d, y)}
+        assert image.dominant == GroupAlgebraElement(d.rank, want), lam
+        for z in shifts:
+            shifted = satake_image(dd, vec_add(lam, z))
+            assert "poly" not in vars(shifted), (lam, z)
+            assert shifted.dominant == image.dominant.shift(z), (lam, z)
 
 
 @pytest.mark.parametrize("name", ["GL2", "GL3"])

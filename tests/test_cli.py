@@ -595,13 +595,31 @@ class TestMalformedDocuments:
                                                         field, value, where):
         # each was read as PGL2 once: a string is iterated by character,
         # and each character read by int()
-        fields = {"name": '"PGL2"', "rank": "1", "simple_roots": "[[1]]", "simple_coroots": "[[2]]"}
-        fields[field] = value
-        doc = ("{" + ", ".join(f'"{k}": {v}' for k, v in fields.items()) + "}").encode()
-        source = tmp_path / "datum.json"
-        source.write_bytes(doc)
-        if where == "stdin":
-            monkeypatch.setattr(sys, "stdin", io.TextIOWrapper(io.BytesIO(doc), encoding="utf-8"))
-            source = "-"
-        assert run_cli(capsys, "roots", str(source)) == (
+        assert roots_of_pgl2_with(tmp_path, capsys, monkeypatch, field, value, where) == (
             2, "", f'validation error: bad datum document: {field} holds a string, "1"\n')
+
+    @pytest.mark.parametrize("field, value, shown", [
+        ("simple_roots", '{"1": 0}', '{"1": 0}'),
+        ("simple_roots", '[{"1": 0}]', '{"1": 0}'),
+        ("simple_coroots", '{"2": 0}', '{"2": 0}'),
+    ], ids=["vector-list", "vector", "coroot-list"])
+    @pytest.mark.parametrize("where", ["file", "stdin"])
+    def test_object_for_a_vector_list_or_a_vector_is_refused(self, tmp_path, capsys, monkeypatch,
+                                                             field, value, shown, where):
+        # each was read as PGL2 once: an object is iterated by its keys
+        assert roots_of_pgl2_with(tmp_path, capsys, monkeypatch, field, value, where) == (
+            2, "", f"validation error: bad datum document: {field} holds an object, {shown}\n")
+
+
+def roots_of_pgl2_with(tmp_path, capsys, monkeypatch, field, value, where):
+    """``roots`` on PGL2's datum document with one field's JSON text
+    replaced by value, read from a file or from stdin."""
+    fields = {"name": '"PGL2"', "rank": "1", "simple_roots": "[[1]]", "simple_coroots": "[[2]]"}
+    fields[field] = value
+    doc = ("{" + ", ".join(f'"{k}": {v}' for k, v in fields.items()) + "}").encode()
+    source = tmp_path / "datum.json"
+    source.write_bytes(doc)
+    if where == "stdin":
+        monkeypatch.setattr(sys, "stdin", io.TextIOWrapper(io.BytesIO(doc), encoding="utf-8"))
+        source = "-"
+    return run_cli(capsys, "roots", str(source))

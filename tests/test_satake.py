@@ -1,6 +1,8 @@
 """Tests for the dot action, spherical images and the tree oracle."""
 
+import copy
 import itertools
+import pickle
 import random
 from collections import Counter
 from fractions import Fraction
@@ -14,6 +16,7 @@ from heckedual.lattice import GroupAlgebraElement, Laurent, dot, mat_mul, reflec
 from heckedual.rootdatum import BUILTINS, weyl_group
 from heckedual.satake import (
     HeckeExpansion,
+    SphericalFunction,
     UnramifiedCharacter,
     compare_rank1_oracle,
     dot_act,
@@ -26,7 +29,7 @@ from heckedual.satake import (
     _leading_zero_histogram,
 )
 
-from conftest import enumerate_dominant, weyl_matrices
+from conftest import enumerate_dominant, reference_image, weyl_matrices
 
 PGL2 = BUILTINS["PGL2"]
 DD_PGL2 = langlands_dual_data(PGL2)
@@ -278,6 +281,70 @@ class TestSatakeImage:
             dd = langlands_dual_data(BUILTINS[name])
             for lam in enumerate_dominant(dd.base, 2):
                 assert satake_image(dd, lam).poly.coefficient(lam) == Laurent.one()
+
+
+DD_GL2 = langlands_dual_data(BUILTINS["GL2"])
+# an image handed out as cached and one handed out shifted (GL2's (2, 1) is
+# (1, 0) moved by the centre), with their reprs
+IMAGES = [
+    (DD_PGL2, (2,),
+     "SphericalFunction(datum=RootDatum(rank=1, simple_roots=((1,),), simple_coroots=((2,),),"
+     " name='PGL2'), dominant=GroupAlgebraElement(e[2] + (q^-1 - q^-2)))"),
+    (DD_GL2, (2, 1),
+     "SphericalFunction(datum=RootDatum(rank=2, simple_roots=((1, -1),), simple_coroots=((1, -1),),"
+     " name='GL2'), dominant=GroupAlgebraElement(e[2,1]))"),
+]
+
+
+@pytest.mark.parametrize("read", [False, True], ids=["unread", "read"])
+@pytest.mark.parametrize("dd, lam, text", IMAGES, ids=["cached", "shifted"])
+class TestSphericalFunctionRecord:
+    """The record contract of an image, as tests/test_rfunc.py::TestRecords
+    pins it for the R-factor records, with its orbits filled (poly read) or
+    not; a change of its class must keep all of it."""
+
+    @staticmethod
+    def record(dd, lam, read):
+        image = satake_image(dd, lam)
+        record = SphericalFunction(dominant=image.dominant, datum=image.datum)
+        if read:
+            assert record.poly == reference_image(dd, lam)
+        assert ("poly" in vars(record)) == read
+        return record
+
+    def test_repr(self, dd, lam, text, read):
+        assert repr(self.record(dd, lam, read)) == text
+
+    def test_equal_with_the_hash_of_datum_and_dominant(self, dd, lam, text, read):
+        image, record = satake_image(dd, lam), self.record(dd, lam, read)
+        assert record is not image
+        assert record == image and hash(record) == hash(image) == hash((dd.base, image.dominant))
+        assert not record != image
+
+    def test_differs_in_datum_or_dominant(self, dd, lam, text, read):
+        record = self.record(dd, lam, read)
+        other = BUILTINS["SL2" if dd.base.rank == 1 else "SL3"]
+        assert record != SphericalFunction(other, record.dominant)
+        assert record != SphericalFunction(record.datum, record.dominant.scale(2))
+        assert record != record.poly
+
+    @pytest.mark.parametrize("field", ["datum", "dominant", "poly"])
+    def test_immutable(self, dd, lam, text, read, field):
+        record = self.record(dd, lam, read)
+        with pytest.raises(AttributeError):
+            setattr(record, field, record.dominant.shift((0,) * dd.base.rank))
+        with pytest.raises(AttributeError):
+            delattr(record, field)
+        assert repr(record) == text
+        assert record.poly == reference_image(dd, lam)
+
+    def test_pickle_and_copy_round_trip(self, dd, lam, text, read):
+        record = self.record(dd, lam, read)
+        for other in (pickle.loads(pickle.dumps(record)), copy.deepcopy(record), copy.copy(record)):
+            assert type(other) is SphericalFunction
+            assert other == record and hash(other) == hash(record)
+            assert repr(other) == text
+            assert other.poly == reference_image(dd, lam)
 
 
 class TestStructurePolynomials:
