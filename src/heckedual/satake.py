@@ -33,15 +33,17 @@ below its coweight.
 The walk runs upstairs, on ints (``_Keys``).  A term y of a partial sum
 lies in lambda minus the coroot lattice, where its pairings <alpha_i, y>
 name it, and so its delta-exponent -h, h = <rho, lambda - y>, one to one
-(below).  Each monomial c q^a e^(y, -h) is one int key, the peel key of y
-plus a bias in every digit, and a on top, with the int c as its
-coefficient.  Every pairing of a partial sum is at most <2 rho, lambda> in
-absolute value, so the walk packs at the peel's slot for a top of lambda
-(``_peel_keys``), whatever the basis of the coweights.  An extended coroot
-(alphavee_i, 1) is a move, one int add that leaves a alone, while k =
-<alpha_i, y> is one shift and mask.  The unit top, dot invariance and the
-dominant support below lambda are checked on the keys, and the keys hold
-the lifts (below), so the build keeps only what the peel reads.
+(below).  Each point y is one int key, the peel key of y plus a bias in
+every digit, and its value is the t-int of its lift (below), one int for
+the whole polynomial in q^-1.  Every pairing of a partial sum is at most
+<2 rho, lambda> in absolute value, so the walk packs at the peel's slot
+for a top of lambda (``_peel_keys``), whatever the basis of the
+coweights.  An extended coroot (alphavee_i, 1) is a move, one int add,
+while k = <alpha_i, y> is one shift and mask, and a step multiplies a
+value by 1, q^-1 (one shift) or 1 - q^-1 (a shift and a subtraction).
+The unit top, dot invariance and the dominant support below lambda are
+checked on the keys, and the values are the lifts, so the build keeps
+only what the peel reads.
 ``satake_image`` decodes an image once per class, on request, and only its
 dominant coefficients, each by ``t_laurent``, the one decoder: they fix
 the image (``SphericalFunction``), whose orbits are filled by the dot step
@@ -74,12 +76,12 @@ The peel's coefficients are plain ints, in t = q^-1.  A term c e^y of an
 image S(lambda) lifts to the extended lattice with the coefficient q^h c,
 h = <rho, lambda - y>.  Upstairs the walk starts at 1 and each T_i has
 coefficients q^-1 and 1 - q^-1, so every lifted coefficient lies in Z[t]
-(Macdonald, III), and the image upstairs is W-invariant, so the lift is
-constant on each W-orbit.  A term lifts to the sum of c t^-a over the
-monomials c q^a of the walk at its y, and a > 0 is an internal error.  h
-is linear in y: the pairs of terms of S(lambda) and S(mu) that meet at a
-point v, and the image of nu moved to v, all carry the one factor
-q^<rho, top - v> between their coefficients and their lifts.  So the peel
+(Macdonald, III): the walk holds each lift as a t-int from the start, and
+no step can make a positive power of q.  The image upstairs is
+W-invariant, so the lift is constant on each W-orbit.  h is linear in y:
+the pairs of terms of S(lambda) and S(mu) that meet at a point v, and the
+image of nu moved to v, all carry the one factor q^<rho, top - v> between
+their coefficients and their lifts.  So the peel
 runs on lifts: a view holds each lifted coefficient as its t-int, sum_i
 c_i 2^(64 i) for the coefficient c_i of q^-i, one int per orbit, and a
 product term is one int product and one int add, with no exponent to
@@ -385,44 +387,43 @@ def _peel_keys(d: RootDatum, top: Vec) -> tuple[int, tuple[int, ...]]:
 
 
 class _Keys:
-    """The int keys of the monomials c q^a e^(y, -h) of the walk from a
-    dominant coweight lambda with pairings p, y in lambda minus the coroot
-    lattice and h = <rho, lambda - y>:
+    """The int keys of the points y of the walk from a dominant coweight
+    lambda with pairings p, y in lambda minus the coroot lattice:
 
-        sum_i (<alpha_i, y> + B) 2^(slot i) + a 2^top
+        sum_i (<alpha_i, y> + B) 2^(slot i)
 
-    over the k simple roots, with B = 2^(slot-1), top = k slot and the slot
-    of lambda in ``_peel_keys``, B > 2 <2 rho, lambda>.  Every partial sum
-    lies in the hull of the orbit of lambda, where |<alpha_i, y>| <=
-    max_beta <beta, lambda> <= <2 rho, lambda> over the positive roots, so
-    every digit below the top lies in [0, 2^slot); a, a power of q in a
-    lift, sits above them, unbounded.  A key less ``dominant``, the packed
-    biases, is the peel key of y."""
+    over the k simple roots, with B = 2^(slot-1) and the slot of lambda in
+    ``_peel_keys``, B > 2 <2 rho, lambda>.  Every partial sum lies in the
+    hull of the orbit of lambda, where |<alpha_i, y>| <= max_beta <beta,
+    lambda> <= <2 rho, lambda> over the positive roots, so every digit lies
+    in [0, 2^slot).  A key less ``dominant``, the packed biases, is the peel
+    key of y.  The walk's value at a key is the lift q^h c of y's
+    coefficient, h = <rho, lambda - y>, as a t-int with digits ``width``
+    bits wide (``_walk``)."""
 
-    __slots__ = ("slot", "bias", "mask", "top", "moves", "dominant", "start")
+    __slots__ = ("slot", "bias", "mask", "width", "moves", "dominant", "start")
 
-    def __init__(self, d: RootDatum, lam: Vec, p: Vec):
+    def __init__(self, d: RootDatum, lam: Vec, p: Vec, width: int):
         k = len(p)
         self.slot = slot = _peel_keys(d, lam)[0]
         self.bias = 1 << (slot - 1)
         self.mask = (1 << slot) - 1
-        self.top = k * slot
+        self.width = width
         # y -> y - alphavee_i, the extended coroot upstairs: the pairings
-        # less the Cartan row i; h rises by 1 and a stays
+        # less the Cartan row i, which fix h, so no key holds a delta-exponent
         self.moves = tuple(-pack(row, slot) for row in cartan_matrix(d))
         # y is dominant when every digit has its top bit, B, set
         self.dominant = pack((self.bias,) * k, slot)
-        self.start = self.key(p, 0)
+        self.start = self.key(p)
 
-    def key(self, p: Sequence[int], a: int) -> int:
-        """The key of q^a e^(y, -h), y with pairings p."""
-        return pack([x + self.bias for x in p], self.slot) + (a << self.top)
+    def key(self, p: Sequence[int]) -> int:
+        """The key of the point with pairings p."""
+        return pack([x + self.bias for x in p], self.slot)
 
     def pairings(self, point: int) -> Vec:
-        """The pairings of a key with no power of q on top, read for a
-        message only."""
+        """The pairings of the point of a key, read for a message only."""
         p = unpack(point - self.dominant, self.slot)
-        return tuple(p + [0] * (self.top // self.slot - len(p)))
+        return tuple(p + [0] * (len(self.moves) - len(p)))
 
 
 def _step(keys: _Keys, i: int, terms: dict[int, int]) -> dict[int, int]:
@@ -430,47 +431,57 @@ def _step(keys: _Keys, i: int, terms: dict[int, int]) -> dict[int, int]:
 
         T f = q^-1 s(f) + (1 - q^-1) (f - s(f)) / (e^alphavee - 1),
 
-    on the extended lattice, on monomials keyed by keys.  With k = <alpha_i,
-    y> and M = keys.moves[i], q^a e^((y, -h) - j (alphavee, 1)) is the key
-    K of q^a e^(y, -h) plus j M.  T of it is, in keys, K + j M for j = 1..k
-    less K + j M - Q for j = 1..k-1 when k > 0; K + k M - Q, less K + j M,
-    plus K + j M - Q, for j = k+1..0 when k < 0; K - Q when k = 0 (Q =
-    2^top is the factor q).  No zero is kept."""
-    shift, mask, bias, move = i * keys.slot, keys.mask, keys.bias, keys.moves[i]
-    q = 1 << keys.top
+    on the extended lattice, on point keys -> t-ints of the lifts.  With k
+    = <alpha_i, y> and M = keys.moves[i], y - j alphavee_i has the key K +
+    j M, K the key of y.  T of the lift c at K is, with d = c (1 - q^-1):
+    d at K + j M for j = 1..k-1 and c at K + k M when k > 0; c q^-1 at K +
+    k M, less d at K + j M for j = k+1..0, when k < 0; c q^-1 at K when k =
+    0.  A factor q^-1 shifts a t-int up one digit.  No zero is kept."""
+    shift, mask, bias, move, width = i * keys.slot, keys.mask, keys.bias, keys.moves[i], keys.width
     out: dict[int, int] = {}
     get = out.get
     for key, c in terms.items():
         k = (key >> shift & mask) - bias
         if k > 0:
+            d = c - (c << width)
             for moved in range(key + move, key + k * move, move):
-                out[moved] = get(moved, 0) + c
-                moved -= q
-                out[moved] = get(moved, 0) - c
+                out[moved] = get(moved, 0) + d
             key += k * move
             out[key] = get(key, 0) + c
         elif k < 0:
-            reflected = key + k * move - q
-            out[reflected] = get(reflected, 0) + c
-            for moved in range(key, key + k * move, -move):
-                out[moved] = get(moved, 0) - c
-                moved -= q
-                out[moved] = get(moved, 0) + c
+            lowered = c << width
+            reflected = key + k * move
+            out[reflected] = get(reflected, 0) + lowered
+            d = c - lowered
+            for moved in range(key, reflected, -move):
+                out[moved] = get(moved, 0) - d
         else:
-            key -= q
-            out[key] = get(key, 0) + c
+            out[key] = get(key, 0) + (c << width)
     return {key: c for key, c in out.items() if c}
 
 
 def _walk(d: RootDatum, lam: Vec, p: Vec) -> tuple[_Keys, dict[int, int]]:
-    """S(lambda) on the extended lattice as monomials keyed by ``_Keys``, no
-    zero kept: T_u e^(lambda, 0) summed over the orbit of lambda, walked
-    breadth first by ``orbit_walk``, so every step has <alpha_i, mu> > 0.
-    Each partial sum is dropped after its last step.  The coefficient of
-    e^(lambda, 0) must be exactly 1."""
-    keys = _Keys(d, lam, p)
+    """S(lambda) on the extended lattice as point keys -> t-ints of the lifts
+    (``_Keys``), no zero kept: T_u e^(lambda, 0) summed over the orbit of
+    lambda, walked breadth first by ``orbit_walk``, so every step has
+    <alpha_i, mu> > 0.  Each partial sum is dropped after its last step.
+    The lift at lambda must be exactly 1.
+
+    The digits are ``_SLOT`` bits wide unless a bound says they may not
+    fit.  T_i sends c at a point of pairing k to terms of norm sum_j |c_j|
+    at most (2|k| + 1) times that of c in all, and |k| <= K = <2 rho,
+    lambda> (``_Keys``).  So a partial sum l steps from lambda has norm at
+    most (2K + 1)^l, and every digit of the total at most |W lambda| (2K +
+    1)^L, L the deepest level of the walk; past half a ``_SLOT``-bit digit,
+    the width is ``pack_slot`` of that bound.  Ints are exact, so only the
+    total's digits need fit."""
     steps = list(orbit_walk(d, lam))
-    last = {mu: n for n, (mu, _, _) in enumerate(steps)}
+    last, level = {}, {lam: 0}
+    for n, (mu, _, nu) in enumerate(steps):
+        last[mu] = n
+        level[nu] = level[mu] + 1
+    bound = len(level) * (2 * dot(positive_root_sum(d), lam) + 1) ** max(level.values())
+    keys = _Keys(d, lam, p, _SLOT if bound < _HALF else pack_slot(bound))
     parts = {lam: {keys.start: 1}}
     total = {keys.start: 1}
     get = total.get
@@ -481,8 +492,7 @@ def _walk(d: RootDatum, lam: Vec, p: Vec) -> tuple[_Keys, dict[int, int]]:
         for key, c in part.items():
             total[key] = get(key, 0) + c
     total = {key: c for key, c in total.items() if c}
-    low = (1 << keys.top) - 1
-    if [(key, c) for key, c in total.items() if key & low == keys.start] != [(keys.start, 1)]:
+    if total.get(keys.start) != 1:
         raise RuntimeError(f"internal: leading coefficient at {lam} is not 1")
     return keys, total
 
@@ -539,44 +549,43 @@ def _build(d: RootDatum, lam: Vec, p: Vec) -> _Image:
 
     Both checks run on the keys; with them, a peel that is exact at the
     dominant points below lambda+mu leaves a zero remainder everywhere (see
-    _peel).  The dot step of s_i sends the lift q^a e^(y, -h) to q^a
-    e^(s_i y, -h - k), k = <alpha_i, y>, the key plus k moves[i]; it is a
-    bijection on monomials, so the image is dot-invariant exactly when every
-    monomial's partner has its coefficient.  Each monomial c q^a then adds
-    c t^-a into the t-int of its point's lift, which must lie in Z[q^-1]
-    (module docstring), and |c| into its norm.  A point's peel key is the
-    point less ``keys.dominant``, and a dominant term lies below lambda
-    exactly when that key is one of the dominant points of lambda in
-    ``_peel_keys``."""
+    _peel).  The dot step of s_i sends the lift at e^(y, -h) to e^(s_i y, -h
+    - k), k = <alpha_i, y>, the key plus k moves[i]; it is a bijection on
+    points, so the image is dot-invariant exactly when every point's
+    partner has its lift.  A point's peel key is the point less
+    ``keys.dominant``, and a dominant term lies below lambda exactly when
+    that key is one of the dominant points of lambda in ``_peel_keys``.
+    Each distinct lift is unpacked once, for its exact norm sum_i |c_i| and,
+    from a wider walk, its t-int at ``_SLOT`` bits."""
     keys, terms = _walk(d, lam, p)
-    slot, mask, bias, top = keys.slot, keys.mask, keys.bias, keys.top
-    for shift, move in zip(range(0, top, slot), keys.moves):
+    slot, mask, bias, width = keys.slot, keys.mask, keys.bias, keys.width
+    for i, move in enumerate(keys.moves):
+        shift = i * slot
         if {key + ((key >> shift & mask) - bias) * move: c for key, c in terms.items()} != terms:
             raise RuntimeError(f"internal: image of {lam} is not dot-invariant")
-    low = (1 << top) - 1
-    lifts: dict[int, int] = {}
-    norms: dict[int, int] = {}
-    for key, c in terms.items():
-        a, point = key >> top, key & low
-        if a > 0:
-            raise RuntimeError(f"internal: coefficient at pairings {keys.pairings(point)} of the "
-                               f"image of {lam} lifts to q^{a} (times {c})")
-        lifts[point] = lifts.get(point, 0) + (c << -a * _SLOT)
-        norms[point] = norms.get(point, 0) + abs(c)
     below = set(_peel_keys(d, lam)[1])
     dominant = keys.dominant
     view, tops = {}, []
-    shared: dict[int, int] = {}
-    for point, t in lifts.items():
+    # the lift is equal on each W-orbit: one int and one norm per orbit
+    shared: dict[int, tuple[int, int]] = {}
+    norm = peak = 0
+    for point, t in terms.items():
+        found = shared.get(t)
+        if found is None:
+            digits = unpack(t, width)
+            found = shared[t] = (t if width == _SLOT else pack(digits, _SLOT), sum(map(abs, digits)))
+        t, n = found
+        norm += n
+        if n > peak:
+            peak = n
         key = point - dominant
-        # the lift is equal on each W-orbit: one int per orbit
-        t = view[key] = shared.setdefault(t, t)
+        view[key] = t
         if point & dominant == dominant:
             if key not in below:
                 raise RuntimeError(f"internal: image of {lam} has dominant support at pairings "
                                    f"{keys.pairings(point)} not below it")
             tops.append((key, t))
-    return _Image(d, lam, {slot: (view, tuple(tops))}, sum(norms.values()), max(norms.values()))
+    return _Image(d, lam, {slot: (view, tuple(tops))}, norm, peak)
 
 
 def satake_image_extended(dd: LanglandsDualData, lam: Sequence[int]) -> GroupAlgebraElement:

@@ -7,6 +7,7 @@ from heckedual import rootdatum, satake
 from heckedual.lattice import (
     GroupAlgebraElement,
     dot,
+    mat_apply,
     mat_identity,
     mat_mul,
     mat_transpose,
@@ -47,6 +48,38 @@ def weyl_matrices(d, word):
         mat_x = mat_mul(mat_x, simple_reflection_x(d, i))
         mat_y = mat_mul(mat_y, simple_reflection_y(d, i))
     return mat_x, mat_y
+
+
+def weyl_by_closure(d):
+    """Every element of W as (length, matrix on weights, matrix on
+    coweights): the products of the simple reflection matrices above,
+    closed breadth first, so an element is first met at its length.  A
+    reference that runs no orbit walk and reads no reduced word."""
+    gens = [(simple_reflection_x(d, i), simple_reflection_y(d, i)) for i in range(len(d.simple_roots))]
+    one = mat_identity(d.rank)
+    found = {one: (0, one, one)}  # keyed by the matrix on coweights
+    queue = [one]
+    for key in queue:  # the queue grows as it is read
+        length, mat_x, mat_y = found[key]
+        for gen_x, gen_y in gens:
+            moved = mat_mul(mat_y, gen_y)
+            if moved not in found:
+                found[moved] = (length + 1, mat_mul(mat_x, gen_x), moved)
+                queue.append(moved)
+    return list(found.values())
+
+
+def positive_by_closure(d):
+    """The positive roots and the positive coroots, as sets: the W-images of
+    the simple ones whose coordinates in the simple ones are >= 0 (a
+    reference, by ``weyl_by_closure`` and ``solve_fraction``)."""
+    group = weyl_by_closure(d)
+
+    def positive(simple, which):
+        images = {tuple(mat_apply(mats[which], v)) for mats in group for v in simple}
+        return {v for v in images if all(c >= 0 for c in solve_fraction(simple, v))}
+
+    return positive(d.simple_roots, 1), positive(d.simple_coroots, 2)
 
 
 def enumerate_dominant(d, height):

@@ -17,6 +17,7 @@ from heckedual.dualdata import langlands_dual_data
 from heckedual.lattice import (
     GroupAlgebraElement,
     Laurent,
+    dot,
     mat_apply,
     mat_inverse_unimodular,
     mat_transpose,
@@ -71,9 +72,15 @@ def random_t_laurent(rng, size=3, span=3):
     return Laurent({-rng.randint(0, span): rng.randint(-4, 4) for _ in range(size)})
 
 
-def t_int(c):
-    """The t-int of a polynomial in q^-1: the coefficient of q^-i in digit i."""
-    return sum(v << -k * 64 for k, v in c.items())
+def t_int(c, width=64):
+    """The t-int of a polynomial in q^-1: the coefficient of q^-i in digit i,
+    each digit width bits wide."""
+    return sum(v << -k * width for k, v in c.items())
+
+
+def t_int_laurent(n, width):
+    """The polynomial in q^-1 of a t-int with digits width bits wide."""
+    return Laurent({-i: c for i, c in enumerate(unpack(n, width))})
 
 
 def full_product_peel(dd, lam, mu):
@@ -358,17 +365,71 @@ def test_images_match_the_tuple_walk(d, fresh_images):
 
 @pytest.mark.parametrize("d", [*BUILTINS.values(), TRIVIAL, TORUS], ids=lambda d: d.name)
 def test_walk_keys_are_peel_keys_with_a_lift_on_top(d):
-    # a walk key is the peel key of its point plus the packed biases, with
-    # the lift exponent in the digit above the k pairings, at the slot of
-    # the one slot table
+    # a walk key is the peel key of its point plus the packed biases, at the
+    # slot of the one slot table, and its value is the t-int of the point's
+    # lift, 64 bits a digit at these heights, so the view holds it as is
     for lam in enumerate_dominant(d, 3):
         p = pairings(d, lam)
         keys, terms = satake._walk(d, lam, p)
         (slot, (view, _)), = satake._build(d, lam, p).views.items()
-        assert keys.top == len(p) * keys.slot, lam
         assert keys.slot == slot == satake._peel_keys(d, lam)[0], lam
-        low = (1 << keys.top) - 1
-        assert {(key & low) - keys.dominant for key in terms} == set(view), lam
+        assert keys.width == 64, lam
+        assert {key - keys.dominant: t for key, t in terms.items()} == view, lam
+
+
+@pytest.mark.parametrize("width", [64, 136])
+@pytest.mark.parametrize("name", sorted(BUILTINS))
+def test_step_matches_demazure_lusztig(name, width):
+    # one packed step on seeded random lifts, at points of the hull of the
+    # orbit of 2 rho-vee, against the tuple operator on the extended lattice,
+    # where the lift at y sits at delta-exponent -h, h = <rho, lambda - y>;
+    # at 136 bits a digit the coefficients pass 2^64
+    d = BUILTINS[name]
+    dd = langlands_dual_data(d)
+    lam = tuple(map(sum, zip((0,) * d.rank, *positive_roots(d)[1])))
+    keys = satake._Keys(d, lam, pairings(d, lam), width)
+    two_rho = positive_root_sum(d)
+    hull = satake_image(dd, lam).poly.support()
+    lifts = {y: lift_exponent(y, -dot(two_rho, vec_sub(lam, y)) // 2) for y in hull}
+    keyed = {lifts[y]: keys.key(pairings(d, y)) for y in hull}
+    points = {key: point for point, key in keyed.items()}
+    size = 1 if width == 64 else 1 << 70
+    rng = random.Random(41 + width)
+    for i, (alpha, alphavee) in enumerate(zip(dd.ext.simple_roots, dd.ext.simple_coroots)):
+        signs = set()
+        for _ in range(12):
+            sample = rng.sample(hull, rng.randint(1, min(5, len(hull))))
+            elem = GroupAlgebraElement(dd.ext.rank, {
+                lifts[y]: Laurent({-rng.randint(0, 3): rng.randint(-4, 4) * size + rng.randint(-4, 4)
+                                   for _ in range(3)}) for y in sample})
+            signs.update((dot(alpha, y) > 0) - (dot(alpha, y) < 0) for y, _ in elem.items())
+            out = satake._step(keys, i, {keyed[y]: t_int(c, width) for y, c in elem.items()})
+            assert all(out.values()), (name, i)
+            assert ({points[key]: t_int_laurent(n, width) for key, n in out.items()}
+                    == dict(demazure_lusztig(elem, alpha, alphavee).items())), (name, i, elem)
+        assert signs == {-1, 0, 1}, (name, i)
+
+
+def test_wide_walk_builds_the_image_of_a_64_bit_walk(monkeypatch, fresh_images):
+    # GL5 at (3,1,0,-1,-3), written as CI writes gl9.json: the walk's digit
+    # bound, 120 * 57^10, passes 2^63, so its digits are 72 bits wide and the
+    # build repacks each lift to 64; the image's own digits are small, so a
+    # walk held at 64 bits builds the same view, norms and image
+    roots = [[(c == i) - (c == i + 1) for c in range(5)] for i in range(4)]
+    d = require_valid(RootDatum(5, roots, roots, "GL5"))
+    dd = langlands_dual_data(d)
+    lam = (3, 1, 0, -1, -3)
+    p = pairings(d, lam)
+    assert satake._walk(d, lam, p)[0].width == 72
+    wide = satake._build(d, lam, p)
+    with monkeypatch.context() as m:
+        m.setattr(satake, "_HALF", 1 << 1000)
+        assert satake._walk(d, lam, p)[0].width == 64
+        narrow = satake._build(d, lam, p)
+    assert (wide.views, wide.norm, wide.peak) == (narrow.views, narrow.norm, narrow.peak)
+    assert wide.image == narrow.image
+    (slot, (view, dominant)), = wide.views.items()
+    assert (view, dict(dominant)) == lifted_view(dd, lam, wide.image.poly, slot)
 
 
 @pytest.mark.parametrize("name, lam, mu", [("PGL2", (40,), (30,)), ("Sp4", (2, 1), (1, 1))])
@@ -450,34 +511,24 @@ def corrupt_walk(monkeypatch, extra):
 
 
 def test_image_not_dot_invariant_raises(monkeypatch, fresh_images):
-    # the image of 1 is e[1] + q^-1 e[-1]; change the coefficient at -1 only,
-    # the coweight 1 - alphavee of pairing -1, by 1, which lifts to q there
-    corrupt_walk(monkeypatch, lambda keys: {keys.key((-1,), 1): 1})
+    # the image of 1 is e[1] + q^-1 e[-1], and both lifts are 1; add 1 to the
+    # lift at -1 only, the coweight 1 - alphavee of pairing -1
+    corrupt_walk(monkeypatch, lambda keys: {keys.key((-1,)): 1})
     with pytest.raises(RuntimeError, match="not dot-invariant"):
         satake_image(DD_PGL2, (1,))
 
 
-def test_image_lift_with_a_positive_power_raises(monkeypatch, fresh_images):
-    # adding q e[1] + e[-1] keeps dot-invariance and the top coefficient's
-    # unit term, but the coefficients at 1 and at -1 lift to q + 1; the keys
-    # hold the lifts, so both extra monomials are keyed at q^1
-    corrupt_walk(monkeypatch, lambda keys: {keys.key((1,), 1): 1, keys.key((-1,), 1): 1})
-    with pytest.raises(RuntimeError, match="internal: coefficient .* of the image of \\(1,\\) lifts to q\\^1"):
-        satake_image(DD_PGL2, (1,))
-
-
 def test_image_dominant_support_not_below_raises(monkeypatch, fresh_images):
-    # adding the whole image of 2 keeps dot-invariance, but 2 is not <= 0;
-    # the slot of 0 has room for the orbit of 2, where y has pairing y and
-    # q^a lifts to q^(a+h), h = <rho, 0 - y> = -y/2
+    # the whole image of 2 keeps dot-invariance, but 2 is not <= 0; the slot
+    # of 0 has room for the orbit of 2, where y has pairing y and its
+    # coefficient c lifts to q^h c, h = <rho, 0 - y> = -y/2
     two = satake_image(DD_PGL2, (2,)).poly
 
     def walk(d, lam, p):
-        keys = satake._Keys(d, lam, p)
+        keys = satake._Keys(d, lam, p, 64)
         terms = {keys.start: 1}
         for (y,), c in two.items():
-            for a, x in c.items():
-                terms[keys.key((y,), a - y // 2)] = x
+            terms[keys.key((y,))] = t_int(c.shift(-y // 2))
         return keys, terms
 
     monkeypatch.setattr(satake, "_walk", walk)

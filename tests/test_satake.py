@@ -12,7 +12,7 @@ import pytest
 from heckedual import satake
 from heckedual.dualdata import langlands_dual_data
 from heckedual.errors import CapExceededError, RankMismatchError, ValidationError
-from heckedual.lattice import GroupAlgebraElement, Laurent, dot, mat_mul, reflect
+from heckedual.lattice import GroupAlgebraElement, Laurent, dot, mat_apply, mat_mul, reflect
 from heckedual.rootdatum import BUILTINS, weyl_group
 from heckedual.satake import (
     HeckeExpansion,
@@ -29,7 +29,13 @@ from heckedual.satake import (
     _leading_zero_histogram,
 )
 
-from conftest import enumerate_dominant, reference_image, weyl_matrices
+from conftest import (
+    enumerate_dominant,
+    positive_by_closure,
+    reference_image,
+    weyl_by_closure,
+    weyl_matrices,
+)
 
 PGL2 = BUILTINS["PGL2"]
 DD_PGL2 = langlands_dual_data(PGL2)
@@ -345,6 +351,89 @@ class TestSphericalFunctionRecord:
             assert other == record and hash(other) == hash(record)
             assert repr(other) == text
             assert other.poly == reference_image(dd, lam)
+
+
+# two rational points, each coordinate of its own primes, and two values of
+# s: no x'^y is 1 for y != 0, so no denominator below vanishes
+MACDONALD_POINTS = ((Fraction(5, 7), Fraction(11, 13), Fraction(17, 19)),
+                    (Fraction(23, 29), Fraction(31, 37), Fraction(41, 43)))
+MACDONALD_S = (Fraction(2), Fraction(3, 2))
+
+
+def monomial_at(x, y):
+    """x^y = prod x_j^(y_j)."""
+    value = Fraction(1)
+    for xj, yj in zip(x, y):
+        value *= xj ** yj
+    return value
+
+
+class MacdonaldFormula:
+    """Macdonald's formula for S(lambda) at a point x and q = s^2, t = q^-1:
+
+        s^-<2 rho, lambda> / W_lambda(t) * sum over w in W of
+        x'^(w lambda) prod over positive coroots b of (1 - t x'^-wb) / (1 - x'^-wb)
+
+    with x'^y = x^y s^<2 rho, y> and W_lambda(t) the sum of t^l(w) over the
+    w that fix lambda (Macdonald, Spherical functions on a group of p-adic
+    type, 1971; Casselman, Compositio Math. 40, 1980).  W and the positive
+    roots and coroots come from the closures of ``conftest``, so it shares
+    no walk, no Demazure-Lusztig operator and no packing with the library.
+    The product over b depends on w alone and is formed once per w; a zero
+    denominator raises ZeroDivisionError."""
+
+    def __init__(self, d, x, s):
+        roots, coroots = positive_by_closure(d)
+        self.two_rho = tuple(map(sum, zip((0,) * d.rank, *roots)))
+        self.x, self.s, self.t = x[:d.rank], s, 1 / (s * s)
+        self.group = []
+        for length, _, mat_y in weyl_by_closure(d):
+            factor = Fraction(1)
+            for b in coroots:
+                z = 1 / self.x_prime(mat_apply(mat_y, b))
+                factor *= (1 - self.t * z) / (1 - z)
+            self.group.append((length, mat_y, factor))
+
+    def x_prime(self, y):
+        return monomial_at(self.x, y) * self.s ** dot(self.two_rho, y)
+
+    def image(self, lam):
+        total, stabilizer = Fraction(0), Fraction(0)
+        for length, mat_y, factor in self.group:
+            moved = mat_apply(mat_y, lam)
+            total += self.x_prime(moved) * factor
+            if tuple(moved) == tuple(lam):
+                stabilizer += self.t ** length
+        return total / stabilizer / self.s ** dot(self.two_rho, lam)
+
+    def element(self, poly):
+        """The library's element at the same point: sum c(q) x^y."""
+        q = self.s * self.s
+        return sum((c.evaluate(q) * monomial_at(self.x, y) for y, c in poly.items()), Fraction(0))
+
+
+@pytest.mark.parametrize("name", sorted(BUILTINS))
+def test_images_match_macdonalds_formula(name):
+    # every image of height <= 3 at two points and two values of q
+    d = BUILTINS[name]
+    dd = langlands_dual_data(d)
+    formulas = [MacdonaldFormula(d, x, s) for x in MACDONALD_POINTS for s in MACDONALD_S]
+    for lam in enumerate_dominant(d, 3):
+        poly = satake_image(dd, lam).poly
+        for formula in formulas:
+            assert formula.element(poly) == formula.image(lam), (lam, formula.x, formula.s)
+
+
+def test_macdonalds_formula_sees_one_wrong_coefficient():
+    # q^-1 e^0 added to Sp4's S(2, 1) changes its value at every point
+    d = BUILTINS["Sp4"]
+    poly = satake_image(langlands_dual_data(d), (2, 1)).poly
+    wrong = poly + GroupAlgebraElement.monomial((0, 0), Laurent.q_power(-1))
+    for x in MACDONALD_POINTS:
+        for s in MACDONALD_S:
+            formula = MacdonaldFormula(d, x, s)
+            assert formula.element(poly) == formula.image((2, 1))
+            assert formula.element(wrong) != formula.image((2, 1))
 
 
 class TestStructurePolynomials:
