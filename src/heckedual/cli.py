@@ -17,7 +17,8 @@ weyl need nothing more; rho, extend, epsilon and dualdata load
 ``dualdata``; rfactor, euler and split load ``rfunc``; satake, mult and
 oracle load ``satake``.  Of the benchmark's 104 cli-cold calls, that is 29
 on ``rootdatum`` only (2 of them error calls), 36 on ``dualdata``, 22 on
-``rfunc`` and 17 on ``satake``.
+``rfunc`` and 17 on ``satake``.  No command loads the standard data-class
+module, nor ``inspect``, which it imports.
 """
 
 from __future__ import annotations

@@ -123,7 +123,6 @@ algebraic expansion coefficients after an explicit monomial rescaling.
 from __future__ import annotations
 
 import operator
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
 from typing import Iterable, Mapping, Sequence
@@ -146,6 +145,7 @@ from .lattice import (
 from .rootdatum import (
     BUILTINS,
     DEFAULT_TREE_DEPTH_CAP,
+    FrozenRecord,
     RootDatum,
     cartan_matrix,
     _dominant_below,
@@ -162,24 +162,22 @@ from .rootdatum import (
 # the dot action on characters and on monomials
 
 
-@dataclass(frozen=True)
-class UnramifiedCharacter:
+class UnramifiedCharacter(FrozenRecord):
     """A character of the split torus given by its values on the coweight
     basis.  The dot action only multiplies values by powers of q, so each
     value is a pair (c, k) meaning c*q^k with c a nonzero Fraction, read by
     ``as_fraction``, and k read by ``as_int``.  Values extend
     multiplicatively."""
 
-    datum: RootDatum
-    values: tuple[tuple[Fraction, int], ...]
+    __slots__ = _fields = ("datum", "values")
 
-    def __post_init__(self):
-        if len(self.values) != self.datum.rank:
+    def __init__(self, datum: RootDatum, values: Sequence[tuple[Fraction, int]]):
+        if len(values) != datum.rank:
             raise ValidationError("character needs one value per coweight basis vector")
-        object.__setattr__(self, "values",
-                           tuple((as_fraction(c), as_int(k)) for c, k in self.values))
-        if any(c == 0 for c, _ in self.values):
+        values = tuple((as_fraction(c), as_int(k)) for c, k in values)
+        if any(c == 0 for c, _ in values):
             raise ValidationError("character values must be nonzero")
+        self._init(datum, values)
 
     def value_at(self, y: Sequence[int]) -> tuple[Fraction, int]:
         y = int_vector(y)
@@ -341,18 +339,19 @@ def add_products_into(acc: dict[int, int], c: int, terms: Iterable[tuple[int, in
 # spherical expansions
 
 
-@dataclass(frozen=True)
-class SphericalFunction:
+class SphericalFunction(FrozenRecord):
     """A dot-invariant element of the coweight group algebra, stored by its
     coefficients at the dominant coweights, which fix it: its expansion in
     the orbit sums m_nu (Macdonald, Symmetric Functions and Hall
     Polynomials, III.2).  Equality and hash read the datum and those
     coefficients.  Frozen, since the image cache hands out the same
     instance to every caller; the whole element, ``poly``, is filled on its
-    first read."""
+    first read, into the instance ``__dict__``."""
 
-    datum: RootDatum
-    dominant: GroupAlgebraElement
+    _fields = ("datum", "dominant")
+
+    def __init__(self, datum: RootDatum, dominant: GroupAlgebraElement):
+        self._init(datum, dominant)
 
     @cached_property
     def poly(self) -> GroupAlgebraElement:
@@ -632,31 +631,31 @@ def satake_image(dd: LanglandsDualData, lam: Sequence[int]) -> SphericalFunction
     return SphericalFunction(dd.base, entry.image.dominant.shift(vec_sub(lam, entry.rep)))
 
 
-@dataclass
-class HeckeExpansion:
+class HeckeExpansion(FrozenRecord):
     """Coefficients of a product of basis elements: a map from dominant
     coweights to Z[q, q^-1], with no zero entries stored.  Each key is read
     by ``require_dominant``, which refuses a wrong rank or a key that is not
-    dominant, and each coefficient as ``GroupAlgebraElement`` reads one."""
+    dominant, and each coefficient as ``GroupAlgebraElement`` reads one.
+    Equality reads the coefficients alone, so an expansion is unhashable."""
 
-    datum: RootDatum
-    coeffs: dict[Vec, Laurent]
+    _fields = ("datum", "coeffs")
 
-    def __post_init__(self):
-        coeffs = {}
-        for v, c in self.coeffs.items():
-            v = require_dominant(self.datum, v)
+    def __init__(self, datum: RootDatum, coeffs: Mapping[Sequence[int], Laurent]):
+        checked = {}
+        for v, c in coeffs.items():
+            v = require_dominant(datum, v)
             c = c if isinstance(c, Laurent) else Laurent.term(as_int(c))
             if not c.is_zero():
-                coeffs[v] = c
-        self.coeffs = coeffs
+                checked[v] = c
+        self._init(datum, checked)
 
     @classmethod
     def _make(cls, datum: RootDatum, coeffs: dict[Vec, Laurent]) -> "HeckeExpansion":
         # trusted constructor: int tuple keys of the datum's rank, no zero
         self = object.__new__(cls)
-        self.datum = datum
-        self.coeffs = coeffs
+        fields = self.__dict__
+        fields["datum"] = datum
+        fields["coeffs"] = coeffs
         return self
 
     def get(self, nu: Sequence[int]) -> Laurent:
@@ -820,15 +819,13 @@ def _leading_zero_histogram(m: int, q: int) -> list[tuple[int, int]]:
     return [(0, q ** m)] + [(z, (q - 1) * q ** (m - z - 1)) for z in range(1, m)] + [(m, 1)]
 
 
-@dataclass(frozen=True)
-class OracleEntry:
-    m: int
-    n: int
-    d: int
-    exponent: int
-    tree_count: int
-    algebra_value: Fraction
-    rescaled_integral: bool
+class OracleEntry(FrozenRecord):
+    __slots__ = _fields = ("m", "n", "d", "exponent", "tree_count", "algebra_value",
+                           "rescaled_integral")
+
+    def __init__(self, m: int, n: int, d: int, exponent: int, tree_count: int,
+                 algebra_value: Fraction, rescaled_integral: bool):
+        self._init(m, n, d, exponent, tree_count, algebra_value, rescaled_integral)
 
     @property
     def ok(self) -> bool:
@@ -838,11 +835,11 @@ class OracleEntry:
                 and self.rescaled_integral)
 
 
-@dataclass(frozen=True)
-class OracleReport:
-    q: int
-    max_height: int
-    entries: tuple[OracleEntry, ...]
+class OracleReport(FrozenRecord):
+    __slots__ = _fields = ("q", "max_height", "entries")
+
+    def __init__(self, q: int, max_height: int, entries: tuple[OracleEntry, ...]):
+        self._init(q, max_height, entries)
 
     @property
     def failures(self) -> tuple[OracleEntry, ...]:

@@ -3,7 +3,6 @@ of shifted coweights against ones built cold, whatever coweight first
 represents a class, the commutativity that the unordered expansion key
 relies on, and the caches holding one entry per class."""
 
-import dataclasses
 import itertools
 
 import pytest
@@ -252,7 +251,7 @@ def test_cached_image_is_frozen():
     # every later call and every peel that reads it
     dd = langlands_dual_data(BUILTINS["PGL2"])
     image = satake_image(dd, (2,))
-    with pytest.raises(dataclasses.FrozenInstanceError):
+    with pytest.raises(AttributeError, match="cannot assign to field 'poly'"):
         image.poly = image.poly.shift((5,))
     assert satake_image(dd, (2,)) is image
     assert image.poly == reference_image(dd, (2,))

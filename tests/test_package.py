@@ -25,7 +25,7 @@ from heckedual.rootdatum import BUILTINS, RootDatum
 
 SRC = str(Path(heckedual.__file__).resolve().parents[1])
 # the modules a command loads only when it runs one of their layers
-WATCHED = ("heckedual.dualdata", "heckedual.rfunc", "heckedual.satake", "dataclasses")
+WATCHED = ("heckedual.dualdata", "heckedual.rfunc", "heckedual.satake", "dataclasses", "inspect")
 
 
 def run_fresh(script: str, *args: str) -> dict:
@@ -60,12 +60,13 @@ print(json.dumps({{"code": code, "stdout": out.getvalue(), "loaded": loaded}}))
     (["roots", "SL3"], []),
     (["dualdata", "GL3"], ["heckedual.dualdata"]),
     (["split", "SO5", "--q", "7", "--values", "2,3"], ["heckedual.dualdata", "heckedual.rfunc"]),
-    (["mult", "PGL2", "--lhs", "1", "--rhs", "1"],
-     ["heckedual.dualdata", "heckedual.satake", "dataclasses"]),
+    (["mult", "PGL2", "--lhs", "1", "--rhs", "1"], ["heckedual.dualdata", "heckedual.satake"]),
     (["rfactor", "PGL2", "--weights", "1,1;-1,0", "--values", "2", "--q", "3", "--s", "2"],
      ["heckedual.dualdata", "heckedual.rfunc"]),
     (["euler", "--trivial", "--primes-below", "100", "--s", "2"],
      ["heckedual.dualdata", "heckedual.rfunc"]),
+    (["satake", "PGL2", "--coweight", "2"], ["heckedual.dualdata", "heckedual.satake"]),
+    (["oracle", "--q", "2"], ["heckedual.dualdata", "heckedual.satake"]),
 ])
 def test_cli_loads_only_the_layers_it_runs(capsys, argv, loaded):
     fresh = run_fresh(CLI_SCRIPT, json.dumps(argv))

@@ -16,6 +16,8 @@ from heckedual.lattice import GroupAlgebraElement, Laurent, dot, mat_apply, mat_
 from heckedual.rootdatum import BUILTINS, weyl_group
 from heckedual.satake import (
     HeckeExpansion,
+    OracleEntry,
+    OracleReport,
     SphericalFunction,
     UnramifiedCharacter,
     compare_rank1_oracle,
@@ -353,6 +355,87 @@ class TestSphericalFunctionRecord:
             assert other.poly == reference_image(dd, lam)
 
 
+PGL2_REPR = "RootDatum(rank=1, simple_roots=((1,),), simple_coroots=((2,),), name='PGL2')"
+SQUARE = {(2,): Laurent.one(), (0,): Laurent({-1: 1, -2: 1})}
+ENTRY = OracleEntry(1, 1, 0, 2, 3, Fraction(3), True)
+ENTRY_REPR = ("OracleEntry(m=1, n=1, d=0, exponent=2, tree_count=3, algebra_value=Fraction(3, 1),"
+              " rescaled_integral=True)")
+# the other four records of this module: a fresh record by position (an
+# expansion as the product hands it out), one by keyword, and its repr,
+# captured when the records were dataclasses
+SATAKE_RECORDS = [
+    (lambda: UnramifiedCharacter(PGL2, ((Fraction(2, 3), 1),)),
+     lambda: UnramifiedCharacter(values=[(Fraction(4, 6), 1)], datum=PGL2),
+     f"UnramifiedCharacter(datum={PGL2_REPR}, values=((Fraction(2, 3), 1),))"),
+    (lambda: structure_polynomials(DD_PGL2, (1,), (1,)),
+     lambda: HeckeExpansion(coeffs={(0,): Laurent({-2: 1, -1: 1}), (2,): 1, (4,): 0}, datum=PGL2),
+     f"HeckeExpansion(datum={PGL2_REPR}, coeffs={{(2,): Laurent(1), (0,): Laurent(q^-1 + q^-2)}})"),
+    (lambda: OracleEntry(1, 1, 0, 2, 3, Fraction(3), True),
+     lambda: OracleEntry(rescaled_integral=True, algebra_value=Fraction(3), tree_count=3,
+                         exponent=2, d=0, n=1, m=1),
+     ENTRY_REPR),
+    (lambda: OracleReport(2, 1, (ENTRY,)),
+     lambda: OracleReport(entries=(ENTRY,), max_height=1, q=2),
+     f"OracleReport(q=2, max_height=1, entries=({ENTRY_REPR},))"),
+]
+SATAKE_FIELDS = {UnramifiedCharacter: ("datum", "values"), HeckeExpansion: ("datum", "coeffs"),
+                 OracleEntry: ("m", "n", "d", "exponent", "tree_count", "algebra_value",
+                               "rescaled_integral"),
+                 OracleReport: ("q", "max_height", "entries")}
+
+
+@pytest.mark.parametrize("build, by_keyword, text", SATAKE_RECORDS,
+                         ids=[type(build()).__name__ for build, _, _ in SATAKE_RECORDS])
+class TestSatakeRecords:
+    """The record contract of satake's other records, as
+    tests/test_rfunc.py::TestRecords pins it for the R-factor records.  An
+    expansion compares its coefficients alone, so it has no hash, and its
+    datum is checked on its own."""
+
+    @staticmethod
+    def fields(record) -> tuple:
+        return tuple(getattr(record, name) for name in SATAKE_FIELDS[type(record)])
+
+    def same(self, other, record):
+        assert type(other) is type(record) and self.fields(other) == self.fields(record)
+        assert other == record and not other != record
+        if isinstance(record, HeckeExpansion):
+            with pytest.raises(TypeError, match="unhashable type: 'HeckeExpansion'"):
+                hash(other)
+        else:
+            assert hash(other) == hash(record) == hash(self.fields(record))
+
+    def test_repr(self, build, by_keyword, text):
+        assert repr(build()) == text
+
+    def test_keyword_construction_is_equal_with_equal_hash(self, build, by_keyword, text):
+        self.same(by_keyword(), build())
+
+    @pytest.mark.parametrize("field", ["datum", "values", "coeffs", "m", "algebra_value", "q",
+                                       "entries", "extra"])
+    def test_immutable(self, build, by_keyword, text, field):
+        record = build()
+        with pytest.raises(AttributeError):
+            setattr(record, field, 0)
+        with pytest.raises(AttributeError):
+            delattr(record, field)
+        assert repr(record) == text
+
+    def test_pickle_and_copy_round_trip(self, build, by_keyword, text):
+        record = build()
+        for other in (pickle.loads(pickle.dumps(record)), copy.deepcopy(record),
+                      copy.copy(record)):
+            self.same(other, record)
+            assert repr(other) == text
+
+
+def test_expansions_over_different_data_are_equal():
+    # equality reads the coefficients alone
+    assert HeckeExpansion(BUILTINS["SL2"], SQUARE) == HeckeExpansion(PGL2, SQUARE)
+    assert HeckeExpansion(PGL2, SQUARE) != HeckeExpansion(PGL2, {(2,): Laurent.one()})
+    assert HeckeExpansion(PGL2, SQUARE) != SQUARE
+
+
 # two rational points, each coordinate of its own primes, and two values of
 # s: no x'^y is 1 for y != 0, so no denominator below vanishes
 MACDONALD_POINTS = ((Fraction(5, 7), Fraction(11, 13), Fraction(17, 19)),
@@ -386,7 +469,7 @@ class MacdonaldFormula:
         roots, coroots = positive_by_closure(d)
         self.two_rho = tuple(map(sum, zip((0,) * d.rank, *roots)))
         self.x, self.s, self.t = x[:d.rank], s, 1 / (s * s)
-        self.group = []
+        self.group, self.images = [], {}
         for length, _, mat_y in weyl_by_closure(d):
             factor = Fraction(1)
             for b in coroots:
@@ -411,6 +494,18 @@ class MacdonaldFormula:
         q = self.s * self.s
         return sum((c.evaluate(q) * monomial_at(self.x, y) for y, c in poly.items()), Fraction(0))
 
+    def basis(self, nu):
+        """S(nu) by the formula, formed once per nu."""
+        if nu not in self.images:
+            self.images[nu] = self.image(nu)
+        return self.images[nu]
+
+    def expansion(self, expansion):
+        """An expansion in the basis at the same point: sum c^nu(q) S(nu)."""
+        q = self.s * self.s
+        return sum((c.evaluate(q) * self.basis(nu) for nu, c in expansion.coeffs.items()),
+                   Fraction(0))
+
 
 @pytest.mark.parametrize("name", sorted(BUILTINS))
 def test_images_match_macdonalds_formula(name):
@@ -434,6 +529,37 @@ def test_macdonalds_formula_sees_one_wrong_coefficient():
             formula = MacdonaldFormula(d, x, s)
             assert formula.element(poly) == formula.image((2, 1))
             assert formula.element(wrong) != formula.image((2, 1))
+
+
+@pytest.mark.parametrize("name", sorted(BUILTINS))
+def test_products_match_macdonalds_formula(name):
+    # S(lambda) S(mu) = sum c^nu(q) S(nu) for every product of height <= 2
+    # per factor, at two points and two values of q, each S by the formula:
+    # no image code on either side
+    d = BUILTINS[name]
+    dd = langlands_dual_data(d)
+    formulas = [MacdonaldFormula(d, x, s) for x in MACDONALD_POINTS for s in MACDONALD_S]
+    for lam, mu in itertools.product(enumerate_dominant(d, 2), repeat=2):
+        expansion = structure_polynomials(dd, lam, mu)
+        for formula in formulas:
+            assert formula.expansion(expansion) == formula.basis(lam) * formula.basis(mu), (
+                lam, mu, formula.x, formula.s)
+
+
+def test_macdonalds_formula_sees_one_wrong_structure_polynomial():
+    # q^-1 added to the coefficient at (1, 1) of Sp4's S(1, 1) S(1, 0)
+    # changes its value at every point
+    d = BUILTINS["Sp4"]
+    expansion = structure_polynomials(langlands_dual_data(d), (1, 1), (1, 0))
+    wrong = dict(expansion.coeffs)
+    wrong[(1, 1)] += Laurent.q_power(-1)
+    wrong = HeckeExpansion(d, wrong)
+    for x in MACDONALD_POINTS:
+        for s in MACDONALD_S:
+            formula = MacdonaldFormula(d, x, s)
+            product = formula.image((1, 1)) * formula.image((1, 0))
+            assert formula.expansion(expansion) == product
+            assert formula.expansion(wrong) != product
 
 
 class TestStructurePolynomials:
