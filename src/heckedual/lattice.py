@@ -633,27 +633,32 @@ class GroupAlgebraElement:
         return GroupAlgebraElement.collect(self.rank - 1, [terms])
 
     def to_str(self) -> str:
-        parts = []
-        for v, c in sorted(self._terms.items(), reverse=True):
-            mono = "e[" + ",".join(str(x) for x in v) + "]" if any(v) else ""
-            coeff_items = c.items()
-            if len(coeff_items) > 1:
-                body = f"({c})"
-                parts.append(("+", f"{body}*{mono}" if mono else body))
-                continue
-            exp, coeff = coeff_items[0]
-            sign = "-" if coeff < 0 else "+"
-            scalar = Laurent({exp: abs(coeff)})
-            if not mono:
-                parts.append((sign, str(scalar)))
-            elif scalar == Laurent.one():
-                parts.append((sign, mono))
-            else:
-                parts.append((sign, f"{scalar}*{mono}"))
-        return _signed_sum(parts)
+        return terms_str(sorted(self._terms.items(), reverse=True))
 
     def __str__(self):
         return self.to_str()
 
     def __repr__(self):
         return f"GroupAlgebraElement({self.to_str()})"
+
+
+def terms_str(items: Iterable[tuple[Vec, Laurent]]) -> str:
+    """``GroupAlgebraElement.to_str`` of the terms, highest monomial first."""
+    parts = []
+    for v, c in items:
+        mono = "e[" + ",".join(str(x) for x in v) + "]" if any(v) else ""
+        coeff_items = c.items()
+        if len(coeff_items) > 1:
+            body = f"({c})"
+            parts.append(("+", f"{body}*{mono}" if mono else body))
+            continue
+        exp, coeff = coeff_items[0]
+        sign = "-" if coeff < 0 else "+"
+        scalar = Laurent({exp: abs(coeff)})
+        if not mono:
+            parts.append((sign, str(scalar)))
+        elif scalar == Laurent.one():
+            parts.append((sign, mono))
+        else:
+            parts.append((sign, f"{scalar}*{mono}"))
+    return _signed_sum(parts)

@@ -8,9 +8,8 @@ the twisted action below.  Only integer delta-exponents occur upstairs.
 The extended coroots are (alphavee, 1), so a monomial there keeps its
 delta-exponent as a power of q below, and the symmetrization runs below
 the extension with the same result.  One dot step, e^y -> q^-<alpha, y>
-e^(s y) for a simple reflection s (``_dot_reflect``), serves both the dot
-action on elements, folded over the reduced word of a Weyl element, and
-the check that an element is dot-invariant.
+e^(s y) for a simple reflection s (``_dot_reflect``), is the dot action
+on elements, folded over the reduced word of a Weyl element.
 
 The image of a dominant coweight lambda is its Hall-Littlewood
 symmetrization with parameter q^-1, summed over the Weyl orbit of
@@ -26,28 +25,26 @@ e^(lambda,0) (``rootdatum.orbit_walk``), so each step, from mu to a new
 point s_i mu, has k = <alpha_i, mu> > 0 and hands T_i of mu's term to s_i
 mu.  The Hecke braid relations make a term independent of the path that
 reached it, and on a monomial T_i is a finite geometric sum, so nothing
-is divided.  Each image is checked once, when it is built: its top
-coefficient is 1, it is dot-invariant, and its dominant support lies
-below its coweight.
+is divided.  Each image is checked once, when it is built, on the keys
+below: its top coefficient is 1, it is dot-invariant, and its dominant
+support lies below its coweight.
 
 The walk runs upstairs, on ints (``_Keys``).  A term y of a partial sum
 lies in lambda minus the coroot lattice, where its pairings <alpha_i, y>
-name it, and so its delta-exponent -h, h = <rho, lambda - y>, one to one
-(below).  Each point y is one int key, the peel key of y plus a bias in
-every digit, and its value is the t-int of its lift (below), one int for
-the whole polynomial in q^-1.  Every pairing of a partial sum is at most
-<2 rho, lambda> in absolute value, so the walk packs at the peel's slot
-for a top of lambda (``_peel_keys``), whatever the basis of the
-coweights.  An extended coroot (alphavee_i, 1) is a move, one int add,
-while k = <alpha_i, y> is one shift and mask, and a step multiplies a
-value by 1, q^-1 (one shift) or 1 - q^-1 (a shift and a subtraction).
-The unit top, dot invariance and the dominant support below lambda are
-checked on the keys, and the values are the lifts, so the build keeps
-only what the peel reads.
-``satake_image`` decodes an image once per class, on request, and only its
-dominant coefficients, each by ``t_laurent``, the one decoder: they fix
-the image (``SphericalFunction``), whose orbits are filled by the dot step
-only when read.
+name it, and so its delta-exponent -h, h = <rho, lambda - y>, one to one,
+whatever the basis of the coweights.  Each point y is one int key, its
+pairings packed with a bias in every digit at the peel's slot for a top of
+lambda (``_peel_keys``), and its value is the t-int of its lift (below),
+one int for the whole polynomial in q^-1.  An extended coroot
+(alphavee_i, 1) is a move, one int add, while k = <alpha_i, y> is one
+shift and mask, and a step multiplies a value by 1, q^-1 (one shift) or
+1 - q^-1 (a shift and a subtraction).  A lift is constant on its W-orbit (below), so the
+build keeps one per orbit, at its dominant point, and one orbit walk on
+keys (``_fill``) serves both the invariance check and the whole views of a
+peel's two factors.  ``satake_image`` decodes an image once per class, on
+request, and only its dominant coefficients, each by ``t_laurent``, the
+one decoder: they fix the image (``SphericalFunction``), whose orbits are
+filled by the dot step only when read.
 
 The products of two images expand back into images of dominant coweights
 with coefficients in Z[q, q^-1] by triangular peeling.  Peeling reads only
@@ -70,7 +67,7 @@ less a term's, at most <2 rho, nu> <= <2 rho, top>, so the slot
 pack_slot(2 <2 rho, top>) in ``_peel_keys`` is one to one on them, and
 known before any image is built.  Every image a peel reads, of lambda, mu
 or a nu <= top, is built at its own slot, at most the peel's, and a wider
-read repacks its keys once (``_Image``).
+read packs the pairings of its dominant points there (``_Image``).
 
 The peel's coefficients are plain ints, in t = q^-1.  A term c e^y of an
 image S(lambda) lifts to the extended lattice with the coefficient q^h c,
@@ -81,16 +78,15 @@ no step can make a positive power of q.  The image upstairs is
 W-invariant, so the lift is constant on each W-orbit.  h is linear in y:
 the pairs of terms of S(lambda) and S(mu) that meet at a point v, and the
 image of nu moved to v, all carry the one factor q^<rho, top - v> between
-their coefficients and their lifts.  So the peel
-runs on lifts: a view holds each lifted coefficient as its t-int, sum_i
-c_i 2^(64 i) for the coefficient c_i of q^-i, one int per orbit, and a
-product term is one int product and one int add, with no exponent to
-align (a term c t^i is c shifted by i digits).  The residual at v holds
-the lift of the product's coefficient there, and the coefficient of nu is
-its residual value times q^-<rho, top - nu>, the depth that ``rootdatum``
-hands out with each point below top.  Each image carries the
-sum and the largest of the norms sum_i |c_i| of its coefficients, which
-the lift keeps.  One running bound per peel covers every residual value:
+their coefficients and their lifts.  So the peel runs on lifts, each
+held as its t-int, sum_i c_i 2^(64 i) for the coefficient c_i of q^-i,
+and a product term is one int product and one int add, with no exponent
+to align (a term c t^i is c shifted by i digits).  The residual at v
+holds the lift of the product's coefficient there, and the coefficient
+of nu is its residual value times q^-<rho, top - nu>, the depth that
+``rootdatum`` hands out with each point below top.  Each image carries
+the sum and the largest of the norms sum_i |c_i| of its coefficients,
+which the lift keeps.  One running bound per peel covers every residual value:
 it starts at min(|a|_1 max|b|, |b|_1 max|a|) over the two factors, and
 each peeled c adds |c| times the largest norm in S(nu).  A residual value
 is read (the zero test, the decode, the last test) only while the bound is
@@ -264,11 +260,6 @@ def unpack(n: int, slot: int) -> list[int]:
     return v
 
 
-def repack(n: int, slot: int, wider: int) -> int:
-    """pack(v, wider) for n = pack(v, slot), each |v_i| < 2^(slot-1)."""
-    return pack(unpack(n, slot), wider)
-
-
 _SLOT = 64  # bits per digit of a t-int
 _HALF = 1 << (_SLOT - 1)
 
@@ -364,12 +355,6 @@ class SphericalFunction(FrozenRecord):
                 terms[y] = terms[mu].shift(-dot(d.simple_roots[i], mu))
         return GroupAlgebraElement._make(d.rank, terms)
 
-    def is_dot_invariant(self) -> bool:
-        """Invariance under the dot step of every simple reflection, which
-        generate W."""
-        return all(_dot_reflect(self.poly, alpha, alphavee) == self.poly
-                   for alpha, alphavee in zip(self.datum.simple_roots, self.datum.simple_coroots))
-
     def __str__(self):
         return str(self.poly)
 
@@ -378,11 +363,20 @@ class SphericalFunction(FrozenRecord):
 def _peel_keys(d: RootDatum, top: Vec) -> tuple[int, tuple[int, ...]]:
     """The one slot table: the slot of every key at top, pack_slot(2 <2 rho,
     top>), and the packed pairings of the points of ``dominant_below(top)``,
-    index by index.  A peel at top keys its points by them; the walk, the
-    build and the decode of the image of top read their slot and dominant
-    points here."""
+    index by index: a peel at top keys its points by them, and an image of
+    top is walked, built and decoded at their slot."""
     slot = pack_slot(2 * dot(positive_root_sum(d), top))
     return slot, tuple([pack(p, slot) for p in _dominant_below(d, top)[1]])
+
+
+@lru_cache(maxsize=None)
+def _key_table(d: RootDatum, slot: int) -> tuple[int, int, tuple[int, ...], int]:
+    """The bias B = 2^(slot-1) of each digit of a key at slot, the digit
+    mask, the moves y -> y - alphavee_i (the pairings less the Cartan row
+    i, which fix h, so no key holds a delta-exponent) and the packed biases."""
+    bias = 1 << (slot - 1)
+    moves = tuple(-pack(row, slot) for row in cartan_matrix(d))
+    return bias, (1 << slot) - 1, moves, pack((bias,) * len(moves), slot)
 
 
 class _Keys:
@@ -396,23 +390,15 @@ class _Keys:
     hull of the orbit of lambda, where |<alpha_i, y>| <= max_beta <beta,
     lambda> <= <2 rho, lambda> over the positive roots, so every digit lies
     in [0, 2^slot).  A key less ``dominant``, the packed biases, is the peel
-    key of y.  The walk's value at a key is the lift q^h c of y's
-    coefficient, h = <rho, lambda - y>, as a t-int with digits ``width``
-    bits wide (``_walk``)."""
+    key of y, and y is dominant when every digit has its top bit, B, set.
+    The walk's values are t-ints ``width`` bits a digit (``_walk``)."""
 
     __slots__ = ("slot", "bias", "mask", "width", "moves", "dominant", "start")
 
     def __init__(self, d: RootDatum, lam: Vec, p: Vec, width: int):
-        k = len(p)
         self.slot = slot = _peel_keys(d, lam)[0]
-        self.bias = 1 << (slot - 1)
-        self.mask = (1 << slot) - 1
+        self.bias, self.mask, self.moves, self.dominant = _key_table(d, slot)
         self.width = width
-        # y -> y - alphavee_i, the extended coroot upstairs: the pairings
-        # less the Cartan row i, which fix h, so no key holds a delta-exponent
-        self.moves = tuple(-pack(row, slot) for row in cartan_matrix(d))
-        # y is dominant when every digit has its top bit, B, set
-        self.dominant = pack((self.bias,) * k, slot)
         self.start = self.key(p)
 
     def key(self, p: Sequence[int]) -> int:
@@ -461,10 +447,9 @@ def _step(keys: _Keys, i: int, terms: dict[int, int]) -> dict[int, int]:
 
 def _walk(d: RootDatum, lam: Vec, p: Vec) -> tuple[_Keys, dict[int, int]]:
     """S(lambda) on the extended lattice as point keys -> t-ints of the lifts
-    (``_Keys``), no zero kept: T_u e^(lambda, 0) summed over the orbit of
-    lambda, walked breadth first by ``orbit_walk``, so every step has
-    <alpha_i, mu> > 0.  Each partial sum is dropped after its last step.
-    The lift at lambda must be exactly 1.
+    (``_Keys``), no zero kept, walked as the module docstring says: each
+    partial sum is dropped after its last step, and the lift at lambda must
+    be exactly 1.
 
     The digits are ``_SLOT`` bits wide unless a bound says they may not
     fit.  T_i sends c at a point of pairing k to terms of norm sum_j |c_j|
@@ -496,26 +481,47 @@ def _walk(d: RootDatum, lam: Vec, p: Vec) -> tuple[_Keys, dict[int, int]]:
     return keys, total
 
 
+def _fill(d: RootDatum, slot: int, dominant: Iterable[tuple[int, int]]) -> dict[int, int]:
+    """A dot-invariant element, point keys at slot -> t-ints of the lifts,
+    from its dominant terms: a lift is constant on its W-orbit, walked from
+    the dominant key as ``orbit_walk`` walks it, from a key of digit k =
+    <alpha_i, y> > 0 to that key + k moves[i] (``_key_table``)."""
+    bias, mask, moves, _ = _key_table(d, slot)
+    shifts = [(i * slot, move) for i, move in enumerate(moves)]
+    out = dict(dominant)
+    queue = list(out)
+    for point in queue:  # the queue grows as it is read
+        t = out[point]
+        for shift, move in shifts:
+            k = (point >> shift & mask) - bias
+            if k > 0:
+                moved = point + k * move
+                if moved not in out:
+                    out[moved] = t
+                    queue.append(moved)
+    return out
+
+
 class _Image:
-    """A cached class image: the representative rep of the class, the sum
-    and the largest of the norms of its coefficients, and the peel's views
-    by slot: the packed pairings of every term y -> the t-int of its lift,
-    and those items at dominant y, which fix a dot-invariant element.  The
-    build gives the view at its own slot; a peel reads one as wide or
-    wider, <2 rho, rep> <= <2 rho, top>, repacked once.  S(rep) itself, by
-    its dominant coefficients, is decoded from the dominant items at the
-    own slot on its first read, and fills no orbit."""
+    """A cached class image: the representative rep of the class, its slot
+    in ``_peel_keys``, the sum and the largest of the norms of its
+    coefficients, and its dominant items there, the packed pairings of each
+    dominant term -> the t-int of its lift, one per W-orbit, which fix the
+    image.  A peel at a slot as wide or wider reads the dominant items of
+    each image it peels, and the whole views of its two factors, kept in
+    ``filled``.  S(rep) is decoded from the dominant items when read."""
 
-    __slots__ = ("datum", "rep", "norm", "peak", "views", "_image")
+    __slots__ = ("datum", "rep", "slot", "norm", "peak", "dominant", "filled", "_image")
 
-    def __init__(self, d: RootDatum, rep: Vec,
-                 views: dict[int, tuple[dict[int, int], tuple[tuple[int, int], ...]]],
+    def __init__(self, d: RootDatum, rep: Vec, slot: int, dominant: tuple[tuple[int, int], ...],
                  norm: int, peak: int):
         self.datum = d
         self.rep = rep
+        self.slot = slot
         self.norm = norm
         self.peak = peak
-        self.views = views
+        self.dominant = dominant
+        self.filled: dict[int, dict[int, int]] = {}
         self._image = None
 
     @property
@@ -523,68 +529,67 @@ class _Image:
         """S(rep) by its dominant coefficients, each decoded from its lift q^h
         c at the depth h of its point."""
         if self._image is None:
-            slot, below = _peel_keys(self.datum, self.rep)
-            lifts = dict(self.views[slot][1])
+            lifts, below = dict(self.dominant), _peel_keys(self.datum, self.rep)[1]
             points, _, depths = _dominant_below(self.datum, self.rep)
             terms = {nu: t_laurent(lifts[key], -depth, self.peak)[0]
                      for nu, depth, key in zip(points, depths, below) if key in lifts}
             self._image = SphericalFunction(self.datum, GroupAlgebraElement._make(self.datum.rank, terms))
         return self._image
 
-    def view(self, slot: int) -> tuple[dict[int, int], tuple[tuple[int, int], ...]]:
-        found = self.views.get(slot)
-        if found is None:
-            own = min(self.views)
-            view, dominant = self.views[own]
-            found = self.views[slot] = (
-                {repack(k, own, slot): t for k, t in view.items()},
-                tuple((repack(k, own, slot), t) for k, t in dominant))
-        return found
+    def dominant_at(self, slot: int) -> tuple[tuple[int, int], ...]:
+        """The dominant items keyed at slot, at least the own slot: a wider
+        key packs its point's pairings in ``_dominant_below``, no unpack."""
+        if slot == self.slot:
+            return self.dominant
+        lifts, keys = dict(self.dominant), _peel_keys(self.datum, self.rep)[1]
+        return tuple([(pack(p, slot), lifts[key])
+                      for p, key in zip(_dominant_below(self.datum, self.rep)[1], keys) if key in lifts])
+
+    def whole(self, slot: int) -> dict[int, int]:
+        """The whole view at slot, every term's peel key -> its lift, filled
+        on its first read and kept, for a peel that reads rep as a factor."""
+        if slot not in self.filled:
+            biases = _key_table(self.datum, slot)[3]
+            whole = _fill(self.datum, slot, [(key + biases, t) for key, t in self.dominant_at(slot)])
+            self.filled[slot] = {point - biases: t for point, t in whole.items()}
+        return self.filled[slot]
 
 
 def _build(d: RootDatum, lam: Vec, p: Vec) -> _Image:
-    """Walk and check the image of the dominant coweight lambda into the
-    peel's view of it, with no decode.
+    """Walk and check the image of the dominant coweight lambda, and keep
+    its dominant items, with no decode.
 
-    Both checks run on the keys; with them, a peel that is exact at the
-    dominant points below lambda+mu leaves a zero remainder everywhere (see
-    _peel).  The dot step of s_i sends the lift at e^(y, -h) to e^(s_i y, -h
-    - k), k = <alpha_i, y>, the key plus k moves[i]; it is a bijection on
-    points, so the image is dot-invariant exactly when every point's
-    partner has its lift.  A point's peel key is the point less
-    ``keys.dominant``, and a dominant term lies below lambda exactly when
-    that key is one of the dominant points of lambda in ``_peel_keys``.
-    Each distinct lift is unpacked once, for its exact norm sum_i |c_i| and,
-    from a wider walk, its t-int at ``_SLOT`` bits."""
+    The checks run on the keys.  A dominant term lies below lambda exactly
+    when its peel key, the point less ``keys.dominant``, is one in
+    ``_peel_keys``.  The dot step of s_i sends the lift at e^(y, -h) to
+    e^(s_i y, -h - k), k = <alpha_i, y>, the key plus k moves[i], so the
+    image is dot-invariant exactly when the walk is the ``_fill`` of its
+    dominant terms.  Each distinct lift is unpacked once, for its exact
+    norm sum_i |c_i|, and a dominant one of a wider walk once more, for its
+    t-int at ``_SLOT`` bits."""
     keys, terms = _walk(d, lam, p)
-    slot, mask, bias, width = keys.slot, keys.mask, keys.bias, keys.width
-    for i, move in enumerate(keys.moves):
-        shift = i * slot
-        if {key + ((key >> shift & mask) - bias) * move: c for key, c in terms.items()} != terms:
-            raise RuntimeError(f"internal: image of {lam} is not dot-invariant")
+    slot, width, dominant = keys.slot, keys.width, keys.dominant
     below = set(_peel_keys(d, lam)[1])
-    dominant = keys.dominant
-    view, tops = {}, []
-    # the lift is equal on each W-orbit: one int and one norm per orbit
-    shared: dict[int, tuple[int, int]] = {}
+    # the lift is equal on each W-orbit: one norm per orbit
+    tops, norms = [], {}
     norm = peak = 0
     for point, t in terms.items():
-        found = shared.get(t)
-        if found is None:
-            digits = unpack(t, width)
-            found = shared[t] = (t if width == _SLOT else pack(digits, _SLOT), sum(map(abs, digits)))
-        t, n = found
+        n = norms.get(t)
+        if n is None:
+            n = norms[t] = sum(map(abs, unpack(t, width)))
         norm += n
         if n > peak:
             peak = n
-        key = point - dominant
-        view[key] = t
         if point & dominant == dominant:
-            if key not in below:
+            if point - dominant not in below:
                 raise RuntimeError(f"internal: image of {lam} has dominant support at pairings "
                                    f"{keys.pairings(point)} not below it")
-            tops.append((key, t))
-    return _Image(d, lam, {slot: (view, tuple(tops))}, norm, peak)
+            tops.append((point, t))
+    if _fill(d, slot, tops) != terms:
+        raise RuntimeError(f"internal: image of {lam} is not dot-invariant")
+    if width != _SLOT:
+        tops = [(point, pack(unpack(t, width), _SLOT)) for point, t in tops]
+    return _Image(d, lam, slot, tuple([(point - dominant, t) for point, t in tops]), norm, peak)
 
 
 def satake_image_extended(dd: LanglandsDualData, lam: Sequence[int]) -> GroupAlgebraElement:
@@ -723,24 +728,17 @@ def _peel(dd: LanglandsDualData, lam: Vec, p_lam: Vec, mu: Vec,
     representatives of the classes of two dominant coweights lambda and mu
     with pairings p_lam and p_mu, and top = lambda0 + mu0.
 
-    The product is strictly triangular, and peeling reads it only at the
-    dominant coweights nu <= lambda+mu.  So its coefficients are computed
-    at those points alone, and peeled there in decreasing dominance order
-    from a residual map, with unit coefficient at the top.  The residual
-    must end at zero on every one of those points.  Each image is checked
-    once, when built, to be dot-invariant with dominant support below its
-    coweight; the dot action is a ring automorphism, so the whole remainder
-    is then dot-invariant with dominant support below lambda+mu, and it is
-    zero exactly when the residual is.  A violation is reported as an
-    internal error.
+    The product's coefficients are computed at the dominant coweights nu <=
+    lambda+mu alone, and peeled there in decreasing dominance order from a
+    residual map, with unit coefficient at the top.  The residual must end
+    at zero on every one of those points; with the build's checks and the
+    dot action a ring automorphism, the whole remainder is then zero (module
+    docstring).  A violation is reported as an internal error.
 
     Points, residual and images are keyed by their packed pairings at the
-    slot of top (module docstring), at which each image's view is read.
-    Keys turn back into coweights only as the points whose pairings they
-    pack.  Coefficients are the t-ints of their lifts, each read only under
-    the peel's bound on the norms of the residual; each distinct one, with
-    its depth, is decoded into a Laurent once per process (module
-    docstring).
+    slot of top, which reads the whole views of the two factors and the
+    dominant items of each peeled image, and coefficients are the t-ints of
+    their lifts, read under the peel's bound (module docstring).
     """
     d = dd.base
     s_lam = _class_image(dd, lam, p_lam)
@@ -748,7 +746,7 @@ def _peel(dd: LanglandsDualData, lam: Vec, p_lam: Vec, mu: Vec,
     top = vec_add(s_lam.rep, s_mu.rep)
     points, point_pairings, depths = _dominant_below(d, top)
     slot, keys = _peel_keys(d, top)
-    residual = product_coefficients(s_lam.view(slot)[0], s_mu.view(slot)[0], keys)
+    residual = product_coefficients(s_lam.whole(slot), s_mu.whole(slot), keys)
     # a bound on the norm of every residual value, checked as soon as it
     # grows, so that each read below (the zero test, the decode and the
     # last test) happens under it
@@ -769,7 +767,7 @@ def _peel(dd: LanglandsDualData, lam: Vec, p_lam: Vec, mu: Vec,
         if bound >= _HALF:
             require_digits_fit(bound)
         # a term y of S(rep) lands at y + nu - rep, which has its pairings
-        add_products_into(residual, -n, (image.views.get(slot) or image.view(slot))[1])
+        add_products_into(residual, -n, image.dominant if image.slot == slot else image.dominant_at(slot))
     if any(residual.values()):
         raise RuntimeError("internal: nonzero residual at a dominant point after peeling")
     if coeffs.get(top) != Laurent.one():

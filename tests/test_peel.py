@@ -7,6 +7,7 @@ keys and t-ints both run on."""
 import hashlib
 import itertools
 import random
+import re
 from collections import Counter
 from fractions import Fraction
 
@@ -40,14 +41,12 @@ from heckedual.rootdatum import (
 )
 from heckedual.satake import (
     HeckeExpansion,
-    SphericalFunction,
     add_products_into,
     dot_act_poly,
     lift_exponent,
     pack,
     pack_slot,
     product_coefficients,
-    repack,
     satake_image,
     satake_image_extended,
     structure_polynomials,
@@ -65,6 +64,10 @@ from conftest import (
 
 DD_PGL2 = langlands_dual_data(BUILTINS["PGL2"])
 TORUS = require_valid(RootDatum(2, (), (), "torus"))
+# GL5 as CI writes gl5.json: the simple roots e_i - e_(i+1), and the same
+# vectors as its coroots
+GL5_ROOTS = [[(c == i) - (c == i + 1) for c in range(5)] for i in range(4)]
+GL5 = require_valid(RootDatum(5, GL5_ROOTS, GL5_ROOTS, "GL5"))
 
 
 def random_t_laurent(rng, size=3, span=3):
@@ -163,18 +166,28 @@ def test_chamber_peel_matches_full_product(name, monkeypatch, fresh_images):
     ("PGL3", [((2, 1), (1, 0)), ((20, 0), (1, 0)), ((20, 0), (0, 12))], [(20, 0), (0, 12), (8, 0)],
      (20, 12), (2, 1)),
 ], ids=["PGL2", "PGL3"])
-def test_peel_reads_images_at_a_wider_slot(name, pairs, wide, top, narrow, order, fresh_images):
+def test_peel_reads_images_at_a_wider_slot(name, pairs, wide, top, narrow, order, monkeypatch,
+                                           fresh_images):
     # the last product peels at a top with 2 <2 rho, top> >= 128, so at a
     # 16-bit slot, and reads images built at 8 bits there: PGL2's (40) x (30)
     # at 70, and PGL3's (20, 0) x (0, 12) at (20, 12), where both pairings of
     # each key move; the smaller products read some of the same images at 8
-    # bits, before or after.  Images are named by their pairings.
+    # bits, before or after.  Images are named by their pairings, and each
+    # is read at its own slot and at every slot its dominant items are
+    # packed at, for a factor's fill or a peel's subtraction.
     dd = langlands_dual_data(BUILTINS[name])
     if order == "large-first":
         pairs = pairs[::-1]
+    real, wider = satake._Image.dominant_at, {}
+
+    def dominant_at(entry, slot):
+        wider.setdefault(pairings(dd.base, entry.rep), set()).add(slot)
+        return real(entry, slot)
+
+    monkeypatch.setattr(satake._Image, "dominant_at", dominant_at)
     found = [structure_polynomials(dd, lam, mu) for lam, mu in pairs]
     assert found == [full_product_peel(dd, lam, mu) for lam, mu in pairs]
-    slots = {p: set(entry.views) for (_, p), entry in satake._images.items()}
+    slots = {p: {entry.slot} | wider.get(p, set()) for (_, p), entry in satake._images.items()}
     assert all(slots[p] == {8, 16} for p in wide), slots
     assert slots[top] == {16} and slots[narrow] == {8}
 
@@ -195,8 +208,8 @@ def sheared(d, k):
 def test_expansions_are_kept_under_sheared_coweights(name, fresh_images):
     # the coordinates of the sheared images grow like 2^k and pass 2^63 for
     # the last k, but the peel keys terms by their pairings, which the shear
-    # keeps, so every view of every image is at one byte; GL3 and GL2 also
-    # shift by the centre
+    # keeps, so every image is built at one byte, and every peel fills its
+    # factors there; GL3 and GL2 also shift by the centre
     d = BUILTINS[name]
     dd = langlands_dual_data(d)
     doms = enumerate_dominant(d, 2)
@@ -210,7 +223,7 @@ def test_expansions_are_kept_under_sheared_coweights(name, fresh_images):
             found = structure_polynomials(dd_moved, to[lam], to[mu]).coeffs
             assert found == {to[nu]: c for nu, c in coeffs.items()}, (k, lam, mu)
         slots = {slot for (datum, _), entry in satake._images.items() if datum == dd_moved
-                 for slot in entry.views}
+                 for slot in {entry.slot, *entry.filled}}
         assert slots == {8}, k
 
 
@@ -351,16 +364,17 @@ def test_images_lie_in_z_of_q_inverse_and_are_orbit_sums_at_q_one(name):
 
 @pytest.mark.parametrize("d", [*BUILTINS.values(), TRIVIAL, TORUS], ids=lambda d: d.name)
 def test_images_match_the_tuple_walk(d, fresh_images):
-    # the packed walk against the tuple walk, and the dominant terms the
-    # build reports against those of the image
+    # the packed walk against the tuple walk, and the dominant items the
+    # build keeps, and the view filled from them, against the image
     dd = langlands_dual_data(d)
     for lam in enumerate_dominant(d, 6 if d.rank <= 2 else 4):
         extended = reference_image_extended(dd, lam)
         assert satake_image_extended(dd, lam) == extended, lam
         assert satake_image(dd, lam).poly == extended.specialize_delta(dd.delta_index), lam
         entry = satake._images[dd, pairings(d, lam)]
-        (slot, (view, dominant)), = entry.views.items()
-        assert (view, dict(dominant)) == lifted_view(dd, lam, entry.image.poly, slot), lam
+        assert entry.slot == satake._peel_keys(d, lam)[0], lam
+        want = lifted_view(dd, lam, entry.image.poly, entry.slot)
+        assert (entry.whole(entry.slot), dict(entry.dominant)) == want, lam
 
 
 @pytest.mark.parametrize("d", [*BUILTINS.values(), TRIVIAL, TORUS], ids=lambda d: d.name)
@@ -371,10 +385,56 @@ def test_walk_keys_are_peel_keys_with_a_lift_on_top(d):
     for lam in enumerate_dominant(d, 3):
         p = pairings(d, lam)
         keys, terms = satake._walk(d, lam, p)
-        (slot, (view, _)), = satake._build(d, lam, p).views.items()
-        assert keys.slot == slot == satake._peel_keys(d, lam)[0], lam
+        built = satake._build(d, lam, p)
+        assert keys.slot == built.slot == satake._peel_keys(d, lam)[0], lam
         assert keys.width == 64, lam
-        assert {key - keys.dominant: t for key, t in terms.items()} == view, lam
+        assert {key - keys.dominant: t for key, t in terms.items()} == built.whole(built.slot), lam
+
+
+@pytest.mark.parametrize("name", [*sorted(BUILTINS), "GL5"])
+def test_fill_is_the_walked_view(name):
+    # an image keeps its dominant items only; the fill of the walk's
+    # dominant terms is the walk, and the whole view filled from the kept
+    # items, at the image's own slot and a byte wider, is the walk's, keyed
+    # by the pairings and with each lift at 64 bits a digit (GL5's last two
+    # walk at 72 bits)
+    if name == "GL5":
+        d, lams = GL5, [(2, 1, 0, -1, -2), (3, 1, 0, -1, -3), (4, 2, 0, -2, -4)]
+    else:
+        d = BUILTINS[name]
+        lams = enumerate_dominant(d, 4)
+    for lam in lams:
+        p = pairings(d, lam)
+        keys, terms = satake._walk(d, lam, p)
+        built = satake._build(d, lam, p)
+        slot = built.slot
+        tops = [(key, t) for key, t in terms.items() if key & keys.dominant == keys.dominant]
+        assert satake._fill(d, slot, tops) == terms, lam
+        walked = {key - keys.dominant: pack(unpack(t, keys.width), 64) for key, t in terms.items()}
+        assert dict(built.dominant) == {key - keys.dominant: walked[key - keys.dominant]
+                                        for key, _ in tops}
+        for at in (slot, slot + 8):
+            view = {pack(unpack(key, slot) + [0] * (len(p) - len(unpack(key, slot))), at): t
+                    for key, t in walked.items()}
+            assert built.whole(at) == view, (lam, at)
+        assert set(built.filled) == {slot, slot + 8}, lam
+
+
+@pytest.mark.parametrize("dd, lam, mu", [
+    (DD_PGL2, (40,), (30,)),
+    (langlands_dual_data(BUILTINS["Sp4"]), (2, 1), (1, 1)),
+    (langlands_dual_data(BUILTINS["GL3"]), (2, 1, 1), (1, 1, 0)),
+    (langlands_dual_data(BUILTINS["PGL3"]), (1, 1), (1, 1)),
+], ids=["PGL2-wide", "Sp4", "GL3", "PGL3-square"])
+def test_only_the_factors_hold_a_whole_view(fresh_images, dd, lam, mu):
+    # a product builds every image below its top and reads the dominant
+    # items of each; only its two factors, or its one for a square, keep a
+    # whole view, at the peel's slot
+    structure_polynomials(dd, lam, mu)
+    slot = satake._peel_keys(dd.base, vec_add(lam, mu))[0]
+    assert len(satake._images) > 2
+    held = {entry.rep: set(entry.filled) for entry in satake._images.values() if entry.filled}
+    assert held == {lam: {slot}, mu: {slot}}
 
 
 @pytest.mark.parametrize("width", [64, 136])
@@ -411,12 +471,11 @@ def test_step_matches_demazure_lusztig(name, width):
 
 
 def test_wide_walk_builds_the_image_of_a_64_bit_walk(monkeypatch, fresh_images):
-    # GL5 at (3,1,0,-1,-3), written as CI writes gl9.json: the walk's digit
-    # bound, 120 * 57^10, passes 2^63, so its digits are 72 bits wide and the
-    # build repacks each lift to 64; the image's own digits are small, so a
-    # walk held at 64 bits builds the same view, norms and image
-    roots = [[(c == i) - (c == i + 1) for c in range(5)] for i in range(4)]
-    d = require_valid(RootDatum(5, roots, roots, "GL5"))
+    # GL5 at (3,1,0,-1,-3): the walk's digit bound, 120 * 57^10, passes
+    # 2^63, so its digits are 72 bits wide and the build packs each
+    # dominant lift at 64; the image's own digits are small, so a walk held
+    # at 64 bits builds the same dominant items, norms and image
+    d = GL5
     dd = langlands_dual_data(d)
     lam = (3, 1, 0, -1, -3)
     p = pairings(d, lam)
@@ -426,15 +485,17 @@ def test_wide_walk_builds_the_image_of_a_64_bit_walk(monkeypatch, fresh_images):
         m.setattr(satake, "_HALF", 1 << 1000)
         assert satake._walk(d, lam, p)[0].width == 64
         narrow = satake._build(d, lam, p)
-    assert (wide.views, wide.norm, wide.peak) == (narrow.views, narrow.norm, narrow.peak)
+    assert ((wide.slot, wide.dominant, wide.norm, wide.peak)
+            == (narrow.slot, narrow.dominant, narrow.norm, narrow.peak))
     assert wide.image == narrow.image
-    (slot, (view, dominant)), = wide.views.items()
-    assert (view, dict(dominant)) == lifted_view(dd, lam, wide.image.poly, slot)
+    view = lifted_view(dd, lam, wide.image.poly, wide.slot)
+    assert (wide.whole(wide.slot), dict(wide.dominant)) == view
 
 
 @pytest.mark.parametrize("name, lam, mu", [("PGL2", (40,), (30,)), ("Sp4", (2, 1), (1, 1))])
 def test_products_decode_no_image(fresh_images, name, lam, mu):
-    # the peel reads only the views, so no cached image holds its Laurents
+    # the peel reads only the packed lifts, so no cached image holds its
+    # Laurents
     structure_polynomials(langlands_dual_data(BUILTINS[name]), lam, mu)
     assert satake._images and all(entry._image is None for entry in satake._images.values())
 
@@ -443,7 +504,9 @@ def test_image_read_wider_first_decodes_from_its_own_slot(fresh_images):
     # PGL2's (40) x (30) peels at two bytes and reads the images below it,
     # built at one byte, at two; each decodes later from its own slot
     structure_polynomials(DD_PGL2, (40,), (30,))
-    wider = {entry.rep: entry for entry in satake._images.values() if len(entry.views) == 2}
+    slot = satake._peel_keys(DD_PGL2.base, (70,))[0]
+    wider = {entry.rep: entry for entry in satake._images.values() if entry.slot < slot}
+    assert {entry.slot for entry in wider.values()} == {8} and slot == 16
     assert {(10,), (20,), (30,)} <= set(wider)
     decoded = {nu: satake_image(DD_PGL2, nu) for nu in wider}
     assert all(entry._image is decoded[nu] for nu, entry in wider.items())
@@ -486,11 +549,6 @@ def test_is_dot_invariant_matches_dot_action(name):
             bumped = poly + GroupAlgebraElement.monomial(y, Laurent.q_power(1))
             for elem in (poly, bumped):
                 expected = dot_invariant_by_lookups(d, elem)
-                # an image is fixed by its dominant coefficients, so no image
-                # holds a bumped element: write it where the filled orbits go
-                sf = SphericalFunction(d, image.dominant)
-                vars(sf)["poly"] = elem
-                assert sf.is_dot_invariant() == expected
                 assert all(dot_act_poly(d, w, elem) == elem for w in reflections) == expected
                 seen.add(expected)
     assert seen == {True, False}
@@ -516,6 +574,31 @@ def test_image_not_dot_invariant_raises(monkeypatch, fresh_images):
     corrupt_walk(monkeypatch, lambda keys: {keys.key((-1,)): 1})
     with pytest.raises(RuntimeError, match="not dot-invariant"):
         satake_image(DD_PGL2, (1,))
+
+
+@pytest.mark.parametrize("name", sorted(BUILTINS))
+def test_image_missing_an_orbit_point_is_not_dot_invariant(name, monkeypatch, fresh_images):
+    # the walk from the sum of the positive coroots, a regular coweight, less
+    # one entry at a point that is not dominant, each in turn: its dominant
+    # terms fill that point, so the walk is not their fill
+    d = BUILTINS[name]
+    lam = tuple(map(sum, zip((0,) * d.rank, *positive_roots(d)[1])))
+    p = pairings(d, lam)
+    keys, terms = satake._walk(d, lam, p)
+    dropped = [key for key in terms if key & keys.dominant != keys.dominant]
+    assert len(dropped) >= len(p), name
+    real = satake._walk
+    for key in dropped:
+        def walk(d, lam, p, key=key):
+            keys, terms = real(d, lam, p)
+            del terms[key]
+            return keys, terms
+
+        with monkeypatch.context() as m:
+            m.setattr(satake, "_walk", walk)
+            with pytest.raises(RuntimeError, match=f"image of {re.escape(str(lam))} is not dot-invariant"):
+                satake._build(d, lam, p)
+    assert satake._build(d, lam, p).dominant
 
 
 def test_image_dominant_support_not_below_raises(monkeypatch, fresh_images):
@@ -552,14 +635,15 @@ def lifted_view(dd, rep, poly, slot):
 
 
 def corrupt_view(dd, rep, corruption):
-    """Make the peel's view of the cached image of rep that of
-    corruption(S(rep)), past the image's build checks, at the slot it is
-    read at, and the norms the peel bounds them by."""
+    """Make the peel's reads of the cached image of rep those of
+    corruption(S(rep)), past the image's build checks, at the slot they are
+    read at: its dominant items, its whole view as a factor, and the norms
+    the peel bounds them by."""
     entry = satake._images[dd, pairings(dd.base, rep)]
     poly = corruption(entry.image.poly)
-    (slot,) = entry.views
-    view, dominant = lifted_view(dd, rep, poly, slot)
-    entry.views = {slot: (view, tuple(dominant.items()))}
+    view, dominant = lifted_view(dd, rep, poly, entry.slot)
+    entry.dominant = tuple(dominant.items())
+    entry.filled = {entry.slot: view}
     norms = [sum(abs(x) for _, x in c.items()) for _, c in poly.items()]
     entry.norm, entry.peak = sum(norms), max(norms)
 
@@ -720,17 +804,6 @@ class TestPackedInts:
         keys = {pack(v, 8) for v in itertools.product(range(-127, 128), repeat=2)}
         assert len(keys) == 255 ** 2
         assert pack((128, -1), 8) == pack((-128, 0), 8)
-
-    def test_repack_moves_every_coordinate_to_the_wider_slot(self):
-        # coordinates up to just under half a slot, trailing zeros included,
-        # so most digits borrow from the next
-        rng = random.Random(47)
-        for slot, wider in ((8, 8), (8, 16), (16, 72), (64, 128)):
-            bound = (1 << (slot - 1)) - 1
-            corners = [(bound, -bound, 0), (-bound, bound, bound), (0, 0, -bound), (0, 0, 0)]
-            for v in corners + [tuple(rng.randint(-bound, bound) for _ in range(3))
-                                for _ in range(30)]:
-                assert repack(pack(v, slot), slot, wider) == pack(v, wider), (slot, wider, v)
 
     def test_unpack_reads_back_every_packed_vector(self):
         # coordinates from -(2^(s-1) - 1) to 2^(s-1) - 1, zeros and trailing
